@@ -91,6 +91,7 @@ cover:
 fuzz:
 	$(GO) test -fuzz FuzzEvalAny -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzCondLossProb -fuzztime 30s ./internal/core
+	$(GO) test -fuzz FuzzRosterChurn -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzSchedule -fuzztime 30s ./internal/fault
 	$(GO) test -fuzz FuzzMutator -fuzztime 30s ./internal/experiment
 
@@ -98,6 +99,7 @@ fuzz:
 fuzz-short:
 	$(GO) test -fuzz FuzzEvalAny -fuzztime 5s ./internal/core
 	$(GO) test -fuzz FuzzCondLossProb -fuzztime 5s ./internal/core
+	$(GO) test -fuzz FuzzRosterChurn -fuzztime 5s ./internal/core
 	$(GO) test -fuzz FuzzSchedule -fuzztime 5s ./internal/fault
 	$(GO) test -fuzz FuzzMutator -fuzztime 5s ./internal/experiment
 	$(GO) test -fuzz FuzzCoopDecode -fuzztime 5s ./internal/protocol/coop

@@ -106,7 +106,7 @@ func (p *Planner) PlanAllInto(out map[graph.NodeID]*Strategy) map[graph.NodeID]*
 	p.batchState()
 	if p.mode != fastOff {
 		for _, u := range p.Tree.Clients {
-			out[u] = p.planOneTree(u, p.sc, out[u])
+			out[u] = p.planOneTree(u, p.agg, p.mode, p.sc, out[u])
 		}
 		return out
 	}
@@ -133,7 +133,7 @@ func (p *Planner) PlanAllDenseInto(out []*Strategy) []*Strategy {
 	p.batchState()
 	if p.mode != fastOff {
 		for i, u := range p.Tree.Clients {
-			out[i] = p.planOneTree(u, p.sc, out[i])
+			out[i] = p.planOneTree(u, p.agg, p.mode, p.sc, out[i])
 		}
 		return out
 	}
@@ -192,12 +192,14 @@ func (p *Planner) planOne(u graph.NodeID, sc *planScratch, into *Strategy) *Stra
 	return p.finishPlan(u, sc, pol, into)
 }
 
-// planOneTree computes one client's strategy from the tree aggregate: the
-// meet routers of u are exactly the nodes of u's root path (u itself when
-// peers sit below it), and each class winner is an O(1) lookup excluding
-// the branch u hangs under. Candidates emerge deepest-first, i.e. already
-// in the strictly-descending-DS order Lemma 5 requires.
-func (p *Planner) planOneTree(u graph.NodeID, sc *planScratch, into *Strategy) *Strategy {
+// planOneTree computes one client's strategy from a tree aggregate (the
+// planner's own full-group one, or a roster's membership-tracking one) in
+// the given fast mode: the meet routers of u are exactly the nodes of u's
+// root path (u itself when peers sit below it), and each class winner is an
+// O(1) lookup excluding the branch u hangs under. Candidates emerge
+// deepest-first, i.e. already in the strictly-descending-DS order Lemma 5
+// requires.
+func (p *Planner) planOneTree(u graph.NodeID, agg *treeAgg, mode fastMode, sc *planScratch, into *Strategy) *Strategy {
 	if !p.Tree.Net.IsClient(u) {
 		panic(fmt.Sprintf("core: plan of non-client node %d", u))
 	}
@@ -207,19 +209,13 @@ func (p *Planner) planOneTree(u graph.NodeID, sc *planScratch, into *Strategy) *
 	// Descendant class first (meet == u): peers strictly below u. Its
 	// conditional loss probability is 1, so under constant-cost policies
 	// (fastKeyPeerSelf) the scan's tie-break degenerates to min peer ID.
-	var e aggEntry
-	if p.mode == fastKeyPeerSelf {
-		e = bestExcluding(&p.agg.byPeer[u], aggSelf)
-	} else {
-		e = bestExcluding(&p.agg.byKey[u], aggSelf)
-	}
-	if e.peer != graph.None {
+	if e := agg.selfWinner(u, mode); e.peer != graph.None {
 		sc.cands = append(sc.cands, p.candidateOf(u, u, e.peer, pol))
 	}
 	// Ancestor classes, deepest first: exclude the branch leading to u.
 	for x := u; t.Parent[x] != graph.None; x = t.Parent[x] {
 		r := t.Parent[x]
-		e := bestExcluding(&p.agg.byKey[r], p.agg.childPos[x])
+		e := bestExcluding(&agg.byKey[r], agg.childPos[x])
 		if e.peer != graph.None {
 			sc.cands = append(sc.cands, p.candidateOf(u, r, e.peer, pol))
 		}

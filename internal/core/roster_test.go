@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -172,17 +174,27 @@ func TestRosterErrors(t *testing.T) {
 // BenchmarkRosterChurn measures one full churn cycle — a member dies
 // (incremental replan of its dependents) and rejoins (replan of itself plus
 // any client it now beats) — the operation the resilient RP engine performs
-// on every declared death and recovery.
+// on every declared death and recovery. The chorded cell runs the scan-mode
+// roster (Dijkstra routes with shortcuts); the tree cells run the fast mode,
+// where the affected set comes off the tree aggregate.
 func BenchmarkRosterChurn(b *testing.B) {
-	net := topology.MustGenerate(topology.DefaultConfig(200), rng.New(11))
-	tr, err := mtree.Build(net)
-	if err != nil {
-		b.Fatal(err)
+	b.Run("chorded/routers=200", func(b *testing.B) {
+		net := topology.MustGenerate(topology.DefaultConfig(200), rng.New(11))
+		benchRosterChurn(b, NewPlanner(mtree.MustBuild(net), route.Build(net)))
+	})
+	for _, n := range []int{2000, 20000} {
+		b.Run(fmt.Sprintf("tree/n=%d", n), func(b *testing.B) {
+			tree := mtree.MustBuild(treeNet(b, n, 11))
+			benchRosterChurn(b, NewPlanner(tree, route.NewTreeTables(tree)))
+		})
 	}
-	p := NewPlanner(tr, route.Build(net))
+}
+
+func benchRosterChurn(b *testing.B, p *Planner) {
 	r := NewRoster(p)
 	clients := append([]graph.NodeID(nil), p.Tree.Clients...)
-	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
+	slices.Sort(clients)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v := clients[i%len(clients)]
@@ -203,12 +215,7 @@ func TestRosterStrategiesSnapshotSafe(t *testing.T) {
 	p := rosterPlanner(t, 60, 9)
 	r := NewRoster(p)
 	snap := r.Strategies()
-	frozen := make(map[graph.NodeID]Strategy, len(snap))
-	for c, s := range snap {
-		cp := *s
-		cp.Peers = append([]Candidate(nil), s.Peers...)
-		frozen[c] = cp
-	}
+	frozen := freezeStrategies(snap)
 	clients := append([]graph.NodeID(nil), p.Tree.Clients...)
 	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
 	if _, err := r.Leave(clients[0]); err != nil {
@@ -220,6 +227,27 @@ func TestRosterStrategiesSnapshotSafe(t *testing.T) {
 	if _, err := r.Join(clients[0]); err != nil {
 		t.Fatal(err)
 	}
+	checkFrozen(t, snap, frozen)
+	// The live view, by contrast, must reflect churn.
+	if _, ok := r.StrategiesLive()[clients[1]]; ok {
+		t.Fatal("live map still holds a departed member")
+	}
+}
+
+// freezeStrategies deep-copies a strategy snapshot, Peers included.
+func freezeStrategies(snap map[graph.NodeID]*Strategy) map[graph.NodeID]Strategy {
+	frozen := make(map[graph.NodeID]Strategy, len(snap))
+	for c, s := range snap {
+		cp := *s
+		cp.Peers = append([]Candidate(nil), s.Peers...)
+		frozen[c] = cp
+	}
+	return frozen
+}
+
+// checkFrozen asserts a held snapshot still equals its deep copy.
+func checkFrozen(t *testing.T, snap map[graph.NodeID]*Strategy, frozen map[graph.NodeID]Strategy) {
+	t.Helper()
 	if len(snap) != len(frozen) {
 		t.Fatalf("snapshot map size changed under churn: %d != %d", len(snap), len(frozen))
 	}
@@ -237,10 +265,6 @@ func TestRosterStrategiesSnapshotSafe(t *testing.T) {
 				t.Fatalf("client %d: snapshot peer %d mutated under churn", c, i)
 			}
 		}
-	}
-	// The live view, by contrast, must reflect churn.
-	if _, ok := r.StrategiesLive()[clients[1]]; ok {
-		t.Fatal("live map still holds a departed member")
 	}
 }
 

@@ -173,6 +173,15 @@ func bestExcluding(s *[2]aggEntry, tag int32) aggEntry {
 	return s[1]
 }
 
+// selfWinner returns the winner of client u's descendant class (meet == u:
+// the best active client strictly below u) in the given fast mode.
+func (a *treeAgg) selfWinner(u graph.NodeID, mode fastMode) aggEntry {
+	if mode == fastKeyPeerSelf {
+		return bestExcluding(&a.byPeer[u], aggSelf)
+	}
+	return bestExcluding(&a.byKey[u], aggSelf)
+}
+
 // setActive toggles one client's membership and repairs the aggregates
 // along its root path, stopping as soon as an ancestor's summary absorbs
 // the change.

@@ -13,12 +13,14 @@
 //     reader ever blocks, retries, or observes a torn strategy, because a
 //     snapshot is never mutated after its pointer is published.
 //   - A single applier goroutine owns the shadow state (a core.Roster). It
-//     coalesces queued Join/Leave churn into batches, applies each op via
-//     the tree aggregate's O(depth) incremental repair, then publishes a
-//     fresh snapshot — one O(k) dense copy per batch, not per op. Snapshot
-//     versions are strictly monotonic (+1 per publish); the roster epoch
-//     (applied-op count) is stamped alongside so service output is
-//     correlatable with plan state.
+//     coalesces queued Join/Leave churn into batches and applies each op
+//     via the roster's incremental repair: O(depth) per op plus O(depth)
+//     per affected client on tree-metric planners (~4 µs per op at 2 000
+//     clients on a 2-core host), O(k) per op on chorded topologies. Then it
+//     publishes a fresh snapshot — one O(k) dense copy per batch, not per
+//     op. Snapshot versions are strictly monotonic (+1 per publish); the
+//     roster epoch (applied-op count) is stamped alongside so service
+//     output is correlatable with plan state.
 //   - A full-replan fallback (Config.FullReplan) rebuilds every active
 //     strategy from scratch per batch through core.NewRosterActive instead
 //     of trusting the incremental repair. Both modes are pinned equivalent

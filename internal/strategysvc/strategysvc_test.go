@@ -132,6 +132,29 @@ func TestChurnBatchSemantics(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeJoinRejected is the regression test for joins of node IDs
+// outside the network: they land in Stats.Rejected instead of killing the
+// applier, which keeps serving afterwards.
+func TestOutOfRangeJoinRejected(t *testing.T) {
+	for _, chorded := range []bool{false, true} {
+		p := svcPlanner(t, 40, 5, chorded)
+		svc := New(p, Config{})
+		svc.Join(graph.NodeID(1 << 20))
+		svc.Join(-3)
+		svc.Flush()
+		if st := svc.Stats(); st.Rejected != 2 || st.Applied != 0 {
+			t.Fatalf("chorded=%v: stats %+v, want 2 rejected, 0 applied", chorded, st)
+		}
+		c := p.Tree.Clients[0]
+		svc.Leave(c)
+		svc.Flush()
+		if st := svc.Stats(); st.Applied != 1 || svc.Get(c) != nil {
+			t.Fatalf("chorded=%v: service stopped applying after the rejects: %+v", chorded, st)
+		}
+		svc.Close()
+	}
+}
+
 // TestSnapshotImmutableAfterPublish pins the headline memory-model claim: a
 // held snapshot is byte-stable while the service churns past it.
 func TestSnapshotImmutableAfterPublish(t *testing.T) {
