@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet check bench bench-json bench-diff bench-parallel smoke-bench profile figures cover fuzz fuzz-short soak clean
+.PHONY: all build test test-race test-bench vet check bench bench-json bench-diff bench-parallel smoke-bench profile figures cover fuzz fuzz-short soak clean
 
 all: build vet test
 
@@ -21,6 +21,12 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# The benchmark harness (bench/) is its own module, so the root build and
+# tests never compile it; vet and test it here so an API change that breaks
+# the harness fails CI instead of the benchmark run.
+test-bench:
+	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
 # One short benchmark pass over every suite (full runs: drop -benchtime).
 bench:

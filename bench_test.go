@@ -441,10 +441,10 @@ func BenchmarkLCA(b *testing.B) {
 	}
 }
 
-// BenchmarkPlannerAll measures the batch planning pass (core.PlanAll):
-// every client's candidate classes, strategy graph, and Algorithm 1, with
-// scratch shared across clients. The loop replans into the warmed result
-// map, so steady state must allocate nothing. Compare against
+// BenchmarkPlannerAll measures the batch planning pass
+// (core.PlanAllDense): every client's candidate classes, strategy graph, and
+// Algorithm 1, with scratch shared across clients. The loop replans into the
+// warmed result slice, so steady state must allocate nothing. Compare against
 // BenchmarkStrategyComputation, which additionally pays topology
 // routing-table construction.
 func BenchmarkPlannerAll(b *testing.B) {
@@ -459,11 +459,11 @@ func BenchmarkPlannerAll(b *testing.B) {
 				b.Fatal(err)
 			}
 			p := core.NewPlanner(tree, route.Build(net))
-			out := p.PlanAll()
+			out := p.PlanAllDense()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.PlanAllInto(out)
+				p.PlanAllDenseInto(out)
 			}
 		})
 	}

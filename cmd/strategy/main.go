@@ -73,7 +73,7 @@ func main() {
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(p.All()); err != nil {
+		if err := enc.Encode(p.PlanAll()); err != nil {
 			fail(err)
 		}
 		return

@@ -154,7 +154,7 @@ func writeSVG(net *topology.Network, overlay bool) error {
 		if err != nil {
 			return err
 		}
-		strategies = core.NewPlanner(tree, route.Build(net)).All()
+		strategies = core.NewPlanner(tree, route.Build(net)).PlanAll()
 	}
 	c, err := viz.Topology(net, strategies, 1000, 700)
 	if err != nil {

@@ -135,36 +135,22 @@ type Planner struct {
 	// Lazily built batch-planning state (see planall.go/treeagg.go). The
 	// configuration fields above must be set before the first batch call;
 	// batch planning methods are not safe for concurrent use on one
-	// Planner (per-client methods like StrategyFor remain safe).
-	sc      *planScratch
+	// Planner. Per-client methods like StrategyFor are: they plan through a
+	// call-owned scratch and never write the Planner.
+	sc      planScratch
 	agg     *treeAgg
 	mode    fastMode
 	modeSet bool
-	mr      meetRouter
-	mrSet   bool
 }
 
 // meetRouter is implemented by routers that can answer an RTT query from the
 // endpoints' precomputed meet router alone (route.TreeTables.RTTVia). Every
-// candidate the batch planner builds carries its meet by construction, so on
-// such routers planning needs no LCA queries at all — the property that
-// keeps BuildLite trees (no O(1) LCA index) off the planning critical path.
+// candidate the planner builds carries its meet by construction, so on such
+// routers the tree-aggregated path needs no LCA queries at all — the
+// property that keeps BuildLite trees (no O(1) LCA index) off the planning
+// critical path.
 type meetRouter interface {
 	RTTVia(a, b, meet graph.NodeID) float64
-}
-
-// meetRTT returns RTT(u, v) given their meet router, using RTTVia when the
-// router offers it (bit-identical by contract) and the plain RTT query
-// otherwise.
-func (p *Planner) meetRTT(u, v, meet graph.NodeID) float64 {
-	if !p.mrSet {
-		p.mr, _ = p.Routes.(meetRouter)
-		p.mrSet = true
-	}
-	if p.mr != nil {
-		return p.mr.RTTVia(u, v, meet)
-	}
-	return p.Routes.RTT(u, v)
 }
 
 // NewPlanner returns a Planner with the default timeout policy and direct
@@ -182,51 +168,17 @@ func (p *Planner) timeout() TimeoutPolicy {
 
 // Candidates computes the candidate clients of u (§4): the other group
 // members partitioned into competitive classes by meet router, reduced to
-// the minimum-RTT member per class (Lemma 4 allows at most one per class;
-// the cheapest is the only one that can appear in an optimal list), and
-// sorted by strictly descending DS (Lemma 5). Ties within a class break by
-// RTT then by node ID, making the result deterministic; the paper breaks
-// them "at random", which is equivalent for the objective value.
+// one winner per class (see beats), and sorted by strictly descending DS
+// (Lemma 5).
 func (p *Planner) Candidates(u graph.NodeID) []Candidate {
 	if !p.Tree.Net.IsClient(u) {
 		panic(fmt.Sprintf("core: Candidates of non-client node %d", u))
 	}
-	pol := p.timeout()
-	best := make(map[graph.NodeID]Candidate) // meet router → cheapest member
-	for _, v := range p.Tree.Clients {
-		if v == u {
-			continue
-		}
-		meet := p.Tree.LCA(u, v)
-		rtt := p.Routes.RTT(u, v)
-		cand := Candidate{
-			Peer:    v,
-			Meet:    meet,
-			DS:      p.Tree.Depth[meet],
-			RTT:     rtt,
-			Timeout: pol.Timeout(rtt),
-			Priv:    p.Tree.Depth[v] - p.Tree.Depth[meet],
-		}
-		cur, ok := best[meet]
-		if !ok {
-			best[meet] = cand
-			continue
-		}
-		// Within a class the cheapest member is the only possible optimal
-		// entry (Lemma 4). "Cheapest" is the expected attempt cost at the
-		// widest prefix; with the paper's model (q=1) that is simply
-		// min-RTT under a uniform timeout policy.
-		cc, pc := p.attemptCost(u, cand), p.attemptCost(u, cur)
-		if cc < pc || (cc == pc && cand.Peer < cur.Peer) {
-			best[meet] = cand
-		}
-	}
-	out := make([]Candidate, 0, len(best))
-	for _, c := range best {
-		out = append(out, c)
-	}
-	sortCandidates(out)
-	return out
+	var sc planScratch
+	sc.bind(p)
+	p.scan(u, nil, &sc)
+	sortCandidates(sc.cands)
+	return sc.cands
 }
 
 // sortCandidates orders a candidate list the way every planning path
@@ -258,9 +210,22 @@ func candCmp(a, b Candidate) int {
 	return cmp.Compare(a.Peer, b.Peer)
 }
 
+// beats reports whether a wins u's competitive class over b: the one
+// within-class winner rule every scan applies. Lemma 4 admits at most one
+// member per class into an optimal list, and the cheapest is the only one
+// that can appear there. "Cheapest" is the expected attempt cost at the
+// widest prefix; with the paper's model (q=1) under a uniform timeout
+// policy that is simply min-RTT. Ties break by lower peer ID, making the
+// result deterministic; the paper breaks them "at random", which is
+// equivalent for the objective value.
+func (p *Planner) beats(u graph.NodeID, a, b *Candidate) bool {
+	ac, bc := p.attemptCost(u, a), p.attemptCost(u, b)
+	return ac < bc || (ac == bc && a.Peer < b.Peer)
+}
+
 // attemptCost is the expected cost of asking cand first (prefix DS_u),
 // used only to rank members within one competitive class.
-func (p *Planner) attemptCost(u graph.NodeID, cand Candidate) float64 {
+func (p *Planner) attemptCost(u graph.NodeID, cand *Candidate) float64 {
 	pl := CondLossProbQ(cand.DS, p.Tree.Depth[u], cand.Priv, 1-p.LossProb)
 	return (1-pl)*cand.RTT + pl*cand.Timeout
 }
@@ -274,11 +239,4 @@ func (p *Planner) StrategyFor(u graph.NodeID) *Strategy {
 		return sg.OptimalDP(1 - p.LossProb)
 	}
 	return sg.Algorithm1()
-}
-
-// All computes strategies for every client, keyed by client node. It
-// delegates to the batch path PlanAll (see planall.go), which produces
-// results identical to calling StrategyFor per client.
-func (p *Planner) All() map[graph.NodeID]*Strategy {
-	return p.PlanAll()
 }

@@ -227,7 +227,7 @@ func TestRestrictedFallsBackWhenNoCandidates(t *testing.T) {
 func TestAllCoversEveryClient(t *testing.T) {
 	net := topology.MustGenerate(topology.DefaultConfig(60), rng.New(4))
 	p := planner(t, net)
-	all := p.All()
+	all := p.PlanAll()
 	if len(all) != len(net.Clients) {
 		t.Fatalf("All() returned %d strategies for %d clients", len(all), len(net.Clients))
 	}

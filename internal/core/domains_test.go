@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"rmcast/internal/graph"
@@ -85,54 +87,40 @@ func TestDomainAggregatorsLiteTree(t *testing.T) {
 	}
 }
 
-// TestPlanAllDenseMatchesPlanAll pins the dense batch path: the slice entry
-// for Tree.Clients[i] must equal the map entry for that client, field for
-// field, on both a full and a lite tree (the latter exercising the
-// RTTVia/meetRTT LCA-free planning path end to end).
+// TestPlanAllDenseMatchesPlanAll pins the LCA-free planning path: a lite
+// tree (BuildLite, no O(1) LCA index, so every candidate RTT comes through
+// RTTVia off its meet router) must plan, through PlanAllDense, exactly what
+// the full tree's PlanAll gives each client, field for field.
+// PlanAllDenseInto must then update the same backing objects in place.
 func TestPlanAllDenseMatchesPlanAll(t *testing.T) {
-	for _, lite := range []bool{false, true} {
-		net, err := topology.GenerateTree(topology.DefaultTreeConfig(120), rng.New(19))
-		if err != nil {
-			t.Fatal(err)
+	net, err := topology.GenerateTree(topology.DefaultTreeConfig(120), rng.New(19))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := mtree.Build(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lite, err := mtree.BuildLite(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := NewPlanner(full, route.NewTreeTables(full)).PlanAll()
+	p := NewPlanner(lite, route.NewTreeTables(lite))
+	got := p.PlanAllDense()
+	if len(got) != len(lite.Clients) || len(want) != len(lite.Clients) {
+		t.Fatalf("%d dense and %d mapped strategies for %d clients", len(got), len(want), len(lite.Clients))
+	}
+	for i, u := range lite.Clients {
+		if got[i] == nil || !reflect.DeepEqual(got[i], want[u]) {
+			t.Fatalf("client %d: lite dense %v, full %v", u, got[i], want[u])
 		}
-		build := mtree.Build
-		if lite {
-			build = mtree.BuildLite
-		}
-		tree, err := build(net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := NewPlanner(tree, route.NewTreeTables(tree))
-		want := p.PlanAll()
-		got := p.PlanAllDense()
-		if len(got) != len(tree.Clients) {
-			t.Fatalf("lite=%v: dense length %d, want %d", lite, len(got), len(tree.Clients))
-		}
-		for i, u := range tree.Clients {
-			w := want[u]
-			g := got[i]
-			if g == nil || w == nil {
-				t.Fatalf("lite=%v: nil strategy for client %d", lite, u)
-			}
-			if g.Client != w.Client || g.ExpectedDelay != w.ExpectedDelay ||
-				g.SourceRTT != w.SourceRTT || g.SourceTimeout != w.SourceTimeout ||
-				len(g.Peers) != len(w.Peers) {
-				t.Fatalf("lite=%v client %d: dense strategy diverges: %v vs %v", lite, u, g, w)
-			}
-			for j := range g.Peers {
-				if g.Peers[j] != w.Peers[j] {
-					t.Fatalf("lite=%v client %d peer %d: %v vs %v", lite, u, j, g.Peers[j], w.Peers[j])
-				}
-			}
-		}
-		// The in-place variant updates the same backing objects.
-		prev := append([]*Strategy(nil), got...)
-		again := p.PlanAllDenseInto(got)
-		for i := range again {
-			if again[i] != prev[i] {
-				t.Fatalf("lite=%v: PlanAllDenseInto reallocated entry %d", lite, i)
-			}
+	}
+	prev := slices.Clone(got)
+	again := p.PlanAllDenseInto(got)
+	for i := range again {
+		if again[i] != prev[i] {
+			t.Fatalf("PlanAllDenseInto reallocated entry %d", i)
 		}
 	}
 }

@@ -11,22 +11,25 @@ import (
 	"rmcast/internal/topology"
 )
 
-// planners returns a planner per configuration the batch path must cover:
+// plannerVariants are the configurations every planning path must cover:
 // the paper default, the restricted graph, a fixed timeout policy, and the
-// loss-aware model.
+// loss-aware model (see configure).
+var plannerVariants = []string{"default", "restricted", "fixed", "aware"}
+
+// plannersUnderTest returns a planner per plannerVariants entry over one
+// chorded topology.
 func plannersUnderTest(t *testing.T, size int, seed uint64) []*Planner {
 	t.Helper()
 	net := topology.MustGenerate(topology.DefaultConfig(size), rng.New(seed))
 	tree := mtree.MustBuild(net)
 	rt := route.Build(net)
-	def := NewPlanner(tree, rt)
-	restricted := NewPlanner(tree, rt)
-	restricted.AllowDirectSource = false
-	fixed := NewPlanner(tree, rt)
-	fixed.Timeout = FixedTimeout(120)
-	aware := NewPlanner(tree, rt)
-	aware.LossProb = 0.1
-	return []*Planner{def, restricted, fixed, aware}
+	var ps []*Planner
+	for _, v := range plannerVariants {
+		p := NewPlanner(tree, rt)
+		configure(p, v)
+		ps = append(ps, p)
+	}
+	return ps
 }
 
 // TestPlanAllMatchesStrategyFor asserts the batch pass is field-for-field
@@ -34,16 +37,16 @@ func plannersUnderTest(t *testing.T, size int, seed uint64) []*Planner {
 func TestPlanAllMatchesStrategyFor(t *testing.T) {
 	for _, seed := range []uint64{1, 2003} {
 		for pi, p := range plannersUnderTest(t, 150, seed) {
-			batch := p.PlanAll()
+			batch := p.PlanAllDense()
 			if len(batch) != len(p.Tree.Clients) {
-				t.Fatalf("planner %d: PlanAll returned %d strategies, want %d",
+				t.Fatalf("planner %d: PlanAllDense returned %d strategies, want %d",
 					pi, len(batch), len(p.Tree.Clients))
 			}
-			for _, u := range p.Tree.Clients {
+			for i, u := range p.Tree.Clients {
 				want := p.StrategyFor(u)
-				if !reflect.DeepEqual(batch[u], want) {
-					t.Fatalf("planner %d seed %d: PlanAll[%d] = %v, StrategyFor = %v",
-						pi, seed, u, batch[u], want)
+				if !reflect.DeepEqual(batch[i], want) {
+					t.Fatalf("planner %d seed %d client %d: PlanAllDense = %v, StrategyFor = %v",
+						pi, seed, u, batch[i], want)
 				}
 			}
 		}
@@ -51,12 +54,22 @@ func TestPlanAllMatchesStrategyFor(t *testing.T) {
 }
 
 // TestPlanAllRepeatable asserts two batch passes over the same planner give
-// identical results (the scratch reuse must not leak state across calls).
+// identical results (the scratch reuse must not leak state across calls),
+// and that the map adapter keys each dense entry by its client.
 func TestPlanAllRepeatable(t *testing.T) {
 	for _, p := range plannersUnderTest(t, 120, 7) {
-		a, b := p.PlanAll(), p.PlanAll()
+		a, b := p.PlanAllDense(), p.PlanAllDense()
 		if !reflect.DeepEqual(a, b) {
-			t.Fatal("PlanAll not repeatable")
+			t.Fatal("PlanAllDense not repeatable")
+		}
+		m := p.PlanAll()
+		if len(m) != len(a) {
+			t.Fatalf("PlanAll has %d entries for %d clients", len(m), len(a))
+		}
+		for i, u := range p.Tree.Clients {
+			if !reflect.DeepEqual(m[u], a[i]) {
+				t.Fatalf("PlanAll[%d] != PlanAllDense entry %d", u, i)
+			}
 		}
 	}
 }
@@ -74,7 +87,7 @@ func BenchmarkPlanAll(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = p.PlanAll()
+			_ = p.PlanAllDense()
 		}
 	})
 	for _, mode := range []string{"scan", "tree"} {
@@ -83,11 +96,11 @@ func BenchmarkPlanAll(b *testing.B) {
 			tree := mtree.MustBuild(net)
 			p := NewPlanner(tree, route.NewTreeTables(tree))
 			p.DisableFastPath = mode == "scan"
-			out := p.PlanAll() // warm scratch and result map
+			out := p.PlanAllDense() // warm scratch and result slice
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.PlanAllInto(out)
+				p.PlanAllDenseInto(out)
 			}
 		})
 	}
@@ -104,11 +117,11 @@ func BenchmarkPlanAllLarge(b *testing.B) {
 			if !p.UsesFastPath() {
 				b.Fatal("expected fast path")
 			}
-			out := p.PlanAll()
+			out := p.PlanAllDense()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.PlanAllInto(out)
+				p.PlanAllDenseInto(out)
 			}
 		})
 	}

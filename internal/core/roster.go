@@ -26,10 +26,11 @@ import (
 // affected client in O(depth), so one Join or Leave costs O(depth) plus
 // O(depth) per affected client — a Leave+Join pair takes ~15 µs at 2 000
 // clients and ~29 µs at 20 000 on a 2-core host (BenchmarkRosterChurn).
-// Scan-mode rosters (chorded topologies, loss-aware planning) keep a
-// per-client winner map and pay O(k) per op plus O(k) per replan. Tests
-// verify the incremental results equal full recomputation after arbitrary
-// churn, and the affected lists equal the winner-map rule.
+// Scan-mode rosters (chorded topologies, loss-aware planning) keep each
+// client's class winners, look up the one class a change to v touches by
+// its meet depth, and pay O(k) per op plus O(k) per replan. Tests verify
+// the incremental results equal full recomputation after arbitrary churn,
+// and the affected lists equal an independent winner-rule oracle.
 type Roster struct {
 	p *Planner
 	// active is the dense membership set, indexed by NodeID (the roster's
@@ -37,12 +38,14 @@ type Roster struct {
 	// with no hashing, and iteration rides Tree.Clients in canonical order).
 	active      []bool
 	activeCount int
-	// strategies holds the current plan per active client.
-	strategies map[graph.NodeID]*Strategy
-	// winners[u] maps each meet router to u's current class winner, so
-	// membership changes can be mapped to affected clients. Scan mode only;
-	// fast-mode rosters read winners off the aggregate instead.
-	winners map[graph.NodeID]map[graph.NodeID]Candidate
+	// strategies holds the current plan per client, indexed by NodeID like
+	// active; nil for inactive clients and non-clients.
+	strategies []*Strategy
+	// winners[u] is u's current class-winner list in strictly descending
+	// DS, one entry per class, so a membership change maps to the affected
+	// clients. Scan mode only; fast-mode rosters read winners off the
+	// aggregate instead.
+	winners [][]Candidate
 	// recomputes counts strategy recomputations (observability/testing).
 	recomputes int
 	// epoch counts successfully applied membership changes since
@@ -64,8 +67,8 @@ type Roster struct {
 	// clients of one tree branch list without a tree walk.
 	pre    []graph.NodeID
 	lo, hi []int32
-	// sc is the replan scratch (candidate list and solver buffers); buf
-	// collects the affected clients of one change.
+	// sc is the replan scratch (class table, candidate list and solver
+	// buffers); buf collects the affected clients of one change.
 	sc  planScratch
 	buf []graph.NodeID
 }
@@ -78,18 +81,20 @@ func NewRoster(p *Planner) *Roster {
 
 // NewRosterActive creates a roster whose initial membership is the given
 // client subset. NewRosterActive(p, p.Tree.Clients) ≡ NewRoster(p); the
-// strategy service uses the subset form as its full-replan fallback — a
-// fresh roster over the current active set is the ground truth the
-// incremental churn path must match. Construction is O(k·depth) on
+// strategy service builds its shadow roster this way, and tests use a fresh
+// roster over the current active set as the ground truth the incremental
+// churn path must match. Construction is O(k·depth) on
 // fast-mode planners (one aggregate build plus one replan per member), not
 // O(k·depth) per *excluded* member: the aggregate is built directly from
 // the subset rather than by leaving members one at a time.
 func NewRosterActive(p *Planner, members []graph.NodeID) *Roster {
+	n := len(p.Tree.Parent)
 	r := &Roster{
 		p:          p,
-		active:     make([]bool, len(p.Tree.Parent)),
-		strategies: make(map[graph.NodeID]*Strategy),
+		active:     make([]bool, n),
+		strategies: make([]*Strategy, n),
 	}
+	r.sc.bind(p)
 	for _, c := range members {
 		if !p.Tree.Net.IsClient(c) {
 			panic(fmt.Sprintf("core: roster member %d is not a client", c))
@@ -104,7 +109,7 @@ func NewRosterActive(p *Planner, members []graph.NodeID) *Roster {
 		r.agg = newTreeAggActive(p.Tree, r.active)
 		r.pre, r.lo, r.hi = clientRanges(p.Tree)
 	} else {
-		r.winners = make(map[graph.NodeID]map[graph.NodeID]Candidate)
+		r.winners = make([][]Candidate, n)
 	}
 	for _, c := range p.Tree.Clients {
 		if r.active[c] {
@@ -147,52 +152,67 @@ func (r *Roster) Active(c graph.NodeID) bool {
 
 // Strategy returns the current strategy of an active client (nil for
 // inactive or unknown nodes).
-func (r *Roster) Strategy(c graph.NodeID) *Strategy { return r.strategies[c] }
+func (r *Roster) Strategy(c graph.NodeID) *Strategy {
+	if !r.Active(c) {
+		return nil
+	}
+	return r.strategies[c]
+}
 
 // Recomputes returns the number of per-client strategy recomputations
 // performed since construction (including the initial k).
 func (r *Roster) Recomputes() int { return r.recomputes }
 
-// candidatesAmong computes u's class-winner map restricted to active peers
-// — the roster-aware version of Planner.Candidates (scan mode).
-func (r *Roster) candidatesAmong(u graph.NodeID) map[graph.NodeID]Candidate {
-	pol := r.p.timeout()
-	best := make(map[graph.NodeID]Candidate)
-	for _, v := range r.p.Tree.Clients {
-		if v == u || !r.active[v] {
-			continue
-		}
-		meet := r.p.Tree.LCA(u, v)
-		cand := r.p.candidateOf(u, meet, v, pol)
-		cur, ok := best[meet]
-		if !ok {
-			best[meet] = cand
-			continue
-		}
-		cc, pc := r.p.attemptCost(u, cand), r.p.attemptCost(u, cur)
-		if cc < pc || (cc == pc && cand.Peer < cur.Peer) {
-			best[meet] = cand
-		}
-	}
-	return best
-}
-
 // replan recomputes one client's strategy through the planner's shared
-// tail, always into a fresh Strategy (published strategies are immutable),
-// and in scan mode refreshes the winner index.
+// pipeline, always into a fresh Strategy (published strategies are
+// immutable), and in scan mode refreshes the client's winner list.
 func (r *Roster) replan(u graph.NodeID) {
 	if r.agg != nil {
-		r.strategies[u] = r.p.planOneTree(u, r.agg, r.mode, &r.sc, nil)
+		r.p.lookup(u, r.agg, r.mode, &r.sc)
 	} else {
-		best := r.candidatesAmong(u)
-		r.sc.cands = r.sc.cands[:0]
-		for _, c := range best {
-			r.sc.cands = append(r.sc.cands, c)
-		}
-		r.strategies[u] = r.p.finishPlan(u, &r.sc, r.p.timeout(), nil)
-		r.winners[u] = best
+		r.p.scan(u, r.active, &r.sc)
+	}
+	r.strategies[u] = r.p.finishPlan(u, &r.sc, nil)
+	if r.agg == nil {
+		r.winners[u] = append(r.winners[u][:0], r.sc.cands...)
 	}
 	r.recomputes++
+}
+
+// scanAffected appends to buf the active clients u != v whose class at
+// LCA(u, v), looked up by its meet depth, v changes (scan mode): a leaving
+// v that is the class's recorded winner, or a joining v that beats the
+// recorded winner or opens the class.
+func (r *Roster) scanAffected(v graph.NodeID, joining bool) {
+	t := r.p.Tree
+	for _, u := range t.Clients {
+		if u == v || !r.active[u] {
+			continue
+		}
+		meet := t.LCA(u, v)
+		w, found := winnerAt(r.winners[u], t.Depth[meet])
+		var hit bool
+		if joining {
+			c := r.p.candidateOf(&r.sc, u, meet, v)
+			hit = !found || r.p.beats(u, &c, &w)
+		} else {
+			hit = found && w.Peer == v
+		}
+		if hit {
+			r.buf = append(r.buf, u)
+		}
+	}
+}
+
+// winnerAt returns the winner of the class at meet depth ds in a
+// descending-DS winner list.
+func winnerAt(winners []Candidate, ds int32) (Candidate, bool) {
+	for _, w := range winners {
+		if w.DS <= ds {
+			return w, w.DS == ds
+		}
+	}
+	return Candidate{}, false
 }
 
 // collectAffected appends to buf the active clients other than v that have
@@ -267,22 +287,13 @@ func (r *Roster) Leave(v graph.NodeID) ([]graph.NodeID, error) {
 		// Read v's winner positions before the aggregate forgets v.
 		r.collectAffected(v)
 		r.agg.setActive(v, false)
+	} else {
+		r.scanAffected(v, false)
 	}
 	r.active[v] = false
 	r.activeCount--
 	r.epoch++
-	delete(r.strategies, v)
-	if r.agg == nil {
-		delete(r.winners, v)
-		for u, classes := range r.winners {
-			for _, w := range classes {
-				if w.Peer == v {
-					r.buf = append(r.buf, u)
-					break
-				}
-			}
-		}
-	}
+	r.strategies[v] = nil
 	return r.replanAffected(), nil
 }
 
@@ -305,48 +316,12 @@ func (r *Roster) Join(v graph.NodeID) ([]graph.NodeID, error) {
 		r.agg.setActive(v, true)
 		r.collectAffected(v)
 	} else {
-		pol := r.p.timeout()
-		for u, classes := range r.winners {
-			meet := r.p.Tree.LCA(u, v)
-			cand := r.p.candidateOf(u, meet, v, pol)
-			cur, ok := classes[meet]
-			if !ok {
-				r.buf = append(r.buf, u)
-				continue
-			}
-			cc, pc := r.p.attemptCost(u, cand), r.p.attemptCost(u, cur)
-			if cc < pc || (cc == pc && cand.Peer < cur.Peer) {
-				r.buf = append(r.buf, u)
-			}
-		}
+		r.scanAffected(v, true)
 	}
 	affected := r.replanAffected()
 	r.replan(v)
 	return affected, nil
 }
-
-// Strategies returns a copy of the current strategy map: the map is fresh
-// on every call, so later Join/Leave churn cannot mutate it under a caller
-// that snapshots it. The *Strategy values are shared but immutable — replan
-// always builds a new Strategy rather than updating the old one in place
-// (the property snapshot immutability tests pin down). Callers that want
-// the live view — incremental replans visible without re-copying — use
-// StrategiesLive.
-func (r *Roster) Strategies() map[graph.NodeID]*Strategy {
-	out := make(map[graph.NodeID]*Strategy, len(r.strategies))
-	for c, s := range r.strategies {
-		out[c] = s
-	}
-	return out
-}
-
-// StrategiesLive returns the roster's internal strategy map. It ALIASES
-// live state: Join/Leave mutate it in place, which is exactly what the
-// resilient RP engine wants (its failure detector replans into the roster
-// at run time and reads strategies through one long-held map). Do not
-// publish it across goroutines; snapshotters use Strategies or
-// StrategiesDense instead.
-func (r *Roster) StrategiesLive() map[graph.NodeID]*Strategy { return r.strategies }
 
 // StrategiesDense writes the active clients' strategies into a dense slice
 // indexed by client position in Tree.Clients — the same canonical layout as
@@ -361,11 +336,7 @@ func (r *Roster) StrategiesDense(out []*Strategy) []*Strategy {
 		out = out[:len(clients)]
 	}
 	for i, c := range clients {
-		if r.active[c] {
-			out[i] = r.strategies[c]
-		} else {
-			out[i] = nil
-		}
+		out[i] = r.strategies[c]
 	}
 	return out
 }

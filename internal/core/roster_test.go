@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -24,47 +25,16 @@ func rosterPlanner(t *testing.T, routers int, seed uint64) *Planner {
 	return NewPlanner(tr, route.Build(net))
 }
 
-// fullRecompute computes the ground-truth strategies over the active set.
-func fullRecompute(p *Planner, active map[graph.NodeID]bool) map[graph.NodeID]*Strategy {
-	// Build a roster from scratch restricted to active: easiest is a fresh
-	// roster and removals, but that is what we are testing — so compute
-	// directly via a throwaway roster's internals by filtering candidates.
-	tmp := &Roster{
-		p:          p,
-		active:     make([]bool, len(p.Tree.Parent)),
-		strategies: make(map[graph.NodeID]*Strategy),
-		winners:    make(map[graph.NodeID]map[graph.NodeID]Candidate),
-	}
-	for c := range active {
-		tmp.active[c] = true
-		tmp.activeCount++
-	}
-	for c := range active {
-		tmp.replan(c)
-	}
-	return tmp.strategies
-}
-
-func sameStrategies(t *testing.T, got, want map[graph.NodeID]*Strategy) {
+// sameStrategies asserts two dense strategy slices (Tree.Clients order, nil
+// at inactive positions) are equal field for field.
+func sameStrategies(t *testing.T, got, want []*Strategy) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("strategy count %d != %d", len(got), len(want))
 	}
-	for c, w := range want {
-		g, ok := got[c]
-		if !ok {
-			t.Fatalf("missing strategy for %d", c)
-		}
-		if math.Abs(g.ExpectedDelay-w.ExpectedDelay) > 1e-9 {
-			t.Fatalf("client %d: incremental %v != full %v", c, g.ExpectedDelay, w.ExpectedDelay)
-		}
-		if len(g.Peers) != len(w.Peers) {
-			t.Fatalf("client %d: list length %d != %d", c, len(g.Peers), len(w.Peers))
-		}
-		for i := range g.Peers {
-			if g.Peers[i].Peer != w.Peers[i].Peer {
-				t.Fatalf("client %d: peer %d differs", c, i)
-			}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("position %d: incremental %v != full %v", i, got[i], want[i])
 		}
 	}
 }
@@ -72,8 +42,7 @@ func sameStrategies(t *testing.T, got, want map[graph.NodeID]*Strategy) {
 func TestRosterInitialMatchesPlanner(t *testing.T) {
 	p := rosterPlanner(t, 60, 1)
 	r := NewRoster(p)
-	want := p.All()
-	sameStrategies(t, r.Strategies(), want)
+	sameStrategies(t, r.StrategiesDense(nil), p.PlanAllDense())
 	if r.Recomputes() != len(p.Tree.Clients) {
 		t.Fatalf("initial recomputes %d != k=%d", r.Recomputes(), len(p.Tree.Clients))
 	}
@@ -106,7 +75,7 @@ func TestRosterChurnMatchesFullRecompute(t *testing.T) {
 			}
 			active[v] = true
 		}
-		sameStrategies(t, r.Strategies(), fullRecompute(p, active))
+		sameStrategies(t, r.StrategiesDense(nil), NewRosterActive(p, activeList(active)).StrategiesDense(nil))
 	}
 }
 
@@ -208,13 +177,14 @@ func benchRosterChurn(b *testing.B, p *Planner) {
 }
 
 // TestRosterStrategiesSnapshotSafe is the aliasing regression test:
-// Strategies() must return a map later churn cannot mutate, and the
-// *Strategy values captured in it must stay byte-stable while the roster
-// replans (replan builds new Strategy structs, never updates in place).
+// StrategiesDense(nil) must return a slice later churn cannot mutate, and
+// the *Strategy values captured in it must stay byte-stable while the
+// roster replans (replan builds new Strategy structs, never updates in
+// place).
 func TestRosterStrategiesSnapshotSafe(t *testing.T) {
 	p := rosterPlanner(t, 60, 9)
 	r := NewRoster(p)
-	snap := r.Strategies()
+	snap := r.StrategiesDense(nil)
 	frozen := freezeStrategies(snap)
 	clients := append([]graph.NodeID(nil), p.Tree.Clients...)
 	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
@@ -229,48 +199,34 @@ func TestRosterStrategiesSnapshotSafe(t *testing.T) {
 	}
 	checkFrozen(t, snap, frozen)
 	// The live view, by contrast, must reflect churn.
-	if _, ok := r.StrategiesLive()[clients[1]]; ok {
-		t.Fatal("live map still holds a departed member")
+	if r.Strategy(clients[1]) != nil {
+		t.Fatal("roster still holds a departed member's strategy")
 	}
 }
 
-// freezeStrategies deep-copies a strategy snapshot, Peers included.
-func freezeStrategies(snap map[graph.NodeID]*Strategy) map[graph.NodeID]Strategy {
-	frozen := make(map[graph.NodeID]Strategy, len(snap))
-	for c, s := range snap {
-		cp := *s
-		cp.Peers = append([]Candidate(nil), s.Peers...)
-		frozen[c] = cp
+// freezeStrategies deep-copies a dense strategy snapshot, Peers included.
+func freezeStrategies(snap []*Strategy) []Strategy {
+	frozen := make([]Strategy, len(snap))
+	for i, s := range snap {
+		frozen[i] = *s
+		frozen[i].Peers = slices.Clone(s.Peers)
 	}
 	return frozen
 }
 
 // checkFrozen asserts a held snapshot still equals its deep copy.
-func checkFrozen(t *testing.T, snap map[graph.NodeID]*Strategy, frozen map[graph.NodeID]Strategy) {
+func checkFrozen(t *testing.T, snap []*Strategy, frozen []Strategy) {
 	t.Helper()
-	if len(snap) != len(frozen) {
-		t.Fatalf("snapshot map size changed under churn: %d != %d", len(snap), len(frozen))
-	}
-	for c, want := range frozen {
-		got, ok := snap[c]
-		if !ok {
-			t.Fatalf("snapshot lost client %d under churn", c)
-		}
-		if got.Client != want.Client || got.ExpectedDelay != want.ExpectedDelay ||
-			len(got.Peers) != len(want.Peers) {
-			t.Fatalf("client %d: snapshot strategy mutated under churn", c)
-		}
-		for i := range got.Peers {
-			if got.Peers[i] != want.Peers[i] {
-				t.Fatalf("client %d: snapshot peer %d mutated under churn", c, i)
-			}
+	for i := range frozen {
+		if !reflect.DeepEqual(*snap[i], frozen[i]) {
+			t.Fatalf("position %d: snapshot strategy mutated under churn", i)
 		}
 	}
 }
 
-// TestNewRosterActiveMatchesChurn pins the full-replan fallback: a roster
-// built directly over a subset must equal a full roster driven to the same
-// membership by Leave calls.
+// TestNewRosterActiveMatchesChurn pins the full-replan ground truth: a
+// roster built directly over a subset must equal a full roster driven to
+// the same membership by Leave calls.
 func TestNewRosterActiveMatchesChurn(t *testing.T) {
 	p := rosterPlanner(t, 80, 10)
 	r := NewRoster(p)
@@ -287,7 +243,7 @@ func TestNewRosterActiveMatchesChurn(t *testing.T) {
 		}
 	}
 	fresh := NewRosterActive(p, members)
-	sameStrategies(t, fresh.Strategies(), r.Strategies())
+	sameStrategies(t, fresh.StrategiesDense(nil), r.StrategiesDense(nil))
 	if fresh.ActiveCount() != r.ActiveCount() {
 		t.Fatalf("active count %d != %d", fresh.ActiveCount(), r.ActiveCount())
 	}
@@ -332,7 +288,6 @@ func TestRosterEpochAndDense(t *testing.T) {
 	if len(dense) != len(p.Tree.Clients) || len(occ) != len(dense) {
 		t.Fatalf("dense lengths %d/%d != %d", len(dense), len(occ), len(p.Tree.Clients))
 	}
-	live := r.StrategiesLive()
 	for i, u := range p.Tree.Clients {
 		if occ[i] != r.Active(u) {
 			t.Fatalf("occupancy[%d] disagrees with Active(%d)", i, u)
@@ -343,7 +298,7 @@ func TestRosterEpochAndDense(t *testing.T) {
 			}
 			continue
 		}
-		if dense[i] != live[u] {
+		if dense[i] != r.Strategy(u) {
 			t.Fatalf("dense[%d] is not client %d's strategy", i, u)
 		}
 	}

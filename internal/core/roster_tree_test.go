@@ -15,17 +15,18 @@ import (
 
 // winnerRule is the scan oracle for the clients a change to v affects: the
 // active clients u != v that have v as one of their class winners among
-// the active members, found by scanning every peer. Evaluated before a
-// Leave (v's last moment as a member) and after a Join, it is the rule the
-// roster's winner-map scan applied: a leave invalidates u when v is a class
-// winner of u, and a join when v wins u's class at LCA(u, v).
+// the active members, found through the meet-keyed oracle meetClasses,
+// which shares no code with the roster. Evaluated before a Leave (v's last
+// moment as a member) and after a Join, it is the rule the roster applies:
+// a leave invalidates u when v is a class winner of u, and a join when v
+// wins u's class at LCA(u, v).
 func winnerRule(r *Roster, v graph.NodeID) []graph.NodeID {
 	var out []graph.NodeID
 	for _, u := range r.p.Tree.Clients {
 		if u == v || !r.active[u] {
 			continue
 		}
-		for _, w := range r.candidatesAmong(u) {
+		for _, w := range meetClasses(r.p, u, r.active) {
 			if w.Peer == v {
 				out = append(out, u)
 				break
@@ -104,11 +105,30 @@ func churnAgainstOracle(t *testing.T, r *Roster, rnd *rand.Rand, steps int, labe
 	}
 }
 
-// TestRosterAffectedMatchesScan pins the fast-mode affected set, read off
-// the tree aggregate, to the winner rule across the four fast variants, on
+// TestRosterAffectedMatchesScan pins the affected set to the winner rule.
+// Fast mode reads it off the tree aggregate: the four fast variants on
 // generated trees under both routers and on builder trees with interior
-// clients.
+// clients. Scan mode looks each client's class up by meet depth: every
+// planner variant on a chorded network, and the loss-aware planner on
+// builder trees.
 func TestRosterAffectedMatchesScan(t *testing.T) {
+	rnd := rand.New(rand.NewSource(29))
+	for _, v := range plannerVariants {
+		p := rosterPlanner(t, 60, 23)
+		configure(p, v)
+		r := NewRoster(p)
+		if r.agg != nil || r.winners == nil {
+			t.Fatalf("chorded/%s: roster not in scan mode", v)
+		}
+		churnAgainstOracle(t, r, rnd, 40, "chorded/"+v)
+	}
+	for i := 0; i < 3; i++ {
+		tree := mtree.MustBuild(builderTree(int64(i), 50))
+		p := NewPlanner(tree, route.NewTreeTables(tree))
+		configure(p, "aware")
+		churnAgainstOracle(t, NewRoster(p), rnd, 40, "builder/aware")
+	}
+
 	builders := 12
 	if testing.Short() {
 		builders = 4
@@ -209,7 +229,7 @@ func TestRosterFastStrategiesSnapshotSafe(t *testing.T) {
 		p := treePlanner(t, treeNet(t, 120, 9), "tree")
 		configure(p, v)
 		r := NewRoster(p)
-		snap := r.Strategies()
+		snap := r.StrategiesDense(nil)
 		frozen := freezeStrategies(snap)
 		clients := p.Tree.Clients
 		for _, c := range clients[:12] {
@@ -245,6 +265,9 @@ func TestRosterJoinOutOfRange(t *testing.T) {
 			}
 			if _, err := r.Leave(v); err == nil {
 				t.Fatalf("Leave(%d) accepted", v)
+			}
+			if r.Strategy(v) != nil {
+				t.Fatalf("Strategy(%d) is not nil", v)
 			}
 		}
 		if r.Epoch() != 0 || r.ActiveCount() != len(p.Tree.Clients) {

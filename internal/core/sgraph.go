@@ -111,7 +111,7 @@ func (sg *StrategyGraph) Algorithm1() *Strategy {
 }
 
 // algorithm1 is Algorithm1 with caller-provided scratch buffers and an
-// optional Strategy to fill in place, so the batch planner (PlanAll) can
+// optional Strategy to fill in place, so the batch planner (PlanAllDense) can
 // amortise the per-client allocations. nil buffers (the public entry point)
 // allocate fresh ones; a nil into allocates a fresh Strategy.
 func (sg *StrategyGraph) algorithm1(dist []float64, parent, rev []int, into *Strategy) *Strategy {

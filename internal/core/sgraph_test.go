@@ -286,6 +286,6 @@ func BenchmarkPlannerAllClients600(b *testing.B) {
 	p := NewPlanner(tr, rt)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = p.All()
+		_ = p.PlanAllDense()
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rmcast/internal/graph"
@@ -114,7 +115,7 @@ func TestPlanAllTreeMatchesStrategyFor(t *testing.T) {
 			for _, v := range fastVariants {
 				p := treePlanner(t, net, router)
 				configure(p, v)
-				batch := p.PlanAll()
+				batch := p.PlanAllDense()
 				if !p.UsesFastPath() {
 					t.Fatalf("%s/%s: expected fast path", router, v)
 				}
@@ -122,11 +123,11 @@ func TestPlanAllTreeMatchesStrategyFor(t *testing.T) {
 					t.Fatalf("%s/%s: %d strategies for %d clients",
 						router, v, len(batch), len(p.Tree.Clients))
 				}
-				for _, u := range p.Tree.Clients {
+				for i, u := range p.Tree.Clients {
 					want := p.StrategyFor(u)
-					if !reflect.DeepEqual(batch[u], want) {
+					if !reflect.DeepEqual(batch[i], want) {
 						t.Fatalf("%s/%s seed %d client %d:\n fast %v\n scan %v",
-							router, v, seed, u, batch[u], want)
+							router, v, seed, u, batch[i], want)
 					}
 				}
 			}
@@ -134,49 +135,31 @@ func TestPlanAllTreeMatchesStrategyFor(t *testing.T) {
 	}
 }
 
-// TestPlanAllIntoReuses asserts PlanAllInto updates the caller's map and
-// Strategy values in place and still matches a fresh computation.
+// TestPlanAllIntoReuses asserts PlanAllDenseInto updates the caller's
+// slice and Strategy values in place and still matches a fresh computation,
+// on the fast path and on the scan fallback.
 func TestPlanAllIntoReuses(t *testing.T) {
-	for _, router := range []string{"tree", "dijkstra"} {
-		p := treePlanner(t, treeNet(t, 150, 9), router)
-		out := p.PlanAll()
-		firstPtrs := make(map[graph.NodeID]*Strategy, len(out))
-		for u, st := range out {
-			firstPtrs[u] = st
+	chorded := topology.MustGenerate(topology.DefaultConfig(100), rng.New(2))
+	for _, p := range []*Planner{
+		treePlanner(t, treeNet(t, 150, 9), "tree"),
+		treePlanner(t, treeNet(t, 150, 9), "dijkstra"),
+		NewPlanner(mtree.MustBuild(chorded), route.Build(chorded)),
+	} {
+		out := p.PlanAllDense()
+		first := slices.Clone(out)
+		again := p.PlanAllDenseInto(out)
+		if &again[0] != &out[0] {
+			t.Fatal("PlanAllDenseInto returned a different slice")
 		}
-		again := p.PlanAllInto(out)
-		if !sameMap(again, out) {
-			t.Fatal("PlanAllInto returned a different map")
-		}
-		for u, st := range again {
-			if firstPtrs[u] != st {
-				t.Fatalf("client %d: Strategy reallocated on reuse", u)
+		for i, st := range again {
+			if first[i] != st {
+				t.Fatalf("client %d: Strategy reallocated on reuse", p.Tree.Clients[i])
 			}
 		}
-		fresh := p.PlanAll()
-		if !reflect.DeepEqual(again, fresh) {
-			t.Fatal("reused PlanAllInto result differs from a fresh PlanAll")
+		if fresh := p.PlanAllDense(); !reflect.DeepEqual(again, fresh) {
+			t.Fatal("reused PlanAllDenseInto result differs from a fresh PlanAllDense")
 		}
 	}
-	// The scan fallback must honour the same reuse contract.
-	net := topology.MustGenerate(topology.DefaultConfig(100), rng.New(2))
-	p := NewPlanner(mtree.MustBuild(net), route.Build(net))
-	out := p.PlanAll()
-	if !reflect.DeepEqual(p.PlanAllInto(out), p.PlanAll()) {
-		t.Fatal("scan-path PlanAllInto differs from PlanAll")
-	}
-}
-
-func sameMap(a, b map[graph.NodeID]*Strategy) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // TestFastPathEquivalenceFuzz cross-checks fast vs scan over many random
@@ -202,16 +185,14 @@ func TestFastPathEquivalenceFuzz(t *testing.T) {
 		scan := treePlanner(t, net, router)
 		configure(scan, variant)
 		scan.DisableFastPath = true
-		got, want := fast.PlanAll(), scan.PlanAll()
+		got, want := fast.PlanAllDense(), scan.PlanAllDense()
 		if !fast.UsesFastPath() || scan.UsesFastPath() {
 			t.Fatalf("iter %d: path selection wrong", i)
 		}
-		if !reflect.DeepEqual(got, want) {
-			for _, u := range net.Clients {
-				if !reflect.DeepEqual(got[u], want[u]) {
-					t.Fatalf("iter %d (%s/%s, %d clients) client %d:\n fast %v\n scan %v",
-						i, router, variant, len(net.Clients), u, got[u], want[u])
-				}
+		for j, u := range fast.Tree.Clients {
+			if !reflect.DeepEqual(got[j], want[j]) {
+				t.Fatalf("iter %d (%s/%s, %d clients) client %d:\n fast %v\n scan %v",
+					i, router, variant, len(got), u, got[j], want[j])
 			}
 		}
 	}
@@ -237,7 +218,7 @@ func FuzzFastPathEquivalence(f *testing.F) {
 		scan := treePlanner(t, net, "tree")
 		configure(scan, v)
 		scan.DisableFastPath = true
-		got, want := fast.PlanAll(), scan.PlanAll()
+		got, want := fast.PlanAllDense(), scan.PlanAllDense()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("fast/scan divergence (%s, %d clients)", v, n)
 		}
@@ -293,7 +274,7 @@ func TestRosterChurnTreeAggMatchesScan(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if !reflect.DeepEqual(r.Strategies(), rScan.Strategies()) {
+			if !reflect.DeepEqual(r.StrategiesDense(nil), rScan.StrategiesDense(nil)) {
 				t.Fatalf("%s step %d: aggregate roster diverged from scan roster", variant, step)
 			}
 			if r.Epoch() != rScan.Epoch() {
@@ -350,15 +331,15 @@ func TestSortCandidatesMatchesReference(t *testing.T) {
 }
 
 // TestPlanAllIntoSteadyStateAllocs asserts the fast path's replan loop is
-// allocation-free once warmed up — the contract the RP attach path and the
-// scaling tier rely on.
+// allocation-free once warmed up — the contract the scaling tier and the
+// million-client planning cell rely on.
 func TestPlanAllIntoSteadyStateAllocs(t *testing.T) {
 	p := treePlanner(t, treeNet(t, 300, 13), "tree")
-	out := p.PlanAll() // warm: map, strategies, scratch, aggregate
+	out := p.PlanAllDense() // warm: slice, strategies, scratch, aggregate
 	if allocs := testing.AllocsPerRun(20, func() {
-		p.PlanAllInto(out)
+		p.PlanAllDenseInto(out)
 	}); allocs > 0 {
-		t.Fatalf("steady-state PlanAllInto allocates %.1f/op, want 0", allocs)
+		t.Fatalf("steady-state PlanAllDenseInto allocates %.1f/op, want 0", allocs)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"rmcast/internal/core"
-	"rmcast/internal/graph"
 	"rmcast/internal/mtree"
 	"rmcast/internal/protocol"
 	"rmcast/internal/rng"
@@ -53,10 +52,9 @@ type ScalingSweep struct {
 }
 
 // hugeClients is the size past which a cell switches to the memory-compact
-// representations: BuildLite trees (no Euler/sparse LCA index), dense
-// strategy slices instead of maps, oracle checking off, and a raised event
-// cap. Below it cells keep the exact historical path (map planning, strict
-// oracle), so existing tiers measure what they always measured.
+// representations: BuildLite trees (no Euler/sparse LCA index), oracle
+// checking off, and a raised event cap. Below it cells keep the full tree
+// and the strict oracle. Every cell plans into dense strategy slices.
 const hugeClients = 100_000
 
 // DefaultScaling returns the standard tier: n ∈ {1k, 5k, 20k, 50k}.
@@ -77,9 +75,10 @@ type ScalingCell struct {
 	TreeDepth int32
 	// BuildMs is topology generation + tree construction + router setup.
 	BuildMs float64
-	// PlanMs is the first full PlanAll on the aggregated path (includes
-	// building the aggregate); ReplanMs is a steady-state PlanAllInto over
-	// the same result set, the cost a live session pays per replan.
+	// PlanMs is the first full PlanAllDense on the aggregated path
+	// (includes building the aggregate); ReplanMs is a steady-state
+	// PlanAllDenseInto over the same result slice, the cost a live session
+	// pays per replan.
 	PlanMs   float64
 	ReplanMs float64
 	// PlanAllocs/ReplanAllocs are heap allocation counts for those passes.
@@ -116,8 +115,8 @@ type ScalingCell struct {
 	// SimDigest is the shared digest of the two runs (they are required to
 	// be identical).
 	SimDigest string
-	// LiteTree reports the memory-compact cell path (BuildLite + dense
-	// strategies + oracle off) was used.
+	// LiteTree reports the memory-compact cell path (BuildLite + oracle
+	// off) was used.
 	LiteTree bool
 	// PeakHeapMB is the largest live heap observed at the cell's phase
 	// boundaries (runtime.ReadMemStats HeapAlloc) — the number that decides
@@ -206,14 +205,9 @@ func (s ScalingSweep) runCell(n int, seed uint64, withScan bool) (ScalingCell, e
 	}
 
 	p := core.NewPlanner(tree, rt)
-	var strategies map[graph.NodeID]*core.Strategy
 	var dense []*core.Strategy
 	planTime, planAllocs := allocsDuring(func() {
-		if huge {
-			dense = p.PlanAllDense()
-		} else {
-			strategies = p.PlanAll()
-		}
+		dense = p.PlanAllDense()
 	})
 	cell.PlanMs = float64(planTime) / float64(time.Millisecond)
 	cell.PlanAllocs = planAllocs
@@ -221,42 +215,30 @@ func (s ScalingSweep) runCell(n int, seed uint64, withScan bool) (ScalingCell, e
 	peak.Sample()
 
 	replanTime, replanAllocs := allocsDuring(func() {
-		if huge {
-			p.PlanAllDenseInto(dense)
-		} else {
-			p.PlanAllInto(strategies)
-		}
+		p.PlanAllDenseInto(dense)
 	})
 	cell.ReplanMs = float64(replanTime) / float64(time.Millisecond)
 	cell.ReplanAllocs = replanAllocs
 	peak.Sample()
 
-	var peers, count int
-	if huge {
-		for _, st := range dense {
-			peers += len(st.Peers)
-		}
-		count = len(dense)
-	} else {
-		for _, st := range strategies {
-			peers += len(st.Peers)
-		}
-		count = len(strategies)
+	var peers int
+	for _, st := range dense {
+		peers += len(st.Peers)
 	}
-	cell.MeanPeers = float64(peers) / float64(count)
+	cell.MeanPeers = float64(peers) / float64(len(dense))
 
 	if withScan && !huge {
 		scan := core.NewPlanner(tree, rt)
 		scan.DisableFastPath = true
-		var scanned map[graph.NodeID]*core.Strategy
+		var scanned []*core.Strategy
 		scanTime, _ := allocsDuring(func() {
-			scanned = scan.PlanAll()
+			scanned = scan.PlanAllDense()
 		})
 		cell.ScanMs = float64(scanTime) / float64(time.Millisecond)
 		if cell.PlanMs > 0 {
 			cell.Speedup = cell.ScanMs / cell.PlanMs
 		}
-		if !reflect.DeepEqual(strategies, scanned) {
+		if !reflect.DeepEqual(dense, scanned) {
 			return cell, fmt.Errorf("fast path diverged from scan baseline")
 		}
 		cell.Verified = true

@@ -8,7 +8,7 @@
 // symbols (a counting-property erasure code, like the FEC baseline: any K
 // distinct symbols of the K+R symbol space reconstruct the block). When a
 // client detects any loss inside a block it solicits its strategy-ranked
-// peers — the same core.Planner/PlanAllInto candidate lists RP plans with —
+// peers — the same core.Planner/PlanAllDense candidate lists RP plans with —
 // each peer being assigned a disjoint, deterministically derived coded
 // symbol range, so two peers never relay the same symbol and a duplicated
 // solicitation reproduces byte-identical symbol traffic (structural
@@ -170,16 +170,13 @@ func (e *Engine) Attach(s *protocol.Session) {
 		return
 	}
 	p := core.NewPlanner(s.Tree, s.Routes)
-	plans := p.PlanAllInto(nil)
-	e.peers = make(map[graph.NodeID][]core.Candidate, len(s.Topo.Clients))
-	for _, c := range s.Topo.Clients {
-		var list []core.Candidate
+	plans := p.PlanAllDense()
+	e.peers = make(map[graph.NodeID][]core.Candidate, len(s.Tree.Clients))
+	for i, c := range s.Tree.Clients {
+		list := append([]core.Candidate(nil), plans[i].Peers...)
 		in := make(map[graph.NodeID]bool)
-		if st := plans[c]; st != nil {
-			list = append(list, st.Peers...)
-			for _, cand := range st.Peers {
-				in[cand.Peer] = true
-			}
+		for _, cand := range plans[i].Peers {
+			in[cand.Peer] = true
 		}
 		for _, cand := range p.Candidates(c) {
 			if !in[cand.Peer] {

@@ -43,7 +43,7 @@ func firstPeerOf(t *testing.T, mk func(t *testing.T) (*topology.Network, graph.N
 	if _, err := protocol.NewSession(topo, e, protocol.Config{Packets: 1, Interval: 10}, 1); err != nil {
 		t.Fatal(err)
 	}
-	st := e.Strategies()[c]
+	st := e.Strategy(c)
 	if len(st.Peers) == 0 {
 		t.Fatal("planner produced no peers for the deep tail")
 	}
@@ -87,7 +87,7 @@ func TestDeadPeerEvictedAndRecoveryContinues(t *testing.T) {
 	}
 	// Eviction replans the survivors: the tail's strategy must no longer
 	// route through the victim.
-	for _, p := range e.Strategies()[tail].Peers {
+	for _, p := range e.Strategy(tail).Peers {
 		if p.Peer == victim {
 			t.Fatal("evicted peer still in the tail's strategy")
 		}

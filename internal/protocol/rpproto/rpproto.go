@@ -93,8 +93,8 @@ type Engine struct {
 	served *protocol.DedupCache
 
 	// Resilience state (see resilient.go). roster is non-nil only when
-	// Resilience.Enabled; strategies then aliases roster.StrategiesLive(),
-	// so incremental replans are visible without re-wiring.
+	// Resilience.Enabled; it then holds the live plans in place of
+	// strategies, so incremental replans are visible through Strategy.
 	roster       *core.Roster
 	suspectCount map[obs]int
 	skipUntil    map[obs]float64
@@ -221,16 +221,20 @@ func (e *Engine) Attach(s *protocol.Session) {
 	}
 	if e.opt.Resilience.Enabled {
 		e.roster = core.NewRoster(p)
-		e.strategies = e.roster.StrategiesLive()
 	} else {
-		// PlanAllInto reuses the map and Strategy structs if the engine
-		// is ever attached again (e.strategies is nil on first attach).
-		e.strategies = p.PlanAllInto(e.strategies)
+		e.strategies = p.PlanAll()
 	}
 }
 
-// Strategies exposes the computed plans (for tests and tooling).
-func (e *Engine) Strategies() map[graph.NodeID]*core.Strategy { return e.strategies }
+// Strategy returns client c's current plan: the roster's live one in
+// resilient mode, the attach-time one otherwise. nil for non-clients and
+// evicted clients.
+func (e *Engine) Strategy(c graph.NodeID) *core.Strategy {
+	if e.roster != nil {
+		return e.roster.Strategy(c)
+	}
+	return e.strategies[c]
+}
 
 // OnDetect implements protocol.Engine: start attempt 0. Monotonic guard:
 // a packet the client already holds never (re-)enters pending, whatever
@@ -267,7 +271,7 @@ func (e *Engine) send(c graph.NodeID, seq int, a *attempt) {
 		a.parked = true
 		return
 	}
-	st := e.strategies[c]
+	st := e.Strategy(c)
 	var target graph.NodeID
 	var t0 float64
 	switch {
@@ -322,7 +326,7 @@ func (e *Engine) timeout(c graph.NodeID, seq int, a *attempt) {
 		a.retry++ // retry the same target (backoff grows; capped)
 	} else {
 		a.retry = 0
-		st := e.strategies[c]
+		st := e.Strategy(c)
 		if st != nil && a.idx < len(st.Peers) {
 			a.idx++
 		}
@@ -347,7 +351,7 @@ func (e *Engine) advance(c graph.NodeID, seq int, from graph.NodeID) {
 	}
 	e.clearSuspicion(c, a.target)
 	a.retry = 0
-	st := e.strategies[c]
+	st := e.Strategy(c)
 	if st != nil && a.idx < len(st.Peers) {
 		a.idx++
 	}

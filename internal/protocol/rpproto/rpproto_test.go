@@ -51,7 +51,7 @@ func TestRecoverFromFirstPeer(t *testing.T) {
 	}
 	// The repair must come from the strategy's first peer at exactly its
 	// RTT (deterministic delays, lossless recovery path).
-	st := e.Strategies()[tail]
+	st := e.Strategy(tail)
 	if len(st.Peers) == 0 {
 		t.Fatal("strategy has no peers despite distant source")
 	}
@@ -96,7 +96,7 @@ func TestTimeoutFallsThroughToSource(t *testing.T) {
 	// r2) times out, then the source answers. Latency = t0 + srcRTT if
 	// the plan includes the sibling, else srcRTT.
 	for _, c := range topo.Clients {
-		st := e.Strategies()[c]
+		st := e.Strategy(c)
 		want := st.SourceRTT
 		for _, p := range st.Peers {
 			want += p.Timeout
@@ -364,7 +364,7 @@ func TestHoldFreshRequestsServesDeepPeer(t *testing.T) {
 		s := oneLossSession(t, topo, uLink, e)
 		res := s.Run()
 		// Sanity: the plan must actually use the deep peer first.
-		st := e.Strategies()[u]
+		st := e.Strategy(u)
 		if len(st.Peers) == 0 || st.Peers[0].Peer != peer {
 			t.Skipf("planner did not pick the deep peer (strategy %v)", st)
 		}

@@ -2,7 +2,7 @@
 // read-mostly service — the shape a real RP control plane would embed.
 //
 // The paper's Algorithm-1 planner and the churn-tracking core.Roster are
-// single-threaded by design: Join/Leave mutate shared maps and every caller
+// single-threaded by design: Join/Leave mutate shared state and every caller
 // replans inline. This package puts them behind the same memory model that
 // route.Tables uses for routing state: versioned immutable snapshots behind
 // one atomic pointer.
@@ -20,12 +20,9 @@
 //     publishes a fresh snapshot — one O(k) dense copy per batch, not per
 //     op. Snapshot versions are strictly monotonic (+1 per publish); the
 //     roster epoch (applied-op count) is stamped alongside so service
-//     output is correlatable with plan state.
-//   - A full-replan fallback (Config.FullReplan) rebuilds every active
-//     strategy from scratch per batch through core.NewRosterActive instead
-//     of trusting the incremental repair. Both modes are pinned equivalent
-//     by tests over randomized churn sequences; the fallback is the
-//     equivalence oracle and the escape hatch, not a performance mode.
+//     output is correlatable with plan state. Tests pin published
+//     snapshots equal to a from-scratch core.NewRosterActive over the same
+//     membership after randomized churn.
 //
 // Publishing shares what is provably frozen: *core.Strategy values are
 // immutable once built (Roster.replan always constructs new ones), so
@@ -112,11 +109,6 @@ type Config struct {
 	// QueueLen is the churn queue capacity (default 4096). Join/Leave
 	// block when the queue is full — backpressure, never drops.
 	QueueLen int
-	// FullReplan switches the applier to the from-scratch fallback: each
-	// batch rebuilds every active strategy via core.NewRosterActive
-	// instead of the roster's incremental O(depth) repair. Tests pin both
-	// modes equivalent; production uses the default incremental path.
-	FullReplan bool
 }
 
 // Stats is a point-in-time counter snapshot of the applier side.
@@ -161,7 +153,6 @@ type op struct {
 
 // Service is the planning server. Create with New, stop with Close.
 type Service struct {
-	p   *core.Planner
 	cfg Config
 
 	// cur is the only reader-writer rendezvous: the applier stores fresh
@@ -199,7 +190,6 @@ func New(p *core.Planner, cfg Config) *Service {
 		members = p.Tree.Clients
 	}
 	s := &Service{
-		p:      p,
 		cfg:    cfg,
 		roster: core.NewRosterActive(p, members),
 		ops:    make(chan op, cfg.QueueLen),
@@ -216,7 +206,7 @@ func New(p *core.Planner, cfg Config) *Service {
 	first := &Snapshot{
 		Version:     1,
 		Epoch:       0,
-		strategies:  s.denseStrategies(),
+		strategies:  s.roster.StrategiesDense(nil),
 		active:      s.roster.OccupancyDense(nil),
 		activeCount: s.roster.ActiveCount(),
 		pos:         pos,
@@ -357,7 +347,7 @@ func (s *Service) publish() {
 	next := &Snapshot{
 		Version:     prev.Version + 1,
 		Epoch:       s.roster.Epoch(),
-		strategies:  s.denseStrategies(),
+		strategies:  s.roster.StrategiesDense(nil),
 		active:      s.roster.OccupancyDense(nil),
 		activeCount: s.roster.ActiveCount(),
 		pos:         prev.pos,
@@ -365,24 +355,4 @@ func (s *Service) publish() {
 	}
 	s.cur.Store(next)
 	s.published.Add(1)
-}
-
-// denseStrategies materialises the dense plan slice for a publish: from the
-// incremental shadow roster by default, or from a from-scratch rebuild over
-// the current membership in FullReplan mode. The rebuild goes through
-// core.NewRosterActive's construction path, which shares no repair logic
-// with the incremental Join/Leave path — that independence is what makes
-// the fallback a meaningful oracle.
-func (s *Service) denseStrategies() []*core.Strategy {
-	if !s.cfg.FullReplan {
-		return s.roster.StrategiesDense(nil)
-	}
-	members := make([]graph.NodeID, 0, s.roster.ActiveCount())
-	occ := s.roster.OccupancyDense(nil)
-	for i, c := range s.p.Tree.Clients {
-		if occ[i] {
-			members = append(members, c)
-		}
-	}
-	return core.NewRosterActive(s.p, members).StrategiesDense(nil)
 }

@@ -191,47 +191,54 @@ func TestSnapshotImmutableAfterPublish(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesFullReplan drives identical randomized churn
-// through the incremental service and the full-replan fallback and pins the
-// published content equal after every barrier, whatever the batch
-// boundaries were.
+// TestIncrementalMatchesFullReplan drives randomized churn through the
+// service and pins the published content after every barrier, whatever the
+// batch boundaries were, equal to a full replan: a fresh
+// core.NewRosterActive over the same membership, whose construction shares
+// no repair logic with the incremental Join/Leave path.
 func TestIncrementalMatchesFullReplan(t *testing.T) {
 	for _, chorded := range []bool{false, true} {
-		inc := New(svcPlanner(t, 70, 4, chorded), Config{})
-		full := New(svcPlanner(t, 70, 4, chorded), Config{FullReplan: true})
-		clients := inc.Snapshot().Clients()
+		svc := New(svcPlanner(t, 70, 4, chorded), Config{})
+		truth := svcPlanner(t, 70, 4, chorded)
+		clients := svc.Snapshot().Clients()
 
 		rnd := rand.New(rand.NewSource(9))
 		out := map[graph.NodeID]bool{}
+		var ops uint64
 		for step := 0; step < 80; step++ {
 			v := clients[rnd.Intn(len(clients))]
 			if out[v] {
-				inc.Join(v)
-				full.Join(v)
+				svc.Join(v)
 				delete(out, v)
+				ops++
 			} else if len(clients)-len(out) > 2 {
-				inc.Leave(v)
-				full.Leave(v)
+				svc.Leave(v)
 				out[v] = true
+				ops++
 			}
 			if step%7 != 0 {
 				continue
 			}
-			inc.Flush()
-			full.Flush()
-			a, b := inc.Snapshot(), full.Snapshot()
-			if a.Epoch != b.Epoch {
-				t.Fatalf("chorded=%v step %d: epochs diverged (%d vs %d)", chorded, step, a.Epoch, b.Epoch)
+			svc.Flush()
+			var members []graph.NodeID
+			for _, c := range clients {
+				if !out[c] {
+					members = append(members, c)
+				}
 			}
-			if !reflect.DeepEqual(a.Strategies(), b.Strategies()) {
+			full := core.NewRosterActive(truth, members)
+			snap := svc.Snapshot()
+			if snap.Epoch != ops {
+				t.Fatalf("chorded=%v step %d: epoch %d after %d ops", chorded, step, snap.Epoch, ops)
+			}
+			if !reflect.DeepEqual(snap.Strategies(), full.StrategiesDense(nil)) {
 				t.Fatalf("chorded=%v step %d: incremental snapshot != full replan", chorded, step)
 			}
-			if a.ActiveCount() != b.ActiveCount() {
+			if snap.ActiveCount() != full.ActiveCount() {
 				t.Fatalf("chorded=%v step %d: active counts diverged", chorded, step)
 			}
 		}
-		inc.Close()
-		full.Close()
+		svc.Close()
 	}
 }
 

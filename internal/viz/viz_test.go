@@ -105,7 +105,7 @@ func TestTopologySVG(t *testing.T) {
 	net := topology.MustGenerate(topology.DefaultConfig(60), rng.New(7))
 	tr := mtree.MustBuild(net)
 	p := core.NewPlanner(tr, route.Build(net))
-	c, err := Topology(net, p.All(), 800, 600)
+	c, err := Topology(net, p.PlanAll(), 800, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestTopologySVG(t *testing.T) {
 	}
 	// Lines: every link once, plus one overlay per client with peers.
 	withPeers := 0
-	for _, st := range p.All() {
+	for _, st := range p.PlanAll() {
 		if len(st.Peers) > 0 {
 			withPeers++
 		}

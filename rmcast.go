@@ -19,6 +19,8 @@
 package rmcast
 
 import (
+	"fmt"
+
 	"rmcast/internal/core"
 	"rmcast/internal/experiment"
 	"rmcast/internal/graph"
@@ -161,7 +163,7 @@ func Strategies(t *Topology, opt PlannerOptions) (map[NodeID]*Strategy, error) {
 	p := core.NewPlanner(tree, route.Build(t))
 	p.Timeout = opt.Timeout
 	p.AllowDirectSource = opt.AllowDirectSource
-	return p.All(), nil
+	return p.PlanAll(), nil
 }
 
 // Roster maintains per-client strategies under group membership churn,
@@ -182,7 +184,11 @@ func NewRoster(t *Topology, opt PlannerOptions) (*Roster, error) {
 }
 
 // StrategyFor computes the optimal recovery strategy for a single client.
+// It returns an error when client is not a client node of t.
 func StrategyFor(t *Topology, client NodeID, opt PlannerOptions) (*Strategy, error) {
+	if client < 0 || int(client) >= t.NumNodes() || !t.IsClient(client) {
+		return nil, fmt.Errorf("rmcast: node %d is not a client of the topology", client)
+	}
 	tree, err := mtree.Build(t)
 	if err != nil {
 		return nil, err

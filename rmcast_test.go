@@ -34,6 +34,21 @@ func TestPublicTopologyAndStrategies(t *testing.T) {
 	}
 }
 
+// TestStrategyForRejectsNonClients is the regression test for StrategyFor
+// on IDs that name no client — the source, and IDs outside the topology on
+// either side: an error, not a panic.
+func TestStrategyForRejectsNonClients(t *testing.T) {
+	topo, err := NewTopology(DefaultTopologyConfig(40), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []NodeID{topo.Source, 1 << 20, -3} {
+		if st, err := StrategyFor(topo, id, DefaultPlannerOptions()); err == nil {
+			t.Fatalf("StrategyFor(%d) = %v, want an error", id, st)
+		}
+	}
+}
+
 func TestPublicSimulateAllProtocols(t *testing.T) {
 	topo, err := NewTopology(DefaultTopologyConfig(40), 2)
 	if err != nil {
