@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -54,7 +55,9 @@ func main() {
 	flag.Parse()
 
 	if *stress {
-		runStress(*routers, *seed, *beta, !*noDirect, *readers, *churn, *duration)
+		if err := runStress(os.Stdout, *routers, *seed, *beta, !*noDirect, *readers, *churn, *duration); err != nil {
+			fail(err)
+		}
 		return
 	}
 
@@ -128,29 +131,40 @@ func main() {
 // BenchmarkStrategyService grid measures, so the two sets of numbers are
 // comparable. Chorded scan-mode topologies still work through the service
 // (covered by its tests); they just bottleneck on replanning, which is a
-// planner property, not a service one.
-func runStress(routers int, seed uint64, beta float64, allowDirect bool, readers, churnRate int, d time.Duration) {
-	net := topology.MustGenerateTree(topology.DefaultTreeConfig(routers), rng.New(seed))
-	tree := mtree.MustBuild(net)
+// planner property, not a service one. Bad flag values (no clients, a
+// negative reader count, a non-positive duration) are errors.
+func runStress(w io.Writer, routers int, seed uint64, beta float64, allowDirect bool, readers, churnRate int, d time.Duration) error {
+	net, err := topology.GenerateTree(topology.DefaultTreeConfig(routers), rng.New(seed))
+	if err != nil {
+		return err
+	}
+	tree, err := mtree.Build(net)
+	if err != nil {
+		return err
+	}
 	p := core.NewPlanner(tree, route.NewTreeTables(tree))
 	p.Timeout = core.ProportionalTimeout(beta)
 	p.AllowDirectSource = allowDirect
-	fmt.Printf("topology: %d routers (pure tree), %d clients, tree depth max %d\n",
+	fmt.Fprintf(w, "topology: %d routers (pure tree), %d clients, tree depth max %d\n",
 		routers, len(tree.Clients), maxDepth(tree))
 
 	svc := strategysvc.New(p, strategysvc.Config{})
 	defer svc.Close()
-	fmt.Printf("stress: %d readers, %d churn ops/sec, %v\n", readers, churnRate, d)
-	res := strategysvc.Stress(svc, tree.Clients, readers, churnRate, d)
+	fmt.Fprintf(w, "stress: %d readers, %d churn ops/sec, %v\n", readers, churnRate, d)
+	res, err := strategysvc.Stress(svc, tree.Clients, readers, churnRate, d)
+	if err != nil {
+		return err
+	}
 	qps := float64(res.Queries) / res.Elapsed.Seconds()
-	fmt.Printf("queries: %d in %.2fs  (%.0f queries/sec)\n",
+	fmt.Fprintf(w, "queries: %d in %.2fs  (%.0f queries/sec)\n",
 		res.Queries, res.Elapsed.Seconds(), qps)
-	fmt.Printf("latency: p50 %.0fns  p99 %.0fns\n", res.P50, res.P99)
+	fmt.Fprintf(w, "latency: p50 %.0fns  p99 %.0fns\n", res.P50, res.P99)
 	st := res.Stats
-	fmt.Printf("versions published: %d  (final version %d, epoch %d)\n",
+	fmt.Fprintf(w, "versions published: %d  (final version %d, epoch %d)\n",
 		st.Published, res.Version, res.Epoch)
-	fmt.Printf("churn: %d applied, %d rejected in %d batches  (mean batch %.2f, max %d)\n",
+	fmt.Fprintf(w, "churn: %d applied, %d rejected in %d batches  (mean batch %.2f, max %d)\n",
 		st.Applied, st.Rejected, st.Batches, st.MeanBatch(), st.MaxBatch)
+	return nil
 }
 
 func detail(p *core.Planner, tree *mtree.Tree, u graph.NodeID, verify bool) {

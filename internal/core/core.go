@@ -37,7 +37,9 @@ import (
 // TimeoutPolicy chooses the per-attempt timeout t0 used both in planning
 // (Eq. 1) and by the RP protocol engine at run time. §3.1 discusses the
 // trade-off: a pure timeout grossly overestimates d(), a pure RTT estimate
-// underestimates it; the combined estimate needs some t0.
+// underestimates it; the combined estimate needs some t0. Implementations
+// must be safe for concurrent use: batch planning calls Timeout from every
+// worker at once.
 type TimeoutPolicy interface {
 	// Timeout returns t0 for an attempt whose estimated RTT is rtt.
 	Timeout(rtt float64) float64
@@ -111,7 +113,12 @@ func (s *Strategy) String() string {
 type Planner struct {
 	// Tree is the multicast tree.
 	Tree *mtree.Tree
-	// Routes supplies RTT estimates (§3.1's routing-table method).
+	// Routes supplies RTT estimates (§3.1's routing-table method). Batch
+	// planning queries it from every worker at once, so it must be safe for
+	// concurrent readers, as route.Tables and route.TreeTables are.
+	// lsr.Routing fills a destination's table on first use, so it is safe
+	// only once the source and every client have been prepared, as
+	// protocol.NewSessionPrebuilt does before it plans.
 	Routes route.Router
 	// Timeout is the per-attempt timeout policy; nil means
 	// ProportionalTimeout(3).
@@ -132,12 +139,15 @@ type Planner struct {
 	// two paths produce identical strategies.
 	DisableFastPath bool
 
-	// Lazily built batch-planning state (see planall.go/treeagg.go). The
-	// configuration fields above must be set before the first batch call;
-	// batch planning methods are not safe for concurrent use on one
-	// Planner. Per-client methods like StrategyFor are: they plan through a
-	// call-owned scratch and never write the Planner.
-	sc      planScratch
+	// Lazily built batch-planning state (see planall.go/treeagg.go): the
+	// batch workers' scratches, grown to the worker count and bound once,
+	// and the fast-path decision with its aggregate. The configuration
+	// fields above must be set before the first batch call. Batch planning
+	// methods are not safe for concurrent use on one Planner; each call
+	// instead spreads its own clients over GOMAXPROCS workers. Per-client
+	// methods like StrategyFor are safe for concurrent use: they plan
+	// through a call-owned scratch and never write the Planner.
+	scs     []planScratch
 	agg     *treeAgg
 	mode    fastMode
 	modeSet bool

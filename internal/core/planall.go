@@ -1,6 +1,10 @@
 package core
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"rmcast/internal/graph"
 )
 
@@ -27,6 +31,14 @@ import (
 // in Tree.Clients order; PlanAll adapts it to a map for callers whose
 // output is keyed by client node.
 //
+// A batch pass (PlanAllDense/PlanAllDenseInto, and NewRosterActive's plan
+// of its initial members) splits its O(N·depth) work — O(N²) on the scan —
+// over GOMAXPROCS workers through planBatch. One client's plan reads only
+// the tree, the router and an aggregate built before the split, and writes
+// only its worker's scratch and its own output slot, so the split moves
+// wall clock and nothing else: every strategy is bit-identical to one
+// worker's.
+//
 // Exactness caveat: the fast path ranks by DelayFromRoot while the scan
 // compares summed float costs. With integer (or any dyadic) link delays the
 // two are exactly equivalent; with continuous random delays a divergence
@@ -38,10 +50,10 @@ import (
 // this path is what BenchmarkPlannerAll measures and what the RP engines
 // call at session construction.
 
-// planScratch is the state one planning caller reuses across clients: the
-// Planner's batch calls, each Roster, and each per-client Candidates call
-// own one apiece, so planning never writes shared state. Bind it to its
-// planner before use.
+// planScratch is the state one planning caller reuses across clients: each
+// batch worker, each Roster, and each per-client Candidates call own one
+// apiece, so planning never writes shared state. Bind it to its planner
+// before use.
 type planScratch struct {
 	// pol and mr are the planner's timeout policy and RTTVia shortcut (nil
 	// when the router has none), resolved once by bind.
@@ -66,16 +78,15 @@ func (sc *planScratch) bind(p *Planner) {
 	sc.mr, _ = p.Routes.(meetRouter)
 }
 
-// batchState lazily builds the planner's shared batch machinery: the bound
-// scratch, the fast-path eligibility decision, and (when eligible) the tree
-// aggregate over the full client set. The decision is made once —
+// batchState lazily builds the planner's shared batch machinery: the
+// fast-path eligibility decision and (when eligible) the tree aggregate over
+// the full client set. The decision is made once —
 // Tree/Routes/Timeout/LossProb must not change after the first batch call.
 func (p *Planner) batchState() {
 	if p.modeSet {
 		return
 	}
 	p.modeSet = true
-	p.sc.bind(p)
 	if p.mode = p.computeFastMode(); p.mode != fastOff {
 		p.agg = newTreeAgg(p.Tree)
 	}
@@ -117,15 +128,116 @@ func (p *Planner) PlanAllDenseInto(out []*Strategy) []*Strategy {
 		out = make([]*Strategy, len(p.Tree.Clients))
 	}
 	p.batchState()
-	for i, u := range p.Tree.Clients {
-		if p.agg != nil {
-			p.lookup(u, p.agg, p.mode, &p.sc)
-		} else {
-			p.scan(u, nil, &p.sc)
-		}
-		out[i] = p.finishPlan(u, &p.sc, out[i])
-	}
+	p.planBatch(batch{agg: p.agg, mode: p.mode, out: out}, &p.scs)
 	return out
+}
+
+// PlanWorkers reports how many workers a batch pass over p's clients uses
+// at the current GOMAXPROCS: 1 up to fanOutChunk clients. Diagnostic, for
+// reports that must name the core count behind a planning time.
+func (p *Planner) PlanWorkers() int { return batchWorkers(len(p.Tree.Clients)) }
+
+// A batch worker claims fanOutChunk consecutive Tree.Clients positions at a
+// time, and a pass runs at most one worker per chunk, so a pass of one
+// chunk or less plans on the calling goroutine. BenchmarkPlanAll at -cpu
+// 1,2 sets the size (2-core host, medians of 8 runs). A fast-path client
+// costs about 0.5 µs, so a chunk is about 1 ms of work. Starting and
+// joining the workers is lost in the noise against that: 2049 clients,
+// split into a full chunk and a single client, plan in 1.14 ms on two
+// workers and 1.12 ms on one. Past that a second worker nearly halves a
+// pass: the tree/n=5000 cell plans in 2.06 ms on two workers and 3.49 ms
+// on one. The chunk only has to dwarf the fixed cost; at 2048 it also
+// keeps groups of up to 2048 clients on one worker, among them the figure
+// sweep's cells (≤ 600 clients) and the strategy-service benchmark's
+// 2000-client group.
+const fanOutChunk = 2048
+
+// batch is one batch-planning pass over Tree.Clients. Its workers share it
+// read-only and each planned position i writes only out[i] (and its
+// client's winners entry), so workers never write the same memory.
+type batch struct {
+	// agg is the tree aggregate the pass reads class winners from, in
+	// mode; nil selects the scan.
+	agg  *treeAgg
+	mode fastMode
+	// active, when non-nil, restricts the pass to its clients (indexed by
+	// NodeID), which are then also the only peers the scan considers.
+	active []bool
+	// out receives each client's plan at its Tree.Clients position; a
+	// non-nil entry is updated in place.
+	out []*Strategy
+	// winners, when non-nil, receives each planned client's class winners,
+	// indexed by NodeID (scan-mode rosters).
+	winners [][]Candidate
+}
+
+// batchWorkers returns the worker count of a batch pass over n clients:
+// GOMAXPROCS capped at one worker per chunk, so a pass of one chunk or
+// less runs on one worker.
+func batchWorkers(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), (n+fanOutChunk-1)/fanOutChunk))
+}
+
+// planBatch runs pass b over every Tree.Clients position, worker w planning
+// through (*scs)[w]; scs grows to the worker count, each new scratch bound
+// to p, so callers that keep scs allocate scratch once. One worker plans on
+// the calling goroutine and allocates nothing beyond the plans. More claim
+// contiguous chunks from a shared counter — neighbouring clients share
+// most of their root path, so a chunk's aggregate reads stay in cache —
+// and planBatch returns once every worker has finished.
+func (p *Planner) planBatch(b batch, scs *[]planScratch) {
+	n := len(p.Tree.Clients)
+	workers := batchWorkers(n)
+	for len(*scs) < workers {
+		*scs = append(*scs, planScratch{})
+		(*scs)[len(*scs)-1].bind(p)
+	}
+	if workers == 1 {
+		p.planRange(b, 0, n, &(*scs)[0])
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := range workers {
+		sc := &(*scs)[w]
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(fanOutChunk)) - fanOutChunk
+				if lo >= n {
+					return
+				}
+				p.planRange(b, lo, min(lo+fanOutChunk, n), sc)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// planRange plans positions [lo, hi) of pass b through sc.
+func (p *Planner) planRange(b batch, lo, hi int, sc *planScratch) {
+	for i := lo; i < hi; i++ {
+		u := p.Tree.Clients[i]
+		if b.active != nil && !b.active[u] {
+			continue
+		}
+		b.out[i] = p.plan(u, b.agg, b.mode, b.active, sc, b.out[i])
+		if b.winners != nil {
+			b.winners[u] = append(b.winners[u][:0], sc.cands...)
+		}
+	}
+}
+
+// plan runs the whole pipeline for client u: class winners read off agg in
+// mode, or scanned among active when agg is nil, then finishPlan into into.
+func (p *Planner) plan(u graph.NodeID, agg *treeAgg, mode fastMode, active []bool, sc *planScratch, into *Strategy) *Strategy {
+	if agg != nil {
+		p.lookup(u, agg, mode, sc)
+	} else {
+		p.scan(u, active, sc)
+	}
+	return p.finishPlan(u, sc, into)
 }
 
 // candidateOf materialises the candidate peer v of client u at meet router

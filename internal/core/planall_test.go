@@ -78,7 +78,10 @@ func TestPlanAllRepeatable(t *testing.T) {
 // benchmark (default chorded topology, which falls back to the peer scan);
 // the scan/tree pair at n=5000 clients is the acceptance comparison for the
 // tree-aggregated path: identical topology and router, only the path
-// differs.
+// differs. Run at -cpu 1,2, the fanout cells bracket the batch fan-out's
+// chunk (fanOutChunk): one chunk plans on one worker at any -cpu, and one
+// chunk plus one client pays the fan-out's fixed cost for no gain. The
+// tree cell, three chunks, shows what a second worker buys.
 func BenchmarkPlanAll(b *testing.B) {
 	b.Run("chords/n=300", func(b *testing.B) {
 		net := topology.MustGenerate(topology.DefaultConfig(300), rng.New(1))
@@ -97,6 +100,19 @@ func BenchmarkPlanAll(b *testing.B) {
 			p := NewPlanner(tree, route.NewTreeTables(tree))
 			p.DisableFastPath = mode == "scan"
 			out := p.PlanAllDense() // warm scratch and result slice
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.PlanAllDenseInto(out)
+			}
+		})
+	}
+	for _, n := range []int{fanOutChunk, fanOutChunk + 1} {
+		b.Run(fmt.Sprintf("fanout/n=%d", n), func(b *testing.B) {
+			net := topology.MustGenerateTree(topology.DefaultTreeConfig(n), rng.New(1))
+			tree := mtree.MustBuild(net)
+			p := NewPlanner(tree, route.NewTreeTables(tree))
+			out := p.PlanAllDense()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -86,7 +86,10 @@ func NewRoster(p *Planner) *Roster {
 // churn path must match. Construction is O(k·depth) on
 // fast-mode planners (one aggregate build plus one replan per member), not
 // O(k·depth) per *excluded* member: the aggregate is built directly from
-// the subset rather than by leaving members one at a time.
+// the subset rather than by leaving members one at a time. The members are
+// planned in one batch pass, so large trees spread them over GOMAXPROCS
+// workers like PlanAllDense does; the roster's later replans run on the
+// caller's goroutine.
 func NewRosterActive(p *Planner, members []graph.NodeID) *Roster {
 	n := len(p.Tree.Parent)
 	r := &Roster{
@@ -94,7 +97,6 @@ func NewRosterActive(p *Planner, members []graph.NodeID) *Roster {
 		active:     make([]bool, n),
 		strategies: make([]*Strategy, n),
 	}
-	r.sc.bind(p)
 	for _, c := range members {
 		if !p.Tree.Net.IsClient(c) {
 			panic(fmt.Sprintf("core: roster member %d is not a client", c))
@@ -111,11 +113,16 @@ func NewRosterActive(p *Planner, members []graph.NodeID) *Roster {
 	} else {
 		r.winners = make([][]Candidate, n)
 	}
-	for _, c := range p.Tree.Clients {
-		if r.active[c] {
-			r.replan(c)
-		}
+	// Plan every member in one batch pass, then keep worker 0's scratch for
+	// the replans churn triggers.
+	dense := make([]*Strategy, len(p.Tree.Clients))
+	var scs []planScratch
+	p.planBatch(batch{agg: r.agg, mode: r.mode, active: r.active, out: dense, winners: r.winners}, &scs)
+	for i, c := range p.Tree.Clients {
+		r.strategies[c] = dense[i]
 	}
+	r.sc = scs[0]
+	r.recomputes = r.activeCount
 	return r
 }
 
@@ -167,12 +174,7 @@ func (r *Roster) Recomputes() int { return r.recomputes }
 // pipeline, always into a fresh Strategy (published strategies are
 // immutable), and in scan mode refreshes the client's winner list.
 func (r *Roster) replan(u graph.NodeID) {
-	if r.agg != nil {
-		r.p.lookup(u, r.agg, r.mode, &r.sc)
-	} else {
-		r.p.scan(u, r.active, &r.sc)
-	}
-	r.strategies[u] = r.p.finishPlan(u, &r.sc, nil)
+	r.strategies[u] = r.p.plan(u, r.agg, r.mode, r.active, &r.sc, nil)
 	if r.agg == nil {
 		r.winners[u] = append(r.winners[u][:0], r.sc.cands...)
 	}

@@ -81,6 +81,11 @@ type ScalingCell struct {
 	// pays per replan.
 	PlanMs   float64
 	ReplanMs float64
+	// PlanWorkers is the worker count both passes planned with
+	// (core.Planner.PlanWorkers): 1 below the planner's fan-out cutoff,
+	// else up to GOMAXPROCS. Plan and replan times hold for this many
+	// cores and no more.
+	PlanWorkers int
 	// PlanAllocs/ReplanAllocs are heap allocation counts for those passes.
 	PlanAllocs   uint64
 	ReplanAllocs uint64
@@ -205,6 +210,7 @@ func (s ScalingSweep) runCell(n int, seed uint64, withScan bool) (ScalingCell, e
 	}
 
 	p := core.NewPlanner(tree, rt)
+	cell.PlanWorkers = p.PlanWorkers()
 	var dense []*core.Strategy
 	planTime, planAllocs := allocsDuring(func() {
 		dense = p.PlanAllDense()
@@ -320,7 +326,7 @@ func (s ScalingSweep) simPhase(cell *ScalingCell, net *topology.Network,
 // Format renders the report as an aligned table.
 func (r ScalingReport) Format(w io.Writer) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "clients\tnodes\tdepth\tbuild(ms)\tplan(ms)\treplan(ms)\tscan(ms)\tspeedup\tplan allocs\treplan allocs\tpeers/client\tfast\tverified\tsim serial(ms)\tsim parallel(ms)\tsim speedup\tsharded\tdomains\tpeak heap(MB)")
+	fmt.Fprintln(tw, "clients\tnodes\tdepth\tbuild(ms)\tplan(ms)\treplan(ms)\tplan workers\tscan(ms)\tspeedup\tplan allocs\treplan allocs\tpeers/client\tfast\tverified\tsim serial(ms)\tsim parallel(ms)\tsim speedup\tsharded\tdomains\tpeak heap(MB)")
 	for _, c := range r {
 		scan, speedup := "-", "-"
 		if c.ScanMs > 0 {
@@ -337,8 +343,8 @@ func (r ScalingReport) Format(w io.Writer) error {
 				domains = strconv.Itoa(c.SimDomains)
 			}
 		}
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%.1f\t%.2f\t%.2f\t%s\t%s\t%d\t%d\t%.2f\t%v\t%v\t%s\t%s\t%s\t%s\t%s\t%.0f\n",
-			c.Clients, c.Nodes, c.TreeDepth, c.BuildMs, c.PlanMs, c.ReplanMs,
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%.1f\t%.2f\t%.2f\t%d\t%s\t%s\t%d\t%d\t%.2f\t%v\t%v\t%s\t%s\t%s\t%s\t%s\t%.0f\n",
+			c.Clients, c.Nodes, c.TreeDepth, c.BuildMs, c.PlanMs, c.ReplanMs, c.PlanWorkers,
 			scan, speedup, c.PlanAllocs, c.ReplanAllocs, c.MeanPeers, c.FastPath, c.Verified,
 			simSerial, simParallel, simSpeedup, sharded, domains, c.PeakHeapMB)
 	}
@@ -347,10 +353,10 @@ func (r ScalingReport) Format(w io.Writer) error {
 
 // Markdown renders the report as a GitHub table for EXPERIMENTS.md.
 func (r ScalingReport) Markdown(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "| clients | nodes | depth | build (ms) | plan (ms) | replan (ms) | scan (ms) | speedup | replan allocs | sim serial (ms) | sim parallel (ms) | sim speedup | domains | peak heap (MB) |"); err != nil {
+	if _, err := fmt.Fprintln(w, "| clients | nodes | depth | build (ms) | plan (ms) | replan (ms) | plan workers | scan (ms) | speedup | replan allocs | sim serial (ms) | sim parallel (ms) | sim speedup | domains | peak heap (MB) |"); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintln(w, "|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|"); err != nil {
+	if _, err := fmt.Fprintln(w, "|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|"); err != nil {
 		return err
 	}
 	for _, c := range r {
@@ -368,8 +374,8 @@ func (r ScalingReport) Markdown(w io.Writer) error {
 				domains = strconv.Itoa(c.SimDomains)
 			}
 		}
-		if _, err := fmt.Fprintf(w, "| %d | %d | %d | %.1f | %.2f | %.2f | %s | %s | %d | %s | %s | %s | %s | %.0f |\n",
-			c.Clients, c.Nodes, c.TreeDepth, c.BuildMs, c.PlanMs, c.ReplanMs,
+		if _, err := fmt.Fprintf(w, "| %d | %d | %d | %.1f | %.2f | %.2f | %d | %s | %s | %d | %s | %s | %s | %s | %.0f |\n",
+			c.Clients, c.Nodes, c.TreeDepth, c.BuildMs, c.PlanMs, c.ReplanMs, c.PlanWorkers,
 			scan, speedup, c.ReplanAllocs, simSerial, simParallel, simSpeedup,
 			domains, c.PeakHeapMB); err != nil {
 			return err
@@ -382,7 +388,7 @@ func (r ScalingReport) Markdown(w io.Writer) error {
 func (r ScalingReport) CSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"clients", "nodes", "depth", "build_ms", "plan_ms",
-		"replan_ms", "scan_ms", "speedup", "plan_allocs", "replan_allocs",
+		"replan_ms", "plan_workers", "scan_ms", "speedup", "plan_allocs", "replan_allocs",
 		"mean_peers", "fast_path", "verified",
 		"sim_serial_ms", "sim_parallel_ms", "sim_speedup", "sim_sharded", "sim_digest",
 		"sim_domains", "lite_tree", "peak_heap_mb"}); err != nil {
@@ -395,6 +401,7 @@ func (r ScalingReport) CSV(w io.Writer) error {
 			strconv.FormatFloat(c.BuildMs, 'f', 3, 64),
 			strconv.FormatFloat(c.PlanMs, 'f', 3, 64),
 			strconv.FormatFloat(c.ReplanMs, 'f', 3, 64),
+			strconv.Itoa(c.PlanWorkers),
 			strconv.FormatFloat(c.ScanMs, 'f', 3, 64),
 			strconv.FormatFloat(c.Speedup, 'f', 2, 64),
 			strconv.FormatUint(c.PlanAllocs, 10),

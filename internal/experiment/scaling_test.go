@@ -25,6 +25,10 @@ func TestScalingSweepSmall(t *testing.T) {
 		if c.PlanMs <= 0 || c.ReplanMs <= 0 || c.TreeDepth <= 0 || c.MeanPeers <= 0 {
 			t.Fatalf("n=%d: implausible cell %+v", c.Clients, c)
 		}
+		// Cells this small plan below the batch fan-out cutoff.
+		if c.PlanWorkers != 1 {
+			t.Fatalf("n=%d: planned on %d workers, want 1", c.Clients, c.PlanWorkers)
+		}
 		// The steady-state replan pass must not allocate (the planner's
 		// zero-alloc contract, also pinned by a core test).
 		if c.ReplanAllocs > 64 {
@@ -48,6 +52,9 @@ func TestScalingSweepSmall(t *testing.T) {
 	for name, out := range map[string]string{"table": tbl.String(), "markdown": md.String(), "csv": csv.String()} {
 		if !strings.Contains(out, "400") {
 			t.Fatalf("%s rendering missing cell: %q", name, out)
+		}
+		if !strings.Contains(strings.ReplaceAll(out, "_", " "), "plan workers") {
+			t.Fatalf("%s rendering missing the plan workers column: %q", name, out)
 		}
 	}
 }

@@ -76,13 +76,15 @@ func DefaultOptions() Options {
 
 // Engine is the RP protocol engine.
 type Engine struct {
-	opt        Options
-	s          *protocol.Session
-	strategies map[graph.NodeID]*core.Strategy
-	// sharedPlans, when non-nil, is a parent engine's strategy map adopted
+	opt Options
+	s   *protocol.Session
+	// strategies holds the attach-time plans indexed by NodeID (nil for
+	// non-clients), the layout core.Roster uses.
+	strategies []*core.Strategy
+	// sharedPlans, when non-nil, is a parent engine's strategies adopted
 	// verbatim by Attach — shard clones of a partitioned run skip
 	// replanning and must never mutate the shared structs.
-	sharedPlans map[graph.NodeID]*core.Strategy
+	sharedPlans []*core.Strategy
 	pending     map[key]*attempt
 	// lastSubRepair records the send time of the latest subgroup repair
 	// multicast per (seq, subgroup root), for source-side suppression.
@@ -221,8 +223,11 @@ func (e *Engine) Attach(s *protocol.Session) {
 	}
 	if e.opt.Resilience.Enabled {
 		e.roster = core.NewRoster(p)
-	} else {
-		e.strategies = p.PlanAll()
+		return
+	}
+	e.strategies = make([]*core.Strategy, len(s.Tree.Parent))
+	for i, st := range p.PlanAllDense() {
+		e.strategies[s.Tree.Clients[i]] = st
 	}
 }
 
@@ -232,6 +237,9 @@ func (e *Engine) Attach(s *protocol.Session) {
 func (e *Engine) Strategy(c graph.NodeID) *core.Strategy {
 	if e.roster != nil {
 		return e.roster.Strategy(c)
+	}
+	if int(c) < 0 || int(c) >= len(e.strategies) {
+		return nil
 	}
 	return e.strategies[c]
 }

@@ -2,10 +2,13 @@ package rpproto
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"rmcast/internal/core"
 	"rmcast/internal/graph"
 	"rmcast/internal/protocol"
+	"rmcast/internal/rng"
 	"rmcast/internal/topology"
 )
 
@@ -439,5 +442,36 @@ func TestSubgroupDepthTwo(t *testing.T) {
 	// `outside` (which has the packet) must never see a duplicate.
 	if res.Stats.Duplicates != 0 {
 		t.Fatalf("repair leaked outside the subgroup: %d duplicates", res.Stats.Duplicates)
+	}
+}
+
+// TestStrategyIndexesAttachPlans pins the attach-time plan layout: every
+// client's plan equals the planner's own, anything else (the source,
+// routers, IDs outside the network) reads nil, and a shard clone shares
+// the parent's plans instead of replanning.
+func TestStrategyIndexesAttachPlans(t *testing.T) {
+	topo := topology.MustGenerate(topology.DefaultConfig(40), rng.New(3))
+	e := New(DefaultOptions())
+	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 1, Interval: 10}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.NewPlanner(s.Tree, s.Routes)
+	for _, c := range topo.Clients {
+		if want := p.StrategyFor(c); !reflect.DeepEqual(e.Strategy(c), want) {
+			t.Fatalf("client %d: attach plan %v, planner %v", c, e.Strategy(c), want)
+		}
+	}
+	for _, v := range []graph.NodeID{topo.Source, s.Tree.Parent[topo.Clients[0]], -1, graph.NodeID(1 << 20)} {
+		if st := e.Strategy(v); st != nil {
+			t.Fatalf("Strategy(%d) = %v, want nil", v, st)
+		}
+	}
+	clone := e.CloneForShard().(*Engine)
+	clone.Attach(s)
+	for _, c := range topo.Clients {
+		if clone.Strategy(c) != e.Strategy(c) {
+			t.Fatalf("client %d: shard clone replanned instead of sharing", c)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rmcast/internal/core"
 	"rmcast/internal/graph"
@@ -411,5 +412,38 @@ func TestHist(t *testing.T) {
 	}
 	if (&Hist{}).Quantile(0.99) != 0 {
 		t.Fatal("empty histogram quantile != 0")
+	}
+}
+
+// TestStressRejectsBadArgs pins Stress's argument checks: a negative reader
+// count, a non-positive duration and an empty client list are errors, not
+// a makeslice panic or a division by a zero elapsed time; zero readers is a
+// churn-only run.
+func TestStressRejectsBadArgs(t *testing.T) {
+	p := svcPlanner(t, 40, 1, false)
+	svc := New(p, Config{})
+	defer svc.Close()
+	clients := p.Tree.Clients
+	for _, tc := range []struct {
+		name    string
+		clients []graph.NodeID
+		readers int
+		d       time.Duration
+	}{
+		{"negative readers", clients, -1, time.Millisecond},
+		{"zero duration", clients, 1, 0},
+		{"negative duration", clients, 1, -time.Second},
+		{"no clients", nil, 1, time.Millisecond},
+	} {
+		if _, err := Stress(svc, tc.clients, tc.readers, 100, tc.d); err == nil {
+			t.Errorf("%s: Stress accepted the arguments", tc.name)
+		}
+	}
+	res, err := Stress(svc, clients, 0, 1000, 20*time.Millisecond)
+	if err != nil {
+		t.Fatalf("churn-only run: %v", err)
+	}
+	if res.Queries != 0 {
+		t.Fatalf("churn-only run counted %d queries", res.Queries)
 	}
 }

@@ -1,6 +1,8 @@
 package strategysvc
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,8 +87,18 @@ type StressResult struct {
 // churn). It reports aggregate throughput, latency quantiles, and the
 // applier's batching counters. Queries-per-second on a host with fewer
 // cores than readers measures time-slicing, not parallel speedup — readers
-// never block each other, but they still share the silicon.
-func Stress(svc *Service, clients []graph.NodeID, readers, churnRate int, d time.Duration) StressResult {
+// never block each other, but they still share the silicon. A negative
+// reader count, a non-positive duration or an empty client list is an
+// error.
+func Stress(svc *Service, clients []graph.NodeID, readers, churnRate int, d time.Duration) (StressResult, error) {
+	switch {
+	case readers < 0:
+		return StressResult{}, fmt.Errorf("strategysvc: stress reader count %d is negative", readers)
+	case d <= 0:
+		return StressResult{}, fmt.Errorf("strategysvc: stress duration %v is not positive", d)
+	case len(clients) == 0:
+		return StressResult{}, errors.New("strategysvc: stress needs at least one client")
+	}
 	stop := make(chan struct{})
 	var churnWG sync.WaitGroup
 	if churnRate > 0 {
@@ -152,5 +164,5 @@ func Stress(svc *Service, clients []graph.NodeID, readers, churnRate int, d time
 		Stats:   svc.Stats(),
 		Version: snap.Version,
 		Epoch:   snap.Epoch,
-	}
+	}, nil
 }

@@ -82,6 +82,11 @@ const (
 
 // Router is the routing abstraction consumed by planning and simulation:
 // either the omniscient oracle or a converged link-state protocol instance.
+// Implementations must be safe for concurrent readers: planning a group of
+// more than 2048 clients (RP's attach-time plan in SimulateFull) queries
+// RTT from several goroutines at once. LinkStateRouting's Router fills its
+// tables lazily and is safe there because a session prepares the source
+// and every client before it plans.
 type Router = route.Router
 
 // Tracer receives structured simulation events (see package trace).
@@ -94,6 +99,9 @@ type TraceEvent = trace.Event
 type LinkStateStats = lsr.Stats
 
 // TimeoutPolicy chooses per-attempt timeouts for planning and recovery.
+// Implementations must be safe for concurrent use: planning a group of
+// more than 2048 clients (Strategies, NewRoster) calls Timeout from several
+// goroutines at once.
 type TimeoutPolicy = core.TimeoutPolicy
 
 // FixedTimeout is a constant per-attempt timeout (ms).
@@ -139,7 +147,8 @@ func Binary(depth int, delay float64) (*Topology, error) { return topology.Binar
 // PlannerOptions tunes strategy computation.
 type PlannerOptions struct {
 	// Timeout is the per-attempt timeout policy; nil means
-	// ProportionalTimeout(3), the experiments' default.
+	// ProportionalTimeout(3), the experiments' default. It must be safe
+	// for concurrent use (see TimeoutPolicy).
 	Timeout TimeoutPolicy
 	// AllowDirectSource permits the u→S edge of the strategy graph
 	// (the paper's unrestricted form). The zero value of PlannerOptions
