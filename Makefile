@@ -94,22 +94,26 @@ figures:
 cover:
 	$(GO) test -cover ./...
 
-fuzz:
-	$(GO) test -fuzz FuzzEvalAny -fuzztime 30s ./internal/core
-	$(GO) test -fuzz FuzzCondLossProb -fuzztime 30s ./internal/core
-	$(GO) test -fuzz FuzzRosterChurn -fuzztime 30s ./internal/core
-	$(GO) test -fuzz FuzzSchedule -fuzztime 30s ./internal/fault
-	$(GO) test -fuzz FuzzMutator -fuzztime 30s ./internal/experiment
+# Every fuzz target, as package:Name. `fuzz` runs each for 30 s and
+# `fuzz-short` (CI) for 5 s; names are anchored because -fuzz must match
+# exactly one target.
+FUZZ_TARGETS := \
+	./internal/core:FuzzEvalAny \
+	./internal/core:FuzzCondLossProb \
+	./internal/core:FuzzRosterChurn \
+	./internal/core:FuzzFastPathEquivalence \
+	./internal/fault:FuzzSchedule \
+	./internal/experiment:FuzzMutator \
+	./internal/protocol/coop:FuzzCoopDecode \
+	./internal/protocol/rpproto:FuzzElection
+FUZZTIME_fuzz := 30s
+FUZZTIME_fuzz-short := 5s
 
-# Quick fuzz pass for CI: a few seconds per target.
-fuzz-short:
-	$(GO) test -fuzz FuzzEvalAny -fuzztime 5s ./internal/core
-	$(GO) test -fuzz FuzzCondLossProb -fuzztime 5s ./internal/core
-	$(GO) test -fuzz FuzzRosterChurn -fuzztime 5s ./internal/core
-	$(GO) test -fuzz FuzzSchedule -fuzztime 5s ./internal/fault
-	$(GO) test -fuzz FuzzMutator -fuzztime 5s ./internal/experiment
-	$(GO) test -fuzz FuzzCoopDecode -fuzztime 5s ./internal/protocol/coop
-	$(GO) test -fuzz FuzzElection -fuzztime 5s ./internal/protocol/rpproto
+fuzz fuzz-short:
+	@for t in $(FUZZ_TARGETS); do \
+		echo "$(GO) test -fuzz ^$${t#*:}\$$ -fuzztime $(FUZZTIME_$@) $${t%%:*}"; \
+		$(GO) test -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME_$@) $${t%%:*} || exit 1; \
+	done
 
 # Long-haul adversarial soak: the full default mutation sweep at production
 # scale plus max-intensity mutation layered over mid-severity chaos, strict

@@ -46,7 +46,7 @@ func main() {
 		simWorkers = flag.Int("simworkers", 0,
 			"with -fig scaling: add a serial-vs-sharded simulation phase per cell at this worker count (0 = off)")
 		domainSize = flag.Int("domainsize", 0,
-			"with -fig scaling: run the sharded half of the simulation phase in hierarchical-domain mode at about this many clients per domain (0 = classic sharding)")
+			"with -fig scaling: clients per recovery domain in the sharded half of the simulation phase (0 = max(8, ⌈clients/8⌉), i.e. 2 to 8 domains)")
 	)
 	flag.Parse()
 

@@ -22,7 +22,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"text/tabwriter"
 
 	"rmcast/internal/experiment"
@@ -62,7 +61,7 @@ func main() {
 		simWorkers = flag.Int("simworkers", 0,
 			"shard a single run across this many workers (conservative parallel engine; 0/1 = serial, output is bit-identical either way; ineligible configs fall back to serial). With -scaling, adds a serial-vs-sharded simulation phase per cell")
 		domainSize = flag.Int("domainsize", 0,
-			"hierarchical-domain mode: partition the group into recovery domains of about this many clients, one engine per domain (requires -simworkers >= 2; the domain count never depends on the worker count, so output stays bit-identical). Also applies to -scaling's simulation phase")
+			"clients per recovery domain of a sharded run, one engine per domain (requires -simworkers >= 2; 0 = max(8, ⌈clients/8⌉), i.e. 2 to 8 domains; the domain count never depends on the worker count, so output stays bit-identical). Also applies to -scaling's simulation phase")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
@@ -98,12 +97,9 @@ func main() {
 	}
 
 	if *list {
-		for _, p := range append(append([]string{}, experiment.PaperProtocols...), experiment.AblationProtocols...) {
+		for _, p := range experiment.Engines() {
 			fmt.Println(p)
 		}
-		fmt.Println("RP-RESILIENT")
-		fmt.Println("RP-FAILOVER")
-		fmt.Println("COOP")
 		return
 	}
 
@@ -256,49 +252,23 @@ func main() {
 		}
 		sess.Trace = tracer
 		res := sess.Run()
-		if res.Stats.Unrecovered > 0 || !res.Complete {
-			return nil, fmt.Errorf("%s left %d losses unrecovered (complete=%v)",
-				p, res.Stats.Unrecovered, res.Complete)
+		if err := experiment.Check(res); err != nil {
+			return nil, fmt.Errorf("%s %w", p, err)
 		}
 		return res, nil
 	}
 
 	workers := *parallel
-	if workers < 1 || tracer != nil {
+	if tracer != nil {
 		workers = 1
 	}
-	if workers > len(protos) {
-		workers = len(protos)
-	}
 	results := make([]*protocol.Result, len(protos))
-	errs := make([]error, len(protos))
-	if workers <= 1 {
-		for i, p := range protos {
-			results[i], errs[i] = runOne(p)
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					results[i], errs[i] = runOne(protos[i])
-				}
-			}()
-		}
-		for i := range protos {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rmsim: %v\n", err)
-			os.Exit(1)
-		}
+	if _, err := experiment.Each(len(protos), workers, func(i int) (err error) {
+		results[i], err = runOne(protos[i])
+		return err
+	}); err != nil {
+		fmt.Fprintf(os.Stderr, "rmsim: %v\n", err)
+		os.Exit(1)
 	}
 
 	// Sharding was requested but some run fell back to the byte-exact serial
@@ -311,7 +281,7 @@ func main() {
 			}
 			if res.Domains > 0 {
 				fmt.Fprintf(os.Stderr, "rmsim: %s ran in %d recovery domains (~%d clients each)\n",
-					p, res.Domains, *domainSize)
+					p, res.Domains, protocol.DomainSize(res.Clients, *domainSize))
 			}
 		}
 	}

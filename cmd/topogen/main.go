@@ -148,13 +148,13 @@ func writeJSON(net *topology.Network) error {
 }
 
 func writeSVG(net *topology.Network, overlay bool) error {
-	var strategies map[graph.NodeID]*core.Strategy
+	var strategies []*core.Strategy
 	if overlay {
 		tree, err := mtree.Build(net)
 		if err != nil {
 			return err
 		}
-		strategies = core.NewPlanner(tree, route.Build(net)).PlanAll()
+		strategies = core.NewPlanner(tree, route.Build(net)).PlanAllDense()
 	}
 	c, err := viz.Topology(net, strategies, 1000, 700)
 	if err != nil {

@@ -77,6 +77,9 @@ func ExampleProtocols() {
 	// SRM-ADAPT
 	// FEC
 	// ACK
+	// RP-RESILIENT
+	// RP-FAILOVER
+	// COOP
 }
 
 // ExampleNewRoster shows incremental strategy maintenance under churn.

@@ -1,10 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-
-	"rmcast/internal/fault"
-)
+import "rmcast/internal/fault"
 
 // AdversarialProtocols are the engines compared by the adversarial sweep:
 // the paper's three plus the source-recovery floor, all carrying the
@@ -66,78 +62,28 @@ func DefaultAdversarial() MutationSweep {
 
 // Run executes the sweep and returns the four adversarial figures.
 func (m MutationSweep) Run() (delivery, latency, p99, bandwidth *Figure, err error) {
-	protocols := m.Protocols
-	if protocols == nil {
-		protocols = AdversarialProtocols
-	}
-	reps := m.Replicates
-	if reps < 1 {
-		reps = 1
-	}
+	g := newGrid("mutation intensity", m.Protocols, AdversarialProtocols, m.Intensities, "mut=%g")
 	span := float64(m.Packets) * m.Interval
-	specs := make([]RunSpec, 0, len(m.Intensities)*len(protocols)*reps)
-	for ii, intensity := range m.Intensities {
-		// One shared config per intensity: MutationConfig is read-only
-		// after construction (the mutator clamps into a private copy), so
-		// parallel cells can alias it safely.
-		mut := fault.MutationFromIntensity(intensity, span)
-		for _, proto := range protocols {
-			for rep := 0; rep < reps; rep++ {
-				specs = append(specs, RunSpec{
-					Routers:  m.Routers,
-					Loss:     m.BaseLoss,
-					Protocol: proto,
-					Packets:  m.Packets,
-					Interval: m.Interval,
-					// One fixed topology for the whole sweep; traffic seeds
-					// vary per (intensity, replicate) so every protocol
-					// faces the same stream fates within a cell.
-					TopoSeed: m.BaseSeed,
-					SimSeed:  m.BaseSeed + uint64(ii)*100 + uint64(rep) + 1,
-					Mutation: mut,
-				})
-			}
+	err = g.run(m.Replicates, m.Parallel, func(row, rep int) RunSpec {
+		return RunSpec{
+			Routers:  m.Routers,
+			Loss:     m.BaseLoss,
+			Packets:  m.Packets,
+			Interval: m.Interval,
+			// One fixed topology for the whole sweep; traffic seeds vary per
+			// (intensity, replicate) so every protocol faces the same stream
+			// fates within a cell.
+			TopoSeed: m.BaseSeed,
+			SimSeed:  m.BaseSeed + uint64(row)*100 + uint64(rep) + 1,
+			Mutation: fault.MutationFromIntensity(m.Intensities[row], span),
 		}
+	})
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
-	results, failed, rerr := runCells(specs, m.Parallel)
-	if rerr != nil {
-		ii := failed / (len(protocols) * reps)
-		pi := failed / reps % len(protocols)
-		return nil, nil, nil, nil, fmt.Errorf("intensity %g %s rep %d: %w",
-			m.Intensities[ii], protocols[pi], failed%reps, rerr)
-	}
-	var rows []Row
-	idx := 0
-	for _, intensity := range m.Intensities {
-		row := Row{X: intensity, Label: fmt.Sprintf("mut=%g", intensity), Points: map[string]Point{}}
-		for _, proto := range protocols {
-			var agg Point
-			for rep := 0; rep < reps; rep++ {
-				p := cellPoint(results[idx])
-				idx++
-				if rep == 0 {
-					agg = p
-				} else {
-					agg.merge(p)
-				}
-			}
-			row.Points[proto] = agg
-		}
-		rows = append(rows, row)
-	}
-	mk := func(name, ylabel, metric string) *Figure {
-		return &Figure{
-			Name:      name,
-			XLabel:    "mutation intensity",
-			YLabel:    ylabel,
-			Metric:    metric,
-			Protocols: protocols,
-			Rows:      rows,
-		}
-	}
-	delivery = mk("Adversarial: delivery ratio vs mutation intensity", "delivered fraction", "delivery")
-	latency = mk("Adversarial: mean recovery latency vs mutation intensity", "latency (ms)", "latency")
-	p99 = mk("Adversarial: p99 recovery latency vs mutation intensity", "latency (ms)", "p99")
-	bandwidth = mk("Adversarial: recovery bandwidth vs mutation intensity", "bandwidth (hops)", "bandwidth")
-	return delivery, latency, p99, bandwidth, nil
+	return g.figure("Adversarial: delivery ratio vs mutation intensity", "delivered fraction", "delivery"),
+		g.figure("Adversarial: mean recovery latency vs mutation intensity", "latency (ms)", "latency"),
+		g.figure("Adversarial: p99 recovery latency vs mutation intensity", "latency (ms)", "p99"),
+		g.figure("Adversarial: recovery bandwidth vs mutation intensity", "bandwidth (hops)", "bandwidth"),
+		nil
 }

@@ -1,10 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-
-	"rmcast/internal/fault"
-)
+import "rmcast/internal/fault"
 
 // ChaosSweep is the robustness evaluation: one fixed topology driven through
 // rising fault severity — client crashes (some permanent), link outage
@@ -71,76 +67,29 @@ func chaosParams(severity, baseLoss float64, packets int, interval float64) faul
 
 // Run executes the sweep and returns the four robustness figures.
 func (c ChaosSweep) Run() (delivery, latency, p99, bandwidth *Figure, err error) {
-	protocols := c.Protocols
-	if protocols == nil {
-		protocols = ChaosProtocols
-	}
-	reps := c.Replicates
-	if reps < 1 {
-		reps = 1
-	}
-	specs := make([]RunSpec, 0, len(c.Severities)*len(protocols)*reps)
-	for si, sev := range c.Severities {
-		cp := chaosParams(sev, c.BaseLoss, c.Packets, c.Interval)
-		for _, proto := range protocols {
-			for rep := 0; rep < reps; rep++ {
-				specs = append(specs, RunSpec{
-					Routers:  c.Routers,
-					Loss:     c.BaseLoss,
-					Protocol: proto,
-					Packets:  c.Packets,
-					Interval: c.Interval,
-					// One fixed topology for the whole sweep; traffic and
-					// fault seeds vary per (severity, replicate) and the
-					// fault seed is protocol-independent, so every engine
-					// faces the same schedule.
-					TopoSeed:  c.BaseSeed,
-					SimSeed:   c.BaseSeed + uint64(si)*100 + uint64(rep) + 1,
-					Chaos:     &cp,
-					FaultSeed: c.BaseSeed + 0xc4a05 + uint64(si)*100 + uint64(rep),
-				})
-			}
+	g := newGrid("chaos severity", c.Protocols, ChaosProtocols, c.Severities, "sev=%g")
+	err = g.run(c.Replicates, c.Parallel, func(row, rep int) RunSpec {
+		cp := chaosParams(c.Severities[row], c.BaseLoss, c.Packets, c.Interval)
+		return RunSpec{
+			Routers:  c.Routers,
+			Loss:     c.BaseLoss,
+			Packets:  c.Packets,
+			Interval: c.Interval,
+			// One fixed topology for the whole sweep; traffic and fault
+			// seeds vary per (severity, replicate) and the fault seed is
+			// protocol-independent, so every engine faces the same schedule.
+			TopoSeed:  c.BaseSeed,
+			SimSeed:   c.BaseSeed + uint64(row)*100 + uint64(rep) + 1,
+			Chaos:     &cp,
+			FaultSeed: c.BaseSeed + 0xc4a05 + uint64(row)*100 + uint64(rep),
 		}
+	})
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
-	results, failed, rerr := runCells(specs, c.Parallel)
-	if rerr != nil {
-		si := failed / (len(protocols) * reps)
-		pi := failed / reps % len(protocols)
-		return nil, nil, nil, nil, fmt.Errorf("severity %g %s rep %d: %w",
-			c.Severities[si], protocols[pi], failed%reps, rerr)
-	}
-	var rows []Row
-	idx := 0
-	for _, sev := range c.Severities {
-		row := Row{X: sev, Label: fmt.Sprintf("sev=%g", sev), Points: map[string]Point{}}
-		for _, proto := range protocols {
-			var agg Point
-			for rep := 0; rep < reps; rep++ {
-				p := cellPoint(results[idx])
-				idx++
-				if rep == 0 {
-					agg = p
-				} else {
-					agg.merge(p)
-				}
-			}
-			row.Points[proto] = agg
-		}
-		rows = append(rows, row)
-	}
-	mk := func(name, ylabel, metric string) *Figure {
-		return &Figure{
-			Name:      name,
-			XLabel:    "chaos severity",
-			YLabel:    ylabel,
-			Metric:    metric,
-			Protocols: protocols,
-			Rows:      rows,
-		}
-	}
-	delivery = mk("Chaos: delivery ratio vs fault severity", "delivered fraction", "delivery")
-	latency = mk("Chaos: mean recovery latency vs fault severity", "latency (ms)", "latency")
-	p99 = mk("Chaos: p99 recovery latency vs fault severity", "latency (ms)", "p99")
-	bandwidth = mk("Chaos: recovery bandwidth vs fault severity", "bandwidth (hops)", "bandwidth")
-	return delivery, latency, p99, bandwidth, nil
+	return g.figure("Chaos: delivery ratio vs fault severity", "delivered fraction", "delivery"),
+		g.figure("Chaos: mean recovery latency vs fault severity", "latency (ms)", "latency"),
+		g.figure("Chaos: p99 recovery latency vs fault severity", "latency (ms)", "p99"),
+		g.figure("Chaos: recovery bandwidth vs fault severity", "bandwidth (hops)", "bandwidth"),
+		nil
 }

@@ -1,10 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-
-	"rmcast/internal/fault"
-)
+import "rmcast/internal/fault"
 
 // ChurnSweep is the mobility-style robustness evaluation: one fixed
 // topology driven through rising churn rates, with the crash waves aimed at
@@ -63,76 +59,30 @@ func churnParams(rate float64, packets int, interval float64) fault.ChurnParams 
 
 // Run executes the sweep and returns the four churn figures.
 func (c ChurnSweep) Run() (delivery, latency, p99, failovers *Figure, err error) {
-	protocols := c.Protocols
-	if protocols == nil {
-		protocols = ChurnProtocols
-	}
-	reps := c.Replicates
-	if reps < 1 {
-		reps = 1
-	}
-	specs := make([]RunSpec, 0, len(c.Rates)*len(protocols)*reps)
-	for ri, rate := range c.Rates {
-		cp := churnParams(rate, c.Packets, c.Interval)
-		for _, proto := range protocols {
-			for rep := 0; rep < reps; rep++ {
-				specs = append(specs, RunSpec{
-					Routers:  c.Routers,
-					Loss:     c.BaseLoss,
-					Protocol: proto,
-					Packets:  c.Packets,
-					Interval: c.Interval,
-					// One fixed topology for the whole sweep; traffic and
-					// fault seeds vary per (rate, replicate) and the fault
-					// seed is protocol-independent, so every engine faces
-					// the same crash waves.
-					TopoSeed:  c.BaseSeed,
-					SimSeed:   c.BaseSeed + uint64(ri)*100 + uint64(rep) + 1,
-					Churn:     &cp,
-					FaultSeed: c.BaseSeed + 0xcf41 + uint64(ri)*100 + uint64(rep),
-				})
-			}
+	g := newGrid("churn rate", c.Protocols, ChurnProtocols, c.Rates, "churn=%g")
+	err = g.run(c.Replicates, c.Parallel, func(row, rep int) RunSpec {
+		cp := churnParams(c.Rates[row], c.Packets, c.Interval)
+		return RunSpec{
+			Routers:  c.Routers,
+			Loss:     c.BaseLoss,
+			Packets:  c.Packets,
+			Interval: c.Interval,
+			// One fixed topology for the whole sweep; traffic and fault
+			// seeds vary per (rate, replicate) and the fault seed is
+			// protocol-independent, so every engine faces the same crash
+			// waves.
+			TopoSeed:  c.BaseSeed,
+			SimSeed:   c.BaseSeed + uint64(row)*100 + uint64(rep) + 1,
+			Churn:     &cp,
+			FaultSeed: c.BaseSeed + 0xcf41 + uint64(row)*100 + uint64(rep),
 		}
+	})
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
-	results, failed, rerr := runCells(specs, c.Parallel)
-	if rerr != nil {
-		ri := failed / (len(protocols) * reps)
-		pi := failed / reps % len(protocols)
-		return nil, nil, nil, nil, fmt.Errorf("churn %g %s rep %d: %w",
-			c.Rates[ri], protocols[pi], failed%reps, rerr)
-	}
-	var rows []Row
-	idx := 0
-	for _, rate := range c.Rates {
-		row := Row{X: rate, Label: fmt.Sprintf("churn=%g", rate), Points: map[string]Point{}}
-		for _, proto := range protocols {
-			var agg Point
-			for rep := 0; rep < reps; rep++ {
-				p := cellPoint(results[idx])
-				idx++
-				if rep == 0 {
-					agg = p
-				} else {
-					agg.merge(p)
-				}
-			}
-			row.Points[proto] = agg
-		}
-		rows = append(rows, row)
-	}
-	mk := func(name, ylabel, metric string) *Figure {
-		return &Figure{
-			Name:      name,
-			XLabel:    "churn rate",
-			YLabel:    ylabel,
-			Metric:    metric,
-			Protocols: protocols,
-			Rows:      rows,
-		}
-	}
-	delivery = mk("Churn: delivery ratio vs churn rate", "delivered fraction", "delivery")
-	latency = mk("Churn: mean recovery latency vs churn rate", "latency (ms)", "latency")
-	p99 = mk("Churn: p99 recovery latency vs churn rate", "latency (ms)", "p99")
-	failovers = mk("Churn: RP failovers vs churn rate", "failovers per run", "failovers")
-	return delivery, latency, p99, failovers, nil
+	return g.figure("Churn: delivery ratio vs churn rate", "delivered fraction", "delivery"),
+		g.figure("Churn: mean recovery latency vs churn rate", "latency (ms)", "latency"),
+		g.figure("Churn: p99 recovery latency vs churn rate", "latency (ms)", "p99"),
+		g.figure("Churn: RP failovers vs churn rate", "failovers per run", "failovers"),
+		nil
 }

@@ -6,6 +6,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 
 	"rmcast/internal/core"
@@ -41,80 +42,87 @@ var ChaosProtocols = []string{"SRM", "RMA", "RP", "RP-RESILIENT", "COOP"}
 // failover mode whose RP the churn driver deliberately kills.
 var ChurnProtocols = []string{"SRM", "RP", "RP-RESILIENT", "RP-FAILOVER"}
 
-// NewEngine constructs a protocol engine by name. Recognised names:
-//
-//	SRM          — Scalable Reliable Multicast baseline
-//	RMA          — Reliable Multicast Architecture baseline
-//	RP           — the paper's recovery strategy (default options)
-//	RP-AWARE     — RP planned with the loss-aware model (core/aware.go)
-//	RP-NOSRC     — RP with the restricted strategy graph (no direct u→S edge)
-//	RP-NAK       — RP with explicit NAK replies instead of pure timeouts
-//	RP-SUBGROUP  — RP with source subgroup-multicast repairs ([4])
-//	RP-RESILIENT — RP with the crash/churn hardening layer (retry budgets,
-//	               dead-peer suspicion, roster-driven replanning)
-//	RP-FAILOVER  — coordinated-RP mode with epoch-fenced deterministic
-//	               re-election and state handover when the RP crashes
-//	SRC          — pure unicast source recovery (ablation floor)
-//	SRM-HONEST   — SRM without the paper's idealised one-flood-per-packet
-//	               repair cost model (distributed suppression only)
-//	SRM-ADAPT    — SRM-HONEST plus Floyd-style adaptive timer widening
-//	FEC          — proactive parity baseline (reference [5]): K=8 data +
-//	               2 parity per block, local decode, source fallback
-//	ACK          — sender-initiated positive-ACK baseline (reference [21]);
-//	               shows the ACK-implosion cost in request hops
-//	COOP         — cooperative coded repair: block-level symbol
-//	               solicitation from strategy-ranked peers over disjoint
-//	               coded ranges, decode at rank K, source as bounded last
-//	               resort
+// engines is the engine table NewEngine builds from, in listing order. A
+// variant is one option set applied to its engine's DefaultOptions; every
+// variant backs a figure or an E7 ablation reading (EXPERIMENTS.md).
+var engines = []struct {
+	name string
+	new  func() protocol.Engine
+}{
+	// Scalable Reliable Multicast baseline.
+	{"SRM", srmWith(nil)},
+	// Reliable Multicast Architecture baseline.
+	{"RMA", variant(rma.DefaultOptions, rma.New, nil)},
+	// The paper's recovery strategy.
+	{"RP", rpWith(nil)},
+	// RP planned with the loss-aware model (core/aware.go).
+	{"RP-AWARE", rpWith(func(o *rpproto.Options) { o.LossAware = true })},
+	// RP with the restricted strategy graph (no direct u→S edge).
+	{"RP-NOSRC", rpWith(func(o *rpproto.Options) { o.AllowDirectSource = false })},
+	// RP with explicit NAK replies instead of pure timeouts.
+	{"RP-NAK", rpWith(func(o *rpproto.Options) { o.NakReplies = true })},
+	// RP with source subgroup-multicast repairs ([4]).
+	{"RP-SUBGROUP", rpWith(func(o *rpproto.Options) { o.SubgroupRepair = true })},
+	// Pure unicast source recovery (ablation floor).
+	{"SRC", variant(srcrec.DefaultOptions, srcrec.New, nil)},
+	// SRM without the paper's idealised one-flood-per-packet repair cost
+	// model (distributed suppression only).
+	{"SRM-HONEST", srmWith(func(o *srm.Options) { o.GlobalSuppression = false })},
+	// SRM-HONEST plus Floyd-style adaptive timer widening.
+	{"SRM-ADAPT", srmWith(func(o *srm.Options) { o.GlobalSuppression, o.Adaptive = false, true })},
+	// Proactive parity baseline (reference [5]): K=8 data + 2 parity per
+	// block, local decode, source fallback.
+	{"FEC", variant(fec.DefaultOptions, fec.New, nil)},
+	// Sender-initiated positive-ACK baseline (reference [21]); shows the
+	// ACK-implosion cost in request hops.
+	{"ACK", variant(ack.DefaultOptions, ack.New, nil)},
+	// RP with the crash/churn hardening layer (retry budgets, dead-peer
+	// suspicion, roster-driven replanning).
+	{"RP-RESILIENT", rpWith(func(o *rpproto.Options) { o.Resilience = rpproto.DefaultResilience() })},
+	// Coordinated-RP mode with epoch-fenced deterministic re-election and
+	// state handover when the RP crashes.
+	{"RP-FAILOVER", rpWith(func(o *rpproto.Options) { o.Failover = rpproto.DefaultFailover() })},
+	// Cooperative coded repair: block-level symbol solicitation from
+	// strategy-ranked peers over disjoint coded ranges, decode at rank K,
+	// source as bounded last resort.
+	{"COOP", variant(coop.DefaultOptions, coop.New, nil)},
+}
+
+// variant returns a constructor that applies set (nil: nothing) to
+// defaults() and builds the engine from the result.
+func variant[O any, E protocol.Engine](defaults func() O, build func(O) E, set func(*O)) func() protocol.Engine {
+	return func() protocol.Engine {
+		opt := defaults()
+		if set != nil {
+			set(&opt)
+		}
+		return build(opt)
+	}
+}
+
+func rpWith(set func(*rpproto.Options)) func() protocol.Engine {
+	return variant(rpproto.DefaultOptions, rpproto.New, set)
+}
+
+func srmWith(set func(*srm.Options)) func() protocol.Engine {
+	return variant(srm.DefaultOptions, srm.New, set)
+}
+
+// Engines lists every name NewEngine accepts, in table order.
+func Engines() []string {
+	names := make([]string, len(engines))
+	for i, e := range engines {
+		names[i] = e.name
+	}
+	return names
+}
+
+// NewEngine constructs a protocol engine by name (see Engines).
 func NewEngine(name string) (protocol.Engine, error) {
-	switch name {
-	case "SRM":
-		return srm.New(srm.DefaultOptions()), nil
-	case "SRM-HONEST":
-		opt := srm.DefaultOptions()
-		opt.GlobalSuppression = false
-		return srm.New(opt), nil
-	case "SRM-ADAPT":
-		opt := srm.DefaultOptions()
-		opt.GlobalSuppression = false
-		opt.Adaptive = true
-		return srm.New(opt), nil
-	case "RMA":
-		return rma.New(rma.DefaultOptions()), nil
-	case "RP":
-		return rpproto.New(rpproto.DefaultOptions()), nil
-	case "RP-AWARE":
-		opt := rpproto.DefaultOptions()
-		opt.LossAware = true
-		return rpproto.New(opt), nil
-	case "RP-NOSRC":
-		opt := rpproto.DefaultOptions()
-		opt.AllowDirectSource = false
-		return rpproto.New(opt), nil
-	case "RP-NAK":
-		opt := rpproto.DefaultOptions()
-		opt.NakReplies = true
-		return rpproto.New(opt), nil
-	case "RP-SUBGROUP":
-		opt := rpproto.DefaultOptions()
-		opt.SubgroupRepair = true
-		return rpproto.New(opt), nil
-	case "RP-RESILIENT":
-		opt := rpproto.DefaultOptions()
-		opt.Resilience = rpproto.DefaultResilience()
-		return rpproto.New(opt), nil
-	case "RP-FAILOVER":
-		opt := rpproto.DefaultOptions()
-		opt.Failover = rpproto.DefaultFailover()
-		return rpproto.New(opt), nil
-	case "SRC":
-		return srcrec.New(srcrec.DefaultOptions()), nil
-	case "FEC":
-		return fec.New(fec.DefaultOptions()), nil
-	case "ACK":
-		return ack.New(ack.DefaultOptions()), nil
-	case "COOP":
-		return coop.New(coop.DefaultOptions()), nil
+	for _, e := range engines {
+		if e.name == name {
+			return e.new(), nil
+		}
 	}
 	return nil, fmt.Errorf("experiment: unknown protocol %q", name)
 }
@@ -126,7 +134,7 @@ type RunSpec struct {
 	Routers int
 	// Loss is the uniform per-link loss probability.
 	Loss float64
-	// Protocol names the engine (see NewEngine).
+	// Protocol names the engine (see Engines).
 	Protocol string
 	// Packets and Interval configure the data stream.
 	Packets  int
@@ -217,18 +225,24 @@ func Run(spec RunSpec) (*protocol.Result, error) {
 		return nil, err
 	}
 	res := s.Run()
-	if !res.Complete {
-		return res, fmt.Errorf("experiment: run %+v hit the event cap", spec)
-	}
-	if res.Stats.Unrecovered > 0 {
-		return res, fmt.Errorf("experiment: run %+v left %d losses unrecovered",
-			spec, res.Stats.Unrecovered)
-	}
-	if len(res.Violations) > 0 {
-		return res, fmt.Errorf("experiment: run %+v violated %d invariants: %s",
-			spec, len(res.Violations), res.Violations[0])
+	if err := Check(res); err != nil {
+		return res, fmt.Errorf("experiment: run %+v %w", spec, err)
 	}
 	return res, nil
+}
+
+// Check is the failed-run rule: a run failed if it hit the event cap, left
+// a loss unrecovered, or violated an invariant of the oracle.
+func Check(res *protocol.Result) error {
+	switch {
+	case !res.Complete:
+		return errors.New("hit the event cap")
+	case res.Stats.Unrecovered > 0:
+		return fmt.Errorf("left %d losses unrecovered", res.Stats.Unrecovered)
+	case len(res.Violations) > 0:
+		return fmt.Errorf("violated %d invariants: %s", len(res.Violations), res.Violations[0])
+	}
+	return nil
 }
 
 // Point is one measured (protocol, x) cell of a figure.

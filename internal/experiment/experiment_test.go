@@ -5,11 +5,19 @@ import (
 	"strings"
 	"testing"
 
+	"rmcast/internal/protocol"
 	"rmcast/internal/topology"
 )
 
+// TestNewEngineNames walks the engine table: names are unique, each builds
+// an engine, and every sweep's protocol list names only table entries.
 func TestNewEngineNames(t *testing.T) {
-	for _, name := range append(append([]string{}, PaperProtocols...), AblationProtocols...) {
+	known := map[string]bool{}
+	for _, name := range Engines() {
+		if known[name] {
+			t.Fatalf("%s listed twice", name)
+		}
+		known[name] = true
 		e, err := NewEngine(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -18,8 +26,46 @@ func TestNewEngineNames(t *testing.T) {
 			t.Fatalf("%s: nil engine", name)
 		}
 	}
+	lists := map[string][]string{
+		"Paper": PaperProtocols, "Ablation": AblationProtocols, "Chaos": ChaosProtocols,
+		"Churn": ChurnProtocols, "Adversarial": AdversarialProtocols,
+	}
+	for list, names := range lists {
+		for _, name := range names {
+			if !known[name] {
+				t.Errorf("%sProtocols names %s, which is not in Engines()", list, name)
+			}
+		}
+	}
 	if _, err := NewEngine("BOGUS"); err == nil {
 		t.Fatal("unknown protocol accepted")
+	}
+}
+
+// TestCheck covers the failed-run rule on synthetic results.
+func TestCheck(t *testing.T) {
+	clean := func() *protocol.Result { return &protocol.Result{Complete: true} }
+	capped := clean()
+	capped.Complete = false
+	lost := clean()
+	lost.Stats.Unrecovered = 3
+	violated := clean()
+	violated.Violations = []string{"double delivery", "phantom repair"}
+	for _, c := range []struct {
+		name string
+		res  *protocol.Result
+		want string
+	}{
+		{"event cap", capped, "hit the event cap"},
+		{"unrecovered loss", lost, "left 3 losses unrecovered"},
+		{"oracle violation", violated, "violated 2 invariants: double delivery"},
+	} {
+		if err := Check(c.res); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Check = %v, want %q", c.name, err, c.want)
+		}
+	}
+	if err := Check(clean()); err != nil {
+		t.Errorf("clean run: Check = %v, want nil", err)
 	}
 }
 

@@ -1,11 +1,11 @@
 package experiment
 
-// Golden-digest gate for hierarchical-domain mode (Config.DomainClients):
+// Golden-digest gate for an explicit domain size (Config.DomainClients):
 // a domain-sharded run must be byte-identical to the serial run at every
 // worker count, because the domain layout is a pure function of the tree and
 // the domain size. The Figure-5 cell at DomainClients=8 partitions its group
 // into ⌈clients/8⌉ domains, exercising the window machinery at domain
-// granularity rather than the classic fixed shard count.
+// granularity rather than the default 2 to 8 domains.
 
 import (
 	"fmt"

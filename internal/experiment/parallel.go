@@ -5,17 +5,18 @@
 // traffic and protocol streams from that seed via rng.Split. No state flows
 // between cells, so the grid can be executed by any number of workers in
 // any order and still produce bit-identical figures — determinism lives in
-// the seeds, not in the schedule. runCells exploits that: it fans cells out
-// to a bounded worker pool and gathers results into a slice indexed by cell
-// position, so aggregation always proceeds in the same deterministic order
-// the serial loop used.
+// the seeds, not in the schedule. Each exploits that: it fans indices out
+// to a bounded worker pool, the grid gathers results into a slice indexed
+// by cell position, and aggregation always proceeds in the same
+// deterministic order the serial loop used.
 //
-// parallel <= 1 bypasses the pool entirely and runs the exact legacy serial
-// loop (including its stop-at-first-error behaviour), which keeps
-// `-parallel 1` a faithful reference for the byte-identical-output tests.
+// workers <= 1 bypasses the pool entirely and runs the serial loop
+// (including its stop-at-first-error behaviour), which keeps `-parallel 1`
+// a faithful reference for the byte-identical-output tests.
 package experiment
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 
@@ -26,49 +27,108 @@ import (
 // one worker per available CPU.
 func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 
-// runCells executes every spec and returns results in spec order. On
-// failure it returns the failing cell's index and error — the lowest index
-// if several cells fail, so the reported error does not depend on
-// scheduling. With parallel <= 1 the cells run serially in order and
-// execution stops at the first error, exactly as the pre-pool harness did.
-func runCells(specs []RunSpec, parallel int) ([]*protocol.Result, int, error) {
-	results := make([]*protocol.Result, len(specs))
-	if parallel <= 1 {
-		for i, spec := range specs {
-			res, err := Run(spec)
-			if err != nil {
-				return nil, i, err
+// Each calls f(i) for every i in [0, n) on up to workers goroutines and
+// returns the lowest failing index with its error, or -1 and nil, so the
+// reported failure does not depend on scheduling. With workers <= 1 the
+// calls run in order and stop at the first failure.
+func Each(n, workers int, f func(i int) error) (int, error) {
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := f(i); err != nil {
+				return i, err
 			}
-			results[i] = res
 		}
-		return results, -1, nil
+		return -1, nil
 	}
-	if parallel > len(specs) {
-		parallel = len(specs)
-	}
-	errs := make([]error, len(specs))
+	workers = min(workers, n)
+	errs := make([]error, n)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results[i], errs[i] = Run(specs[i])
+				errs[i] = f(i)
 			}
 		}()
 	}
-	for i := range specs {
+	for i := 0; i < n; i++ {
 		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, i, err
+			return i, err
 		}
 	}
-	return results, -1, nil
+	return -1, nil
+}
+
+// grid is one sweep's row × protocol × replicate layout and, once run, its
+// measured rows.
+type grid struct {
+	xlabel    string
+	protocols []string
+	rows      []Row // X and Label set by the sweep; run fills Points
+}
+
+// newGrid lays out one row per x value, labelled by format (e.g. "p=%g%%"),
+// comparing protocols (defaults when nil).
+func newGrid(xlabel string, protocols, defaults []string, xs []float64, format string) *grid {
+	if protocols == nil {
+		protocols = defaults
+	}
+	rows := make([]Row, len(xs))
+	for i, x := range xs {
+		rows[i] = Row{X: x, Label: fmt.Sprintf(format, x)}
+	}
+	return &grid{xlabel: xlabel, protocols: protocols, rows: rows}
+}
+
+// run executes every cell on the pool and folds each (row, protocol)'s
+// replicates with Point.merge. spec returns the cell at (row, replicate);
+// run sets its Protocol, so every protocol of a row faces the same seeds.
+// A failing cell is named by its row label, protocol and replicate.
+func (g *grid) run(replicates, parallel int, spec func(row, rep int) RunSpec) error {
+	reps := max(replicates, 1)
+	per := len(g.protocols) * reps
+	results := make([]*protocol.Result, len(g.rows)*per)
+	failed, err := Each(len(results), parallel, func(i int) (err error) {
+		s := spec(i/per, i%reps)
+		s.Protocol = g.protocols[i%per/reps]
+		results[i], err = Run(s)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("%s %s rep %d: %w",
+			g.rows[failed/per].Label, g.protocols[failed%per/reps], failed%reps, err)
+	}
+	for r := range g.rows {
+		g.rows[r].Points = make(map[string]Point, len(g.protocols))
+		for pi, proto := range g.protocols {
+			cells := results[r*per+pi*reps:][:reps]
+			agg := cellPoint(cells[0])
+			for _, res := range cells[1:] {
+				agg.merge(cellPoint(res))
+			}
+			g.rows[r].Points[proto] = agg
+		}
+	}
+	return nil
+}
+
+// figure returns one metric's view of the grid's rows.
+func (g *grid) figure(name, ylabel, metric string) *Figure {
+	return &Figure{
+		Name:      name,
+		XLabel:    g.xlabel,
+		YLabel:    ylabel,
+		Metric:    metric,
+		Protocols: g.protocols,
+		Rows:      g.rows,
+	}
 }
 
 // cellPoint converts one run result into a figure point.

@@ -2,7 +2,10 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rmcast/internal/rng"
@@ -122,21 +125,57 @@ func TestAblationSweepParallel(t *testing.T) {
 	}
 }
 
-// TestRunCellsErrorIndexDeterministic asserts a failing grid reports the
-// lowest failing index regardless of worker count.
-func TestRunCellsErrorIndexDeterministic(t *testing.T) {
-	specs := []RunSpec{
-		{Routers: 40, Loss: 0.05, Protocol: "RP", Packets: 5, Interval: 50, TopoSeed: 1, SimSeed: 1},
-		{Routers: 40, Loss: 0.05, Protocol: "NO-SUCH", Packets: 5, Interval: 50, TopoSeed: 1, SimSeed: 1},
-		{Routers: 40, Loss: 0.05, Protocol: "ALSO-BAD", Packets: 5, Interval: 50, TopoSeed: 1, SimSeed: 1},
-	}
+// TestEachErrorIndexDeterministic asserts the pool reports the lowest
+// failing index regardless of worker count, and that the serial path stops
+// at it.
+func TestEachErrorIndexDeterministic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		_, idx, err := runCells(specs, workers)
+		var calls atomic.Int32
+		idx, err := Each(6, workers, func(i int) error {
+			calls.Add(1)
+			if i == 2 || i == 4 {
+				return fmt.Errorf("cell %d", i)
+			}
+			return nil
+		})
+		if idx != 2 || err == nil || err.Error() != "cell 2" {
+			t.Fatalf("parallel=%d: got (%d, %v), want (2, cell 2)", workers, idx, err)
+		}
+		if workers == 1 && calls.Load() != 3 {
+			t.Fatalf("serial path ran %d calls, want 3 (stop at the failure)", calls.Load())
+		}
+	}
+	if idx, err := Each(3, 4, func(int) error { return nil }); idx != -1 || err != nil {
+		t.Fatalf("clean run: got (%d, %v), want (-1, nil)", idx, err)
+	}
+}
+
+// TestSweepErrorNamesCell asserts a failing sweep names its cell by row
+// label, protocol and replicate, identically at any worker count.
+func TestSweepErrorNamesCell(t *testing.T) {
+	var want string
+	for _, workers := range []int{1, 4} {
+		l := LossSweep{
+			Routers:    40,
+			LossPcts:   []float64{5, 10},
+			Protocols:  []string{"RP", "NO-SUCH"},
+			Packets:    5,
+			Interval:   50,
+			Replicates: 2,
+			BaseSeed:   1,
+			Parallel:   workers,
+		}
+		_, _, err := l.Run()
 		if err == nil {
 			t.Fatalf("parallel=%d: expected error", workers)
 		}
-		if idx != 1 {
-			t.Fatalf("parallel=%d: failing index %d, want 1", workers, idx)
+		if !strings.HasPrefix(err.Error(), `p=5% NO-SUCH rep 0: `) {
+			t.Fatalf("parallel=%d: error %q does not name the cell", workers, err)
+		}
+		if want == "" {
+			want = err.Error()
+		} else if err.Error() != want {
+			t.Fatalf("parallel=%d: error %q, want %q", workers, err, want)
 		}
 	}
 }

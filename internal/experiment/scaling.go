@@ -43,10 +43,9 @@ type ScalingSweep struct {
 	SimWorkers int
 	// SimPackets sizes the simulation phase; 0 means 20.
 	SimPackets int
-	// DomainClients, when positive, runs the sharded half of the simulation
-	// phase in hierarchical-domain mode (protocol.Config.DomainClients): one
-	// engine per ~DomainClients-member recovery domain instead of the classic
-	// fixed shard count. This is the million-client execution mode; the
+	// DomainClients sizes the recovery domains of the sharded half of the
+	// simulation phase (protocol.Config.DomainClients; 0 means 2 to 8
+	// domains). Small domains are the million-client execution mode; the
 	// digest-equality gate applies unchanged.
 	DomainClients int
 }

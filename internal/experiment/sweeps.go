@@ -1,9 +1,5 @@
 package experiment
 
-import (
-	"fmt"
-)
-
 // GroupSizeSweep reproduces Figures 5 and 6: the three protocols across
 // growing network sizes at fixed loss.
 type GroupSizeSweep struct {
@@ -43,78 +39,34 @@ func PaperFigure56() GroupSizeSweep {
 // Run executes the sweep and returns the latency figure (Figure 5) and the
 // bandwidth figure (Figure 6).
 func (g GroupSizeSweep) Run() (latency, bandwidth *Figure, err error) {
-	protocols := g.Protocols
-	if protocols == nil {
-		protocols = PaperProtocols
+	sizes := make([]float64, len(g.Sizes))
+	for i, n := range g.Sizes {
+		sizes[i] = float64(n)
 	}
-	reps := g.Replicates
-	if reps < 1 {
-		reps = 1
+	gr := newGrid("clients", g.Protocols, PaperProtocols, sizes, "n=%.0f")
+	err = gr.run(g.Replicates, g.Parallel, func(row, rep int) RunSpec {
+		return RunSpec{
+			Routers:  g.Sizes[row],
+			Loss:     g.Loss,
+			Packets:  g.Packets,
+			Interval: g.Interval,
+			TopoSeed: g.BaseSeed + uint64(row)*1000,
+			SimSeed:  g.BaseSeed + uint64(row)*1000 + uint64(rep) + 1,
+		}
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	// Lay out the cell grid in the serial iteration order (size, protocol,
-	// replicate); each cell's seeds depend only on its grid position, so
-	// execution order cannot perturb them.
-	specs := make([]RunSpec, 0, len(g.Sizes)*len(protocols)*reps)
-	for si, size := range g.Sizes {
-		topoSeed := g.BaseSeed + uint64(si)*1000
-		for _, proto := range protocols {
-			for rep := 0; rep < reps; rep++ {
-				specs = append(specs, RunSpec{
-					Routers:  size,
-					Loss:     g.Loss,
-					Protocol: proto,
-					Packets:  g.Packets,
-					Interval: g.Interval,
-					TopoSeed: topoSeed,
-					SimSeed:  g.BaseSeed + uint64(si)*1000 + uint64(rep) + 1,
-				})
-			}
+	// Every protocol of a row runs on the row's one topology, so any point's
+	// client count is the row's x.
+	if len(gr.protocols) > 0 {
+		for i, row := range gr.rows {
+			gr.rows[i].X = float64(row.Points[gr.protocols[0]].Clients)
 		}
 	}
-	results, failed, rerr := runCells(specs, g.Parallel)
-	if rerr != nil {
-		si := failed / (len(protocols) * reps)
-		pi := failed / reps % len(protocols)
-		return nil, nil, fmt.Errorf("size %d %s rep %d: %w",
-			g.Sizes[si], protocols[pi], failed%reps, rerr)
-	}
-	var rows []Row
-	idx := 0
-	for range g.Sizes {
-		row := Row{X: 0, Label: fmt.Sprintf("n=%d", specs[idx].Routers), Points: map[string]Point{}}
-		for _, proto := range protocols {
-			var agg Point
-			for rep := 0; rep < reps; rep++ {
-				p := cellPoint(results[idx])
-				idx++
-				if rep == 0 {
-					agg = p
-				} else {
-					agg.merge(p)
-				}
-			}
-			row.Points[proto] = agg
-			row.X = float64(agg.Clients)
-		}
-		rows = append(rows, row)
-	}
-	latency = &Figure{
-		Name:      "Figure 5: average recovery latency per packet recovered",
-		XLabel:    "clients",
-		YLabel:    "latency (ms)",
-		Metric:    "latency",
-		Protocols: protocols,
-		Rows:      rows,
-	}
-	bandwidth = &Figure{
-		Name:      "Figure 6: average bandwidth usage per packet recovered",
-		XLabel:    "clients",
-		YLabel:    "bandwidth (hops)",
-		Metric:    "bandwidth",
-		Protocols: protocols,
-		Rows:      rows,
-	}
-	return latency, bandwidth, nil
+	return gr.figure("Figure 5: average recovery latency per packet recovered", "latency (ms)", "latency"),
+		gr.figure("Figure 6: average bandwidth usage per packet recovered", "bandwidth (hops)", "bandwidth"),
+		nil
 }
 
 // LossSweep reproduces Figures 7 and 8: a fixed topology across loss rates.
@@ -152,75 +104,25 @@ func PaperFigure78() LossSweep {
 // Run executes the sweep and returns the latency figure (Figure 7) and the
 // bandwidth figure (Figure 8).
 func (l LossSweep) Run() (latency, bandwidth *Figure, err error) {
-	protocols := l.Protocols
-	if protocols == nil {
-		protocols = PaperProtocols
-	}
-	reps := l.Replicates
-	if reps < 1 {
-		reps = 1
-	}
-	specs := make([]RunSpec, 0, len(l.LossPcts)*len(protocols)*reps)
-	for li, pct := range l.LossPcts {
-		for _, proto := range protocols {
-			for rep := 0; rep < reps; rep++ {
-				specs = append(specs, RunSpec{
-					Routers:  l.Routers,
-					Loss:     pct / 100,
-					Protocol: proto,
-					Packets:  l.Packets,
-					Interval: l.Interval,
-					// One fixed topology for the whole sweep (the paper
-					// reports n=500 generating k=208 clients once).
-					TopoSeed: l.BaseSeed,
-					SimSeed:  l.BaseSeed + uint64(li)*100 + uint64(rep) + 1,
-				})
-			}
+	gr := newGrid("per-link loss (%)", l.Protocols, PaperProtocols, l.LossPcts, "p=%g%%")
+	err = gr.run(l.Replicates, l.Parallel, func(row, rep int) RunSpec {
+		return RunSpec{
+			Routers:  l.Routers,
+			Loss:     l.LossPcts[row] / 100,
+			Packets:  l.Packets,
+			Interval: l.Interval,
+			// One fixed topology for the whole sweep (the paper reports
+			// n=500 generating k=208 clients once).
+			TopoSeed: l.BaseSeed,
+			SimSeed:  l.BaseSeed + uint64(row)*100 + uint64(rep) + 1,
 		}
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	results, failed, rerr := runCells(specs, l.Parallel)
-	if rerr != nil {
-		li := failed / (len(protocols) * reps)
-		pi := failed / reps % len(protocols)
-		return nil, nil, fmt.Errorf("p=%g%% %s rep %d: %w",
-			l.LossPcts[li], protocols[pi], failed%reps, rerr)
-	}
-	var rows []Row
-	idx := 0
-	for _, pct := range l.LossPcts {
-		row := Row{X: pct, Label: fmt.Sprintf("p=%g%%", pct), Points: map[string]Point{}}
-		for _, proto := range protocols {
-			var agg Point
-			for rep := 0; rep < reps; rep++ {
-				p := cellPoint(results[idx])
-				idx++
-				if rep == 0 {
-					agg = p
-				} else {
-					agg.merge(p)
-				}
-			}
-			row.Points[proto] = agg
-		}
-		rows = append(rows, row)
-	}
-	latency = &Figure{
-		Name:      "Figure 7: average delay per packet recovered vs loss",
-		XLabel:    "per-link loss (%)",
-		YLabel:    "latency (ms)",
-		Metric:    "latency",
-		Protocols: protocols,
-		Rows:      rows,
-	}
-	bandwidth = &Figure{
-		Name:      "Figure 8: average bandwidth usage per packet recovered vs loss",
-		XLabel:    "per-link loss (%)",
-		YLabel:    "bandwidth (hops)",
-		Metric:    "bandwidth",
-		Protocols: protocols,
-		Rows:      rows,
-	}
-	return latency, bandwidth, nil
+	return gr.figure("Figure 7: average delay per packet recovered vs loss", "latency (ms)", "latency"),
+		gr.figure("Figure 8: average bandwidth usage per packet recovered vs loss", "bandwidth (hops)", "bandwidth"),
+		nil
 }
 
 // AblationSweep compares RP variants (and the source floor) on one

@@ -1,13 +1,14 @@
 // Conservative parallel execution of one session (Config.SimWorkers ≥ 2):
 // a Chandy–Misra–Bryant-style windowed runner over tree shards.
 //
-// The multicast tree is partitioned into K contiguous preorder bands of
-// routers, hosts riding with their access router (mtree.PartitionTree). Each
-// shard gets its own event engine, network instance, and protocol-engine
-// clone; a host's events execute only on its owner shard. Cross-shard
-// packets are the only coupling: a path from one shard to another crosses at
-// least one cut link, so a remote delivery arrives no earlier than its send
-// time plus the partition lookahead Δ. The runner therefore alternates
+// The multicast tree is partitioned into K recovery domains, or shards:
+// contiguous preorder bands of routers, hosts riding with their access
+// router (mtree.PartitionDomains, sized by DomainSize). Each shard gets its
+// own event engine, network instance, and protocol-engine clone; a host's
+// events execute only on its owner shard. Cross-shard packets are the only
+// coupling: a path from one shard to another crosses at least one cut link,
+// so a remote delivery arrives no earlier than its send time plus the
+// partition lookahead Δ. The runner therefore alternates
 //
 //	ingest:  hand every outbox delivery to its owner shard
 //	window:  each shard executes all events in [T0, T0+Δ)
@@ -61,18 +62,18 @@ type ShardCloner interface {
 	CloneForShard() Engine
 }
 
-// shardCount fixes K as a pure function of the group size — never of the
-// worker count — so results are invariant under SimWorkers by construction:
-// any worker count simulates the same K logical shards.
-func shardCount(clients int) int {
-	k := clients / 8
-	if k > 8 {
-		k = 8
+// DomainSize is the recovery-domain size a sharded run partitions by:
+// domainClients (Config.DomainClients) when positive, else
+// max(8, ⌈clients/8⌉), which keeps the domain count K in [2, 8] for every
+// group large enough to shard. Either way K is a function of the group
+// size only — never of the worker count — so results are invariant under
+// SimWorkers by construction: any worker count simulates the same K
+// logical shards.
+func DomainSize(clients, domainClients int) int {
+	if domainClients > 0 {
+		return domainClients
 	}
-	if k < 2 {
-		k = 2
-	}
-	return k
+	return max(8, (clients+7)/8)
 }
 
 // minParallelClients is the smallest group worth partitioning (below it the
@@ -149,25 +150,15 @@ func (s *Session) planParallel() (ShardCloner, *mtree.Partition, string) {
 	if cloner == nil {
 		return nil, nil, reason
 	}
-	if s.cfg.DomainClients > 0 {
-		// Hierarchical-domain mode: the domain count is ⌈clients/DomainClients⌉
-		// — a pure function of the tree and the domain size, never of the
-		// worker count, so domain runs keep the worker-invariance property of
-		// the classic partition.
-		part := mtree.PartitionDomains(s.Tree, s.cfg.DomainClients)
-		if part.K < 2 {
-			return nil, nil, fmt.Sprintf(
-				"domain mode: group fits a single domain (%d clients ≤ %d per domain)",
-				len(s.Topo.Clients), s.cfg.DomainClients)
-		}
-		if part.Lookahead <= 0 || math.IsInf(part.Lookahead, 1) {
-			return nil, nil, "domain mode: degenerate domain partition (no usable lookahead)"
-		}
-		return cloner, part, ""
+	size := DomainSize(len(s.Topo.Clients), s.cfg.DomainClients)
+	part := mtree.PartitionDomains(s.Tree, size)
+	if part.K < 2 {
+		return nil, nil, fmt.Sprintf(
+			"domain mode: group fits a single domain (%d clients ≤ %d per domain)",
+			len(s.Topo.Clients), size)
 	}
-	part := mtree.PartitionTree(s.Tree, shardCount(len(s.Topo.Clients)))
-	if part.K < 2 || part.Lookahead <= 0 || math.IsInf(part.Lookahead, 1) {
-		return nil, nil, "degenerate tree partition (no usable lookahead)"
+	if part.Lookahead <= 0 || math.IsInf(part.Lookahead, 1) {
+		return nil, nil, "domain mode: degenerate domain partition (no usable lookahead)"
 	}
 	return cloner, part, ""
 }
@@ -324,12 +315,10 @@ func (s *Session) runSharded() *Result {
 		}
 	}
 	res := s.mergeShards(shards, master, faultState, total, endTime, complete)
-	if s.cfg.DomainClients > 0 {
-		// Execution metadata only — both fields are outside the result digest,
-		// so a domain run hashes identically to its serial twin.
-		res.Domains = k
-		res.Aggregators = core.DomainAggregators(s.Tree, part)
-	}
+	// Execution metadata only — both fields are outside the result digest,
+	// so a sharded run hashes identically to its serial twin.
+	res.Domains = k
+	res.Aggregators = core.DomainAggregators(s.Tree, part)
 	return res
 }
 

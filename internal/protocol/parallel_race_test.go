@@ -69,11 +69,13 @@ func TestParallelRaceHammer(t *testing.T) {
 	serial := raceRun(t, topo, 0)
 	parallel := raceRun(t, topo, 4)
 	// The execution-mode fields legitimately differ (the parallel run
-	// reports Sharded); parity is about the simulation outcome.
+	// reports Sharded and its domains); parity is about the simulation
+	// outcome.
 	if !parallel.Sharded {
 		t.Fatal("parallel run did not shard")
 	}
 	parallel.Sharded, parallel.SerialReason = serial.Sharded, serial.SerialReason
+	parallel.Domains, parallel.Aggregators = serial.Domains, serial.Aggregators
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("parallel result diverged from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}

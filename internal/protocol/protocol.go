@@ -164,14 +164,14 @@ type Config struct {
 	// engine without shard support) silently fall back to the serial path,
 	// so any worker count is always safe. 0 or 1 means serial.
 	SimWorkers int
-	// DomainClients, when positive and SimWorkers ≥ 2, switches the parallel
-	// engine to hierarchical-domain mode: the tree is partitioned into local
-	// recovery domains of about this many clients each
-	// (mtree.PartitionDomains) instead of the fixed small shard count, one
-	// engine per domain, cross-domain traffic merged through the same
-	// lookahead-window runner. The domain count is a pure function of
-	// (group size, DomainClients) — never of SimWorkers — so digests stay
-	// bit-identical at any worker count. This is the million-client tier's
+	// DomainClients sizes the recovery domains of a sharded run
+	// (SimWorkers ≥ 2): the tree is partitioned into local recovery domains
+	// of about this many clients each (mtree.PartitionDomains), one engine
+	// per domain, cross-domain traffic merged through the lookahead-window
+	// runner. 0 means max(8, ⌈clients/8⌉), i.e. 2 to 8 domains (see
+	// DomainSize). The domain count is a pure function of (group size,
+	// DomainClients) — never of SimWorkers — so digests stay bit-identical
+	// at any worker count. Small domains are the million-client tier's
 	// execution mode: per-domain state is O(n/K), so no single engine ever
 	// materialises the full group. Ineligible configurations fall back to
 	// serial with a "domain mode: …" SerialReason.
@@ -347,8 +347,8 @@ type Result struct {
 	// users stop guessing why -simworkers made no difference.
 	Sharded      bool
 	SerialReason string
-	// Domains is the recovery-domain count of a hierarchical-domain run
-	// (Config.DomainClients; 0 for serial and classic sharded runs), and
+	// Domains is the recovery-domain count of a sharded run (0 for serial
+	// runs; see Config.DomainClients), and
 	// Aggregators its per-domain aggregator hosts — each domain's best
 	// Algorithm-1 candidate (core.DomainAggregators). Both are execution
 	// metadata, deliberately outside the result digest: a domain run must

@@ -80,8 +80,9 @@ func TreeLayout(t *mtree.Tree, w, h float64) map[graph.NodeID][2]float64 {
 // Topology renders a network with its multicast tree highlighted. When
 // strategies is non-nil, each client's first-choice peer is drawn as an
 // orange overlay arc (the "who asks whom first" picture of the paper's RP
-// lists).
-func Topology(net *topology.Network, strategies map[graph.NodeID]*core.Strategy, w, h float64) (*Canvas, error) {
+// lists). strategies is a dense plan (core.Planner.PlanAllDense); arcs are
+// drawn in its order, so the output is byte-stable.
+func Topology(net *topology.Network, strategies []*core.Strategy, w, h float64) (*Canvas, error) {
 	t, err := mtree.Build(net)
 	if err != nil {
 		return nil, err
@@ -111,11 +112,11 @@ func Topology(net *topology.Network, strategies map[graph.NodeID]*core.Strategy,
 	}
 	// Strategy overlay: client → first peer.
 	if strategies != nil {
-		for u, st := range strategies {
-			if len(st.Peers) == 0 {
+		for _, st := range strategies {
+			if st == nil || len(st.Peers) == 0 {
 				continue
 			}
-			a, b := pos[u], pos[st.Peers[0].Peer]
+			a, b := pos[st.Client], pos[st.Peers[0].Peer]
 			c.Line(a[0], a[1], b[0], b[1], colOverlay, 1.0)
 		}
 	}

@@ -2,7 +2,9 @@ package viz
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/xml"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -105,7 +107,7 @@ func TestTopologySVG(t *testing.T) {
 	net := topology.MustGenerate(topology.DefaultConfig(60), rng.New(7))
 	tr := mtree.MustBuild(net)
 	p := core.NewPlanner(tr, route.Build(net))
-	c, err := Topology(net, p.PlanAll(), 800, 600)
+	c, err := Topology(net, p.PlanAllDense(), 800, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func TestTopologySVG(t *testing.T) {
 	}
 	// Lines: every link once, plus one overlay per client with peers.
 	withPeers := 0
-	for _, st := range p.PlanAll() {
+	for _, st := range p.PlanAllDense() {
 		if len(st.Peers) > 0 {
 			withPeers++
 		}
@@ -127,6 +129,35 @@ func TestTopologySVG(t *testing.T) {
 	if counts["line"] != net.NumLinks()+withPeers {
 		t.Fatalf("lines %d != links %d + overlays %d",
 			counts["line"], net.NumLinks(), withPeers)
+	}
+}
+
+// topologySVGDigest pins TestTopologySVGStable's rendering.
+const topologySVGDigest = "18d28af01aac7f6e"
+
+// TestTopologySVGStable renders one network with its strategy overlay twice,
+// each from a fresh planner, and requires equal bytes and a pinned digest:
+// the overlay arcs follow the dense plan's client order.
+func TestTopologySVGStable(t *testing.T) {
+	net := topology.MustGenerate(topology.DefaultConfig(60), rng.New(7))
+	render := func() []byte {
+		p := core.NewPlanner(mtree.MustBuild(net), route.Build(net))
+		c, err := Topology(net, p.PlanAllDense(), 800, 600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := c.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	a, b := render(), render()
+	if !bytes.Equal(a, b) {
+		t.Fatal("two renderings of one network differ")
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(a))[:16]; got != topologySVGDigest {
+		t.Fatalf("SVG digest %s, want %s", got, topologySVGDigest)
 	}
 }
 

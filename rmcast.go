@@ -209,10 +209,7 @@ func StrategyFor(t *Topology, client NodeID, opt PlannerOptions) (*Strategy, err
 }
 
 // Protocols lists the recovery protocols Simulate accepts.
-func Protocols() []string {
-	return append(append([]string{}, experiment.PaperProtocols...),
-		"RP-AWARE", "RP-NOSRC", "RP-NAK", "RP-SUBGROUP", "SRC", "SRM-HONEST", "SRM-ADAPT", "FEC", "ACK")
-}
+func Protocols() []string { return experiment.Engines() }
 
 // DefaultSessionConfig returns the experiments' session parameters.
 func DefaultSessionConfig() SessionConfig { return protocol.DefaultConfig() }

@@ -2,7 +2,10 @@ package rmcast
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"rmcast/internal/experiment"
 )
 
 func TestPublicTopologyAndStrategies(t *testing.T) {
@@ -46,6 +49,14 @@ func TestStrategyForRejectsNonClients(t *testing.T) {
 		if st, err := StrategyFor(topo, id, DefaultPlannerOptions()); err == nil {
 			t.Fatalf("StrategyFor(%d) = %v, want an error", id, st)
 		}
+	}
+}
+
+// TestProtocolsMatchEngineTable pins the facade's protocol list to the
+// engine table NewEngine builds from.
+func TestProtocolsMatchEngineTable(t *testing.T) {
+	if got, want := Protocols(), experiment.Engines(); !slices.Equal(got, want) {
+		t.Fatalf("Protocols() = %v, want experiment.Engines() = %v", got, want)
 	}
 }
 
