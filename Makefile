@@ -104,6 +104,7 @@ FUZZ_TARGETS := \
 	./internal/core:FuzzFastPathEquivalence \
 	./internal/fault:FuzzSchedule \
 	./internal/experiment:FuzzMutator \
+	./internal/protocol:FuzzDetectProgram \
 	./internal/protocol/coop:FuzzCoopDecode \
 	./internal/protocol/rpproto:FuzzElection
 FUZZTIME_fuzz := 30s

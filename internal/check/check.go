@@ -95,13 +95,7 @@ type Oracle struct {
 // group members. strict makes event-level safety violations panic; finish-
 // level findings are always returned, never thrown.
 func New(clients, packets int, strict bool) *Oracle {
-	o := &Oracle{
-		packets:  packets,
-		strict:   strict,
-		sent:     make([]bool, packets),
-		have:     make([][]bool, clients),
-		detected: make([][]bool, clients),
-	}
+	o := newOracle(clients, packets, strict, make([]bool, packets))
 	for i := range o.have {
 		o.have[i] = make([]bool, packets)
 		o.detected[i] = make([]bool, packets)
@@ -109,26 +103,51 @@ func New(clients, packets int, strict bool) *Oracle {
 	return o
 }
 
-// NewShard returns an oracle for one shard of a partitioned run: identical
-// to New except that the sent vector is the caller's, shared by every
-// sibling shard (and the master that later absorbs them). Only the source's
-// shard writes it — through OnSent — and the parallel runner's window
-// barriers order every cross-shard read after the write, because a remote
-// shard can only observe seq at least one lookahead after the multicast.
-func NewShard(clients, packets int, strict bool, sent []bool) *Oracle {
-	o := New(clients, packets, strict)
-	o.sent = sent
+// NewShard returns an oracle for one shard of a partitioned run. It holds
+// shadow rows only for the clients the shard owns; the other rows stay nil,
+// so an event routed to the wrong shard faults loudly. The sent vector is
+// the caller's, shared by every sibling shard and by the master that later
+// absorbs them (a master owns no rows until Absorb hands it the shards').
+// Only the source's shard writes it — through OnSent — and the parallel
+// runner's window barriers order every cross-shard read after the write,
+// because a remote shard can only observe seq at least one lookahead after
+// the multicast.
+func NewShard(clients, packets int, strict bool, sent []bool, owned []int) *Oracle {
+	o := newOracle(clients, packets, strict, sent)
+	for _, ci := range owned {
+		o.have[ci] = make([]bool, packets)
+		o.detected[ci] = make([]bool, packets)
+	}
 	return o
 }
 
-// Absorb folds a shard oracle into o: the shadow rows of the clients the
-// shard owns (disjoint across shards, so plain copies), its event counters,
-// and any violations it recorded. After absorbing every shard, o.Finish
-// checks the same global invariants a serial oracle would.
+// newOracle returns an oracle with no shadow rows yet.
+func newOracle(clients, packets int, strict bool, sent []bool) *Oracle {
+	return &Oracle{
+		packets:  packets,
+		strict:   strict,
+		sent:     sent,
+		have:     make([][]bool, clients),
+		detected: make([][]bool, clients),
+	}
+}
+
+// Absorb folds a shard oracle into o: it takes over the shadow rows of the
+// clients the shard owns (disjoint across shards; the shard is spent
+// afterwards), adds its event counters, and records any violations it
+// found. After absorbing every shard, o.Finish checks the same global
+// invariants a serial oracle would.
 func (o *Oracle) Absorb(sh *Oracle, owned []int) {
+	if sh.coded != nil && o.coded == nil {
+		// Shards enable coded mode when their engine clone attaches; the
+		// master inherits the configuration from the first coded shard.
+		o.EnableCoded(sh.coded.k, sh.coded.r)
+	}
 	for _, ci := range owned {
-		copy(o.have[ci], sh.have[ci])
-		copy(o.detected[ci], sh.detected[ci])
+		o.have[ci], o.detected[ci] = sh.have[ci], sh.detected[ci]
+		if sh.coded != nil {
+			o.coded.seen[ci], o.coded.decoded[ci] = sh.coded.seen[ci], sh.coded.decoded[ci]
+		}
 	}
 	o.losses += sh.losses
 	o.recoveries += sh.recoveries
@@ -138,15 +157,6 @@ func (o *Oracle) Absorb(sh *Oracle, owned []int) {
 	o.lateData += sh.lateData
 	o.malformed += sh.malformed
 	if sh.coded != nil {
-		// Shards enable coded mode when their engine clone attaches; the
-		// master inherits the configuration from the first coded shard.
-		if o.coded == nil {
-			o.EnableCoded(sh.coded.k, sh.coded.r)
-		}
-		for _, ci := range owned {
-			copy(o.coded.seen[ci], sh.coded.seen[ci])
-			copy(o.coded.decoded[ci], sh.coded.decoded[ci])
-		}
 		o.codedSymbols += sh.codedSymbols
 		o.codedDup += sh.codedDup
 	}
@@ -180,8 +190,10 @@ func (o *Oracle) EnableCoded(k, r int) {
 		decoded: make([][]bool, len(o.have)),
 	}
 	for i := range c.seen {
-		c.seen[i] = make([]uint64, blocks)
-		c.decoded[i] = make([]bool, blocks)
+		if o.have[i] != nil {
+			c.seen[i] = make([]uint64, blocks)
+			c.decoded[i] = make([]bool, blocks)
+		}
 	}
 	o.coded = c
 }

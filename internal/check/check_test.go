@@ -166,3 +166,39 @@ func TestViolationListBounded(t *testing.T) {
 		t.Fatalf("violation list unbounded: %d entries", len(v))
 	}
 }
+
+// TestShardOraclesOwnTheirRows splits drive's history over two shard
+// oracles, each holding only its own client's rows: an event for the other
+// client faults, and a master that absorbs both finishes as cleanly as the
+// serial oracle.
+func TestShardOraclesOwnTheirRows(t *testing.T) {
+	sent := make([]bool, 2)
+	a := NewShard(2, 2, true, sent, []int{0})
+	b := NewShard(2, 2, true, sent, []int{1})
+	if a.have[1] != nil || b.have[0] != nil {
+		t.Fatal("shard oracle allocated rows for a client it does not own")
+	}
+	a.OnSent(0)
+	a.OnSent(1)
+	a.OnData(0, 0, false, false)
+	b.OnData(1, 0, false, false)
+	b.OnData(1, 1, false, false)
+	a.OnDetect(0, 1)
+	a.OnRepair(0, 1, false, true)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("an event for a client the shard does not own did not fault")
+			}
+		}()
+		a.OnData(1, 1, false, false)
+	}()
+
+	master := NewShard(2, 2, true, sent, nil)
+	master.Absorb(a, []int{0})
+	master.Absorb(b, []int{1})
+	tot := Totals{Losses: 1, Recoveries: 1, DataDeliveries: 3, Delivered: 4}
+	if v := master.Finish(true, []bool{false, false}, tot); len(v) != 0 {
+		t.Fatalf("absorbed shards produced violations: %v", v)
+	}
+}

@@ -43,7 +43,6 @@ import (
 	"sync/atomic"
 
 	"rmcast/internal/check"
-	"rmcast/internal/core"
 	"rmcast/internal/fault"
 	"rmcast/internal/graph"
 	"rmcast/internal/metrics"
@@ -198,6 +197,11 @@ func (s *Session) runSharded() *Result {
 			return nil
 		}
 	}
+	// The run shards from here on. Each domain's sub-session holds its own
+	// clients' rows and the merge assembles the result from those, so the
+	// coordinator's per-client state is never read: drop it rather than
+	// carry a full copy beside the domains' for the whole run.
+	s.rows, s.coded, s.oracle = nil, nil, nil
 
 	// Re-derive the serial run's rng stream layout: netRand (the only
 	// stream that draws in eligible runs — data-plane loss, on the source's
@@ -220,15 +224,12 @@ func (s *Session) runSharded() *Result {
 		hosts[c] = true
 	}
 	hosts[s.Topo.Source] = true
-	for seq := 0; seq < s.cfg.Packets; seq++ {
-		s.sentAt[seq] = float64(seq) * s.cfg.Interval
-	}
 	var sent []bool
 	var master *check.Oracle
 	if s.cfg.Check != CheckOff {
 		sent = make([]bool, s.cfg.Packets)
 		master = check.NewShard(len(s.Topo.Clients), s.cfg.Packets,
-			s.cfg.Check == CheckStrict, sent)
+			s.cfg.Check == CheckStrict, sent, nil)
 	}
 
 	// One tree adjacency (CSR) shared read-only by every shard's net: at a
@@ -315,10 +316,9 @@ func (s *Session) runSharded() *Result {
 		}
 	}
 	res := s.mergeShards(shards, master, faultState, total, endTime, complete)
-	// Execution metadata only — both fields are outside the result digest,
-	// so a sharded run hashes identically to its serial twin.
+	// Execution metadata only — outside the result digest, so a sharded run
+	// hashes identically to its serial twin.
 	res.Domains = k
-	res.Aggregators = core.DomainAggregators(s.Tree, part)
 	return res
 }
 
@@ -346,18 +346,11 @@ func (s *Session) buildShard(id int32, part *mtree.Partition, engine Engine,
 		engine:    engine,
 		seed:      s.seed,
 		clientIdx: s.clientIdx,
-		received:  make([][]bool, clients),
-		detectAt:  make([][]float64, clients),
+		rows:      make([]*clientRow, clients),
 		sentAt:    s.sentAt,
-		nextExp:   make([]int, clients),
 		latHist:   metrics.NewHistogram(0, 5000, 500),
-		perClient: make([]metrics.Summary, clients),
 		numNodes:  s.numNodes,
 		latLogOn:  true,
-	}
-	if sent != nil {
-		sub.oracle = check.NewShard(clients, s.cfg.Packets,
-			s.cfg.Check == CheckStrict, sent)
 	}
 	sh := &shardRun{eng: eng, net: net, sub: sub, engine: engine}
 	for i, c := range s.Topo.Clients {
@@ -365,17 +358,17 @@ func (s *Session) buildShard(id int32, part *mtree.Partition, engine Engine,
 			continue // rows stay nil: an ownership violation faults loudly
 		}
 		sh.owned = append(sh.owned, i)
-		sub.received[i] = make([]bool, s.cfg.Packets)
-		sub.detectAt[i] = make([]float64, s.cfg.Packets)
-		for j := range sub.detectAt[i] {
-			sub.detectAt[i][j] = math.NaN()
-		}
+		sub.rows[i] = newClientRow(s.cfg.Packets)
 		c := c
 		net.SetHandler(c, func(pkt sim.Packet) { sub.onDeliver(c, pkt) })
 	}
 	if id == 0 {
 		src := s.Topo.Source
 		net.SetHandler(src, func(pkt sim.Packet) { sub.onDeliver(src, pkt) })
+	}
+	if sent != nil {
+		sub.oracle = check.NewShard(clients, s.cfg.Packets,
+			s.cfg.Check == CheckStrict, sent, sh.owned)
 	}
 	engine.Attach(sub)
 	if faultState != nil {
@@ -393,22 +386,9 @@ func (s *Session) buildShard(id int32, part *mtree.Partition, engine Engine,
 		}
 	}
 	// The shard's slice of the serial send/detect program, in the serial
-	// scheduling order (seq-major, then client) so same-instant events keep
-	// their serial relative order within the shard. The detect program alone
-	// is Packets × owned events resident at once; reserving up front avoids
-	// the growth overshoot (up to 2× the steady calendar) per domain.
-	eng.Reserve(s.cfg.Packets * (len(sh.owned) + 2))
-	for seq := 0; seq < s.cfg.Packets; seq++ {
-		at := s.sentAt[seq]
-		if id == 0 {
-			eng.ScheduleCall(at, sub, opSendData, seq, 0)
-		}
-		for _, i := range sh.owned {
-			c := s.Topo.Clients[i]
-			when := at + net.WouldArrive(c) + s.cfg.DetectLag + detectEps
-			eng.ScheduleCall(when, sub, opDetect, i, seq)
-		}
-	}
+	// tie-break order so same-instant events keep their serial relative
+	// order within the shard.
+	sub.scheduleProgram(id == 0)
 	return sh
 }
 
@@ -426,9 +406,7 @@ func (s *Session) mergeShards(shards []*shardRun, master *check.Oracle,
 		shard int
 	}
 	var lats []stamped
-	received := make([][]bool, len(s.Topo.Clients))
-	detectAt := make([][]float64, len(s.Topo.Clients))
-	perClient := make([]metrics.Summary, len(s.Topo.Clients))
+	rows := make([]*clientRow, len(s.Topo.Clients))
 	latHist := metrics.NewHistogram(0, 5000, 500)
 	for si, sh := range shards {
 		st.Losses += sh.sub.stats.Losses
@@ -453,9 +431,7 @@ func (s *Session) mergeShards(shards []*shardRun, master *check.Oracle,
 			lats = append(lats, stamped{e, si})
 		}
 		for _, i := range sh.owned {
-			received[i] = sh.sub.received[i]
-			detectAt[i] = sh.sub.detectAt[i]
-			perClient[i] = sh.sub.perClient[i]
+			rows[i] = sh.sub.rows[i]
 		}
 	}
 	// Replay in global event-time order; the stable sort keeps equal
@@ -476,13 +452,13 @@ func (s *Session) mergeShards(shards []*shardRun, master *check.Oracle,
 	down := make([]bool, len(s.Topo.Clients))
 	for i, c := range s.Topo.Clients {
 		down[i] = faultState != nil && !faultState.HostUpAt(c, endTime)
-		for seq, got := range received[i] {
+		for seq, got := range rows[i].received {
 			switch {
 			case got:
 				st.Delivered++
 			case down[i]:
 				st.UnrecoveredCrashed++
-			case !math.IsNaN(detectAt[i][seq]):
+			case !math.IsNaN(rows[i].detectAt[seq]):
 				st.Unrecovered++
 			}
 		}
@@ -523,7 +499,7 @@ func (s *Session) mergeShards(shards []*shardRun, master *check.Oracle,
 	}
 	perClientMap := make(map[graph.NodeID]metrics.Summary, len(s.Topo.Clients))
 	for i, c := range s.Topo.Clients {
-		perClientMap[c] = perClient[i]
+		perClientMap[c] = rows[i].latency
 	}
 	return &Result{
 		Violations:       violations,

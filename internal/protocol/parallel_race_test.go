@@ -75,7 +75,7 @@ func TestParallelRaceHammer(t *testing.T) {
 		t.Fatal("parallel run did not shard")
 	}
 	parallel.Sharded, parallel.SerialReason = serial.Sharded, serial.SerialReason
-	parallel.Domains, parallel.Aggregators = serial.Domains, serial.Aggregators
+	parallel.Domains = serial.Domains
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("parallel result diverged from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}

@@ -16,6 +16,14 @@
 // heartbeats; modelling that identically for all three schemes would shift
 // every latency curve by the same amount, so the idealisation preserves the
 // comparisons the paper reports.
+//
+// That schedule — the sends plus one detection per (client, packet) — is
+// laid out by one detect program (program.go) on the serial path and on
+// every domain engine alike. It keeps one pending detection per packet and
+// pushes the next when the previous one fires, at the tie-break sequence
+// number the full schedule would have given it, so the event calendar holds
+// O(packets) program events rather than O(clients × packets) and every run
+// is unchanged.
 package protocol
 
 import (
@@ -220,17 +228,18 @@ type Session struct {
 	// send, delivery, drop, detection, and recovery.
 	Trace trace.Tracer
 
-	clientIdx map[graph.NodeID]int
-	received  [][]bool    // [clientIdx][seq]
-	detectAt  [][]float64 // NaN = not (yet) detected
-	sentAt    []float64   // source send time per seq
-	nextExp   []int       // per-client next expected seq (DetectGap)
+	// clientIdx maps a NodeID to its index in Topo.Clients, -1 for
+	// non-clients; built once and shared read-only with shard sub-sessions.
+	clientIdx []int32
+	// rows holds each client's ground truth, index-aligned with
+	// Topo.Clients. A shard sub-session allocates only the rows of the
+	// clients it owns; the others stay nil, so an ownership violation
+	// faults loudly. A run that shards drops the coordinator's own rows.
+	rows   []*clientRow
+	sentAt []float64 // source send time per seq
 
 	latHist *metrics.Histogram
-	// perClient accumulates recovery latency per client (index-aligned
-	// with Topo.Clients), for per-client model validation.
-	perClient []metrics.Summary
-	stats     Stats
+	stats   Stats
 
 	// oracle is the runtime invariant checker (nil under CheckOff);
 	// numNodes caches the topology size for per-packet header validation.
@@ -255,6 +264,26 @@ type Session struct {
 	// SimWorkers ≥ 2 run fell back to the serial path (see parallel.go).
 	failover     bool
 	serialReason string
+}
+
+// clientRow is one client's ground truth: which packets it holds, when it
+// detected each loss, its recovery latency and, under gap detection, the
+// next sequence it expects.
+type clientRow struct {
+	received []bool    // [seq]
+	detectAt []float64 // [seq]; NaN = not (yet) detected
+	// latency accumulates the client's recovery latency, for per-client
+	// model validation.
+	latency metrics.Summary
+	nextExp int
+}
+
+func newClientRow(packets int) *clientRow {
+	r := &clientRow{received: make([]bool, packets), detectAt: make([]float64, packets)}
+	for seq := range r.detectAt {
+		r.detectAt[seq] = math.NaN()
+	}
+	return r
 }
 
 // codedRecovery holds the session-owned coded-symbol state: blocks of k
@@ -348,13 +377,10 @@ type Result struct {
 	Sharded      bool
 	SerialReason string
 	// Domains is the recovery-domain count of a sharded run (0 for serial
-	// runs; see Config.DomainClients), and
-	// Aggregators its per-domain aggregator hosts — each domain's best
-	// Algorithm-1 candidate (core.DomainAggregators). Both are execution
-	// metadata, deliberately outside the result digest: a domain run must
-	// hash identically to its serial twin.
-	Domains     int
-	Aggregators []graph.NodeID
+	// runs; see Config.DomainClients) — execution metadata, deliberately
+	// outside the result digest: a domain run must hash identically to its
+	// serial twin.
+	Domains int
 	// Violations lists what the invariant oracle found (nil on a clean
 	// run): end-of-run liveness and conservation findings always, plus
 	// event-level safety findings under CheckRecord. The experiment
@@ -489,25 +515,24 @@ func NewSessionPrebuilt(topo *topology.Network, tree *mtree.Tree, engine Engine,
 		cfg:       cfg,
 		engine:    engine,
 		seed:      seed,
-		clientIdx: make(map[graph.NodeID]int, len(topo.Clients)),
-		received:  make([][]bool, len(topo.Clients)),
-		detectAt:  make([][]float64, len(topo.Clients)),
+		clientIdx: make([]int32, topo.NumNodes()),
+		rows:      make([]*clientRow, len(topo.Clients)),
 		sentAt:    make([]float64, cfg.Packets),
-		nextExp:   make([]int, len(topo.Clients)),
 		latHist:   metrics.NewHistogram(0, 5000, 500),
-		perClient: make([]metrics.Summary, len(topo.Clients)),
 		numNodes:  topo.NumNodes(),
 	}
 	if cfg.Check != CheckOff {
 		s.oracle = check.New(len(topo.Clients), cfg.Packets, cfg.Check == CheckStrict)
 	}
+	for seq := range s.sentAt {
+		s.sentAt[seq] = float64(seq) * cfg.Interval
+	}
+	for n := range s.clientIdx {
+		s.clientIdx[n] = -1
+	}
 	for i, c := range topo.Clients {
-		s.clientIdx[c] = i
-		s.received[i] = make([]bool, cfg.Packets)
-		s.detectAt[i] = make([]float64, cfg.Packets)
-		for j := range s.detectAt[i] {
-			s.detectAt[i][j] = math.NaN()
-		}
+		s.clientIdx[c] = int32(i)
+		s.rows[i] = newClientRow(cfg.Packets)
 	}
 	// Every host (clients + source) feeds deliveries through the session.
 	for _, c := range topo.Clients {
@@ -566,21 +591,30 @@ func (s *Session) Has(host graph.NodeID, seq int) bool {
 	if host == s.Topo.Source {
 		return true
 	}
-	idx, ok := s.clientIdx[host]
-	if !ok {
+	idx := s.clientIndex(host)
+	if idx < 0 {
 		return false
 	}
-	return s.received[idx][seq]
+	return s.rows[idx].received[seq]
+}
+
+// clientIndex returns host's index in Topo.Clients, or -1 for a non-client.
+func (s *Session) clientIndex(host graph.NodeID) int {
+	if uint(host) >= uint(len(s.clientIdx)) {
+		return -1
+	}
+	return int(s.clientIdx[host])
 }
 
 // Missing reports whether client c is a group member that detected the loss
 // of seq and has not recovered it yet.
 func (s *Session) Missing(c graph.NodeID, seq int) bool {
-	idx, ok := s.clientIdx[c]
-	if !ok {
+	idx := s.clientIndex(c)
+	if idx < 0 {
 		return false
 	}
-	return !s.received[idx][seq] && !math.IsNaN(s.detectAt[idx][seq])
+	r := s.rows[idx]
+	return !r.received[seq] && !math.IsNaN(r.detectAt[seq])
 }
 
 // onDeliver is the single choke point for every packet arriving at a host.
@@ -601,12 +635,13 @@ func (s *Session) onDeliver(host graph.NodeID, pkt sim.Packet) {
 			if hb, ok := pkt.Payload.(heartbeat); ok {
 				// Session message: every packet up to Highest has been
 				// sent; anything not received is now a known gap.
-				if idx, isClient := s.clientIdx[host]; isClient {
-					for seq := s.nextExp[idx]; seq <= hb.Highest; seq++ {
+				if idx := s.clientIndex(host); idx >= 0 {
+					r := s.rows[idx]
+					for seq := r.nextExp; seq <= hb.Highest; seq++ {
 						s.detectLoss(idx, host, seq)
 					}
-					if hb.Highest+1 > s.nextExp[idx] {
-						s.nextExp[idx] = hb.Highest + 1
+					if hb.Highest+1 > r.nextExp {
+						r.nextExp = hb.Highest + 1
 					}
 				}
 				return
@@ -617,15 +652,16 @@ func (s *Session) onDeliver(host graph.NodeID, pkt sim.Packet) {
 			s.engine.OnPacket(host, pkt)
 			return
 		}
-		if idx, ok := s.clientIdx[host]; ok {
+		if idx := s.clientIndex(host); idx >= 0 {
+			r := s.rows[idx]
 			if s.oracle != nil {
 				s.oracle.OnData(idx, pkt.Seq,
-					s.received[idx][pkt.Seq], !math.IsNaN(s.detectAt[idx][pkt.Seq]))
+					r.received[pkt.Seq], !math.IsNaN(r.detectAt[pkt.Seq]))
 			}
-			if !s.received[idx][pkt.Seq] {
-				s.received[idx][pkt.Seq] = true
+			if !r.received[pkt.Seq] {
+				r.received[pkt.Seq] = true
 				s.stats.DataDeliveries++
-				if !math.IsNaN(s.detectAt[idx][pkt.Seq]) {
+				if !math.IsNaN(r.detectAt[pkt.Seq]) {
 					s.stats.LateData++
 				}
 				s.emit(trace.Event{At: s.Eng.Now(), Kind: trace.RecvData,
@@ -649,7 +685,7 @@ func (s *Session) onDeliver(host graph.NodeID, pkt sim.Packet) {
 			s.onSymbol(host, pkt, sym)
 			return
 		}
-		if idx, ok := s.clientIdx[host]; ok {
+		if idx := s.clientIndex(host); idx >= 0 {
 			s.repairArrival(idx, host, pkt)
 		} else if s.oracle != nil {
 			// Repairs crossing non-client hosts (e.g. the source seeing an
@@ -666,21 +702,22 @@ func (s *Session) onDeliver(host graph.NodeID, pkt sim.Packet) {
 // delivery — shared by plain repairs and systematic coded symbols, which
 // carry a data sequence verbatim.
 func (s *Session) repairArrival(idx int, host graph.NodeID, pkt sim.Packet) {
+	r := s.rows[idx]
 	if s.oracle != nil {
 		s.oracle.OnRepair(idx, pkt.Seq,
-			s.received[idx][pkt.Seq], !math.IsNaN(s.detectAt[idx][pkt.Seq]))
+			r.received[pkt.Seq], !math.IsNaN(r.detectAt[pkt.Seq]))
 	}
 	switch {
-	case s.received[idx][pkt.Seq]:
+	case r.received[pkt.Seq]:
 		s.stats.Duplicates++
-	case math.IsNaN(s.detectAt[idx][pkt.Seq]):
+	case math.IsNaN(r.detectAt[pkt.Seq]):
 		// Repaired before the gap was even noticed.
-		s.received[idx][pkt.Seq] = true
+		r.received[pkt.Seq] = true
 		s.stats.PreDetection++
 	default:
-		s.received[idx][pkt.Seq] = true
+		r.received[pkt.Seq] = true
 		s.stats.Recoveries++
-		s.recordLatency(idx, s.Eng.Now()-s.detectAt[idx][pkt.Seq])
+		s.recordLatency(r, s.Eng.Now()-r.detectAt[pkt.Seq])
 		s.emit(trace.Event{At: s.Eng.Now(), Kind: trace.Recover,
 			Node: int32(host), Peer: int32(pkt.From), Seq: pkt.Seq})
 	}
@@ -707,8 +744,8 @@ func (s *Session) onSymbol(host graph.NodeID, pkt sim.Packet, sym sim.Symbol) {
 	}
 	lo := b * cr.k
 	bl := s.blockLen(b)
-	idx, ok := s.clientIdx[host]
-	if !ok {
+	idx := s.clientIndex(host)
+	if idx < 0 {
 		// Symbols are unicast to requesting clients; a copy reaching a
 		// non-client host is inert.
 		return
@@ -759,7 +796,9 @@ func (s *Session) EnableCodedRecovery(k, r int) error {
 	cr := &codedRecovery{k: k, r: r, blocks: blocks,
 		sets: make([][]uint64, len(s.Topo.Clients))}
 	for i := range cr.sets {
-		cr.sets[i] = make([]uint64, blocks)
+		if s.rows[i] != nil { // a shard holds only its own clients' rows
+			cr.sets[i] = make([]uint64, blocks)
+		}
 	}
 	s.coded = cr
 	if s.oracle != nil {
@@ -799,14 +838,14 @@ func (s *Session) BlockBounds(b int) (lo, hi int) {
 // plus distinct coded symbols. The block is decodable once the rank
 // reaches the block length.
 func (s *Session) BlockRank(c graph.NodeID, b int) int {
-	idx, ok := s.clientIdx[c]
-	if !ok || s.coded == nil {
+	idx := s.clientIndex(c)
+	if idx < 0 || s.coded == nil {
 		return 0
 	}
 	rank := bits.OnesCount64(s.coded.sets[idx][b])
 	lo, hi := s.BlockBounds(b)
 	for seq := lo; seq < hi; seq++ {
-		if s.received[idx][seq] {
+		if s.rows[idx].received[seq] {
 			rank++
 		}
 	}
@@ -816,8 +855,8 @@ func (s *Session) BlockRank(c graph.NodeID, b int) int {
 // CodedHeld returns the bitmask of coded symbol indices client c holds for
 // block b.
 func (s *Session) CodedHeld(c graph.NodeID, b int) uint64 {
-	idx, ok := s.clientIdx[c]
-	if !ok || s.coded == nil {
+	idx := s.clientIndex(c)
+	if idx < 0 || s.coded == nil {
 		return 0
 	}
 	return s.coded.sets[idx][b]
@@ -829,8 +868,8 @@ func (s *Session) CodedHeld(c graph.NodeID, b int) uint64 {
 // verifies the rank and panics on a false decode in strict mode). Returns
 // the number of sequences recovered.
 func (s *Session) DecodeBlock(c graph.NodeID, b int) int {
-	idx, ok := s.clientIdx[c]
-	if !ok || s.coded == nil || b < 0 || b >= s.coded.blocks {
+	idx := s.clientIndex(c)
+	if idx < 0 || s.coded == nil || b < 0 || b >= s.coded.blocks {
 		return 0
 	}
 	if s.oracle != nil {
@@ -839,7 +878,7 @@ func (s *Session) DecodeBlock(c graph.NodeID, b int) int {
 	n := 0
 	lo, hi := s.BlockBounds(b)
 	for seq := lo; seq < hi; seq++ {
-		if !s.received[idx][seq] && s.RecoverLocal(c, seq) {
+		if !s.rows[idx].received[seq] && s.RecoverLocal(c, seq) {
 			n++
 		}
 	}
@@ -891,7 +930,8 @@ func (s *Session) OnSimEvent(op, a, b int) {
 // earlier, fires first — or suppressed entirely for a permanent crash, in
 // which case the gap surfaces as UnrecoveredCrashed.
 func (s *Session) detectLoss(i int, c graph.NodeID, seq int) {
-	if s.received[i][seq] || !math.IsNaN(s.detectAt[i][seq]) {
+	r := s.rows[i]
+	if r.received[seq] || !math.IsNaN(r.detectAt[seq]) {
 		return
 	}
 	if f := s.Net.Fault; f != nil {
@@ -902,7 +942,7 @@ func (s *Session) detectLoss(i int, c graph.NodeID, seq int) {
 			return
 		}
 	}
-	s.detectAt[i][seq] = s.Eng.Now()
+	r.detectAt[seq] = s.Eng.Now()
 	s.stats.Losses++
 	if s.oracle != nil {
 		s.oracle.OnDetect(i, seq)
@@ -915,13 +955,14 @@ func (s *Session) detectLoss(i int, c graph.NodeID, seq int) {
 // gapScan performs sequence-gap detection at a client that just received
 // data packet seq: every undelivered packet below it is now known missing.
 func (s *Session) gapScan(idx int, c graph.NodeID, seq int) {
-	if seq < s.nextExp[idx] {
+	r := s.rows[idx]
+	if seq < r.nextExp {
 		return
 	}
-	for s2 := s.nextExp[idx]; s2 < seq; s2++ {
+	for s2 := r.nextExp; s2 < seq; s2++ {
 		s.detectLoss(idx, c, s2)
 	}
-	s.nextExp[idx] = seq + 1
+	r.nextExp = seq + 1
 }
 
 // ExpectedArrival returns the loss-free arrival time of packet seq at a
@@ -938,20 +979,24 @@ func (s *Session) ExpectedArrival(host graph.NodeID, seq int) float64 {
 // same bookkeeping as a repair arrival but no network traffic. It returns
 // false if c already holds the packet (or is not a client).
 func (s *Session) RecoverLocal(c graph.NodeID, seq int) bool {
-	idx, ok := s.clientIdx[c]
-	if !ok || s.received[idx][seq] {
+	idx := s.clientIndex(c)
+	if idx < 0 {
+		return false
+	}
+	r := s.rows[idx]
+	if r.received[seq] {
 		return false
 	}
 	if s.oracle != nil {
-		s.oracle.OnLocalRecover(idx, seq, !math.IsNaN(s.detectAt[idx][seq]))
+		s.oracle.OnLocalRecover(idx, seq, !math.IsNaN(r.detectAt[seq]))
 	}
-	s.received[idx][seq] = true
-	if math.IsNaN(s.detectAt[idx][seq]) {
+	r.received[seq] = true
+	if math.IsNaN(r.detectAt[seq]) {
 		s.stats.PreDetection++
 		return true
 	}
 	s.stats.Recoveries++
-	s.recordLatency(idx, s.Eng.Now()-s.detectAt[idx][seq])
+	s.recordLatency(r, s.Eng.Now()-r.detectAt[seq])
 	s.emit(trace.Event{At: s.Eng.Now(), Kind: trace.Recover,
 		Node: int32(c), Peer: int32(c), Seq: seq})
 	return true
@@ -959,10 +1004,10 @@ func (s *Session) RecoverLocal(c graph.NodeID, seq int) bool {
 
 // recordLatency folds one recovery latency into every accumulator, logging
 // it when the parallel runner needs an order-independent record.
-func (s *Session) recordLatency(idx int, lat float64) {
+func (s *Session) recordLatency(r *clientRow, lat float64) {
 	s.stats.Latency.Add(lat)
 	s.latHist.Add(lat)
-	s.perClient[idx].Add(lat)
+	r.latency.Add(lat)
 	if s.latLogOn {
 		s.latLog = append(s.latLog, latSample{at: s.Eng.Now(), lat: lat})
 	}
@@ -1051,18 +1096,7 @@ func (s *Session) Run() *Result {
 			maxArrive = w
 		}
 	}
-	for seq := 0; seq < s.cfg.Packets; seq++ {
-		at := float64(seq) * s.cfg.Interval
-		s.sentAt[seq] = at
-		s.Eng.ScheduleCall(at, s, opSendData, seq, 0)
-		if s.cfg.Detection == DetectIdeal {
-			// Idealised loss detection per client.
-			for i, c := range s.Topo.Clients {
-				when := at + s.Net.WouldArrive(c) + s.cfg.DetectLag + detectEps
-				s.Eng.ScheduleCall(when, s, opDetect, i, seq)
-			}
-		}
-	}
+	s.scheduleProgram(true)
 	if s.cfg.Detection == DetectGap || s.cfg.Detection == DetectSession {
 		// Tail sweep: losses of the final packets are never exposed by a
 		// later arrival (and the final heartbeat can itself be lost), so
@@ -1107,13 +1141,14 @@ func (s *Session) Run() *Result {
 		// UnrecoveredCrashed; for a live client an open gap is a liveness
 		// violation and stays in Unrecovered.
 		down := s.Net.Fault != nil && !s.Net.Fault.HostUpAt(c, s.Eng.Now())
-		for seq, got := range s.received[i] {
+		r := s.rows[i]
+		for seq, got := range r.received {
 			switch {
 			case got:
 				s.stats.Delivered++
 			case down:
 				s.stats.UnrecoveredCrashed++
-			case !math.IsNaN(s.detectAt[i][seq]):
+			case !math.IsNaN(r.detectAt[seq]):
 				s.stats.Unrecovered++
 			}
 		}
@@ -1154,7 +1189,7 @@ func (s *Session) Run() *Result {
 	}
 	perClient := make(map[graph.NodeID]metrics.Summary, len(s.Topo.Clients))
 	for i, c := range s.Topo.Clients {
-		perClient[c] = s.perClient[i]
+		perClient[c] = s.rows[i].latency
 	}
 	return &Result{
 		Violations:       violations,

@@ -13,7 +13,12 @@
 // Determinism: all randomness flows through one rng.Rand owned by the
 // caller, and simultaneous events fire in schedule order (a monotone
 // sequence number breaks time ties), so a run is a pure function of its
-// seed and configuration.
+// seed and configuration. A caller can set a block of sequence numbers
+// aside (ReserveSeq) and push an event at one of them later
+// (ScheduleCallSeq): the event then fires exactly where it would have fired
+// had it been scheduled at reservation time. The protocol layer's detect
+// program uses this to keep one pending detection per packet instead of
+// one per (client, packet), without changing any run.
 //
 // The event core is allocation-free in steady state: the calendar is a
 // hand-rolled 4-ary min-heap over typed event structs (no container/heap
@@ -149,29 +154,34 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // Pending returns the number of scheduled, not-yet-fired events.
 func (e *Engine) Pending() int { return len(e.pq) }
 
-// Reserve grows the calendar's backing array to hold at least n pending
-// events without regrowth. The hierarchical tier calls it once per domain
-// engine — each domain's steady-state event population is predictable
-// (its clients' detect timers plus in-flight deliveries), so one up-front
-// allocation replaces the doubling cascade on every shard.
-func (e *Engine) Reserve(n int) {
-	if cap(e.pq) < n {
-		pq := make([]event, len(e.pq), n)
-		copy(pq, e.pq)
-		e.pq = pq
-	}
+// ReserveSeq sets aside the next n tie-break sequence numbers and returns
+// the first. An event pushed later at a reserved number (ScheduleCallSeq)
+// orders against every other event exactly as if it had been scheduled at
+// reservation time: this is how the protocol layer's detect program pushes
+// each loss detection only when the one before it pops, yet keeps the
+// (at, seq) firing order of scheduling them all up front.
+func (e *Engine) ReserveSeq(n int) uint64 {
+	first := e.seq + 1
+	e.seq += uint64(n)
+	return first
 }
 
-// push validates the timestamp, stamps the tie-break sequence, and sifts
-// the event into the 4-ary heap. Steady state (backing array at capacity)
-// allocates nothing.
+// push stamps the next tie-break sequence number on ev and sifts it into the
+// calendar.
 func (e *Engine) push(at float64, ev event) {
+	e.seq++
+	e.pushSeq(at, e.seq, ev)
+}
+
+// pushSeq validates the timestamp and sifts the event, stamped with seq,
+// into the 4-ary heap. Steady state (backing array at capacity) allocates
+// nothing.
+func (e *Engine) pushSeq(at float64, seq uint64, ev event) {
 	if at < e.now || math.IsNaN(at) || math.IsInf(at, 0) {
 		panic(fmt.Sprintf("sim: schedule at %v with now %v", at, e.now))
 	}
-	e.seq++
 	ev.at = at
-	ev.seq = e.seq
+	ev.seq = seq
 	e.pq = append(e.pq, ev)
 	// Sift up: move the hole toward the root until the parent fits.
 	i := len(e.pq) - 1
@@ -239,6 +249,17 @@ func (e *Engine) After(d float64, fn func()) { e.Schedule(e.now+d, fn) }
 // sequence-number callbacks the protocol layer schedules per packet.
 func (e *Engine) ScheduleCall(at float64, c Callee, op, a, b int) {
 	e.push(at, event{kind: evCall, ref: e.calls.put(c),
+		op: uint8(op), a: int32(a), b: int32(b)})
+}
+
+// ScheduleCallSeq is ScheduleCall at a tie-break sequence number set aside
+// earlier by ReserveSeq. Each reserved number must be pushed at most once;
+// a number beyond any handed out so far panics.
+func (e *Engine) ScheduleCallSeq(at float64, seq uint64, c Callee, op, a, b int) {
+	if seq == 0 || seq > e.seq {
+		panic(fmt.Sprintf("sim: push at unreserved seq %d (handed out up to %d)", seq, e.seq))
+	}
+	e.pushSeq(at, seq, event{kind: evCall, ref: e.calls.put(c),
 		op: uint8(op), a: int32(a), b: int32(b)})
 }
 

@@ -34,6 +34,46 @@ func TestTieBreakBySchedulingOrder(t *testing.T) {
 	}
 }
 
+// orderCallee records the a argument of every call it receives.
+type orderCallee struct{ order []int }
+
+func (c *orderCallee) OnSimEvent(op, a, b int) { c.order = append(c.order, a) }
+
+// TestReservedSeqKeepsScheduleOrder: events pushed late at reserved
+// sequence numbers fire as if they had been scheduled at reservation time —
+// ahead of same-instant events scheduled after the reservation — and a
+// number that was never handed out is refused.
+func TestReservedSeqKeepsScheduleOrder(t *testing.T) {
+	e := NewEngine()
+	c := &orderCallee{}
+	e.ScheduleCall(3, c, 0, 0, 0)
+	first := e.ReserveSeq(2)
+	e.ScheduleCall(3, c, 0, 3, 0)
+	e.ScheduleCall(1, c, 0, -1, 0)
+	e.Schedule(2, func() {
+		// Pushed out of order, at t = 2, onto an instant already holding a
+		// later-scheduled event.
+		e.ScheduleCallSeq(3, first+1, c, 0, 2, 0)
+		e.ScheduleCallSeq(3, first, c, 0, 1, 0)
+	})
+	e.Run(0)
+	want := []int{-1, 0, 1, 2, 3}
+	if len(c.order) != len(want) {
+		t.Fatalf("fired %v, want %v", c.order, want)
+	}
+	for i := range want {
+		if c.order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", c.order, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("push at a seq never handed out did not panic")
+		}
+	}()
+	e.ScheduleCallSeq(4, first+100, c, 0, 0, 0)
+}
+
 func TestScheduleInPastPanics(t *testing.T) {
 	e := NewEngine()
 	e.Schedule(5, func() {})
