@@ -104,6 +104,7 @@ FUZZ_TARGETS := \
 	./internal/core:FuzzFastPathEquivalence \
 	./internal/fault:FuzzSchedule \
 	./internal/experiment:FuzzMutator \
+	./internal/experiment:FuzzRunPath \
 	./internal/protocol:FuzzDetectProgram \
 	./internal/protocol/coop:FuzzCoopDecode \
 	./internal/protocol/rpproto:FuzzElection

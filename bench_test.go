@@ -497,8 +497,8 @@ func BenchmarkParallelSweep(b *testing.B) {
 
 // BenchmarkParallelEngine measures the conservative parallel engine on a
 // 2000-client tree topology: one full RP run per iteration at each worker
-// count. workers=1 is the byte-untouched serial path (the regression
-// baseline benchdiff gates on); the sharded variants are bit-identical to it
+// count. workers=1 is the one-shard serial run (the regression baseline
+// benchdiff gates on); the sharded variants are bit-identical to it
 // (gated by the golden-digest tests) and should approach serial ÷
 // min(workers, shards) on a multi-core runner. On one core they measure the
 // window/barrier overhead instead, which must stay modest.
@@ -521,10 +521,10 @@ func BenchmarkParallelEngine(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if workers >= 2 && !s.ParallelEligible() {
-					b.Fatal("cell unexpectedly ineligible for sharding")
-				}
 				res := s.Run()
+				if workers >= 2 && !res.Sharded {
+					b.Fatalf("cell unexpectedly ran as one shard: %s", res.SerialReason)
+				}
 				if !res.Complete || res.Stats.Unrecovered > 0 {
 					b.Fatal("incomplete parallel-engine run")
 				}

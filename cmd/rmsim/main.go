@@ -271,8 +271,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Sharding was requested but some run fell back to the byte-exact serial
-	// path: say why, so a surprising lack of speed-up is explainable.
+	// Sharding was requested but some run stayed one shard (serial): say
+	// why, so a surprising lack of speed-up is explainable.
 	if *simWorkers >= 2 {
 		for i, p := range protos {
 			res := results[i]

@@ -132,19 +132,22 @@ func newOracle(clients, packets int, strict bool, sent []bool) *Oracle {
 	}
 }
 
-// Absorb folds a shard oracle into o: it takes over the shadow rows of the
-// clients the shard owns (disjoint across shards; the shard is spent
-// afterwards), adds its event counters, and records any violations it
-// found. After absorbing every shard, o.Finish checks the same global
-// invariants a serial oracle would.
-func (o *Oracle) Absorb(sh *Oracle, owned []int) {
+// Absorb folds a shard oracle into o: it takes over the shadow rows the
+// shard holds — those of the clients it owns, disjoint across shards; the
+// shard is spent afterwards — adds its event counters, and records any
+// violations it found. After absorbing every shard, o.Finish checks the same
+// global invariants a serial oracle would.
+func (o *Oracle) Absorb(sh *Oracle) {
 	if sh.coded != nil && o.coded == nil {
 		// Shards enable coded mode when their engine clone attaches; the
 		// master inherits the configuration from the first coded shard.
 		o.EnableCoded(sh.coded.k, sh.coded.r)
 	}
-	for _, ci := range owned {
-		o.have[ci], o.detected[ci] = sh.have[ci], sh.detected[ci]
+	for ci, row := range sh.have {
+		if row == nil {
+			continue
+		}
+		o.have[ci], o.detected[ci] = row, sh.detected[ci]
 		if sh.coded != nil {
 			o.coded.seen[ci], o.coded.decoded[ci] = sh.coded.seen[ci], sh.coded.decoded[ci]
 		}

@@ -195,8 +195,8 @@ func TestShardOraclesOwnTheirRows(t *testing.T) {
 	}()
 
 	master := NewShard(2, 2, true, sent, nil)
-	master.Absorb(a, []int{0})
-	master.Absorb(b, []int{1})
+	master.Absorb(a)
+	master.Absorb(b)
 	tot := Totals{Losses: 1, Recoveries: 1, DataDeliveries: 3, Delivered: 4}
 	if v := master.Finish(true, []bool{false, false}, tot); len(v) != 0 {
 		t.Fatalf("absorbed shards produced violations: %v", v)

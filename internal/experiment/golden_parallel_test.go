@@ -83,8 +83,8 @@ func chaosParitySchedule(topo *topology.Network) *fault.Schedule {
 }
 
 // adversarialParitySchedule adds the message-plane mutator, which the
-// parallel mode cannot reproduce — the run must silently fall back to the
-// byte-untouched serial path.
+// parallel mode cannot reproduce — the run must run as one shard, the serial
+// run.
 func adversarialParitySchedule(topo *topology.Network) *fault.Schedule {
 	s := chaosParitySchedule(topo)
 	s.SetMutation(&fault.MutationConfig{})

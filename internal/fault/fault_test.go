@@ -158,6 +158,7 @@ func TestValidate(t *testing.T) {
 	bad := []*Schedule{
 		(&Schedule{}).CrashHost(-1, 0),
 		(&Schedule{}).CrashHost(math.NaN(), 0),
+		(&Schedule{}).CrashHost(math.Inf(1), 0),
 		(&Schedule{}).CrashHost(1, 99),
 		(&Schedule{}).LinkDown(1, 99),
 		{Events: []Event{{At: 1, Kind: EventKind(250)}}},

@@ -22,6 +22,7 @@ package fault
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"rmcast/internal/graph"
@@ -196,7 +197,7 @@ func (s *Schedule) Normalize() *Schedule {
 // referenced node/link must exist. It returns the first violation found.
 func (s *Schedule) Validate(numNodes, numLinks int) error {
 	for i, e := range s.Events {
-		if !(e.At >= 0) || e.At != e.At { // negative, NaN
+		if !(e.At >= 0) || math.IsInf(e.At, 1) { // negative, NaN, +Inf
 			return fmt.Errorf("fault: event %d at invalid time %v", i, e.At)
 		}
 		switch e.Kind {

@@ -187,80 +187,3 @@ func DAGShortestPaths(d *Digraph, src NodeID, order []NodeID) ([]float64, []Node
 	}
 	return dist, parent
 }
-
-// TopologicalOrder returns a topological order of d, or nil if d has a
-// cycle. Kahn's algorithm; ties are broken by ascending node ID so the
-// result is deterministic.
-func TopologicalOrder(d *Digraph) []NodeID {
-	n := d.NumNodes()
-	indeg := make([]int32, n)
-	for u := NodeID(0); int(u) < n; u++ {
-		for _, a := range d.Out(u) {
-			indeg[a.To]++
-		}
-	}
-	// Min-heap on node ID for determinism.
-	var h nodeHeap
-	for u := NodeID(0); int(u) < n; u++ {
-		if indeg[u] == 0 {
-			h.push(u)
-		}
-	}
-	order := make([]NodeID, 0, n)
-	for len(h) > 0 {
-		u := h.pop()
-		order = append(order, u)
-		for _, a := range d.Out(u) {
-			indeg[a.To]--
-			if indeg[a.To] == 0 {
-				h.push(a.To)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil
-	}
-	return order
-}
-
-// nodeHeap is a typed binary min-heap on NodeID (IDs are unique, so the
-// order is total and any heap yields the same deterministic pop sequence).
-type nodeHeap []NodeID
-
-func (h *nodeHeap) push(u NodeID) {
-	s := append(*h, u)
-	j := len(s) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if !(s[j] < s[i]) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		j = i
-	}
-	*h = s
-}
-
-func (h *nodeHeap) pop() NodeID {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && s[j2] < s[j] {
-			j = j2
-		}
-		if !(s[j] < s[i]) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		i = j
-	}
-	u := s[n]
-	*h = s[:n]
-	return u
-}

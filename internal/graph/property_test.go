@@ -57,49 +57,20 @@ func TestPropBFSHopsLowerBoundDijkstraPath(t *testing.T) {
 	}
 }
 
-// Property: MST weight is invariant across algorithms and never exceeds
-// the weight of any spanning tree (spot-checked against a random one).
-func TestPropMSTMinimality(t *testing.T) {
-	f := func(seed uint64, size, extra uint8) bool {
-		g := genConnected(seed, size, extra)
-		r := rng.New(seed ^ 0x1234)
-		k := MSTKruskal(g, nil)
-		p := MSTPrim(g, 0, nil)
-		wk, wp := treeWeight(g, k), treeWeight(g, p)
-		if math.Abs(wk-wp) > 1e-9 {
-			return false
-		}
-		rt := RandomSpanningTree(g, r)
-		return wk <= treeWeight(g, rt)+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: every spanning tree produced by any generator has exactly n−1
-// edges and connects the graph.
+// Property: every uniform spanning tree has exactly n−1 edges and connects
+// the graph.
 func TestPropSpanningTreeShape(t *testing.T) {
 	f := func(seed uint64, size, extra uint8) bool {
 		g := genConnected(seed, size, extra)
-		r := rng.New(seed ^ 0x777)
-		for _, tree := range [][]EdgeID{
-			MSTKruskal(g, nil),
-			MSTPrim(g, 0, nil),
-			RandomSpanningTree(g, r),
-		} {
-			if !isSpanningTree(g, tree) {
-				return false
-			}
-		}
-		return true
+		return isSpanningTree(g, RandomSpanningTree(g, rng.New(seed^0x777)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: union-find set count equals graph component count.
+// Property: the number of distinct union-find roots equals the graph's
+// component count.
 func TestPropUnionFindMatchesComponents(t *testing.T) {
 	f := func(seed uint64, size, edges uint8) bool {
 		r := rng.New(seed)
@@ -114,8 +85,14 @@ func TestPropUnionFindMatchesComponents(t *testing.T) {
 			g.AddEdge(a, b, 1)
 			uf.Union(int32(a), int32(b))
 		}
+		roots := 0
+		for x := range n {
+			if uf.Find(int32(x)) == int32(x) {
+				roots++
+			}
+		}
 		_, nc := Components(g)
-		return uf.Sets() == nc
+		return roots == nc
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

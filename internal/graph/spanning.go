@@ -1,22 +1,16 @@
 package graph
 
-import (
-	"cmp"
-	"slices"
-
-	"rmcast/internal/rng"
-)
+import "rmcast/internal/rng"
 
 // UnionFind is a disjoint-set forest with union by rank and path halving.
 type UnionFind struct {
 	parent []int32
 	rank   []int8
-	sets   int
 }
 
 // NewUnionFind returns a union-find over n singleton sets.
 func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int32, n), rank: make([]int8, n), sets: n}
+	uf := &UnionFind{parent: make([]int32, n), rank: make([]int8, n)}
 	for i := range uf.parent {
 		uf.parent[i] = int32(i)
 	}
@@ -46,133 +40,7 @@ func (uf *UnionFind) Union(a, b int32) bool {
 	if uf.rank[ra] == uf.rank[rb] {
 		uf.rank[ra]++
 	}
-	uf.sets--
 	return true
-}
-
-// Sets returns the current number of disjoint sets.
-func (uf *UnionFind) Sets() int { return uf.sets }
-
-// MSTKruskal returns the edge IDs of a minimum spanning tree (or forest, if
-// g is disconnected) under the given weight function (nil means stored
-// weights). Ties are broken by edge ID, so the result is deterministic.
-func MSTKruskal(g *Undirected, w WeightFunc) []EdgeID {
-	if w == nil {
-		w = DefaultWeights(g)
-	}
-	ids := make([]EdgeID, g.NumEdges())
-	for i := range ids {
-		ids[i] = EdgeID(i)
-	}
-	slices.SortFunc(ids, func(a, b EdgeID) int {
-		if wa, wb := w(a), w(b); wa != wb {
-			return cmp.Compare(wa, wb)
-		}
-		return cmp.Compare(a, b)
-	})
-	uf := NewUnionFind(g.NumNodes())
-	tree := make([]EdgeID, 0, g.NumNodes()-1)
-	for _, id := range ids {
-		e := g.Edge(id)
-		if uf.Union(int32(e.A), int32(e.B)) {
-			tree = append(tree, id)
-		}
-	}
-	return tree
-}
-
-// MSTPrim returns the edge IDs of a minimum spanning tree of the component
-// containing root, under the given weight function (nil means stored
-// weights).
-func MSTPrim(g *Undirected, root NodeID, w WeightFunc) []EdgeID {
-	if w == nil {
-		w = DefaultWeights(g)
-	}
-	n := g.NumNodes()
-	inTree := make([]bool, n)
-	bestEdge := make([]EdgeID, n)
-	bestCost := make([]float64, n)
-	for i := range bestEdge {
-		bestEdge[i] = NoEdge
-	}
-	type item struct {
-		cost float64
-		node NodeID
-		via  EdgeID
-	}
-	var h primHeap
-	h = append(h, item{0, root, NoEdge})
-	tree := make([]EdgeID, 0, n-1)
-	for len(h) > 0 {
-		it := h.pop()
-		u := it.node
-		if inTree[u] {
-			continue
-		}
-		inTree[u] = true
-		if it.via != NoEdge {
-			tree = append(tree, it.via)
-		}
-		for _, half := range g.Neighbors(u) {
-			if inTree[half.Peer] {
-				continue
-			}
-			c := w(half.Edge)
-			if bestEdge[half.Peer] == NoEdge || c < bestCost[half.Peer] {
-				bestEdge[half.Peer] = half.Edge
-				bestCost[half.Peer] = c
-				h.push(item{c, half.Peer, half.Edge})
-			}
-		}
-	}
-	return tree
-}
-
-type primItem = struct {
-	cost float64
-	node NodeID
-	via  EdgeID
-}
-
-type primHeap []primItem
-
-func (h *primHeap) push(it primItem) {
-	*h = append(*h, it)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if (*h)[p].cost <= (*h)[i].cost {
-			break
-		}
-		(*h)[p], (*h)[i] = (*h)[i], (*h)[p]
-		i = p
-	}
-}
-
-func (h *primHeap) pop() primItem {
-	old := *h
-	top := old[0]
-	last := len(old) - 1
-	old[0] = old[last]
-	old = old[:last]
-	*h = old
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(old) && old[l].cost < old[small].cost {
-			small = l
-		}
-		if r < len(old) && old[r].cost < old[small].cost {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		old[i], old[small] = old[small], old[i]
-		i = small
-	}
-	return top
 }
 
 // RandomSpanningTree returns the edge IDs of a spanning tree of g sampled
@@ -220,16 +88,4 @@ func RandomSpanningTree(g *Undirected, r *rng.Rand) []EdgeID {
 		}
 	}
 	return tree
-}
-
-// SpanningSubgraph returns a new graph with the same node set as g and only
-// the listed edges (weights preserved). Edge IDs are renumbered densely in
-// the order given.
-func SpanningSubgraph(g *Undirected, edges []EdgeID) *Undirected {
-	sub := New(g.NumNodes())
-	for _, id := range edges {
-		e := g.Edge(id)
-		sub.AddEdge(e.A, e.B, e.Weight)
-	}
-	return sub
 }

@@ -1,14 +1,18 @@
-// Conservative parallel execution of one session (Config.SimWorkers ≥ 2):
-// a Chandy–Misra–Bryant-style windowed runner over tree shards.
+// The session runner: every run steps through one Chandy–Misra–Bryant-style
+// lookahead-window loop over shards (Session.Run). A serial run is the
+// one-shard case: the session itself is the only shard, on its own engine,
+// net, oracle and rng streams, and its window is unbounded, so the loop is a
+// single Engine.RunBefore(+Inf, MaxEvents) — the plain event loop.
 //
-// The multicast tree is partitioned into K recovery domains, or shards:
-// contiguous preorder bands of routers, hosts riding with their access
-// router (mtree.PartitionDomains, sized by DomainSize). Each shard gets its
-// own event engine, network instance, and protocol-engine clone; a host's
-// events execute only on its owner shard. Cross-shard packets are the only
-// coupling: a path from one shard to another crosses at least one cut link,
-// so a remote delivery arrives no earlier than its send time plus the
-// partition lookahead Δ. The runner therefore alternates
+// A sharded run (Config.SimWorkers ≥ 2) partitions the multicast tree into K
+// recovery domains, or shards: contiguous preorder bands of routers, hosts
+// riding with their access router (mtree.PartitionDomains, sized by
+// DomainSize). Each shard gets its own event engine, network instance, and
+// protocol-engine clone; a host's events execute only on its owner shard.
+// Cross-shard packets are the only coupling: a path from one shard to
+// another crosses at least one cut link, so a remote delivery arrives no
+// earlier than its send time plus the partition lookahead Δ. The runner
+// therefore alternates
 //
 //	ingest:  hand every outbox delivery to its owner shard
 //	window:  each shard executes all events in [T0, T0+Δ)
@@ -19,18 +23,17 @@
 // past the horizon. Barriers between phases make the shared reads
 // (fault-state lookups, the oracle's sent vector, sentAt) race-free.
 //
-// Bit-identity with the serial engine holds because, in the configurations
-// the runner accepts, the only rng consumer during a run is the data-plane
-// loss stream — and data floods execute entirely on the source's shard,
-// which owns the exact netRand stream the serial run would use (the
-// remaining streams are re-derived in the serial split order, plus one
-// rng.SplitN stream per shard for future shard-local draws). Everything
-// else is a pure function of event times, which the window protocol
-// preserves; order-dependent accumulators (Welford latency) are replayed in
-// global time order at merge. Configurations outside that envelope —
-// queueing, jitter, lossy recovery, gap/session detection, burst or
-// mutation faults, tracing hooks, engines without CloneForShard — fall back
-// to the serial path, which stays byte-for-byte untouched.
+// Bit-identity with the one-shard run holds because, in the configurations
+// the sharded mode accepts, the only rng consumer during a run is the
+// data-plane loss stream — and data floods execute entirely on the source's
+// shard, which draws the session net's own loss stream (the other shards
+// get one rng.SplitN stream each, split from the session's root stream, for
+// shard-local draws). Everything else is a pure function of event times,
+// which the window protocol preserves; order-dependent accumulators (Welford
+// latency) are replayed in global time order at merge. Configurations
+// outside that envelope — queueing, jitter, lossy recovery, gap/session
+// detection, burst or mutation faults, tracing hooks, engines without
+// CloneForShard — run as one shard, with Result.SerialReason naming why.
 package protocol
 
 import (
@@ -43,19 +46,19 @@ import (
 	"sync/atomic"
 
 	"rmcast/internal/check"
-	"rmcast/internal/fault"
 	"rmcast/internal/graph"
 	"rmcast/internal/metrics"
 	"rmcast/internal/mtree"
 	"rmcast/internal/rng"
 	"rmcast/internal/sim"
+	"rmcast/internal/trace"
 )
 
 // ShardCloner is implemented by protocol engines that can run partitioned:
 // CloneForShard returns a fresh engine sharing this (already attached)
 // engine's immutable plans, to be attached to one shard's sub-session. A nil
 // return means the engine's current options cannot be sharded (e.g. a
-// run-time replanning layer), forcing the serial fallback.
+// run-time replanning layer), so the run stays one shard.
 type ShardCloner interface {
 	Engine
 	CloneForShard() Engine
@@ -80,8 +83,8 @@ func DomainSize(clients, domainClients int) int {
 const minParallelClients = 16
 
 // parallelEligible returns the engine's shard-cloning interface when the
-// whole configuration lies inside the parallel runner's exactness envelope,
-// or nil plus a human-readable reason otherwise (see the package comment for
+// whole configuration lies inside the sharded mode's exactness envelope, or
+// nil plus a human-readable reason otherwise (see the package comment for
 // the envelope's rationale). The reason is surfaced through
 // Result.SerialReason so callers stop guessing why a -simworkers run stayed
 // serial.
@@ -130,21 +133,136 @@ func (s *Session) parallelEligible() (ShardCloner, string) {
 	return cl, ""
 }
 
-// shardRun is one shard's execution state.
-type shardRun struct {
-	eng       *sim.Engine
-	net       *sim.Net
-	sub       *Session
-	engine    Engine
-	owned     []int // client indices this shard owns, ascending
-	processed uint64
-	ingest    []sim.RemoteDelivery // scratch for the ingest phase
+// Run executes the whole session and returns the result. Every run takes
+// this one path: the session is laid out as shards (layOut), stepped
+// through the lookahead-window loop until it quiesces or spends MaxEvents,
+// and folded into one Result (mergeShards).
+func (s *Session) Run() *Result {
+	if s.Trace != nil {
+		s.Net.OnSend = func(pkt sim.Packet) {
+			var k trace.Kind
+			switch pkt.Kind {
+			case sim.Data:
+				return // SendData is emitted once per multicast (OnSimEvent)
+			case sim.Request:
+				k = trace.SendRequest
+			case sim.Repair:
+				k = trace.SendRepair
+			}
+			s.emit(trace.Event{At: s.Eng.Now(), Kind: k,
+				Node: int32(pkt.From), Peer: -1, Seq: pkt.Seq})
+		}
+		s.Net.OnDrop = func(pkt sim.Packet, link graph.EdgeID) {
+			s.emit(trace.Event{At: s.Eng.Now(), Kind: trace.Drop,
+				Node: int32(link), Peer: -1, Seq: pkt.Seq})
+		}
+	}
+	shards, delta := s.layOut()
+	maxEvents := s.cfg.MaxEvents
+	if maxEvents == 0 {
+		maxEvents = 50_000_000
+	}
+	workers := min(s.cfg.SimWorkers, len(shards))
+	processed := make([]uint64, len(shards))
+	ingest := make([][]sim.RemoteDelivery, len(shards)) // per-shard buffers, reused
+
+	var total uint64
+	for total < maxEvents {
+		// T0: the earliest pending instant anywhere — heap tops plus
+		// still-unhanded outbox deliveries from the previous window.
+		t0 := math.Inf(1)
+		for _, sh := range shards {
+			if at, ok := sh.Eng.NextEventAt(); ok && at < t0 {
+				t0 = at
+			}
+			for _, rd := range sh.Net.Outbox() {
+				t0 = min(t0, rd.At)
+			}
+		}
+		if math.IsInf(t0, 1) {
+			break // quiesced
+		}
+		horizon, budget := t0+delta, maxEvents-total
+		// Ingest: each shard collects its own arrivals from every outbox in
+		// shard order, time-sorted (stably, so equal instants keep a
+		// deterministic order), and schedules them locally.
+		eachShard(workers, len(shards), func(i int) {
+			buf := ingest[i][:0]
+			for _, src := range shards {
+				for _, rd := range src.Net.Outbox() {
+					if rd.Dst == int32(i) {
+						buf = append(buf, rd)
+					}
+				}
+			}
+			sort.SliceStable(buf, func(a, b int) bool { return buf[a].At < buf[b].At })
+			for _, rd := range buf {
+				shards[i].Net.InjectRemote(rd.At, rd.Node, rd.Pkt)
+			}
+			ingest[i] = buf
+		})
+		// Window: each shard clears its (fully ingested) outbox and drains
+		// its calendar up to the horizon, within the remaining event budget,
+		// emitting next window's traffic.
+		eachShard(workers, len(shards), func(i int) {
+			shards[i].Net.ResetOutbox()
+			processed[i] += shards[i].Eng.RunBefore(horizon, budget)
+		})
+		total = 0
+		for _, n := range processed {
+			total += n
+		}
+	}
+	return s.mergeShards(shards, total)
 }
 
-// planParallel resolves the eligibility check into a concrete partition,
-// returning nils plus a reason when the run must stay serial (ineligible
-// configuration, degenerate partition, or no usable lookahead).
-func (s *Session) planParallel() (ShardCloner, *mtree.Partition, string) {
+// layOut lays the run out as shards and returns them with the window width:
+// the session itself, with an unbounded window, when the run is serial or
+// the sharded mode cannot reproduce it (serialReason says why), else the K
+// recovery domains' sub-sessions, at the partition lookahead.
+func (s *Session) layOut() ([]*Session, float64) {
+	engines, part, reason := s.planDomains()
+	if engines == nil {
+		if s.cfg.SimWorkers >= 2 {
+			s.serialReason = reason
+		}
+		s.scheduleProgram(true)
+		return []*Session{s}, math.Inf(1)
+	}
+	if part.ShardOf[s.Topo.Source] != 0 {
+		// The source's domain draws the session's loss stream; the
+		// partitioner puts it on shard 0.
+		panic("protocol: source not on shard 0")
+	}
+	// The domains hold the per-client state, and the merge gathers it back:
+	// drop the session's own rather than carry a full copy beside theirs for
+	// the whole run. The session's oracle becomes the master that absorbs
+	// the domains' at the end.
+	s.rows, s.coded, s.oracle = nil, nil, nil
+	var sent []bool
+	if s.cfg.Check != CheckOff {
+		sent = make([]bool, s.cfg.Packets)
+		s.oracle = check.NewShard(len(s.Topo.Clients), s.cfg.Packets,
+			s.cfg.Check == CheckStrict, sent, nil)
+	}
+	hosts := make([]bool, s.numNodes)
+	for _, c := range s.Topo.Clients {
+		hosts[c] = true
+	}
+	hosts[s.Topo.Source] = true
+	rands := s.root.SplitN(part.K)
+	shards := make([]*Session, part.K)
+	for i := range shards {
+		shards[i] = s.domain(int32(i), part.ShardOf, engines[i], hosts, sent, rands[i])
+	}
+	return shards, part.Lookahead
+}
+
+// planDomains resolves the eligibility check into a concrete partition and
+// one engine clone per domain, or returns nils plus the reason the run stays
+// one shard (ineligible configuration, degenerate partition, no usable
+// lookahead, or an engine that cannot clone under its options).
+func (s *Session) planDomains() ([]Engine, *mtree.Partition, string) {
 	cloner, reason := s.parallelEligible()
 	if cloner == nil {
 		return nil, nil, reason
@@ -159,322 +277,130 @@ func (s *Session) planParallel() (ShardCloner, *mtree.Partition, string) {
 	if part.Lookahead <= 0 || math.IsInf(part.Lookahead, 1) {
 		return nil, nil, "domain mode: degenerate domain partition (no usable lookahead)"
 	}
-	return cloner, part, ""
-}
-
-// ParallelEligible reports whether Run will genuinely execute sharded under
-// the current configuration — false means Config.SimWorkers (if ≥ 2) would
-// silently fall back to the serial path. The scaling sweep uses it to label
-// its speedup cells honestly.
-func (s *Session) ParallelEligible() bool {
-	cloner, part, _ := s.planParallel()
-	return cloner != nil && part != nil && cloner.CloneForShard() != nil
-}
-
-// runSharded executes the session on the conservative parallel engine,
-// returning nil when the configuration requires the serial path (recording
-// why in s.serialReason for the serial Result to surface).
-func (s *Session) runSharded() *Result {
-	cloner, part, reason := s.planParallel()
-	if cloner == nil {
-		if s.cfg.SimWorkers >= 2 {
-			s.serialReason = reason
+	// A window ends at t0 + Δ, so Δ must survive rounding at every instant
+	// the run reaches — bounded here by twice its last scheduled one, the
+	// last detection or fault transition — or windows would stop advancing.
+	end := s.sentAt[len(s.sentAt)-1] + s.cfg.DetectLag
+	if f := s.cfg.Fault; f != nil {
+		for _, e := range f.Events {
+			end = max(end, e.At)
 		}
-		return nil
 	}
-	k := part.K
-	if part.ShardOf[s.Topo.Source] != 0 {
-		// The runner assumes the source's shard owns the serial netRand
-		// stream; the partitioner guarantees shard 0.
-		panic("protocol: source not on shard 0")
+	if 2*end+part.Lookahead == 2*end {
+		return nil, nil, fmt.Sprintf("domain mode: lookahead %g ms vanishes at the run's time scale (%g ms)",
+			part.Lookahead, end)
 	}
-	engines := make([]Engine, k)
+	engines := make([]Engine, part.K)
 	for i := range engines {
 		if engines[i] = cloner.CloneForShard(); engines[i] == nil {
-			s.serialReason = fmt.Sprintf(
+			return nil, nil, fmt.Sprintf(
 				"engine %s cannot shard under its current options (run-time replanning or failover)",
 				s.engine.Name())
-			return nil
 		}
 	}
-	// The run shards from here on. Each domain's sub-session holds its own
-	// clients' rows and the merge assembles the result from those, so the
-	// coordinator's per-client state is never read: drop it rather than
-	// carry a full copy beside the domains' for the whole run.
-	s.rows, s.coded, s.oracle = nil, nil, nil
-
-	// Re-derive the serial run's rng stream layout: netRand (the only
-	// stream that draws in eligible runs — data-plane loss, on the source's
-	// shard), protoRand, the fault state's stream, then one SplitN stream
-	// per shard for the other shards' nets.
-	root := rng.New(s.seed)
-	netRand := root.Split()
-	protoRand := root.Split()
-	_ = protoRand
-	var faultState *fault.State
-	if !s.cfg.Fault.Empty() {
-		faultState = fault.NewState(s.cfg.Fault, root.Split())
-	}
-	shardRands := root.SplitN(k)
-
-	// Shared read-only state: the host set, the precomputed send schedule,
-	// and (under checking) the oracle's sent vector.
-	hosts := make([]bool, s.numNodes)
-	for _, c := range s.Topo.Clients {
-		hosts[c] = true
-	}
-	hosts[s.Topo.Source] = true
-	var sent []bool
-	var master *check.Oracle
-	if s.cfg.Check != CheckOff {
-		sent = make([]bool, s.cfg.Packets)
-		master = check.NewShard(len(s.Topo.Clients), s.cfg.Packets,
-			s.cfg.Check == CheckStrict, sent, nil)
-	}
-
-	// One tree adjacency (CSR) shared read-only by every shard's net: at a
-	// million clients the per-net copy would multiply the largest flooding
-	// structure by the domain count.
-	adj := sim.NewTreeAdjacency(s.Topo)
-	shards := make([]*shardRun, k)
-	for i := 0; i < k; i++ {
-		shards[i] = s.buildShard(int32(i), part, engines[i], hosts, sent,
-			netRand, shardRands[i], faultState, adj)
-	}
-
-	maxEvents := s.cfg.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = 50_000_000
-	}
-	workers := s.cfg.SimWorkers
-	if workers > k {
-		workers = k
-	}
-	pool := newShardPool(workers, k)
-	defer pool.close()
-
-	delta := part.Lookahead
-	var total uint64
-	for total < maxEvents {
-		// T0: the earliest pending instant anywhere — heap tops plus
-		// still-unhanded outbox deliveries from the previous window.
-		t0 := math.Inf(1)
-		for _, sh := range shards {
-			if at, ok := sh.eng.NextEventAt(); ok && at < t0 {
-				t0 = at
-			}
-			for _, rd := range sh.net.Outbox() {
-				if rd.At < t0 {
-					t0 = rd.At
-				}
-			}
-		}
-		if math.IsInf(t0, 1) {
-			break // quiesced
-		}
-		horizon := t0 + delta
-		// Ingest: each shard collects its own arrivals from every outbox in
-		// shard order, time-sorted (stably, so equal instants keep a
-		// deterministic order), and schedules them locally.
-		pool.each(func(i int) {
-			sh := shards[i]
-			buf := sh.ingest[:0]
-			for _, src := range shards {
-				for _, rd := range src.net.Outbox() {
-					if rd.Dst == int32(i) {
-						buf = append(buf, rd)
-					}
-				}
-			}
-			sort.SliceStable(buf, func(a, b int) bool { return buf[a].At < buf[b].At })
-			for _, rd := range buf {
-				sh.net.InjectRemote(rd.At, rd.Node, rd.Pkt)
-			}
-			sh.ingest = buf
-		})
-		// Window: each shard clears its (fully ingested) outbox and drains
-		// its calendar up to the horizon, emitting next window's traffic.
-		pool.each(func(i int) {
-			sh := shards[i]
-			sh.net.ResetOutbox()
-			sh.processed += sh.eng.RunBefore(horizon)
-		})
-		total = 0
-		for _, sh := range shards {
-			total += sh.processed
-		}
-	}
-
-	complete := true
-	endTime := 0.0
-	for _, sh := range shards {
-		if sh.eng.Pending() > 0 || len(sh.net.Outbox()) > 0 {
-			complete = false
-		}
-		if t := sh.eng.Now(); t > endTime {
-			endTime = t
-		}
-	}
-	res := s.mergeShards(shards, master, faultState, total, endTime, complete)
-	// Execution metadata only — outside the result digest, so a sharded run
-	// hashes identically to its serial twin.
-	res.Domains = k
-	return res
+	return engines, part, ""
 }
 
-// buildShard assembles one shard's engine, network, and sub-session, and
-// schedules the shard's slice of the send/detect program.
-func (s *Session) buildShard(id int32, part *mtree.Partition, engine Engine,
-	hosts, sent []bool, netRand, shardRand *rng.Rand, faultState *fault.State,
-	adj *sim.TreeAdjacency) *shardRun {
+// domain builds the sub-session of domain id: its own engine, a net derived
+// from the session's, rows and a shard oracle for the clients it owns, and
+// an engine clone, wired and laid out like the session itself so that
+// same-instant events keep their one-shard order within the domain. The
+// source's domain (id 0) draws the session net's loss stream.
+func (s *Session) domain(id int32, shardOf []int32, engine Engine, hosts, sent []bool, r *rng.Rand) *Session {
 	eng := sim.NewEngine()
-	r := shardRand
+	netRand := r
 	if id == 0 {
-		r = netRand
+		netRand = s.netRand
 	}
-	net := sim.NewNetShared(eng, s.Topo, s.Tree, s.Routes, r, adj)
-	net.EnableShard(id, part.ShardOf, hosts)
-	clients := len(s.Topo.Clients)
 	sub := &Session{
 		Eng:       eng,
-		Net:       net,
+		Net:       s.Net.Shard(eng, netRand, id, shardOf, hosts),
 		Topo:      s.Topo,
 		Tree:      s.Tree,
 		Routes:    s.Routes,
-		Rand:      shardRand,
+		Rand:      r,
 		cfg:       s.cfg,
 		engine:    engine,
-		seed:      s.seed,
 		clientIdx: s.clientIdx,
-		rows:      make([]*clientRow, clients),
+		rows:      make([]*clientRow, len(s.Topo.Clients)),
 		sentAt:    s.sentAt,
 		latHist:   metrics.NewHistogram(0, 5000, 500),
 		numNodes:  s.numNodes,
 		latLogOn:  true,
 	}
-	sh := &shardRun{eng: eng, net: net, sub: sub, engine: engine}
+	var owned []int
 	for i, c := range s.Topo.Clients {
-		if part.ShardOf[c] != id {
-			continue // rows stay nil: an ownership violation faults loudly
+		if shardOf[c] == id { // other rows stay nil: an ownership violation faults loudly
+			owned = append(owned, i)
+			sub.rows[i] = newClientRow(s.cfg.Packets)
 		}
-		sh.owned = append(sh.owned, i)
-		sub.rows[i] = newClientRow(s.cfg.Packets)
-		c := c
-		net.SetHandler(c, func(pkt sim.Packet) { sub.onDeliver(c, pkt) })
-	}
-	if id == 0 {
-		src := s.Topo.Source
-		net.SetHandler(src, func(pkt sim.Packet) { sub.onDeliver(src, pkt) })
 	}
 	if sent != nil {
-		sub.oracle = check.NewShard(clients, s.cfg.Packets,
-			s.cfg.Check == CheckStrict, sent, sh.owned)
+		sub.oracle = check.NewShard(len(s.Topo.Clients), s.cfg.Packets,
+			s.cfg.Check == CheckStrict, sent, owned)
 	}
-	engine.Attach(sub)
-	if faultState != nil {
-		net.InstallFaultShared(faultState)
-		fa, _ := engine.(FaultAware)
-		net.OnCrash = func(h graph.NodeID) {
-			if fa != nil {
-				fa.OnCrash(h)
-			}
-		}
-		net.OnRecover = func(h graph.NodeID) {
-			if fa != nil {
-				fa.OnRecover(h)
-			}
-		}
+	sub.attach(id == 0)
+	if f := s.Net.Fault; f != nil {
+		sub.Net.InstallFault(f)
 	}
-	// The shard's slice of the serial send/detect program, in the serial
-	// tie-break order so same-instant events keep their serial relative
-	// order within the shard.
 	sub.scheduleProgram(id == 0)
-	return sh
+	return sub
 }
 
-// mergeShards folds the per-shard outcomes into one Result, exactly equal to
-// what the serial engine would report: integer counters and histogram
-// buckets sum; the order-dependent Welford latency summary is replayed from
-// the stamped logs in global time order; classification and the oracle's
-// finish run once, centrally, over the assembled global state.
-func (s *Session) mergeShards(shards []*shardRun, master *check.Oracle,
-	faultState *fault.State, total uint64, endTime float64, complete bool) *Result {
-	var st Stats
-	var hops, drops sim.HopCount
-	type stamped struct {
-		latSample
-		shard int
-	}
-	var lats []stamped
-	rows := make([]*clientRow, len(s.Topo.Clients))
-	latHist := metrics.NewHistogram(0, 5000, 500)
-	for si, sh := range shards {
-		st.Losses += sh.sub.stats.Losses
-		st.Recoveries += sh.sub.stats.Recoveries
-		st.Duplicates += sh.sub.stats.Duplicates
-		st.PreDetection += sh.sub.stats.PreDetection
-		st.DataDeliveries += sh.sub.stats.DataDeliveries
-		st.LateData += sh.sub.stats.LateData
-		st.Malformed += sh.sub.stats.Malformed
-		st.CodedSymbols += sh.sub.stats.CodedSymbols
-		st.CodedDuplicates += sh.sub.stats.CodedDuplicates
-		st.Failovers += sh.sub.stats.Failovers
-		st.FencedStale += sh.sub.stats.FencedStale
-		hops.Data += sh.net.Hops.Data
-		hops.Request += sh.net.Hops.Request
-		hops.Repair += sh.net.Hops.Repair
-		drops.Data += sh.net.Drops.Data
-		drops.Request += sh.net.Drops.Request
-		drops.Repair += sh.net.Drops.Repair
-		latHist.Merge(sh.sub.latHist)
-		for _, e := range sh.sub.latLog {
-			lats = append(lats, stamped{e, si})
+// mergeShards folds the shards' outcomes into the run's Result. A one-shard
+// run already holds them in the session; a sharded run gathers its domains'
+// first. Classification, the dedup audit and the oracle's finish then run
+// once, over the session's state.
+func (s *Session) mergeShards(shards []*Session, total uint64) *Result {
+	complete, endTime := true, 0.0
+	for _, sh := range shards {
+		if sh.Eng.Pending() > 0 || len(sh.Net.Outbox()) > 0 {
+			complete = false
 		}
-		for _, i := range sh.owned {
-			rows[i] = sh.sub.rows[i]
-		}
+		endTime = max(endTime, sh.Eng.Now())
 	}
-	// Replay in global event-time order; the stable sort keeps equal
-	// instants in (shard, local) order, deterministically.
-	slices.SortStableFunc(lats, func(a, b stamped) int {
-		switch {
-		case a.at < b.at:
-			return -1
-		case a.at > b.at:
-			return 1
-		}
-		return 0
-	})
-	for _, e := range lats {
-		st.Latency.Add(e.lat)
+	if len(shards) > 1 {
+		s.gather(shards)
 	}
-
-	down := make([]bool, len(s.Topo.Clients))
+	var down []bool
+	if s.oracle != nil {
+		down = make([]bool, len(s.Topo.Clients))
+	}
 	for i, c := range s.Topo.Clients {
-		down[i] = faultState != nil && !faultState.HostUpAt(c, endTime)
-		for seq, got := range rows[i].received {
+		// A client still down when the run ends (permanent crash, or a
+		// window outlasting the traffic) keeps its missing packets as
+		// UnrecoveredCrashed; for a live client an open gap is a liveness
+		// violation and stays in Unrecovered.
+		isDown := s.Net.Fault != nil && !s.Net.Fault.HostUpAt(c, endTime)
+		if down != nil {
+			down[i] = isDown
+		}
+		r := s.rows[i]
+		for seq, got := range r.received {
 			switch {
 			case got:
-				st.Delivered++
-			case down[i]:
-				st.UnrecoveredCrashed++
-			case !math.IsNaN(rows[i].detectAt[seq]):
-				st.Unrecovered++
+				s.stats.Delivered++
+			case isDown:
+				s.stats.UnrecoveredCrashed++
+			case !math.IsNaN(r.detectAt[seq]):
+				s.stats.Unrecovered++
 			}
 		}
 	}
-
 	var violations []string
-	if master != nil {
+	if o := s.oracle; o != nil {
 		for _, sh := range shards {
 			if da, ok := sh.engine.(DedupAudited); ok {
 				for _, cache := range da.DedupCaches() {
-					master.CheckBound(sh.engine.Name()+" dedup cache", cache.Len(), cache.Cap())
+					o.CheckBound(sh.engine.Name()+" dedup cache", cache.Len(), cache.Cap())
 				}
 			}
-			master.Absorb(sh.sub.oracle, sh.owned)
+			if sh != s {
+				o.Absorb(sh.oracle)
+			}
 		}
-		violations = master.Finish(complete, down, check.Totals{
+		st, hops, drops := &s.stats, s.Net.Hops, s.Net.Drops
+		violations = o.Finish(complete, down, check.Totals{
 			Losses:             st.Losses,
 			Recoveries:         st.Recoveries,
 			Duplicates:         st.Duplicates,
@@ -497,89 +423,129 @@ func (s *Session) mergeShards(shards []*shardRun, master *check.Oracle,
 			RepairDrops:        drops.Repair,
 		})
 	}
-	perClientMap := make(map[graph.NodeID]metrics.Summary, len(s.Topo.Clients))
+	perClient := make(map[graph.NodeID]metrics.Summary, len(s.Topo.Clients))
 	for i, c := range s.Topo.Clients {
-		perClientMap[c] = rows[i].latency
+		perClient[c] = s.rows[i].latency
 	}
-	return &Result{
+	res := &Result{
 		Violations:       violations,
-		PerClientLatency: perClientMap,
+		PerClientLatency: perClient,
 		Protocol:         s.engine.Name(),
 		Clients:          len(s.Topo.Clients),
 		Packets:          s.cfg.Packets,
-		Stats:            st,
-		Hops:             hops,
-		Drops:            drops,
+		Stats:            s.stats,
+		Hops:             s.Net.Hops,
+		Drops:            s.Net.Drops,
 		Events:           total,
 		SimTime:          endTime,
-		LatencyHist:      latHist,
+		LatencyHist:      s.latHist,
 		Complete:         complete,
-		Sharded:          true,
+		SerialReason:     s.serialReason,
+	}
+	if len(shards) > 1 {
+		// Execution metadata only — outside the result digest, so a sharded
+		// run hashes identically to its one-shard twin.
+		res.Sharded, res.Domains = true, len(shards)
+	}
+	return res
+}
+
+// gather folds a sharded run's domains into the session's own, idle state,
+// so that it equals what one shard would hold: counters, hops, drops and
+// histogram buckets sum, each client's row comes from the domain that holds
+// it, and the order-dependent Welford latency summary is replayed from the
+// stamped logs in global event-time order.
+func (s *Session) gather(shards []*Session) {
+	type stamped struct {
+		latSample
+		shard int
+	}
+	var lats []stamped
+	s.rows = make([]*clientRow, len(s.Topo.Clients))
+	for si, sh := range shards {
+		st := &sh.stats
+		s.stats.Losses += st.Losses
+		s.stats.Recoveries += st.Recoveries
+		s.stats.Duplicates += st.Duplicates
+		s.stats.PreDetection += st.PreDetection
+		s.stats.DataDeliveries += st.DataDeliveries
+		s.stats.LateData += st.LateData
+		s.stats.Malformed += st.Malformed
+		s.stats.CodedSymbols += st.CodedSymbols
+		s.stats.CodedDuplicates += st.CodedDuplicates
+		s.stats.Failovers += st.Failovers
+		s.stats.FencedStale += st.FencedStale
+		s.Net.Hops.Data += sh.Net.Hops.Data
+		s.Net.Hops.Request += sh.Net.Hops.Request
+		s.Net.Hops.Repair += sh.Net.Hops.Repair
+		s.Net.Drops.Data += sh.Net.Drops.Data
+		s.Net.Drops.Request += sh.Net.Drops.Request
+		s.Net.Drops.Repair += sh.Net.Drops.Repair
+		s.latHist.Merge(sh.latHist)
+		for _, e := range sh.latLog {
+			lats = append(lats, stamped{e, si})
+		}
+		for i, r := range sh.rows {
+			if r != nil {
+				s.rows[i] = r
+			}
+		}
+	}
+	// The stable sort keeps equal instants in (shard, local) order.
+	slices.SortStableFunc(lats, func(a, b stamped) int {
+		switch {
+		case a.at < b.at:
+			return -1
+		case a.at > b.at:
+			return 1
+		}
+		return 0
+	})
+	for _, e := range lats {
+		s.stats.Latency.Add(e.lat)
 	}
 }
 
-// shardPool runs one function over every shard index on a fixed set of
-// worker goroutines, with a barrier per call. Shards are claimed through an
-// atomic counter, so an uneven shard finishes early and its worker steals
-// the next one.
-type shardPool struct {
-	workers int
-	shards  int
-	work    chan func(int)
-	wg      sync.WaitGroup
-	next    atomic.Int64
-	failure atomic.Pointer[shardPanic]
-}
-
-// shardPanic carries the first panic out of a worker goroutine.
-type shardPanic struct {
-	val   interface{}
-	stack []byte
-}
-
-func newShardPool(workers, shards int) *shardPool {
-	p := &shardPool{workers: workers, shards: shards, work: make(chan func(int))}
+// eachShard runs f(i) for every shard index i < n and blocks until all are
+// done. With two or more workers that many goroutines claim the shards
+// through an atomic counter, so an uneven shard finishes early and its
+// worker steals the next one, and the first panic is re-raised on the
+// caller. With fewer it runs inline, so a one-shard run's panics surface
+// unwrapped.
+func eachShard(workers, n int, f func(int)) {
+	if workers < 2 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	type shardPanic struct {
+		val   interface{}
+		stack []byte
+	}
+	var (
+		wg      sync.WaitGroup
+		next    atomic.Int64
+		failure atomic.Pointer[shardPanic]
+	)
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			for f := range p.work {
-				for {
-					i := int(p.next.Add(1)) - 1
-					if i >= p.shards {
-						break
-					}
-					p.runOne(f, i)
+			// A panicking worker must still reach wg.Done, or the barrier
+			// deadlocks.
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					failure.CompareAndSwap(nil, &shardPanic{val: r, stack: debug.Stack()})
 				}
-				p.wg.Done()
+			}()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				f(i)
 			}
 		}()
 	}
-	return p
-}
-
-// runOne executes f on one shard, capturing the first panic for the
-// coordinator (a panicking worker must still reach wg.Done, or the barrier
-// deadlocks).
-func (p *shardPool) runOne(f func(int), i int) {
-	defer func() {
-		if r := recover(); r != nil {
-			p.failure.CompareAndSwap(nil, &shardPanic{val: r, stack: debug.Stack()})
-		}
-	}()
-	f(i)
-}
-
-// each runs f(i) for every shard index and blocks until all are done,
-// re-raising the first shard panic on the caller.
-func (p *shardPool) each(f func(int)) {
-	p.next.Store(0)
-	p.wg.Add(p.workers)
-	for w := 0; w < p.workers; w++ {
-		p.work <- f
-	}
-	p.wg.Wait()
-	if fp := p.failure.Load(); fp != nil {
+	wg.Wait()
+	if fp := failure.Load(); fp != nil {
 		panic(fmt.Sprintf("protocol: shard worker panic: %v\n%s", fp.val, fp.stack))
 	}
 }
-
-func (p *shardPool) close() { close(p.work) }

@@ -47,10 +47,10 @@ func raceRun(t *testing.T, topo *topology.Network, workers int) *protocol.Result
 	if err != nil {
 		t.Fatal(err)
 	}
-	if workers >= 2 && !s.ParallelEligible() {
-		t.Fatal("run unexpectedly ineligible for sharding — the hammer would not cross shards")
-	}
 	res := s.Run()
+	if workers >= 2 && !res.Sharded {
+		t.Fatalf("run unexpectedly ran as one shard (%s) — the hammer would not cross shards", res.SerialReason)
+	}
 	if !res.Complete {
 		t.Fatal("incomplete run")
 	}

@@ -62,9 +62,11 @@ type detectCursor struct {
 }
 
 // scheduleProgram lays out this session engine's slice of the program: the
-// packet sends when sends is set and, under DetectIdeal, the detections of
-// the clients the session holds rows for — all of them on the serial path, a
-// domain's own on the sharded one. It is the only place either is scheduled.
+// packet sends when sends is set; under DetectIdeal, the detections of the
+// clients the session holds rows for — all of them in a one-shard run, a
+// domain's own in a sharded one; under gap and session detection, which
+// never shard, the tail sweep and the heartbeats. It is the only place any
+// of them is scheduled.
 func (s *Session) scheduleProgram(sends bool) {
 	var byOff []detectEntry
 	if s.cfg.Detection == DetectIdeal {
@@ -76,6 +78,31 @@ func (s *Session) scheduleProgram(sends bool) {
 		}
 	}
 	layOutProgram(s.Eng, s, s.sentAt, s.cfg.DetectLag, byOff, sends)
+	if s.cfg.Detection == DetectIdeal {
+		return
+	}
+	// Tail sweep: losses of the final packets are never exposed by a later
+	// arrival (and the final heartbeat can itself be lost), so declare them
+	// after a grace period.
+	var maxArrive float64
+	for _, c := range s.Topo.Clients {
+		maxArrive = max(maxArrive, s.Net.WouldArrive(c))
+	}
+	end := float64(s.cfg.Packets-1) * s.cfg.Interval
+	s.Eng.Schedule(end+maxArrive+s.cfg.tailLag(), func() {
+		for i, c := range s.Topo.Clients {
+			for seq := 0; seq < s.cfg.Packets; seq++ {
+				s.detectLoss(i, c, seq)
+			}
+		}
+	})
+	if s.cfg.Detection == DetectSession {
+		hb := s.cfg.heartbeat()
+		for at := hb; at <= end+hb; at += hb {
+			highest := min(int(at/s.cfg.Interval), s.cfg.Packets-1)
+			s.Eng.ScheduleCall(at, s, opHeartbeat, highest, 0)
+		}
+	}
 }
 
 // layOutProgram reserves the program's sequence numbers on eng, pushes every

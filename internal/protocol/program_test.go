@@ -37,8 +37,8 @@ func (p *probeEngine) CloneForShard() Engine {
 }
 
 // TestDetectProgramResidency: the calendar holds at most one send and one
-// detect event per packet, whatever the group size — on the serial path
-// and on every domain engine — including when every client ties exactly.
+// detect event per packet, whatever the group size — in a serial run and
+// on every domain engine — including when every client ties exactly.
 func TestDetectProgramResidency(t *testing.T) {
 	tree, err := topology.GenerateTree(topology.DefaultTreeConfig(200), rng.New(5))
 	if err != nil {

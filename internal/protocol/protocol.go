@@ -18,9 +18,9 @@
 // comparisons the paper reports.
 //
 // That schedule — the sends plus one detection per (client, packet) — is
-// laid out by one detect program (program.go) on the serial path and on
-// every domain engine alike. It keeps one pending detection per packet and
-// pushes the next when the previous one fires, at the tie-break sequence
+// laid out by one detect program (program.go) on every shard's engine, the
+// session's own in a serial run. It keeps one pending detection per packet
+// and pushes the next when the previous one fires, at the tie-break sequence
 // number the full schedule would have given it, so the event calendar holds
 // O(packets) program events rather than O(clients × packets) and every run
 // is unchanged.
@@ -166,11 +166,12 @@ type Config struct {
 	// SimWorkers, when ≥ 2, requests the conservative parallel engine: the
 	// tree is partitioned into shards, each simulated on its own event
 	// engine, synchronised on lookahead-wide safe-time windows (see
-	// parallel.go). Results are bit-identical to serial. Configurations the
-	// parallel mode cannot reproduce exactly (queueing, jitter, lossy
-	// recovery, non-ideal detection, burst/mutation faults, tracing, or an
-	// engine without shard support) silently fall back to the serial path,
-	// so any worker count is always safe. 0 or 1 means serial.
+	// parallel.go). Results are bit-identical to serial. A serial run is the
+	// one-shard case of the same runner: 0 or 1 means one shard, and so do
+	// configurations the sharded mode cannot reproduce exactly (queueing,
+	// jitter, lossy recovery, non-ideal detection, burst/mutation faults,
+	// tracing, or an engine without shard support), with Result.SerialReason
+	// naming why — so any worker count is always safe.
 	SimWorkers int
 	// DomainClients sizes the recovery domains of a sharded run
 	// (SimWorkers ≥ 2): the tree is partitioned into local recovery domains
@@ -181,8 +182,8 @@ type Config struct {
 	// DomainClients) — never of SimWorkers — so digests stay bit-identical
 	// at any worker count. Small domains are the million-client tier's
 	// execution mode: per-domain state is O(n/K), so no single engine ever
-	// materialises the full group. Ineligible configurations fall back to
-	// serial with a "domain mode: …" SerialReason.
+	// materialises the full group. A group that fits one domain runs as one
+	// shard with a "domain mode: …" SerialReason.
 	DomainClients int
 	// Check selects the runtime invariant oracle's mode (default: strict —
 	// see CheckMode). The oracle shadows the session's per-(client, seq)
@@ -195,6 +196,59 @@ type Config struct {
 // experiments: 100 packets, 50 ms apart, immediate detection.
 func DefaultConfig() Config {
 	return Config{Packets: 100, Interval: 50, DetectLag: 0}
+}
+
+// validate rejects a configuration the session cannot simulate: a NaN or
+// infinite float field, a non-positive Packets or Interval, a negative
+// DetectLag, a Detection or Check outside its constants, or a program whose
+// last instant — the last send, plus DetectLag, plus the tail sweep's or one
+// heartbeat's wait — is not finite. Negative GapTailLag, HeartbeatInterval
+// and PacketTime keep meaning "default" or "off".
+func (c Config) validate() error {
+	last := float64(c.Packets-1)*c.Interval + c.DetectLag
+	switch c.Detection {
+	case DetectGap:
+		last += c.tailLag()
+	case DetectSession:
+		last += max(c.tailLag(), c.heartbeat())
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+		ok   bool
+	}{
+		{"Packets", float64(c.Packets), c.Packets > 0},
+		{"Interval", c.Interval, c.Interval > 0},
+		{"DetectLag", c.DetectLag, c.DetectLag >= 0},
+		{"GapTailLag", c.GapTailLag, true},
+		{"HeartbeatInterval", c.HeartbeatInterval, true},
+		{"Jitter", c.Jitter, true},
+		{"PacketTime", c.PacketTime, true},
+		{"Detection", float64(c.Detection), c.Detection <= DetectSession},
+		{"Check", float64(c.Check), c.Check <= CheckOff},
+		{"the program's last instant", last, true},
+	} {
+		if !f.ok || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("protocol: bad config: %s = %v", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+// tailLag is the effective GapTailLag (default 2·Interval).
+func (c Config) tailLag() float64 {
+	if c.GapTailLag <= 0 {
+		return 2 * c.Interval
+	}
+	return c.GapTailLag
+}
+
+// heartbeat is the effective HeartbeatInterval (default 4·Interval).
+func (c Config) heartbeat() float64 {
+	if c.HeartbeatInterval <= 0 {
+		return 4 * c.Interval
+	}
+	return c.HeartbeatInterval
 }
 
 // detectEps orders loss-detection checks after same-instant deliveries.
@@ -220,9 +274,10 @@ type Session struct {
 
 	cfg    Config
 	engine Engine
-	// seed is the session's root seed, kept so the parallel runner can
-	// re-derive the serial run's exact rng stream layout per shard.
-	seed uint64
+	// netRand is the net's loss stream and root the root stream left after
+	// the session's own splits: a sharded run hands netRand to the source's
+	// domain and splits one stream per domain from root.
+	netRand, root *rng.Rand
 
 	// Trace, when set before Run, receives structured events for every
 	// send, delivery, drop, detection, and recovery.
@@ -247,10 +302,10 @@ type Session struct {
 	numNodes int
 
 	// latLog, when enabled, records every recovery-latency observation with
-	// its event time. Welford's update is order-dependent, so the parallel
-	// runner replays the per-shard logs in global time order to reproduce
-	// the serial Stats.Latency bit-for-bit (see parallel.go). Off — and
-	// costless — in serial runs.
+	// its event time. Welford's update is order-dependent, so a sharded run
+	// replays the per-domain logs in global time order to reproduce the
+	// one-shard Stats.Latency bit-for-bit (see parallel.go). Off — and
+	// costless — in one-shard runs.
 	latLogOn bool
 	latLog   []latSample
 
@@ -261,7 +316,7 @@ type Session struct {
 
 	// failover marks a session whose engine runs the epoch-fenced
 	// coordinator mode (EnableFailover); serialReason records why a
-	// SimWorkers ≥ 2 run fell back to the serial path (see parallel.go).
+	// SimWorkers ≥ 2 run was laid out as one shard (see parallel.go).
 	failover     bool
 	serialReason string
 }
@@ -369,14 +424,15 @@ type Result struct {
 	PerClientLatency map[graph.NodeID]metrics.Summary
 	// Complete is false if the run hit MaxEvents before quiescing.
 	Complete bool
-	// Sharded reports whether the run actually executed on the conservative
-	// parallel engine. SerialReason, set only when Config.SimWorkers
-	// requested sharding but the run fell back to the serial path, names the
-	// first eligibility condition that failed (see parallelEligible) — so
-	// users stop guessing why -simworkers made no difference.
+	// Sharded reports whether the run executed as more than one recovery
+	// domain. SerialReason, set only when Config.SimWorkers requested
+	// sharding but the run was laid out as one shard — the serial run —
+	// names the first eligibility condition that failed (see
+	// parallelEligible), so users stop guessing why -simworkers made no
+	// difference.
 	Sharded      bool
 	SerialReason string
-	// Domains is the recovery-domain count of a sharded run (0 for serial
+	// Domains is the recovery-domain count of a sharded run (0 for one-shard
 	// runs; see Config.DomainClients) — execution metadata, deliberately
 	// outside the result digest: a domain run must hash identically to its
 	// serial twin.
@@ -472,8 +528,8 @@ func NewSessionWithRouter(topo *topology.Network, engine Engine, cfg Config, see
 // at n=1,000,000 the tree (and especially the full Build's O(n log n) LCA
 // index) dominates per-run setup cost and heap.
 func NewSessionPrebuilt(topo *topology.Network, tree *mtree.Tree, engine Engine, cfg Config, seed uint64, routes route.Router) (*Session, error) {
-	if cfg.Packets <= 0 || cfg.Interval <= 0 {
-		return nil, fmt.Errorf("protocol: bad config %+v", cfg)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	root := rng.New(seed)
 	netRand := root.Split()
@@ -514,7 +570,8 @@ func NewSessionPrebuilt(topo *topology.Network, tree *mtree.Tree, engine Engine,
 		Rand:      protoRand,
 		cfg:       cfg,
 		engine:    engine,
-		seed:      seed,
+		netRand:   netRand,
+		root:      root,
 		clientIdx: make([]int32, topo.NumNodes()),
 		rows:      make([]*clientRow, len(topo.Clients)),
 		sentAt:    make([]float64, cfg.Packets),
@@ -534,14 +591,7 @@ func NewSessionPrebuilt(topo *topology.Network, tree *mtree.Tree, engine Engine,
 		s.clientIdx[c] = int32(i)
 		s.rows[i] = newClientRow(cfg.Packets)
 	}
-	// Every host (clients + source) feeds deliveries through the session.
-	for _, c := range topo.Clients {
-		c := c
-		s.Net.SetHandler(c, func(pkt sim.Packet) { s.onDeliver(c, pkt) })
-	}
-	src := topo.Source
-	s.Net.SetHandler(src, func(pkt sim.Packet) { s.onDeliver(src, pkt) })
-	engine.Attach(s)
+	s.attach(true)
 	if !cfg.Fault.Empty() {
 		// Role-aware validation, pass 2: with the engine attached its
 		// coordinator role is known — a schedule that crashes the RP is only
@@ -553,20 +603,29 @@ func NewSessionPrebuilt(topo *topology.Network, tree *mtree.Tree, engine Engine,
 			}
 		}
 	}
-	if net.Fault != nil {
-		fa, _ := engine.(FaultAware)
-		net.OnCrash = func(h graph.NodeID) {
-			if fa != nil {
-				fa.OnCrash(h)
-			}
-		}
-		net.OnRecover = func(h graph.NodeID) {
-			if fa != nil {
-				fa.OnRecover(h)
-			}
+	return s, nil
+}
+
+// attach wires the session's engine to its net: a delivery handler for
+// every client the session holds a row for, and for the source when source
+// is set (every host feeds deliveries through the session), then the
+// engine's Attach, then its crash/recover hooks. A session and every domain
+// of a sharded run are wired here.
+func (s *Session) attach(source bool) {
+	for i, r := range s.rows {
+		if r != nil {
+			c := s.Topo.Clients[i]
+			s.Net.SetHandler(c, func(pkt sim.Packet) { s.onDeliver(c, pkt) })
 		}
 	}
-	return s, nil
+	if source {
+		src := s.Topo.Source
+		s.Net.SetHandler(src, func(pkt sim.Packet) { s.onDeliver(src, pkt) })
+	}
+	s.engine.Attach(s)
+	if fa, ok := s.engine.(FaultAware); ok {
+		s.Net.OnCrash, s.Net.OnRecover = fa.OnCrash, fa.OnRecover
+	}
 }
 
 // Alive reports whether a host is up at the current simulation time (always
@@ -1063,147 +1122,5 @@ func (s *Session) NoteFencedStale() {
 	s.stats.FencedStale++
 	if s.oracle != nil {
 		s.oracle.OnFenced()
-	}
-}
-
-// Run executes the whole session and returns the result.
-func (s *Session) Run() *Result {
-	if res := s.runSharded(); res != nil {
-		return res
-	}
-	if s.Trace != nil {
-		s.Net.OnSend = func(pkt sim.Packet) {
-			var k trace.Kind
-			switch pkt.Kind {
-			case sim.Data:
-				return // SendData is emitted once per multicast below
-			case sim.Request:
-				k = trace.SendRequest
-			case sim.Repair:
-				k = trace.SendRepair
-			}
-			s.emit(trace.Event{At: s.Eng.Now(), Kind: k,
-				Node: int32(pkt.From), Peer: -1, Seq: pkt.Seq})
-		}
-		s.Net.OnDrop = func(pkt sim.Packet, link graph.EdgeID) {
-			s.emit(trace.Event{At: s.Eng.Now(), Kind: trace.Drop,
-				Node: int32(link), Peer: -1, Seq: pkt.Seq})
-		}
-	}
-	var maxArrive float64
-	for _, c := range s.Topo.Clients {
-		if w := s.Net.WouldArrive(c); w > maxArrive {
-			maxArrive = w
-		}
-	}
-	s.scheduleProgram(true)
-	if s.cfg.Detection == DetectGap || s.cfg.Detection == DetectSession {
-		// Tail sweep: losses of the final packets are never exposed by a
-		// later arrival (and the final heartbeat can itself be lost), so
-		// declare them after a grace period.
-		tailLag := s.cfg.GapTailLag
-		if tailLag <= 0 {
-			tailLag = 2 * s.cfg.Interval
-		}
-		sweepAt := float64(s.cfg.Packets-1)*s.cfg.Interval + maxArrive + tailLag
-		s.Eng.Schedule(sweepAt, func() {
-			for i, c := range s.Topo.Clients {
-				for seq := 0; seq < s.cfg.Packets; seq++ {
-					s.detectLoss(i, c, seq)
-				}
-			}
-		})
-	}
-	if s.cfg.Detection == DetectSession {
-		hb := s.cfg.HeartbeatInterval
-		if hb <= 0 {
-			hb = 4 * s.cfg.Interval
-		}
-		end := float64(s.cfg.Packets-1) * s.cfg.Interval
-		for at := hb; at <= end+hb; at += hb {
-			highest := int(at / s.cfg.Interval)
-			if highest >= s.cfg.Packets {
-				highest = s.cfg.Packets - 1
-			}
-			s.Eng.ScheduleCall(at, s, opHeartbeat, highest, 0)
-		}
-	}
-	maxEvents := s.cfg.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = 50_000_000
-	}
-	executed := s.Eng.Run(maxEvents)
-	complete := s.Eng.Pending() == 0
-
-	for i, c := range s.Topo.Clients {
-		// A client still down when the run ends (permanent crash, or a
-		// window outlasting the traffic) keeps its missing packets as
-		// UnrecoveredCrashed; for a live client an open gap is a liveness
-		// violation and stays in Unrecovered.
-		down := s.Net.Fault != nil && !s.Net.Fault.HostUpAt(c, s.Eng.Now())
-		r := s.rows[i]
-		for seq, got := range r.received {
-			switch {
-			case got:
-				s.stats.Delivered++
-			case down:
-				s.stats.UnrecoveredCrashed++
-			case !math.IsNaN(r.detectAt[seq]):
-				s.stats.Unrecovered++
-			}
-		}
-	}
-	var violations []string
-	if s.oracle != nil {
-		if da, ok := s.engine.(DedupAudited); ok {
-			for _, cache := range da.DedupCaches() {
-				s.oracle.CheckBound(s.engine.Name()+" dedup cache", cache.Len(), cache.Cap())
-			}
-		}
-		down := make([]bool, len(s.Topo.Clients))
-		for i, c := range s.Topo.Clients {
-			down[i] = s.Net.Fault != nil && !s.Net.Fault.HostUpAt(c, s.Eng.Now())
-		}
-		violations = s.oracle.Finish(complete, down, check.Totals{
-			Losses:             s.stats.Losses,
-			Recoveries:         s.stats.Recoveries,
-			Duplicates:         s.stats.Duplicates,
-			PreDetection:       s.stats.PreDetection,
-			DataDeliveries:     s.stats.DataDeliveries,
-			LateData:           s.stats.LateData,
-			Malformed:          s.stats.Malformed,
-			CodedSymbols:       s.stats.CodedSymbols,
-			CodedDuplicates:    s.stats.CodedDuplicates,
-			Failovers:          s.stats.Failovers,
-			FencedStale:        s.stats.FencedStale,
-			Delivered:          s.stats.Delivered,
-			Unrecovered:        s.stats.Unrecovered,
-			UnrecoveredCrashed: s.stats.UnrecoveredCrashed,
-			DataHops:           s.Net.Hops.Data,
-			RequestHops:        s.Net.Hops.Request,
-			RepairHops:         s.Net.Hops.Repair,
-			DataDrops:          s.Net.Drops.Data,
-			RequestDrops:       s.Net.Drops.Request,
-			RepairDrops:        s.Net.Drops.Repair,
-		})
-	}
-	perClient := make(map[graph.NodeID]metrics.Summary, len(s.Topo.Clients))
-	for i, c := range s.Topo.Clients {
-		perClient[c] = s.rows[i].latency
-	}
-	return &Result{
-		Violations:       violations,
-		PerClientLatency: perClient,
-		Protocol:         s.engine.Name(),
-		Clients:          len(s.Topo.Clients),
-		Packets:          s.cfg.Packets,
-		Stats:            s.stats,
-		Hops:             s.Net.Hops,
-		Drops:            s.Net.Drops,
-		Events:           executed,
-		SimTime:          s.Eng.Now(),
-		LatencyHist:      s.latHist,
-		Complete:         complete,
-		SerialReason:     s.serialReason,
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"rmcast/internal/fault"
 	"rmcast/internal/graph"
 	"rmcast/internal/mtree"
 	"rmcast/internal/sim"
@@ -145,13 +146,50 @@ func TestSessionSeedSensitivity(t *testing.T) {
 	}
 }
 
+// TestBadConfigRejected: a configuration the session cannot simulate is an
+// error from NewSession, never a panic inside sim or a run that silently
+// ignores a field.
 func TestBadConfigRejected(t *testing.T) {
 	topo, _ := topology.Star(2, 1)
-	if _, err := NewSession(topo, &nullEngine{}, Config{Packets: 0, Interval: 10}, 1); err == nil {
-		t.Fatal("zero packets accepted")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"zero packets", Config{Packets: 0, Interval: 10}},
+		{"zero interval", Config{Packets: 5, Interval: 0}},
+		{"NaN interval", Config{Packets: 5, Interval: nan}},
+		{"infinite interval", Config{Packets: 5, Interval: inf}},
+		{"last send at +Inf", Config{Packets: 5, Interval: 1e308}},
+		{"NaN detect lag", Config{Packets: 5, Interval: 10, DetectLag: nan}},
+		{"negative detect lag", Config{Packets: 5, Interval: 10, DetectLag: -100}},
+		{"infinite detect lag", Config{Packets: 5, Interval: 10, DetectLag: inf}},
+		{"NaN gap tail lag", Config{Packets: 5, Interval: 10, Detection: DetectGap, GapTailLag: nan}},
+		{"infinite gap tail lag", Config{Packets: 5, Interval: 10, Detection: DetectGap, GapTailLag: inf}},
+		{"NaN heartbeat", Config{Packets: 5, Interval: 10, Detection: DetectSession, HeartbeatInterval: nan}},
+		{"infinite heartbeat", Config{Packets: 5, Interval: 10, Detection: DetectSession, HeartbeatInterval: inf}},
+		{"NaN jitter", Config{Packets: 5, Interval: 10, Jitter: nan}},
+		{"infinite jitter", Config{Packets: 5, Interval: 10, Jitter: inf}},
+		{"NaN packet time", Config{Packets: 5, Interval: 10, PacketTime: nan}},
+		{"infinite packet time", Config{Packets: 5, Interval: 10, PacketTime: inf}},
+		{"unknown detection mode", Config{Packets: 5, Interval: 10, Detection: 9}},
+		{"unknown check mode", Config{Packets: 5, Interval: 10, Check: 9}},
+		{"crash at +Inf", Config{Packets: 5, Interval: 10,
+			Fault: (&fault.Schedule{}).CrashHost(inf, topo.Clients[0])}},
+	} {
+		if _, err := NewSession(topo, &nullEngine{}, tc.cfg, 1); err == nil {
+			t.Errorf("%s: %+v accepted", tc.name, tc.cfg)
+		}
 	}
-	if _, err := NewSession(topo, &nullEngine{}, Config{Packets: 5, Interval: 0}, 1); err == nil {
-		t.Fatal("zero interval accepted")
+	// Negative GapTailLag, HeartbeatInterval and PacketTime mean "default"
+	// or "off", and the largest finite program is fine.
+	for _, cfg := range []Config{
+		{Packets: 5, Interval: 10, Detection: DetectSession, GapTailLag: -1, HeartbeatInterval: -1, PacketTime: -1},
+		{Packets: 2, Interval: 1e308},
+	} {
+		if _, err := NewSession(topo, &nullEngine{}, cfg, 1); err != nil {
+			t.Errorf("%+v rejected: %v", cfg, err)
+		}
 	}
 }
 

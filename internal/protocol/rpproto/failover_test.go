@@ -249,8 +249,8 @@ func TestNoElectionRejectsRPCrash(t *testing.T) {
 }
 
 // TestFailoverFallsBackSerial pins the parallel-engine contract: a failover
-// run requesting sharding must fall back to the byte-exact serial path and
-// say why.
+// run requesting sharding must run as one shard — the serial run — and say
+// why.
 func TestFailoverFallsBackSerial(t *testing.T) {
 	topo, order := churnTopo(t, 7)
 	sched := (&fault.Schedule{}).CrashHost(150, order[0])

@@ -187,7 +187,7 @@ func (e *Engine) Name() string {
 // clones share them. The resilience layer is not shardable (its failure
 // detector replans into a shared roster at run time), and neither is
 // failover (election and the epoch registry are group-global run-time
-// state); both force the byte-exact serial fallback.
+// state); both force a one-shard (serial) run.
 func (e *Engine) CloneForShard() protocol.Engine {
 	if e.opt.Resilience.Enabled || e.opt.Failover.Enabled {
 		return nil

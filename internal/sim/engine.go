@@ -308,14 +308,15 @@ func (e *Engine) RunUntil(t float64) {
 	}
 }
 
-// RunBefore executes events with timestamps strictly below t and returns how
-// many fired. Unlike RunUntil the clock is left at the last executed event,
-// not advanced to t: the conservative parallel runner calls this per window,
-// and a shard must still accept remote deliveries stamped between its last
-// local event and the horizon.
-func (e *Engine) RunBefore(t float64) uint64 {
+// RunBefore executes events with timestamps strictly below t, at most budget
+// of them, and returns how many fired. Unlike RunUntil the clock is left at
+// the last executed event, not advanced to t: the session runner calls this
+// per window, and a domain must still accept remote deliveries stamped
+// between its last local event and the horizon. With t = +Inf it stops
+// exactly where Run(budget) stops.
+func (e *Engine) RunBefore(t float64, budget uint64) uint64 {
 	start := e.processed
-	for len(e.pq) > 0 && e.pq[0].at < t {
+	for len(e.pq) > 0 && e.pq[0].at < t && e.processed-start < budget {
 		e.Step()
 	}
 	return e.processed - start

@@ -121,9 +121,9 @@ type Net struct {
 	OnRecover func(node graph.NodeID)
 
 	r *rng.Rand
-	// handlers is the dense per-node handler table of serial nets, allocated
-	// lazily on first SetHandler. Sharded nets use hmap instead: a domain
-	// owns only ~n/K hosts, and K dense tables would cost K·n slots.
+	// handlers is the dense per-node handler table of a session's own net,
+	// allocated lazily on first SetHandler. Shard nets use hmap instead: a
+	// domain owns only ~n/K hosts, and K dense tables would cost K·n slots.
 	handlers []Handler
 	hmap     map[graph.NodeID]Handler
 	// mut is the message-plane mutator of the installed fault state (nil
@@ -132,10 +132,10 @@ type Net struct {
 	mut *fault.Mutator
 	// treeAdj is adjacency restricted to tree links, for flood traversal.
 	// It is immutable after construction and shared across every shard of a
-	// partitioned run (see TreeAdjacency).
-	treeAdj *TreeAdjacency
+	// partitioned run (see treeAdjacency).
+	treeAdj *treeAdjacency
 
-	// Sharded-mode state (see shard.go; all nil/zero in serial runs).
+	// Sharded-mode state (see shard.go; all nil/zero on a session's own net).
 	// shardOf is the shared node→shard map of the partition, shardID this
 	// net's own shard, hostsShared the shared handler-bearing node set, and
 	// outbox the cross-shard deliveries produced by the current window.
@@ -173,22 +173,22 @@ type Symbol struct {
 	Index int32
 }
 
-// TreeAdjacency is the tree-link adjacency of a topology in CSR form: one
+// treeAdjacency is the tree-link adjacency of a topology in CSR form: one
 // shared half-edge buffer plus per-node offsets, instead of a slice header
-// and separate allocation per node. It is immutable once built, so a
-// partitioned run builds it once and hands the same instance to every
-// domain's Net — at n=1,000,000 that turns K copies of a ~2.5M-entry
-// adjacency into one.
-type TreeAdjacency struct {
+// and separate allocation per node. It is immutable once built, so every
+// domain net of a partitioned run shares its session net's instance (see
+// Shard) — at n=1,000,000 that turns K copies of a ~2.5M-entry adjacency
+// into one.
+type treeAdjacency struct {
 	off []int32
 	buf []graph.Half
 }
 
-// NewTreeAdjacency builds the tree adjacency of topo. Per-node half-edge
+// newTreeAdjacency builds the tree adjacency of topo. Per-node half-edge
 // order is TreeEdges order, matching the append-based layout it replaced.
-func NewTreeAdjacency(topo *topology.Network) *TreeAdjacency {
+func newTreeAdjacency(topo *topology.Network) *treeAdjacency {
 	n := topo.NumNodes()
-	a := &TreeAdjacency{
+	a := &treeAdjacency{
 		off: make([]int32, n+1),
 		buf: make([]graph.Half, 2*len(topo.TreeEdges)),
 	}
@@ -213,7 +213,7 @@ func NewTreeAdjacency(topo *topology.Network) *TreeAdjacency {
 }
 
 // of returns node's tree half-edges.
-func (a *TreeAdjacency) of(node graph.NodeID) []graph.Half {
+func (a *treeAdjacency) of(node graph.NodeID) []graph.Half {
 	return a.buf[a.off[node]:a.off[node+1]]
 }
 
@@ -221,19 +221,13 @@ func (a *TreeAdjacency) of(node graph.NodeID) []graph.Half {
 // stream is owned by the Net afterwards (loss draws must not interleave
 // with other users).
 func NewNet(eng *Engine, topo *topology.Network, tree *mtree.Tree, routes route.Router, r *rng.Rand) *Net {
-	return NewNetShared(eng, topo, tree, routes, r, NewTreeAdjacency(topo))
-}
-
-// NewNetShared is NewNet with a prebuilt tree adjacency, for partitioned
-// runs where every shard shares one immutable instance.
-func NewNetShared(eng *Engine, topo *topology.Network, tree *mtree.Tree, routes route.Router, r *rng.Rand, adj *TreeAdjacency) *Net {
 	return &Net{
 		Eng:     eng,
 		Topo:    topo,
 		Tree:    tree,
 		Routes:  routes,
 		r:       r,
-		treeAdj: adj,
+		treeAdj: newTreeAdjacency(topo),
 	}
 }
 
@@ -263,11 +257,17 @@ func (n *Net) handlerOf(node graph.NodeID) Handler {
 // InstallFault attaches a failure-injection model and schedules its host
 // transitions as engine events, so the OnCrash/OnRecover hooks fire at the
 // scheduled instants (the hooks may be assigned after this call; they are
-// read at fire time).
+// read at fire time). Every shard of a partitioned run installs the session
+// net's state: its window lookups are pure, so sharing is safe, and a shard
+// schedules the transitions of its own hosts only, so across shards every
+// hook fires exactly once, at the same instants as in a one-shard run.
 func (n *Net) InstallFault(st *fault.State) {
 	n.Fault = st
 	n.mut = st.Mutator()
 	for _, e := range st.HostEvents() {
+		if n.shardOf != nil && n.shardOf[e.Node] != n.shardID {
+			continue
+		}
 		n.scheduleHostEvent(e)
 	}
 }

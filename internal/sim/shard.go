@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"rmcast/internal/fault"
 	"rmcast/internal/graph"
+	"rmcast/internal/rng"
 )
 
 // RemoteDelivery is one packet delivery bound for a host owned by another
@@ -19,20 +19,26 @@ type RemoteDelivery struct {
 	Pkt  Packet
 }
 
-// EnableShard puts the net into sharded mode: this net simulates shard id of
-// the partition described by shardOf, and hosts marks every node (across all
-// shards) that has a handler somewhere. shardOf and hosts are shared
-// read-only across shards. Handler storage switches to a sparse map — a
-// shard owns only its own band's hosts, so a dense per-node table per shard
-// would cost K·n slots. Call before registering handlers.
-func (n *Net) EnableShard(id int32, shardOf []int32, hosts []bool) {
-	n.shardID = id
-	n.shardOf = shardOf
-	n.hostsShared = hosts
-	if n.handlers != nil {
-		panic("sim: EnableShard after SetHandler")
+// Shard derives the net of shard id of a partitioned run from n, the
+// session's own net: a fresh net on eng, drawing link loss from r, that
+// shares n's topology, tree, routes and tree adjacency, all read-only.
+// shardOf maps every node to its shard and hosts marks every node (across all
+// shards) that has a handler somewhere; both are shared read-only too.
+// Handler storage is a sparse map — a shard owns only its own band's hosts,
+// so a dense per-node table per shard would cost K·n slots.
+func (n *Net) Shard(eng *Engine, r *rng.Rand, id int32, shardOf []int32, hosts []bool) *Net {
+	return &Net{
+		Eng:         eng,
+		Topo:        n.Topo,
+		Tree:        n.Tree,
+		Routes:      n.Routes,
+		r:           r,
+		treeAdj:     n.treeAdj,
+		shardOf:     shardOf,
+		shardID:     id,
+		hostsShared: hosts,
+		hmap:        make(map[graph.NodeID]Handler),
 	}
-	n.hmap = make(map[graph.NodeID]Handler)
 }
 
 // Outbox returns the cross-shard deliveries accumulated since the last
@@ -61,20 +67,4 @@ func (n *Net) hasHost(node graph.NodeID) bool {
 		return n.hostsShared[node]
 	}
 	return n.handlerOf(node) != nil
-}
-
-// InstallFaultShared attaches a fault state shared by every shard of a
-// partitioned run. The state's window lookups are pure, so sharing is safe;
-// each shard schedules the crash/recover transition events only for hosts it
-// owns, so across shards every hook fires exactly once, at the same instants
-// as a serial run.
-func (n *Net) InstallFaultShared(st *fault.State) {
-	n.Fault = st
-	n.mut = st.Mutator()
-	for _, e := range st.HostEvents() {
-		if n.shardOf[e.Node] != n.shardID {
-			continue
-		}
-		n.scheduleHostEvent(e)
-	}
 }
