@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race test-bench vet check bench bench-json bench-diff bench-parallel smoke-bench profile figures cover fuzz fuzz-short soak clean
+.PHONY: all build test test-race test-bench vet check examples bench bench-json bench-diff bench-parallel smoke-bench profile figures cover fuzz fuzz-short soak clean
 
 all: build vet test
 
@@ -27,6 +27,15 @@ test-race:
 # the harness fails CI instead of the benchmark run.
 test-bench:
 	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
+
+# Run every examples/* program — the README's entry points — and fail on the
+# first non-zero exit. Their output goes to /dev/null; run one by hand
+# (`go run ./examples/quickstart`) to read it.
+examples:
+	@for e in examples/*/; do \
+		echo "$(GO) run ./$$e"; \
+		$(GO) run ./$$e > /dev/null || exit 1; \
+	done
 
 # One short benchmark pass over every suite (full runs: drop -benchtime).
 bench:

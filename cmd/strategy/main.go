@@ -70,7 +70,9 @@ func main() {
 		fail(err)
 	}
 	p := core.NewPlanner(tree, route.Build(topo))
-	p.Timeout = core.ProportionalTimeout(*beta)
+	if p.Timeout, err = proportionalTimeout(*beta); err != nil {
+		fail(err)
+	}
 	p.AllowDirectSource = !*noDirect
 
 	if *asJSON {
@@ -132,8 +134,13 @@ func main() {
 // comparable. Chorded scan-mode topologies still work through the service
 // (covered by its tests); they just bottleneck on replanning, which is a
 // planner property, not a service one. Bad flag values (no clients, a
-// negative reader count, a non-positive duration) are errors.
+// non-finite beta, a negative reader count, a non-positive duration) are
+// errors.
 func runStress(w io.Writer, routers int, seed uint64, beta float64, allowDirect bool, readers, churnRate int, d time.Duration) error {
+	timeout, err := proportionalTimeout(beta)
+	if err != nil {
+		return err
+	}
 	net, err := topology.GenerateTree(topology.DefaultTreeConfig(routers), rng.New(seed))
 	if err != nil {
 		return err
@@ -143,7 +150,7 @@ func runStress(w io.Writer, routers int, seed uint64, beta float64, allowDirect 
 		return err
 	}
 	p := core.NewPlanner(tree, route.NewTreeTables(tree))
-	p.Timeout = core.ProportionalTimeout(beta)
+	p.Timeout = timeout
 	p.AllowDirectSource = allowDirect
 	fmt.Fprintf(w, "topology: %d routers (pure tree), %d clients, tree depth max %d\n",
 		routers, len(tree.Clients), maxDepth(tree))
@@ -214,6 +221,16 @@ func maxDepth(t *mtree.Tree) int32 {
 		}
 	}
 	return m
+}
+
+// proportionalTimeout returns the t0 = beta·rtt policy of -beta. A
+// non-finite beta is an error: a NaN timeout would silently collapse every
+// plan to the source.
+func proportionalTimeout(beta float64) (core.TimeoutPolicy, error) {
+	if math.IsNaN(beta) || math.IsInf(beta, 0) {
+		return nil, fmt.Errorf("timeout factor -beta %v is not finite", beta)
+	}
+	return core.ProportionalTimeout(beta), nil
 }
 
 func fail(err error) {

@@ -1,0 +1,205 @@
+package experiment
+
+// Golden digests for every engine-table name. TestGoldenDigests pins the five
+// historical engines; this gate covers all of Engines(), so a change to the
+// network layer's delivery paths cannot move an ablation, hardened or
+// failover variant unnoticed. The extra cells exercise the delivery rules
+// the plain cell does not reach: sequence-gap and session-message detection,
+// jittered lossy recovery (net-stream draws on every control hop) and the
+// message mutator (draws at every control delivery), the last both on the
+// precomputed path and under the queueing model.
+//
+// The constants were captured from the run-path implementation that
+// predates the single delivery path; do not re-capture them without first
+// explaining why the firing order moved.
+
+import (
+	"fmt"
+	"testing"
+
+	"rmcast/internal/fault"
+	"rmcast/internal/protocol"
+	"rmcast/internal/topology"
+)
+
+// engineDigests: key is engine name + "/" + cell.
+var engineDigests = map[string]string{
+	"SRM/plain":                    "9fef9d0fc6b705e9",
+	"SRM/queued":                   "b504924ee981daac",
+	"RMA/plain":                    "d0bdb5371b28be14",
+	"RMA/queued":                   "43688f6583dc842b",
+	"RP/plain":                     "c2ae2b1a7163e4c8",
+	"RP/queued":                    "261c2b4e6e6df5ff",
+	"RP-AWARE/plain":               "9e6992f592465b07",
+	"RP-AWARE/queued":              "f383fafff464fbdb",
+	"RP-NOSRC/plain":               "96d1fb099d2b1455",
+	"RP-NOSRC/queued":              "bd53666e7ca49bc6",
+	"RP-NAK/plain":                 "c41527be4afd41ed",
+	"RP-NAK/queued":                "348498049f9a4d4a",
+	"RP-SUBGROUP/plain":            "5a1523f97afb147a",
+	"RP-SUBGROUP/queued":           "9fbd74c925401da7",
+	"SRC/plain":                    "c8bf39c33a2c204a",
+	"SRC/queued":                   "4fb96363e2242379",
+	"SRM-HONEST/plain":             "5b8749344bdd3743",
+	"SRM-HONEST/queued":            "cac3dccb3e1bbad3",
+	"SRM-ADAPT/plain":              "b9a9f5788c15e0d4",
+	"SRM-ADAPT/queued":             "1b065bbf955edfac",
+	"FEC/plain":                    "6fea6134001742c8",
+	"FEC/queued":                   "6cf6f2a9378bfa39",
+	"ACK/plain":                    "9a0aed853ef5b20d",
+	"ACK/queued":                   "9e3658d2e0f45742",
+	"RP-RESILIENT/plain":           "a8cfa62de1c11892",
+	"RP-RESILIENT/queued":          "3e49283d87a2af5f",
+	"RP-FAILOVER/plain":            "0d956f9b3bae6114",
+	"RP-FAILOVER/queued":           "2e196ee287ced061",
+	"COOP/plain":                   "63e9bc316603b8a3",
+	"COOP/queued":                  "7f8dadacb29b4731",
+	"SRM/gap":                      "9e3d85522d140415",
+	"SRM/session":                  "5ea53c82959f53e3",
+	"SRM/jitter-lossy":             "07652aedf49369d6",
+	"SRM/mutation":                 "8af196dffdefb7b4",
+	"SRM/mutation-queued":          "61823360b02e4612",
+	"RMA/gap":                      "09a1e220d7ef20ac",
+	"RMA/session":                  "a1ebeaada44c7ca9",
+	"RMA/jitter-lossy":             "0804a1ec482ace72",
+	"RMA/mutation":                 "39b3cf4d3de4dd5f",
+	"RMA/mutation-queued":          "b8927e05d105b10c",
+	"RP/gap":                       "d3fdbb6fe1c78aeb",
+	"RP/session":                   "10ca1c5de4c9e150",
+	"RP/jitter-lossy":              "880d94b9bd2173f6",
+	"RP/mutation":                  "a0fddbcc67aa355d",
+	"RP/mutation-queued":           "671ea3ba37674e02",
+	"RP-AWARE/gap":                 "d78d344ea446e264",
+	"RP-AWARE/session":             "0e35033b7df91025",
+	"RP-AWARE/jitter-lossy":        "453feb58b5367b38",
+	"RP-AWARE/mutation":            "d75ac3d86a7c29a9",
+	"RP-AWARE/mutation-queued":     "d562421ce8cedddc",
+	"RP-NOSRC/gap":                 "933284f603a3739c",
+	"RP-NOSRC/session":             "abeaa7d211fe18ed",
+	"RP-NOSRC/jitter-lossy":        "1a515958f219fc7f",
+	"RP-NOSRC/mutation":            "eeca6ef3d6577374",
+	"RP-NOSRC/mutation-queued":     "87b68ab7fc6dff62",
+	"RP-NAK/gap":                   "aa987213557608c5",
+	"RP-NAK/session":               "aaec262039cf9f0b",
+	"RP-NAK/jitter-lossy":          "c5e8da2947512323",
+	"RP-NAK/mutation":              "350a82da2864c37d",
+	"RP-NAK/mutation-queued":       "73e1e672675e4a54",
+	"RP-SUBGROUP/gap":              "e31dc8e504a2740a",
+	"RP-SUBGROUP/session":          "b43a346178f352a9",
+	"RP-SUBGROUP/jitter-lossy":     "04e57726b6e5dbc4",
+	"RP-SUBGROUP/mutation":         "07821f3e15ff3552",
+	"RP-SUBGROUP/mutation-queued":  "1b0ffcd08756af96",
+	"SRC/gap":                      "dce75a89a6e5227a",
+	"SRC/session":                  "2fd94052d92b96df",
+	"SRC/jitter-lossy":             "12955388c3f6424a",
+	"SRC/mutation":                 "7c3e1da5f4ef7ce6",
+	"SRC/mutation-queued":          "f15505ac01c5c675",
+	"SRM-HONEST/gap":               "9553fe263f2c3571",
+	"SRM-HONEST/session":           "b5169662a3ad63f2",
+	"SRM-HONEST/jitter-lossy":      "a314dcfdac5f6cef",
+	"SRM-HONEST/mutation":          "37d14d3d083b8444",
+	"SRM-HONEST/mutation-queued":   "7c8a558402e4a92c",
+	"SRM-ADAPT/gap":                "11c1773bd0355617",
+	"SRM-ADAPT/session":            "ee79cf4559047e81",
+	"SRM-ADAPT/jitter-lossy":       "52683d161f750808",
+	"SRM-ADAPT/mutation":           "2f044fa8964dc5ce",
+	"SRM-ADAPT/mutation-queued":    "95d8f3da97a5d96f",
+	"FEC/gap":                      "43b70b6a521af1bd",
+	"FEC/session":                  "77d1cd8b40d62bad",
+	"FEC/jitter-lossy":             "c8a960b2510c8507",
+	"FEC/mutation":                 "0ee30f63a79c0691",
+	"FEC/mutation-queued":          "447c97c6b5b1977a",
+	"ACK/gap":                      "7d931ce679d2e943",
+	"ACK/session":                  "506a74c7fc832b32",
+	"ACK/jitter-lossy":             "1b1388401b6dff8c",
+	"ACK/mutation":                 "b3c346f75e59cffa",
+	"ACK/mutation-queued":          "bcf53879624e9c18",
+	"RP-RESILIENT/gap":             "1d8a69916e5daac7",
+	"RP-RESILIENT/session":         "83e1a6d5be84de48",
+	"RP-RESILIENT/jitter-lossy":    "f321847bfb0deca9",
+	"RP-RESILIENT/mutation":        "d706996c3e52d60b",
+	"RP-RESILIENT/mutation-queued": "4848c49a64fdf29a",
+	"RP-FAILOVER/gap":              "4d757db1b223a1d1",
+	"RP-FAILOVER/session":          "4fb4d9d8fe383f99",
+	"RP-FAILOVER/jitter-lossy":     "48d89388e6bc69ac",
+	"RP-FAILOVER/mutation":         "7eca3508a278708c",
+	"RP-FAILOVER/mutation-queued":  "5ca79e54608f4bdb",
+	"COOP/gap":                     "d650c4174c9962a1",
+	"COOP/session":                 "3896faeeaf7d9522",
+	"COOP/jitter-lossy":            "8a3b76c6b73c9b7a",
+	"COOP/mutation":                "1285612d0e0253b0",
+	"COOP/mutation-queued":         "2a6155dd3395956f",
+}
+
+// engineCells are the extra configurations run for every engine, each a
+// change to the golden cell's plain Config.
+var engineCells = []struct {
+	name string
+	set  func(cfg *protocol.Config)
+}{
+	{"gap", func(cfg *protocol.Config) { cfg.Detection = protocol.DetectGap }},
+	{"session", func(cfg *protocol.Config) { cfg.Detection = protocol.DetectSession }},
+	{"jitter-lossy", func(cfg *protocol.Config) { cfg.Jitter, cfg.LossyRecovery = 0.3, true }},
+	{"mutation", func(cfg *protocol.Config) { cfg.Fault = mutationSchedule(cfg) }},
+	{"mutation-queued", func(cfg *protocol.Config) {
+		cfg.Fault = mutationSchedule(cfg)
+		cfg.PacketTime, cfg.DetectLag = 0.2, 4
+	}},
+}
+
+// mutationSchedule is a full-intensity message-plane mutator over the
+// stream's span.
+func mutationSchedule(cfg *protocol.Config) *fault.Schedule {
+	return &fault.Schedule{Mutation: fault.MutationFromIntensity(1, float64(cfg.Packets)*cfg.Interval)}
+}
+
+// TestGoldenDigestsEngines runs every engine-table name on the golden cell,
+// plain and queued, at 1 and 4 workers, against one constant per cell.
+func TestGoldenDigestsEngines(t *testing.T) {
+	for _, proto := range Engines() {
+		for _, variant := range []string{"plain", "queued"} {
+			key := proto + "/" + variant
+			for _, w := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/w%d", key, w), func(t *testing.T) {
+					res := goldenRunWorkers(t, proto, variant == "queued", w)
+					checkEngineDigest(t, key, res)
+				})
+			}
+		}
+	}
+}
+
+// TestGoldenDigestsEngineCells runs every engine-table name on each extra
+// cell. The cells lie outside the sharded mode's envelope, so one worker
+// count covers them.
+func TestGoldenDigestsEngineCells(t *testing.T) {
+	topo, err := topology.Standard(50, 0.05, 2053)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, proto := range Engines() {
+		for _, cell := range engineCells {
+			key := proto + "/" + cell.name
+			t.Run(key, func(t *testing.T) {
+				eng, err := NewEngine(proto)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := protocol.Config{Packets: 40, Interval: 50}
+				cell.set(&cfg)
+				s, err := protocol.NewSession(topo, eng, cfg, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkEngineDigest(t, key, s.Run())
+			})
+		}
+	}
+}
+
+func checkEngineDigest(t *testing.T, key string, res *protocol.Result) {
+	t.Helper()
+	if got, want := ResultDigest(res), engineDigests[key]; got != want {
+		t.Errorf("digest %s = %s, want %s", key, got, want)
+	}
+}

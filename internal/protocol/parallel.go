@@ -245,15 +245,10 @@ func (s *Session) layOut() ([]*Session, float64) {
 		s.oracle = check.NewShard(len(s.Topo.Clients), s.cfg.Packets,
 			s.cfg.Check == CheckStrict, sent, nil)
 	}
-	hosts := make([]bool, s.numNodes)
-	for _, c := range s.Topo.Clients {
-		hosts[c] = true
-	}
-	hosts[s.Topo.Source] = true
 	rands := s.root.SplitN(part.K)
 	shards := make([]*Session, part.K)
 	for i := range shards {
-		shards[i] = s.domain(int32(i), part.ShardOf, engines[i], hosts, sent, rands[i])
+		shards[i] = s.domain(int32(i), part.ShardOf, engines[i], sent, rands[i])
 	}
 	return shards, part.Lookahead
 }
@@ -306,7 +301,7 @@ func (s *Session) planDomains() ([]Engine, *mtree.Partition, string) {
 // an engine clone, wired and laid out like the session itself so that
 // same-instant events keep their one-shard order within the domain. The
 // source's domain (id 0) draws the session net's loss stream.
-func (s *Session) domain(id int32, shardOf []int32, engine Engine, hosts, sent []bool, r *rng.Rand) *Session {
+func (s *Session) domain(id int32, shardOf []int32, engine Engine, sent []bool, r *rng.Rand) *Session {
 	eng := sim.NewEngine()
 	netRand := r
 	if id == 0 {
@@ -314,7 +309,7 @@ func (s *Session) domain(id int32, shardOf []int32, engine Engine, hosts, sent [
 	}
 	sub := &Session{
 		Eng:       eng,
-		Net:       s.Net.Shard(eng, netRand, id, shardOf, hosts),
+		Net:       s.Net.Shard(eng, netRand, id, shardOf),
 		Topo:      s.Topo,
 		Tree:      s.Tree,
 		Routes:    s.Routes,
@@ -339,7 +334,7 @@ func (s *Session) domain(id int32, shardOf []int32, engine Engine, hosts, sent [
 		sub.oracle = check.NewShard(len(s.Topo.Clients), s.cfg.Packets,
 			s.cfg.Check == CheckStrict, sent, owned)
 	}
-	sub.attach(id == 0)
+	sub.attach()
 	if f := s.Net.Fault; f != nil {
 		sub.Net.InstallFault(f)
 	}

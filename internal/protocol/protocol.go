@@ -547,7 +547,7 @@ func NewSessionPrebuilt(topo *topology.Network, tree *mtree.Tree, engine Engine,
 	net.ControlLoss = cfg.LossyRecovery
 	net.Jitter = cfg.Jitter
 	if cfg.PacketTime > 0 {
-		net.Queue = sim.NewQueueModelSized(cfg.PacketTime, topo.G.NumEdges())
+		net.Queue = sim.NewQueueModel(cfg.PacketTime, topo.G.NumEdges())
 	}
 	if !cfg.Fault.Empty() {
 		if err := cfg.Fault.Validate(topo.NumNodes(), len(topo.Loss)); err != nil {
@@ -591,7 +591,7 @@ func NewSessionPrebuilt(topo *topology.Network, tree *mtree.Tree, engine Engine,
 		s.clientIdx[c] = int32(i)
 		s.rows[i] = newClientRow(cfg.Packets)
 	}
-	s.attach(true)
+	s.attach()
 	if !cfg.Fault.Empty() {
 		// Role-aware validation, pass 2: with the engine attached its
 		// coordinator role is known — a schedule that crashes the RP is only
@@ -606,22 +606,13 @@ func NewSessionPrebuilt(topo *topology.Network, tree *mtree.Tree, engine Engine,
 	return s, nil
 }
 
-// attach wires the session's engine to its net: a delivery handler for
-// every client the session holds a row for, and for the source when source
-// is set (every host feeds deliveries through the session), then the
+// attach wires the session's engine to its net: the session is the net's
+// receiver (every host feeds deliveries through onDeliver), then the
 // engine's Attach, then its crash/recover hooks. A session and every domain
-// of a sharded run are wired here.
-func (s *Session) attach(source bool) {
-	for i, r := range s.rows {
-		if r != nil {
-			c := s.Topo.Clients[i]
-			s.Net.SetHandler(c, func(pkt sim.Packet) { s.onDeliver(c, pkt) })
-		}
-	}
-	if source {
-		src := s.Topo.Source
-		s.Net.SetHandler(src, func(pkt sim.Packet) { s.onDeliver(src, pkt) })
-	}
+// of a sharded run are wired here; a domain's net hands it deliveries for
+// the hosts it owns only.
+func (s *Session) attach() {
+	s.Net.Deliver = s.onDeliver
 	s.engine.Attach(s)
 	if fa, ok := s.engine.(FaultAware); ok {
 		s.Net.OnCrash, s.Net.OnRecover = fa.OnCrash, fa.OnRecover

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"rmcast/internal/graph"
 	"rmcast/internal/mtree"
 	"rmcast/internal/rng"
 	"rmcast/internal/route"
@@ -74,6 +75,41 @@ func TestAllocsTimerCycle(t *testing.T) {
 	}
 }
 
+// allocNet returns a net over topo for the forwarding budgets, with a
+// receiver counting deliveries, under the queue model when queued is set.
+func allocNet(t *testing.T, topo *topology.Network, queued bool) (*Net, *int) {
+	t.Helper()
+	tree, err := mtree.Build(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := NewNet(NewEngine(), topo, tree, route.Build(topo), rng.New(1))
+	if queued {
+		n.Queue = NewQueueModel(0.1, topo.G.NumEdges())
+	}
+	deliveries := 0
+	n.Deliver = func(graph.NodeID, Packet) { deliveries++ }
+	return n, &deliveries
+}
+
+// checkSendAllocs warms send's pools and calendar with one call, then
+// asserts a warm send (plus draining its events) allocates at most budget
+// per call and delivers something.
+func checkSendAllocs(t *testing.T, n *Net, deliveries *int, budget float64, send func()) {
+	t.Helper()
+	run := func() {
+		send()
+		n.Eng.Run(0)
+	}
+	run()
+	if avg := testing.AllocsPerRun(200, run); avg > budget {
+		t.Fatalf("allocates %v per send, want ≤ %v", avg, budget)
+	}
+	if *deliveries == 0 {
+		t.Fatal("no deliveries — the measurement exercised nothing")
+	}
+}
+
 // TestAllocsQueuedUnicastHop budgets a queued-model unicast at one
 // allocation per hop at most; with the pooled walkers it is in fact zero
 // once the pool is warm.
@@ -82,28 +118,11 @@ func TestAllocsQueuedUnicastHop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := mtree.Build(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine()
-	n := NewNet(eng, topo, tree, route.Build(topo), rng.New(1))
-	n.Queue = NewQueueModelSized(0.1, topo.G.NumEdges())
-	deliveries := 0
-	n.SetHandler(topo.Clients[0], func(Packet) { deliveries++ })
-	send := func() {
-		n.Unicast(topo.Clients[0], Packet{Kind: Request, From: topo.Source, Seq: 1})
-		eng.Run(0)
-	}
-	send() // warm the walker pool and calendar
+	n, deliveries := allocNet(t, topo, true)
 	const hops = 4
-	avg := testing.AllocsPerRun(200, send)
-	if perHop := avg / hops; perHop > 1 {
-		t.Fatalf("queued unicast allocates %v per hop (%v per packet), want ≤ 1", perHop, avg)
-	}
-	if deliveries == 0 {
-		t.Fatal("no deliveries — the measurement exercised nothing")
-	}
+	checkSendAllocs(t, n, deliveries, hops, func() {
+		n.Unicast(topo.Clients[0], Packet{Kind: Request, From: topo.Source, Seq: 1})
+	})
 }
 
 // TestAllocsQueuedFlood budgets a whole queued tree flood: fan-out walkers
@@ -113,23 +132,42 @@ func TestAllocsQueuedFlood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := mtree.Build(topo)
+	n, deliveries := allocNet(t, topo, true)
+	checkSendAllocs(t, n, deliveries, 0, func() {
+		n.MulticastFromSource(Packet{Kind: Data, Seq: 1, From: topo.Source})
+	})
+}
+
+// TestAllocsSubtreeMulticasts budgets MulticastSubtree (an ascent) and
+// MulticastDescend (a descent), each followed by a subtree flood, at zero
+// allocations once warm, in both forwarding models: their hops live in the
+// net's reused scratch, and a queued walk copies them into a pooled
+// walker's reused path.
+func TestAllocsSubtreeMulticasts(t *testing.T) {
+	topo, err := topology.Chain(3, 1, []int{2}) // S—r1—r2—r3—tail, side on r2
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine()
-	n := NewNet(eng, topo, tree, route.Build(topo), rng.New(1))
-	n.Queue = NewQueueModelSized(0.1, topo.G.NumEdges())
-	for _, c := range topo.Clients {
-		n.SetHandler(c, func(Packet) {})
-	}
-	send := func() {
-		n.MulticastFromSource(Packet{Kind: Data, Seq: 1, From: topo.Source})
-		eng.Run(0)
-	}
-	send()
-	if avg := testing.AllocsPerRun(200, send); avg != 0 {
-		t.Fatalf("queued flood allocates %v per multicast, want 0", avg)
+	tail, side := topo.Clients[0], topo.Clients[1]
+	for _, queued := range []bool{false, true} {
+		name := "precomputed"
+		if queued {
+			name = "queued"
+		}
+		t.Run(name+"/subtree", func(t *testing.T) {
+			n, deliveries := allocNet(t, topo, queued)
+			meet := n.Tree.LCA(tail, side)
+			checkSendAllocs(t, n, deliveries, 0, func() {
+				n.MulticastSubtree(meet, Packet{Kind: Repair, From: side, Seq: 1})
+			})
+		})
+		t.Run(name+"/descend", func(t *testing.T) {
+			n, deliveries := allocNet(t, topo, queued)
+			sub := n.Tree.LCA(tail, side)
+			checkSendAllocs(t, n, deliveries, 0, func() {
+				n.MulticastDescend(sub, Packet{Kind: Repair, From: topo.Source, Seq: 1})
+			})
+		})
 	}
 }
 

@@ -5,10 +5,18 @@
 // per-link delay.
 //
 // Per the paper, "unlike a real network, the link delay and loss properties
-// are independent of the number of packets traversing the link" — there is
-// deliberately no queueing or congestion model, which (as the paper notes)
-// biases in favour of the chattier protocols SRM and RMA, making RP's
-// measured advantage conservative.
+// are independent of the number of packets traversing the link" — by
+// default there is no queueing or congestion model, which (as the paper
+// notes) biases in favour of the chattier protocols SRM and RMA, making RP's
+// measured advantage conservative. The optional QueueModel adds one.
+//
+// Delivery: every packet that reaches a host goes to one receiver per net
+// (Net.Deliver), and the source and client set is built once per topology
+// and shared by every shard of a partitioned run. Unicast, MulticastSubtree
+// and MulticastDescend write their hops into reused scratch and hand them to
+// one path walk per forwarding model: the precomputed model crosses them
+// when the packet is sent, the queue model takes one hop per event. Floods
+// (FloodTree, MulticastFromSource) fan out over the tree instead.
 //
 // Determinism: all randomness flows through one rng.Rand owned by the
 // caller, and simultaneous events fire in schedule order (a monotone
@@ -297,23 +305,12 @@ func (e *Engine) Run(maxEvents uint64) uint64 {
 	return e.processed - start
 }
 
-// RunUntil executes events with timestamps ≤ t and then advances the clock
-// to t (if the calendar ran dry earlier).
-func (e *Engine) RunUntil(t float64) {
-	for len(e.pq) > 0 && e.pq[0].at <= t {
-		e.Step()
-	}
-	if e.now < t {
-		e.now = t
-	}
-}
-
 // RunBefore executes events with timestamps strictly below t, at most budget
-// of them, and returns how many fired. Unlike RunUntil the clock is left at
-// the last executed event, not advanced to t: the session runner calls this
-// per window, and a domain must still accept remote deliveries stamped
-// between its last local event and the horizon. With t = +Inf it stops
-// exactly where Run(budget) stops.
+// of them, and returns how many fired. The clock is left at the last
+// executed event, not advanced to t: the session runner calls this per
+// window, and a domain must still accept remote deliveries stamped between
+// its last local event and the horizon. With t = +Inf it stops exactly where
+// Run(budget) stops.
 func (e *Engine) RunBefore(t float64, budget uint64) uint64 {
 	start := e.processed
 	for len(e.pq) > 0 && e.pq[0].at < t && e.processed-start < budget {

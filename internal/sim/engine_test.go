@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 )
 
@@ -131,22 +132,22 @@ func TestRunMaxEvents(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
+func TestRunBefore(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	e.Schedule(1, func() { fired++ })
-	e.Schedule(2, func() { fired++ })
-	e.Schedule(5, func() { fired++ })
-	e.RunUntil(3)
-	if fired != 2 {
-		t.Fatalf("RunUntil(3) fired %d, want 2", fired)
+	for _, at := range []float64{1, 2, 3, 3, 5} {
+		e.Schedule(at, func() { fired++ })
 	}
-	if e.Now() != 3 {
-		t.Fatalf("clock %v, want 3", e.Now())
+	// The horizon is exclusive, and the clock stays at the last event.
+	if n := e.RunBefore(3, 10); n != 2 || fired != 2 || e.Now() != 2 {
+		t.Fatalf("RunBefore(3) fired %d (%d) at clock %v, want 2 at 2", n, fired, e.Now())
 	}
-	e.RunUntil(10)
-	if fired != 3 || e.Now() != 10 {
-		t.Fatal("RunUntil(10) did not drain")
+	// The budget caps the events fired.
+	if n := e.RunBefore(10, 1); n != 1 || e.Pending() != 2 {
+		t.Fatalf("RunBefore(10, 1) fired %d leaving %d, want 1 leaving 2", n, e.Pending())
+	}
+	if n := e.RunBefore(math.Inf(1), 10); n != 2 || fired != 5 || e.Now() != 5 {
+		t.Fatalf("RunBefore(+Inf) fired %d, clock %v, want 2 and 5", n, e.Now())
 	}
 }
 

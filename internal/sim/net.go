@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rmcast/internal/fault"
 	"rmcast/internal/graph"
@@ -48,9 +49,6 @@ type Packet struct {
 	Payload interface{}
 }
 
-// Handler receives packets delivered to a host.
-type Handler func(pkt Packet)
-
 // HopCount tallies link traversals by packet kind. One traversal of one
 // link by one packet counts one hop, whether or not the link then drops
 // the packet (the transmission happened) — this is the paper's bandwidth
@@ -74,12 +72,17 @@ func (h *HopCount) add(k Kind, n int64) {
 }
 
 // Net is the simulated network: topology + tree + routing + loss, glued to
-// an event engine. It delivers packets to per-host handlers.
+// an event engine. It hands every packet that reaches a host to one
+// receiver, Deliver.
 type Net struct {
 	Eng    *Engine
 	Topo   *topology.Network
 	Tree   *mtree.Tree
 	Routes route.Router
+	// Deliver receives every packet that arrives at a host (the source or a
+	// client). Packets reach no other node, and a net without a receiver
+	// delivers nothing.
+	Deliver func(node graph.NodeID, pkt Packet)
 	// Hops accumulates the bandwidth accounting.
 	Hops HopCount
 	// Drops counts packets killed by link loss, by kind.
@@ -121,11 +124,10 @@ type Net struct {
 	OnRecover func(node graph.NodeID)
 
 	r *rng.Rand
-	// handlers is the dense per-node handler table of a session's own net,
-	// allocated lazily on first SetHandler. Shard nets use hmap instead: a
-	// domain owns only ~n/K hosts, and K dense tables would cost K·n slots.
-	handlers []Handler
-	hmap     map[graph.NodeID]Handler
+	// hosts marks the source and the clients, the nodes that take
+	// deliveries. NewNet builds it once; it is read-only afterwards, so
+	// every shard of a partitioned run shares its session net's slice.
+	hosts []bool
 	// mut is the message-plane mutator of the installed fault state (nil
 	// when none): control-plane deliveries route through deliverMutated,
 	// which may duplicate, delay, or corrupt them. Data is never mutated.
@@ -137,16 +139,26 @@ type Net struct {
 
 	// Sharded-mode state (see shard.go; all nil/zero on a session's own net).
 	// shardOf is the shared node→shard map of the partition, shardID this
-	// net's own shard, hostsShared the shared handler-bearing node set, and
-	// outbox the cross-shard deliveries produced by the current window.
-	shardOf     []int32
-	shardID     int32
-	hostsShared []bool
-	outbox      []RemoteDelivery
-	// floodStack is reused scratch for the precomputed-path flood walks
-	// (floodFrom, subtreeFlood). Safe to share: those walks only schedule
-	// deliveries, so no handler — and no nested flood — runs inside them.
+	// net's own shard, and outbox the cross-shard deliveries produced by the
+	// current window.
+	shardOf []int32
+	shardID int32
+	outbox  []RemoteDelivery
+	// path and floodStack are reused scratch: path holds the hops of the
+	// send in progress (see walk), floodStack the pending nodes of a
+	// precomputed-path flood (floodFrom, subtreeFlood). Safe to share: a
+	// precomputed walk only schedules deliveries, so no receiver — and no
+	// nested send — runs inside it, and a queued walk copies its hops into
+	// its walker before any receiver runs.
+	path       []hop
 	floodStack []floodFrame
+}
+
+// hop is one link crossing of a path walk: the link and the node it leads
+// to.
+type hop struct {
+	link graph.EdgeID
+	to   graph.NodeID
 }
 
 // floodFrame is one pending node of a precomputed-path flood traversal.
@@ -221,37 +233,20 @@ func (a *treeAdjacency) of(node graph.NodeID) []graph.Half {
 // stream is owned by the Net afterwards (loss draws must not interleave
 // with other users).
 func NewNet(eng *Engine, topo *topology.Network, tree *mtree.Tree, routes route.Router, r *rng.Rand) *Net {
+	hosts := make([]bool, topo.NumNodes())
+	hosts[topo.Source] = true
+	for _, c := range topo.Clients {
+		hosts[c] = true
+	}
 	return &Net{
 		Eng:     eng,
 		Topo:    topo,
 		Tree:    tree,
 		Routes:  routes,
 		r:       r,
+		hosts:   hosts,
 		treeAdj: newTreeAdjacency(topo),
 	}
-}
-
-// SetHandler registers the packet upcall for a host.
-func (n *Net) SetHandler(node graph.NodeID, h Handler) {
-	if n.hmap != nil {
-		n.hmap[node] = h
-		return
-	}
-	if n.handlers == nil {
-		n.handlers = make([]Handler, n.Topo.NumNodes())
-	}
-	n.handlers[node] = h
-}
-
-// handlerOf returns node's handler, nil when none is registered.
-func (n *Net) handlerOf(node graph.NodeID) Handler {
-	if n.hmap != nil {
-		return n.hmap[node]
-	}
-	if n.handlers == nil {
-		return nil
-	}
-	return n.handlers[node]
 }
 
 // InstallFault attaches a failure-injection model and schedules its host
@@ -295,7 +290,7 @@ func (n *Net) senderDown(pkt Packet) bool {
 	return n.Fault != nil && !n.Fault.HostUpAt(pkt.From, n.Eng.Now())
 }
 
-// deliver schedules the handler upcall for node at absolute time at.
+// deliver schedules the receiver upcall for node at absolute time at.
 // Deliveries to hosts crashed at the arrival instant vanish silently.
 // Control-plane deliveries pass through the message mutator when one is
 // installed and active for their class.
@@ -307,11 +302,11 @@ func (n *Net) deliver(node graph.NodeID, at float64, pkt Packet) {
 	n.deliverAt(node, at, pkt)
 }
 
-// deliverAt is the mutation-free delivery: crash check, then schedule a
-// pooled wDeliver walker (no per-delivery closure). In sharded mode a
-// delivery to a host another shard owns goes to the outbox instead — the
-// arrival time is final here, and the crash check against the shared fault
-// state gives the same verdict the owner would compute.
+// deliverAt is the mutation-free delivery: crash check, then scheduleDeliver.
+// In sharded mode a delivery to a node another shard owns goes to the
+// outbox instead — the arrival time is final here, and the crash check
+// against the shared fault state gives the same verdict the owner would
+// compute.
 func (n *Net) deliverAt(node graph.NodeID, at float64, pkt Packet) {
 	if n.Fault != nil && !n.Fault.HostUpAt(node, at) {
 		return
@@ -322,12 +317,26 @@ func (n *Net) deliverAt(node graph.NodeID, at float64, pkt Packet) {
 			return
 		}
 	}
-	if n.handlerOf(node) == nil {
+	n.scheduleDeliver(at, node, pkt)
+}
+
+// scheduleDeliver schedules a pooled wDeliver walker (no per-delivery
+// closure) that hands pkt to the receiver at time at, if node takes
+// deliveries. Local deliveries and those ingested from other shards
+// (InjectRemote) both land here.
+func (n *Net) scheduleDeliver(at float64, node graph.NodeID, pkt Packet) {
+	if !n.receives(node) {
 		return
 	}
 	w := n.Eng.getWalker()
 	w.op, w.n, w.pkt, w.node = wDeliver, n, pkt, node
 	n.Eng.scheduleWalker(at, w)
+}
+
+// receives reports whether node takes deliveries: it is a host, and the
+// net has a receiver.
+func (n *Net) receives(node graph.NodeID) bool {
+	return n.Deliver != nil && n.hosts[node]
 }
 
 // deliverMutated samples one delivery's adversarial fate: the original copy
@@ -374,10 +383,10 @@ func classOf(pkt Packet) fault.MsgClass {
 	return fault.ClassRequest
 }
 
-// upcall invokes node's handler immediately (queued-model arrivals), unless
-// the host is crashed at the current time. A mutated control delivery is
-// rescheduled through deliverMutated instead — its copies need their own
-// arrival events.
+// upcall hands pkt to the receiver immediately (queued-model arrivals), if
+// node takes deliveries and is not crashed at the current time. A mutated
+// control delivery is rescheduled through deliverMutated instead — its
+// copies need their own arrival events.
 func (n *Net) upcall(node graph.NodeID, pkt Packet) {
 	if n.mut != nil && pkt.Kind != Data && n.mut.Active(classOf(pkt)) {
 		n.deliverMutated(node, n.Eng.Now(), pkt)
@@ -386,8 +395,8 @@ func (n *Net) upcall(node graph.NodeID, pkt Packet) {
 	if n.Fault != nil && !n.Fault.HostUpAt(node, n.Eng.Now()) {
 		return
 	}
-	if h := n.handlerOf(node); h != nil {
-		h(pkt)
+	if n.receives(node) {
+		n.Deliver(node, pkt)
 	}
 }
 
@@ -451,35 +460,105 @@ func (n *Net) linkDelay(link graph.EdgeID) float64 {
 // every link) is scheduled relative to the current time. It reports the
 // packet's fate and the end-to-end delay for testing; protocols normally
 // ignore the return values (they cannot observe them without cheating).
+// Under the queue model the fate is unknowable at injection time, so it
+// reports (false, NaN).
 func (n *Net) Unicast(dest graph.NodeID, pkt Packet) (delivered bool, delay float64) {
 	if n.senderDown(pkt) {
 		return false, math.NaN()
 	}
 	n.noteSend(pkt)
-	cur := pkt.From
-	if cur == dest {
+	if pkt.From == dest {
 		n.deliver(dest, n.Eng.Now(), pkt)
 		return true, 0
 	}
-	if n.Queue != nil {
-		// Hop-by-hop events: the fate is unknowable at injection time.
-		n.unicastQueued(dest, pkt)
-		return false, math.NaN()
-	}
-	var acc float64
-	for cur != dest {
+	hops := n.path[:0]
+	for cur := pkt.From; cur != dest; {
 		next, link := n.Routes.NextHop(cur, dest)
 		if next == graph.None {
 			panic(fmt.Sprintf("sim: no route %d→%d", cur, dest))
 		}
-		start := n.Eng.Now() + acc
-		acc += n.linkDelay(link)
-		if !n.crossLink(link, start, pkt) {
-			return false, acc
-		}
+		hops = append(hops, hop{link, next})
 		cur = next
 	}
-	n.deliver(dest, n.Eng.Now()+acc, pkt)
+	return n.walk(hops, pkt, false)
+}
+
+// MulticastSubtree sends pkt from a host up the tree to the router meet and
+// then multicast down meet's whole subtree — RMA's partial repair (§1: the
+// repairer "will multicast the repair to the subtree that contains all the
+// receivers that have been requested"). pkt.From must be a tree descendant
+// of meet (or meet itself).
+func (n *Net) MulticastSubtree(meet graph.NodeID, pkt Packet) {
+	if !n.Tree.IsAncestor(meet, pkt.From) {
+		panic(fmt.Sprintf("sim: %d not an ancestor of repairer %d", meet, pkt.From))
+	}
+	if n.senderDown(pkt) {
+		return
+	}
+	n.noteSend(pkt)
+	hops := n.path[:0]
+	for cur := pkt.From; cur != meet; cur = n.Tree.Parent[cur] {
+		hops = append(hops, hop{n.Tree.ParentLink[cur], n.Tree.Parent[cur]})
+	}
+	n.walk(hops, pkt, true)
+}
+
+// MulticastDescend sends pkt from pkt.From (which must be a tree ancestor
+// of sub) down the tree path to router sub and then multicast over sub's
+// whole subtree. This models a source-subgroup repair (paper §2.2 /
+// reference [4]): "whenever S receives a recovery request, it will
+// multicast the packet to all members of the subgroup (using the original
+// multicast tree) from where the recovery request came".
+func (n *Net) MulticastDescend(sub graph.NodeID, pkt Packet) {
+	if !n.Tree.IsAncestor(pkt.From, sub) {
+		panic(fmt.Sprintf("sim: %d not an ancestor of subgroup root %d", pkt.From, sub))
+	}
+	if n.senderDown(pkt) {
+		return
+	}
+	n.noteSend(pkt)
+	// Collect the downward path by walking up, then cross it top-down.
+	hops := n.path[:0]
+	for cur := sub; cur != pkt.From; cur = n.Tree.Parent[cur] {
+		hops = append(hops, hop{n.Tree.ParentLink[cur], cur})
+	}
+	slices.Reverse(hops)
+	n.walk(hops, pkt, true)
+}
+
+// walk carries pkt from pkt.From across hops: the one path walk behind
+// Unicast, MulticastSubtree and MulticastDescend. The precomputed model
+// crosses every hop now; the queue model takes one hop per event
+// (pathStep). At the end a unicast (flood false) hands its destination to
+// deliver unconditionally — the message mutator draws there — while a
+// subtree multicast (flood true) delivers to the end node only if it is a
+// host and then floods the end node's subtree. It returns Unicast's fate
+// and delay.
+func (n *Net) walk(hops []hop, pkt Packet, flood bool) (bool, float64) {
+	n.path = hops
+	if n.Queue != nil {
+		w := n.Eng.getWalker()
+		w.op, w.n, w.pkt, w.node, w.flood = wPathStep, n, pkt, pkt.From, flood
+		w.path = append(w.path[:0], hops...)
+		n.pathStep(w)
+		return false, math.NaN()
+	}
+	var acc float64
+	end := pkt.From
+	for _, h := range hops {
+		start := n.Eng.Now() + acc
+		acc += n.linkDelay(h.link)
+		if !n.crossLink(h.link, start, pkt) {
+			return false, acc
+		}
+		end = h.to
+	}
+	if !flood || n.hosts[end] {
+		n.deliver(end, n.Eng.Now()+acc, pkt)
+	}
+	if flood {
+		n.subtreeFlood(end, acc, pkt)
+	}
 	return true, acc
 }
 
@@ -493,7 +572,7 @@ func (n *Net) FloodTree(pkt Packet) {
 	}
 	n.noteSend(pkt)
 	if n.Queue != nil {
-		n.floodQueued(pkt.From, graph.NoEdge, pkt)
+		n.floodFanOut(pkt.From, graph.NoEdge, pkt)
 		return
 	}
 	n.floodFrom(pkt.From, graph.None, 0, pkt)
@@ -515,54 +594,13 @@ func (n *Net) floodFrom(cur, prev graph.NodeID, acc float64, pkt Packet) {
 			if !n.crossLink(h.Edge, start, pkt) {
 				continue // prune the subtree behind the lossy link
 			}
-			if n.hasHost(h.Peer) {
+			if n.hosts[h.Peer] {
 				n.deliver(h.Peer, n.Eng.Now()+d, pkt)
 			}
 			stack = append(stack, floodFrame{h.Peer, f.node, d})
 		}
 	}
 	n.floodStack = stack[:0]
-}
-
-// MulticastSubtree sends pkt from a host up the tree to the router meet and
-// then multicast down meet's whole subtree — RMA's partial repair (§1: the
-// repairer "will multicast the repair to the subtree that contains all the
-// receivers that have been requested"). pkt.From must be a tree descendant
-// of meet (or meet itself).
-func (n *Net) MulticastSubtree(meet graph.NodeID, pkt Packet) {
-	if !n.Tree.IsAncestor(meet, pkt.From) {
-		panic(fmt.Sprintf("sim: %d not an ancestor of repairer %d", meet, pkt.From))
-	}
-	if n.senderDown(pkt) {
-		return
-	}
-	n.noteSend(pkt)
-	if n.Queue != nil {
-		n.ascendQueued(meet, pkt, func() {
-			n.upcall(meet, pkt)
-			n.subtreeFloodQueued(meet, pkt)
-		})
-		return
-	}
-	// Walk up from the repairer to meet.
-	var acc float64
-	cur := pkt.From
-	for cur != meet {
-		link := n.Tree.ParentLink[cur]
-		start := n.Eng.Now() + acc
-		acc += n.linkDelay(link)
-		if !n.crossLink(link, start, pkt) {
-			return // repair died on the way up
-		}
-		cur = n.Tree.Parent[cur]
-	}
-	// Deliver to meet itself if it is a host (it normally is a router).
-	if n.hasHost(meet) {
-		n.deliver(meet, n.Eng.Now()+acc, pkt)
-	}
-	// Flood downward, excluding the uplink we came from (upward direction
-	// has no tree children anyway: floodFrom with prev = parent(meet)).
-	n.subtreeFlood(meet, acc, pkt)
 }
 
 // subtreeFlood delivers pkt to every host strictly below root.
@@ -578,56 +616,13 @@ func (n *Net) subtreeFlood(root graph.NodeID, acc float64, pkt Packet) {
 			if !n.crossLink(link, start, pkt) {
 				continue
 			}
-			if n.hasHost(c) {
+			if n.hosts[c] {
 				n.deliver(c, n.Eng.Now()+d, pkt)
 			}
 			stack = append(stack, floodFrame{node: c, acc: d})
 		}
 	}
 	n.floodStack = stack[:0]
-}
-
-// MulticastDescend sends pkt from pkt.From (which must be a tree ancestor
-// of sub) down the tree path to router sub and then multicast over sub's
-// whole subtree. This models a source-subgroup repair (paper §2.2 /
-// reference [4]): "whenever S receives a recovery request, it will
-// multicast the packet to all members of the subgroup (using the original
-// multicast tree) from where the recovery request came".
-func (n *Net) MulticastDescend(sub graph.NodeID, pkt Packet) {
-	if !n.Tree.IsAncestor(pkt.From, sub) {
-		panic(fmt.Sprintf("sim: %d not an ancestor of subgroup root %d", pkt.From, sub))
-	}
-	if n.senderDown(pkt) {
-		return
-	}
-	n.noteSend(pkt)
-	if n.Queue != nil {
-		n.descendQueued(sub, pkt, func() {
-			n.upcall(sub, pkt)
-			n.subtreeFloodQueued(sub, pkt)
-		})
-		return
-	}
-	var acc float64
-	cur := sub
-	// Collect the downward path by walking up, then cross it top-down.
-	var path []graph.NodeID
-	for cur != pkt.From {
-		path = append(path, cur)
-		cur = n.Tree.Parent[cur]
-	}
-	for i := len(path) - 1; i >= 0; i-- {
-		link := n.Tree.ParentLink[path[i]]
-		start := n.Eng.Now() + acc
-		acc += n.linkDelay(link)
-		if !n.crossLink(link, start, pkt) {
-			return
-		}
-	}
-	if n.hasHost(sub) {
-		n.deliver(sub, n.Eng.Now()+acc, pkt)
-	}
-	n.subtreeFlood(sub, acc, pkt)
 }
 
 // MulticastFromSource floods pkt from the tree root downward — the original
@@ -642,7 +637,7 @@ func (n *Net) MulticastFromSource(pkt Packet) {
 	}
 	n.noteSend(pkt)
 	if n.Queue != nil {
-		n.subtreeFloodQueued(n.Tree.Root, pkt)
+		n.subtreeFanOut(n.Tree.Root, pkt)
 		return
 	}
 	n.subtreeFlood(n.Tree.Root, 0, pkt)

@@ -36,19 +36,25 @@ type delivery struct {
 	pkt  Packet
 }
 
-// collect registers recording handlers on every host.
+// collect installs a receiver recording every delivery.
 func (r *rig) collect() *[]delivery {
 	var got []delivery
-	for v := 0; v < r.topo.NumNodes(); v++ {
-		v := graph.NodeID(v)
-		switch r.topo.Kind[v] {
-		case topology.Client, topology.Source:
-			r.net.SetHandler(v, func(pkt Packet) {
-				got = append(got, delivery{v, r.eng.Now(), pkt})
-			})
-		}
+	r.net.Deliver = func(node graph.NodeID, pkt Packet) {
+		got = append(got, delivery{node, r.eng.Now(), pkt})
 	}
 	return &got
+}
+
+// arrivalsAt installs a receiver recording the arrival times of deliveries
+// to one node.
+func (r *rig) arrivalsAt(node graph.NodeID) *[]float64 {
+	var at []float64
+	r.net.Deliver = func(n graph.NodeID, _ Packet) {
+		if n == node {
+			at = append(at, r.eng.Now())
+		}
+	}
+	return &at
 }
 
 func TestUnicastDelayAndHops(t *testing.T) {
@@ -243,9 +249,7 @@ func TestDeterminismSameSeed(t *testing.T) {
 		eng := NewEngine()
 		n := NewNet(eng, topo, tree, route.Build(topo), rng.New(seed))
 		count := 0
-		for _, c := range topo.Clients {
-			n.SetHandler(c, func(Packet) { count++ })
-		}
+		n.Deliver = func(graph.NodeID, Packet) { count++ }
 		for s := 0; s < 50; s++ {
 			s := s
 			eng.Schedule(float64(s)*10, func() {
@@ -271,16 +275,14 @@ func TestLossRateStatistics(t *testing.T) {
 	topo, _ := topology.Chain(1, 1, nil) // S—r1—C: 2 links
 	topo.SetUniformLoss(0.3)
 	r := newRig(t, topo, 11)
-	received := 0
-	c := topo.Clients[0]
-	r.net.SetHandler(c, func(Packet) { received++ })
+	arrivals := r.arrivalsAt(topo.Clients[0])
 	const trials = 20000
 	for i := 0; i < trials; i++ {
 		r.net.MulticastFromSource(Packet{Kind: Data, From: topo.Source, Seq: i})
 	}
 	r.eng.Run(0)
 	// P(arrive) = 0.7².
-	got := float64(received) / trials
+	got := float64(len(*arrivals)) / trials
 	if math.Abs(got-0.49) > 0.01 {
 		t.Fatalf("arrival rate %v, want ~0.49", got)
 	}
@@ -305,21 +307,19 @@ func TestJitterBoundsDelay(t *testing.T) {
 	topo, _ := topology.Chain(3, 2.0, nil) // 4 links of 2 ms
 	r := newRig(t, topo, 21)
 	r.net.Jitter = 0.5
-	c := topo.Clients[0]
-	var arrivals []float64
-	r.net.SetHandler(c, func(Packet) { arrivals = append(arrivals, r.eng.Now()) })
+	arrivals := r.arrivalsAt(topo.Clients[0])
 	const trials = 500
 	for i := 0; i < trials; i++ {
 		r.net.MulticastFromSource(Packet{Kind: Data, From: topo.Source, Seq: i})
 	}
 	r.eng.Run(0)
-	if len(arrivals) != trials {
-		t.Fatalf("arrivals %d", len(arrivals))
+	if len(*arrivals) != trials {
+		t.Fatalf("arrivals %d", len(*arrivals))
 	}
 	// Base path delay is 8; with 50% jitter every arrival must land in
 	// [8, 12) and must not all coincide.
-	lo, hi := arrivals[0], arrivals[0]
-	for _, a := range arrivals {
+	lo, hi := (*arrivals)[0], (*arrivals)[0]
+	for _, a := range *arrivals {
 		if a < 8-1e-9 || a >= 12 {
 			t.Fatalf("arrival %v outside [8,12)", a)
 		}
@@ -338,13 +338,11 @@ func TestJitterBoundsDelay(t *testing.T) {
 func TestJitterZeroIsExact(t *testing.T) {
 	topo, _ := topology.Chain(3, 2.0, nil)
 	r := newRig(t, topo, 22)
-	c := topo.Clients[0]
-	var at float64
-	r.net.SetHandler(c, func(Packet) { at = r.eng.Now() })
+	arrivals := r.arrivalsAt(topo.Clients[0])
 	r.net.MulticastFromSource(Packet{Kind: Data, From: topo.Source})
 	r.eng.Run(0)
-	if math.Abs(at-8) > 1e-12 {
-		t.Fatalf("no-jitter arrival %v, want exactly 8", at)
+	if len(*arrivals) != 1 || math.Abs((*arrivals)[0]-8) > 1e-12 {
+		t.Fatalf("no-jitter arrivals %v, want exactly [8]", *arrivals)
 	}
 }
 

@@ -41,44 +41,23 @@ func qindex(link graph.EdgeID, fromA bool) int {
 }
 
 // NewQueueModel returns a queue model with the given per-packet service
-// time; the per-direction state grows on demand. Prefer NewQueueModelSized
-// when the edge count is known up front.
-func NewQueueModel(packetTime float64) *QueueModel {
+// time for a graph with edges undirected links. The service time must be
+// positive and the edge count non-negative.
+func NewQueueModel(packetTime float64, edges int) *QueueModel {
 	if packetTime <= 0 {
 		panic(fmt.Sprintf("sim: non-positive packet time %v", packetTime))
 	}
-	return &QueueModel{PacketTime: packetTime}
-}
-
-// NewQueueModelSized returns a queue model pre-sized for a graph with
-// edges undirected links, so no growth ever happens mid-run. The edge
-// count must be non-negative.
-func NewQueueModelSized(packetTime float64, edges int) *QueueModel {
 	if edges < 0 {
 		panic(fmt.Sprintf("sim: negative edge count %d", edges))
 	}
-	q := NewQueueModel(packetTime)
-	q.busyUntil = make([]float64, 2*edges)
-	return q
-}
-
-// slot returns the busy-until cell for a link direction, growing the dense
-// array if the model was built without a size.
-func (q *QueueModel) slot(link graph.EdgeID, fromA bool) *float64 {
-	i := qindex(link, fromA)
-	if i >= len(q.busyUntil) {
-		grown := make([]float64, 2*int(link)+2)
-		copy(grown, q.busyUntil)
-		q.busyUntil = grown
-	}
-	return &q.busyUntil[i]
+	return &QueueModel{PacketTime: packetTime, busyUntil: make([]float64, 2*edges)}
 }
 
 // departAfter reserves the link direction starting no earlier than `at` and
 // returns the transmission-complete time. Must be called in nondecreasing
 // event-time order per direction, which the event engine guarantees.
 func (q *QueueModel) departAfter(link graph.EdgeID, fromA bool, at float64) float64 {
-	s := q.slot(link, fromA)
+	s := &q.busyUntil[qindex(link, fromA)]
 	start := at
 	if *s > start {
 		start = *s
@@ -91,11 +70,7 @@ func (q *QueueModel) departAfter(link graph.EdgeID, fromA bool, at float64) floa
 // Backlog returns the current queueing backlog (ms of work beyond `now`)
 // on a link direction — visibility for tests and congestion metrics.
 func (q *QueueModel) Backlog(link graph.EdgeID, fromA bool, now float64) float64 {
-	i := qindex(link, fromA)
-	if i >= len(q.busyUntil) {
-		return 0
-	}
-	b := q.busyUntil[i] - now
+	b := q.busyUntil[qindex(link, fromA)] - now
 	if b < 0 {
 		return 0
 	}
@@ -117,41 +92,30 @@ func (n *Net) sendHop(link graph.EdgeID, from graph.NodeID, at float64, pkt Pack
 	return dep + n.linkDelay(link), true
 }
 
-// unicastQueued forwards pkt hop by hop through real events: one pooled
-// walker advances along the route, reused for every hop.
-func (n *Net) unicastQueued(dest graph.NodeID, pkt Packet) {
-	w := n.Eng.getWalker()
-	w.op, w.n, w.pkt, w.node, w.dest = wUnicastStep, n, pkt, pkt.From, dest
-	n.unicastStep(w)
-}
-
-// unicastStep runs one routed hop of a queued unicast (the injection call
-// and every popped wUnicastStep event land here).
-func (n *Net) unicastStep(w *walker) {
-	cur, dest := w.node, w.dest
-	if cur == dest {
-		pkt := w.pkt
+// pathStep runs one hop of a queued path walk (see walk): the injection
+// call and every popped wPathStep event land here. One pooled walker carries
+// the packet along its hops, reused for every hop. At the end it hands the
+// packet to the last node through upcall (which the mutator sees even at a
+// router) and, for a multicast, fans out over that node's subtree.
+func (n *Net) pathStep(w *walker) {
+	if int(w.idx) == len(w.path) {
+		node, pkt, flood := w.node, w.pkt, w.flood
 		n.Eng.putWalker(w)
-		n.upcall(dest, pkt)
+		n.upcall(node, pkt)
+		if flood {
+			n.subtreeFanOut(node, pkt)
+		}
 		return
 	}
-	next, link := n.Routes.NextHop(cur, dest)
-	if next == graph.None {
-		panic(fmt.Sprintf("sim: no route %d→%d", cur, dest))
-	}
-	arrive, ok := n.sendHop(link, cur, n.Eng.Now(), w.pkt)
+	h := w.path[w.idx]
+	w.idx++
+	arrive, ok := n.sendHop(h.link, w.node, n.Eng.Now(), w.pkt)
 	if !ok {
 		n.Eng.putWalker(w)
 		return
 	}
-	w.node = next
+	w.node = h.to
 	n.Eng.scheduleWalker(arrive, w)
-}
-
-// floodQueued floods pkt over tree links outward from start (skipping
-// fromLink), hop by hop through real events, delivering to hosts en route.
-func (n *Net) floodQueued(start graph.NodeID, fromLink graph.EdgeID, pkt Packet) {
-	n.floodFanOut(start, fromLink, pkt)
 }
 
 // floodFanOut transmits pkt over every tree link at node except via,
@@ -171,12 +135,6 @@ func (n *Net) floodFanOut(node graph.NodeID, via graph.EdgeID, pkt Packet) {
 	}
 }
 
-// subtreeFloodQueued floods pkt strictly downward from root through real
-// events.
-func (n *Net) subtreeFloodQueued(root graph.NodeID, pkt Packet) {
-	n.subtreeFanOut(root, pkt)
-}
-
 // subtreeFanOut transmits pkt to every child of node, scheduling one
 // wSubtreeVisit walker per surviving transmission.
 func (n *Net) subtreeFanOut(node graph.NodeID, pkt Packet) {
@@ -190,69 +148,4 @@ func (n *Net) subtreeFanOut(node graph.NodeID, pkt Packet) {
 		w.op, w.n, w.pkt, w.node = wSubtreeVisit, n, pkt, c
 		n.Eng.scheduleWalker(arrive, w)
 	}
-}
-
-// ascendQueued walks pkt up the tree from pkt.From to meet through real
-// events, then calls done at the arrival event (or never, on loss). One
-// pooled walker is reused for every hop.
-func (n *Net) ascendQueued(meet graph.NodeID, pkt Packet, done func()) {
-	w := n.Eng.getWalker()
-	w.op, w.n, w.pkt, w.node, w.dest, w.done = wAscendStep, n, pkt, pkt.From, meet, done
-	n.ascendStep(w)
-}
-
-// ascendStep runs one parent hop of a queued ascent.
-func (n *Net) ascendStep(w *walker) {
-	cur := w.node
-	if cur == w.dest {
-		done := w.done
-		n.Eng.putWalker(w)
-		done()
-		return
-	}
-	link := n.Tree.ParentLink[cur]
-	parent := n.Tree.Parent[cur]
-	arrive, ok := n.sendHop(link, cur, n.Eng.Now(), w.pkt)
-	if !ok {
-		n.Eng.putWalker(w)
-		return
-	}
-	w.node = parent
-	n.Eng.scheduleWalker(arrive, w)
-}
-
-// descendQueued walks pkt down the tree from pkt.From to sub through real
-// events, then calls done at arrival. The top-down path lives in the
-// walker's recycled scratch slice.
-func (n *Net) descendQueued(sub graph.NodeID, pkt Packet, done func()) {
-	w := n.Eng.getWalker()
-	w.op, w.n, w.pkt, w.done = wDescendStep, n, pkt, done
-	// Collect the path bottom-up; descendStep walks it from the end.
-	w.path = w.path[:0]
-	for cur := sub; cur != pkt.From; cur = n.Tree.Parent[cur] {
-		w.path = append(w.path, cur)
-	}
-	w.idx = int32(len(w.path) - 1)
-	w.node = pkt.From
-	n.descendStep(w)
-}
-
-// descendStep runs one child hop of a queued descent.
-func (n *Net) descendStep(w *walker) {
-	if w.idx < 0 {
-		done := w.done
-		n.Eng.putWalker(w)
-		done()
-		return
-	}
-	next := w.path[w.idx]
-	w.idx--
-	link := n.Tree.ParentLink[next]
-	arrive, ok := n.sendHop(link, w.node, n.Eng.Now(), w.pkt)
-	if !ok {
-		n.Eng.putWalker(w)
-		return
-	}
-	w.node = next
-	n.Eng.scheduleWalker(arrive, w)
 }

@@ -14,23 +14,22 @@ func TestQueueSerialisesBurst(t *testing.T) {
 	// second must trail the first by PacketTime per shared link.
 	topo, _ := topology.Chain(2, 1, nil) // S—r1—r2—C, 3 links of 1 ms
 	r := newRig(t, topo, 1)
-	r.net.Queue = NewQueueModel(0.5)
+	r.net.Queue = NewQueueModel(0.5, topo.G.NumEdges())
 	c := topo.Clients[0]
-	var arrivals []float64
-	r.net.SetHandler(c, func(Packet) { arrivals = append(arrivals, r.eng.Now()) })
+	arrivals := r.arrivalsAt(c)
 	r.net.Unicast(c, Packet{Kind: Request, From: topo.Source, Seq: 0})
 	r.net.Unicast(c, Packet{Kind: Request, From: topo.Source, Seq: 1})
 	r.eng.Run(0)
-	if len(arrivals) != 2 {
-		t.Fatalf("arrivals %d", len(arrivals))
+	if len(*arrivals) != 2 {
+		t.Fatalf("arrivals %d", len(*arrivals))
 	}
 	// First: 3 hops, each 0.5 service + 1 prop = 4.5.
-	if math.Abs(arrivals[0]-4.5) > 1e-9 {
-		t.Fatalf("first arrival %v, want 4.5", arrivals[0])
+	if math.Abs((*arrivals)[0]-4.5) > 1e-9 {
+		t.Fatalf("first arrival %v, want 4.5", (*arrivals)[0])
 	}
 	// Second: pipeline behind the first — finishes one service time later.
-	if math.Abs(arrivals[1]-5.0) > 1e-9 {
-		t.Fatalf("second arrival %v, want 5.0", arrivals[1])
+	if math.Abs((*arrivals)[1]-5.0) > 1e-9 {
+		t.Fatalf("second arrival %v, want 5.0", (*arrivals)[1])
 	}
 }
 
@@ -38,11 +37,17 @@ func TestQueueDirectionsIndependent(t *testing.T) {
 	// Opposite directions of one link are independent servers.
 	topo, _ := topology.Chain(1, 1, nil) // S—r1—C
 	r := newRig(t, topo, 2)
-	r.net.Queue = NewQueueModel(1)
+	r.net.Queue = NewQueueModel(1, topo.G.NumEdges())
 	c := topo.Clients[0]
 	var toC, toS []float64
-	r.net.SetHandler(c, func(Packet) { toC = append(toC, r.eng.Now()) })
-	r.net.SetHandler(topo.Source, func(Packet) { toS = append(toS, r.eng.Now()) })
+	r.net.Deliver = func(node graph.NodeID, _ Packet) {
+		switch node {
+		case c:
+			toC = append(toC, r.eng.Now())
+		case topo.Source:
+			toS = append(toS, r.eng.Now())
+		}
+	}
 	r.net.Unicast(c, Packet{Kind: Request, From: topo.Source})
 	r.net.Unicast(topo.Source, Packet{Kind: Request, From: c})
 	r.eng.Run(0)
@@ -61,12 +66,9 @@ func TestQueueFloodSelfCongestion(t *testing.T) {
 	// NOT delayed; two back-to-back floods are.
 	topo, _ := topology.Star(3, 1)
 	r := newRig(t, topo, 3)
-	r.net.Queue = NewQueueModel(0.5)
+	r.net.Queue = NewQueueModel(0.5, topo.G.NumEdges())
 	counts := map[graph.NodeID][]float64{}
-	for _, c := range topo.Clients {
-		c := c
-		r.net.SetHandler(c, func(Packet) { counts[c] = append(counts[c], r.eng.Now()) })
-	}
+	r.net.Deliver = func(c graph.NodeID, _ Packet) { counts[c] = append(counts[c], r.eng.Now()) }
 	r.net.MulticastFromSource(Packet{Kind: Data, From: topo.Source, Seq: 0})
 	r.net.MulticastFromSource(Packet{Kind: Data, From: topo.Source, Seq: 1})
 	r.eng.Run(0)
@@ -85,7 +87,7 @@ func TestQueueFloodSelfCongestion(t *testing.T) {
 }
 
 func TestQueueBacklogVisibility(t *testing.T) {
-	q := NewQueueModel(2)
+	q := NewQueueModel(2, 1)
 	dep1 := q.departAfter(0, true, 10)
 	if dep1 != 12 {
 		t.Fatalf("first departure %v, want 12", dep1)
@@ -111,14 +113,14 @@ func TestQueueModelPanicsOnBadServiceTime(t *testing.T) {
 			t.Fatal("zero packet time accepted")
 		}
 	}()
-	NewQueueModel(0)
+	NewQueueModel(0, 1)
 }
 
 func TestQueueLossStillApplies(t *testing.T) {
 	topo, _ := topology.Chain(1, 1, nil)
 	topo.SetUniformLoss(1)
 	r := newRig(t, topo, 4)
-	r.net.Queue = NewQueueModel(0.5)
+	r.net.Queue = NewQueueModel(0.5, topo.G.NumEdges())
 	got := r.collect()
 	r.net.MulticastFromSource(Packet{Kind: Data, From: topo.Source})
 	r.eng.Run(0)
@@ -135,7 +137,7 @@ func TestQueuedFloodTreeFromClient(t *testing.T) {
 	// gets it, with per-hop service added.
 	topo, _ := topology.Binary(2, 1)
 	r := newRig(t, topo, 5)
-	r.net.Queue = NewQueueModel(0.5)
+	r.net.Queue = NewQueueModel(0.5, topo.G.NumEdges())
 	got := r.collect()
 	u := topo.Clients[0]
 	r.net.FloodTree(Packet{Kind: Request, From: u, Seq: 1})
@@ -155,7 +157,7 @@ func TestQueuedFloodTreeFromClient(t *testing.T) {
 func TestQueuedMulticastSubtree(t *testing.T) {
 	topo, _ := topology.Chain(3, 1, []int{2})
 	r := newRig(t, topo, 6)
-	r.net.Queue = NewQueueModel(0.5)
+	r.net.Queue = NewQueueModel(0.5, topo.G.NumEdges())
 	got := r.collect()
 	tail := topo.Clients[0]
 	side := topo.Clients[1]
@@ -184,7 +186,7 @@ func TestQueuedMulticastSubtree(t *testing.T) {
 func TestQueuedMulticastDescend(t *testing.T) {
 	topo, _ := topology.Chain(3, 1, []int{2})
 	r := newRig(t, topo, 7)
-	r.net.Queue = NewQueueModel(0.5)
+	r.net.Queue = NewQueueModel(0.5, topo.G.NumEdges())
 	got := r.collect()
 	tail := topo.Clients[0]
 	side := topo.Clients[1]
@@ -218,7 +220,7 @@ func TestQueuedAscendLossKillsRepair(t *testing.T) {
 	// The side client's uplink drops everything.
 	topo.Loss[tree.ParentLink[side]] = 1
 	r := newRig(t, topo, 8)
-	r.net.Queue = NewQueueModel(0.5)
+	r.net.Queue = NewQueueModel(0.5, topo.G.NumEdges())
 	r.net.ControlLoss = true
 	got := r.collect()
 	meet := r.tree.LCA(tail, side)

@@ -21,23 +21,20 @@ type RemoteDelivery struct {
 
 // Shard derives the net of shard id of a partitioned run from n, the
 // session's own net: a fresh net on eng, drawing link loss from r, that
-// shares n's topology, tree, routes and tree adjacency, all read-only.
-// shardOf maps every node to its shard and hosts marks every node (across all
-// shards) that has a handler somewhere; both are shared read-only too.
-// Handler storage is a sparse map — a shard owns only its own band's hosts,
-// so a dense per-node table per shard would cost K·n slots.
-func (n *Net) Shard(eng *Engine, r *rng.Rand, id int32, shardOf []int32, hosts []bool) *Net {
+// shares n's topology, tree, routes, host set and tree adjacency, all
+// read-only. shardOf maps every node to its shard and is shared read-only
+// too. The caller sets the shard's receiver.
+func (n *Net) Shard(eng *Engine, r *rng.Rand, id int32, shardOf []int32) *Net {
 	return &Net{
-		Eng:         eng,
-		Topo:        n.Topo,
-		Tree:        n.Tree,
-		Routes:      n.Routes,
-		r:           r,
-		treeAdj:     n.treeAdj,
-		shardOf:     shardOf,
-		shardID:     id,
-		hostsShared: hosts,
-		hmap:        make(map[graph.NodeID]Handler),
+		Eng:     eng,
+		Topo:    n.Topo,
+		Tree:    n.Tree,
+		Routes:  n.Routes,
+		r:       r,
+		hosts:   n.hosts,
+		treeAdj: n.treeAdj,
+		shardOf: shardOf,
+		shardID: id,
 	}
 }
 
@@ -50,21 +47,7 @@ func (n *Net) ResetOutbox() { n.outbox = n.outbox[:0] }
 
 // InjectRemote schedules a delivery computed by another shard. The crash
 // check already ran on the sending shard (against the shared fault state, so
-// the answer is identical), leaving only the handler upcall.
+// the answer is identical), leaving only the receiver upcall.
 func (n *Net) InjectRemote(at float64, node graph.NodeID, pkt Packet) {
-	w := n.Eng.getWalker()
-	w.op, w.n, w.pkt, w.node = wDeliver, n, pkt, node
-	n.Eng.scheduleWalker(at, w)
-}
-
-// hasHost reports whether node hosts a handler anywhere in the run — the
-// delivery condition of the flood walks. Serial nets answer from their own
-// handler table; sharded nets consult the shared host set, so a flood
-// executing on one shard still produces deliveries for hosts owned by
-// another (deliverAt then routes them through the outbox).
-func (n *Net) hasHost(node graph.NodeID) bool {
-	if n.shardOf != nil {
-		return n.hostsShared[node]
-	}
-	return n.handlerOf(node) != nil
+	n.scheduleDeliver(at, node, pkt)
 }

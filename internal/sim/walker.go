@@ -7,6 +7,14 @@ import "rmcast/internal/graph"
 // is one walker event; walkers recycle through an engine-owned free list,
 // so forwarding a packet allocates nothing in steady state.
 //
+// There is one delivery event (wDeliver, which hands the packet to the
+// net's single receiver) and one path walk per forwarding model: Unicast,
+// MulticastSubtree and MulticastDescend each write their hops into the
+// net's scratch and hand them to Net.walk. The precomputed model crosses
+// them at send time; the queue model copies them into a walker, which takes
+// one hop per wPathStep event. Floods fan out instead (wFloodVisit,
+// wSubtreeVisit).
+//
 // Determinism: each walker replaces exactly one closure of the original
 // implementation — the schedule calls happen in the same order, at the same
 // times, drawing from the rng stream at the same points — so the (at, seq)
@@ -16,38 +24,32 @@ import "rmcast/internal/graph"
 type walkOp uint8
 
 const (
-	// wDeliver invokes the destination host's handler with the packet —
-	// the terminal event of every precomputed-path delivery.
+	// wDeliver hands the packet to the receiver — the terminal event of
+	// every precomputed-path delivery.
 	wDeliver walkOp = iota
-	// wUnicastStep advances a queued-model unicast one routed hop.
-	wUnicastStep
+	// wPathStep advances a queued path walk one hop.
+	wPathStep
 	// wFloodVisit delivers at a tree node and fans the queued flood out
 	// over its remaining tree links.
 	wFloodVisit
 	// wSubtreeVisit delivers at a tree node and fans out to its children.
 	wSubtreeVisit
-	// wAscendStep advances a queued tree ascent one parent hop.
-	wAscendStep
-	// wDescendStep advances a queued tree descent one child hop.
-	wDescendStep
 )
 
 // walker is the reusable state of one in-flight hop sequence. Fields are a
-// union over the ops: node is always the next node to act at; dest is the
-// unicast destination or the ascent meet point; via is the tree link a
-// flood arrived on; path/idx drive descents; done fires at the end of an
-// ascent or descent.
+// union over the ops: node is always the next node to act at; via is the
+// tree link a flood arrived on; path, idx and flood drive a path walk (its
+// hops, the next one to take, and whether it ends in a subtree multicast).
 type walker struct {
-	op   walkOp
-	n    *Net
-	pkt  Packet
-	node graph.NodeID
-	dest graph.NodeID
-	via  graph.EdgeID
-	idx  int32
-	path []graph.NodeID
-	done func()
-	next *walker // free-list link
+	op    walkOp
+	flood bool
+	n     *Net
+	pkt   Packet
+	node  graph.NodeID
+	via   graph.EdgeID
+	idx   int32
+	path  []hop
+	next  *walker // free-list link
 }
 
 // getWalker pops a recycled walker (or allocates the pool's next one).
@@ -61,7 +63,7 @@ func (e *Engine) getWalker() *walker {
 }
 
 // putWalker returns a walker to the free list, dropping every reference it
-// held (payload, callback, net) while keeping its path capacity.
+// held (payload, net) while keeping its path capacity.
 func (e *Engine) putWalker(w *walker) {
 	*w = walker{path: w.path[:0], next: e.freeW}
 	e.freeW = w
@@ -73,7 +75,7 @@ func (e *Engine) scheduleWalker(at float64, w *walker) {
 }
 
 // run dispatches one popped walker event. Ops that terminate here release
-// the walker before invoking handlers, so a handler that injects new
+// the walker before invoking the receiver, so a receiver that injects new
 // traffic can reuse it immediately.
 func (w *walker) run() {
 	n := w.n
@@ -81,11 +83,9 @@ func (w *walker) run() {
 	case wDeliver:
 		node, pkt := w.node, w.pkt
 		n.Eng.putWalker(w)
-		if h := n.handlerOf(node); h != nil {
-			h(pkt)
-		}
-	case wUnicastStep:
-		n.unicastStep(w)
+		n.Deliver(node, pkt)
+	case wPathStep:
+		n.pathStep(w)
 	case wFloodVisit:
 		node, via, pkt := w.node, w.via, w.pkt
 		n.Eng.putWalker(w)
@@ -96,9 +96,5 @@ func (w *walker) run() {
 		n.Eng.putWalker(w)
 		n.upcall(node, pkt)
 		n.subtreeFanOut(node, pkt)
-	case wAscendStep:
-		n.ascendStep(w)
-	case wDescendStep:
-		n.descendStep(w)
 	}
 }

@@ -60,7 +60,7 @@ func (b *Builder) TreeLink(a, c graph.NodeID, delay float64) graph.EdgeID {
 }
 
 func (b *Builder) link(a, c graph.NodeID, delay float64) graph.EdgeID {
-	if delay <= 0 {
+	if !(delay > 0) {
 		b.fail(fmt.Sprintf("non-positive delay %v on link %d-%d", delay, a, c))
 		delay = 1
 	}
@@ -102,7 +102,7 @@ func (b *Builder) SharedSegment(members []graph.NodeID, delay float64, tree bool
 
 // SetLoss sets the loss probability of one link.
 func (b *Builder) SetLoss(id graph.EdgeID, p float64) {
-	if p < 0 || p > 1 {
+	if !(0 <= p && p <= 1) {
 		b.fail(fmt.Sprintf("loss %v out of [0,1]", p))
 		return
 	}

@@ -90,7 +90,7 @@ func (n *Network) DelayWeights() graph.WeightFunc {
 
 // SetUniformLoss sets every link's loss probability to p.
 func (n *Network) SetUniformLoss(p float64) {
-	if p < 0 || p > 1 {
+	if !(0 <= p && p <= 1) {
 		panic(fmt.Sprintf("topology: loss probability %v out of [0,1]", p))
 	}
 	for i := range n.Loss {
@@ -101,12 +101,7 @@ func (n *Network) SetUniformLoss(p float64) {
 // addLink appends a link with nominal delay d, sampling its realised delay
 // from U[d, 2d] using r, and returns its EdgeID.
 func (n *Network) addLink(a, b graph.NodeID, d float64, r *rng.Rand) graph.EdgeID {
-	return n.addLinkRealised(a, b, d, r.Uniform(d, 2*d))
-}
-
-// addLinkRealised appends a link whose realised delay was already drawn (the
-// streaming generator draws it before handing the node to its sink).
-func (n *Network) addLinkRealised(a, b graph.NodeID, d, realised float64) graph.EdgeID {
+	realised := r.Uniform(d, 2*d)
 	id := n.G.AddEdge(a, b, realised)
 	n.Nominal = append(n.Nominal, d)
 	n.Delay = append(n.Delay, realised)
@@ -132,11 +127,11 @@ func (n *Network) Validate() error {
 		return fmt.Errorf("topology: link attribute length mismatch")
 	}
 	for i := range n.Delay {
-		if n.Delay[i] < n.Nominal[i] || n.Delay[i] > 2*n.Nominal[i] {
+		if !(n.Nominal[i] <= n.Delay[i] && n.Delay[i] <= 2*n.Nominal[i]) {
 			return fmt.Errorf("topology: link %d delay %v outside [d,2d]=[%v,%v]",
 				i, n.Delay[i], n.Nominal[i], 2*n.Nominal[i])
 		}
-		if n.Loss[i] < 0 || n.Loss[i] > 1 {
+		if !(0 <= n.Loss[i] && n.Loss[i] <= 1) {
 			return fmt.Errorf("topology: link %d loss %v outside [0,1]", i, n.Loss[i])
 		}
 	}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"testing"
 
 	"rmcast/internal/graph"
@@ -151,10 +152,40 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 		{Routers: 10, DelayMin: 1, DelayMax: 10, AccessDelay: 0, MeanDegree: 3},
 		{Routers: 10, DelayMin: 1, DelayMax: 10, AccessDelay: 1, MeanDegree: 3, LossProb: 1.5},
 		{Routers: 10, DelayMin: 1, DelayMax: 10, AccessDelay: 1, MeanDegree: 1},
+		// NaN fails every range check.
+		{Routers: 10, DelayMin: nan, DelayMax: 10, AccessDelay: 1, MeanDegree: 3},
+		{Routers: 10, DelayMin: 1, DelayMax: nan, AccessDelay: 1, MeanDegree: 3},
+		{Routers: 10, DelayMin: 1, DelayMax: 10, AccessDelay: nan, MeanDegree: 3},
+		{Routers: 10, DelayMin: 1, DelayMax: 10, AccessDelay: 1, MeanDegree: 3, LossProb: nan},
+		{Routers: 10, DelayMin: 1, DelayMax: 10, AccessDelay: 1, MeanDegree: nan},
+		{Routers: 10, DelayMin: 1, DelayMax: 10, AccessDelay: 1, MeanDegree: 3,
+			Tree: ShortestPathTree, ClientFraction: nan},
 	}
 	for i, cfg := range bad {
 		if _, err := Generate(cfg, rng.New(1)); err == nil {
 			t.Fatalf("bad config %d accepted", i)
+		}
+	}
+}
+
+// nan is a quiet NaN for the bad-config tables.
+var nan = math.NaN()
+
+// TestValidateRejectsNaN checks Network.Validate against a NaN link delay
+// and a NaN link loss.
+func TestValidateRejectsNaN(t *testing.T) {
+	for _, field := range []string{"delay", "loss"} {
+		net, err := Generate(DefaultConfig(20), rng.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if field == "delay" {
+			net.Delay[0] = nan
+		} else {
+			net.Loss[0] = nan
+		}
+		if err := net.Validate(); err == nil {
+			t.Errorf("NaN link %s accepted", field)
 		}
 	}
 }
@@ -179,12 +210,16 @@ func TestSetUniformLoss(t *testing.T) {
 			t.Fatalf("link %d loss %v", i, p)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range loss did not panic")
-		}
-	}()
-	net.SetUniformLoss(2)
+	for _, p := range []float64{2, -0.1, nan} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("out-of-range loss %v did not panic", p)
+				}
+			}()
+			net.SetUniformLoss(p)
+		}()
+	}
 }
 
 func TestBuilderChain(t *testing.T) {
@@ -280,12 +315,24 @@ func TestBuilderErrors(t *testing.T) {
 		t.Fatal("missing source accepted")
 	}
 
-	b3 := NewBuilder()
-	s := b3.Source()
-	c := b3.Client()
-	b3.Link(s, c, -1)
-	if _, err := b3.Build(); err == nil {
-		t.Fatal("negative delay accepted")
+	for _, d := range []float64{-1, nan} {
+		b3 := NewBuilder()
+		s := b3.Source()
+		c := b3.Client()
+		b3.Link(s, c, d)
+		if _, err := b3.Build(); err == nil {
+			t.Fatalf("delay %v accepted", d)
+		}
+	}
+
+	for _, p := range []float64{1.5, nan} {
+		b4 := NewBuilder()
+		s := b4.Source()
+		c := b4.Client()
+		b4.SetLoss(b4.TreeLink(s, c, 1), p)
+		if _, err := b4.Build(); err == nil {
+			t.Fatalf("loss %v accepted", p)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"fmt"
+
 	"rmcast/internal/graph"
 	"rmcast/internal/rng"
 )
@@ -41,50 +43,59 @@ func DefaultTreeConfig(clients int) TreeConfig {
 	}
 }
 
-// netSink materialises a StreamTree emission into a full Network. It is the
-// sink behind GenerateTree; bespoke sinks (compact tree builders, partition
-// planners) can consume the same stream without paying for the edge list.
-type netSink struct {
-	net *Network
-}
-
-func (s *netSink) Begin(cfg TreeConfig, routers int) {
-	total := routers + 1 + cfg.Clients
-	s.net.Kind = make([]NodeKind, 0, total)
-	s.net.Nominal = make([]float64, 0, total-1)
-	s.net.Delay = make([]float64, 0, total-1)
-	s.net.Loss = make([]float64, 0, total-1)
-	s.net.TreeEdges = make([]graph.EdgeID, 0, total-1)
-	s.net.Clients = make([]graph.NodeID, 0, cfg.Clients)
-}
-
-func (s *netSink) Node(id graph.NodeID, kind NodeKind, attach graph.NodeID, nominal, realised float64) {
-	nid := s.net.addNode(kind)
-	if nid != id {
-		panic("topology: stream emitted out of order")
-	}
-	switch kind {
-	case Source:
-		s.net.Source = nid
-	case Client:
-		s.net.Clients = append(s.net.Clients, nid)
-	}
-	if attach == graph.None {
-		return
-	}
-	eid := s.net.addLinkRealised(nid, attach, nominal, realised)
-	s.net.TreeEdges = append(s.net.TreeEdges, eid)
-}
-
 // GenerateTree builds a tree-only Network from cfg using the deterministic
 // stream r: a random recursive tree over the routers (router i attaches to
 // a uniform earlier router), the source host on router 0 (the tree root),
 // and each client host on a uniform router. The whole link set is the
-// multicast tree. It is StreamTree feeding a materialising sink.
+// multicast tree. Node IDs follow creation order — routers, the source,
+// then the clients — and the link created with node id is link id−1.
 func GenerateTree(cfg TreeConfig, r *rng.Rand) (*Network, error) {
-	net := &Network{G: graph.New(0)}
-	if err := StreamTree(cfg, r, &netSink{net: net}); err != nil {
-		return nil, err
+	if cfg.Clients < 1 {
+		return nil, fmt.Errorf("topology: need at least 1 client, got %d", cfg.Clients)
+	}
+	if cfg.ClientsPerRouter < 1 {
+		return nil, fmt.Errorf("topology: clients per router %d below 1", cfg.ClientsPerRouter)
+	}
+	if !(cfg.DelayMin > 0 && cfg.DelayMax >= cfg.DelayMin) {
+		return nil, fmt.Errorf("topology: bad delay range [%v,%v]", cfg.DelayMin, cfg.DelayMax)
+	}
+	if !(cfg.AccessDelay > 0) {
+		return nil, fmt.Errorf("topology: non-positive access delay %v", cfg.AccessDelay)
+	}
+	if !(0 <= cfg.LossProb && cfg.LossProb <= 1) {
+		return nil, fmt.Errorf("topology: loss probability %v out of [0,1]", cfg.LossProb)
+	}
+
+	m := max(2, cfg.Clients/cfg.ClientsPerRouter)
+	total := m + 1 + cfg.Clients
+	net := &Network{
+		G:         graph.New(0),
+		Kind:      make([]NodeKind, 0, total),
+		Nominal:   make([]float64, 0, total-1),
+		Delay:     make([]float64, 0, total-1),
+		Loss:      make([]float64, 0, total-1),
+		TreeEdges: make([]graph.EdgeID, 0, total-1),
+		Clients:   make([]graph.NodeID, 0, cfg.Clients),
+	}
+	// attach adds one node on a link to node to; the draw order per link is
+	// the nominal delay (when drawn), then the realised delay.
+	attach := func(kind NodeKind, to graph.NodeID, nominal float64) graph.NodeID {
+		id := net.addNode(kind)
+		net.TreeEdges = append(net.TreeEdges, net.addLink(id, to, nominal, r))
+		return id
+	}
+	net.addNode(Router)
+	// Random recursive tree backbone: router i attaches to a uniform earlier
+	// router. Draws per router: attachment, nominal delay, realised delay.
+	for i := 1; i < m; i++ {
+		to := graph.NodeID(r.Intn(i))
+		attach(Router, to, r.Uniform(cfg.DelayMin, cfg.DelayMax))
+	}
+	// Source host at the backbone root, then client hosts on uniform
+	// routers (per client: attachment, realised delay).
+	net.Source = attach(Source, 0, cfg.AccessDelay)
+	for i := 0; i < cfg.Clients; i++ {
+		net.Clients = append(net.Clients, attach(Client, graph.NodeID(r.Intn(m)), cfg.AccessDelay))
 	}
 	net.SetUniformLoss(cfg.LossProb)
 	if err := net.Validate(); err != nil {

@@ -1,10 +1,49 @@
 package topology
 
 import (
+	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
 
+	"rmcast/internal/graph"
 	"rmcast/internal/rng"
 )
+
+// treeDigests pins GenerateTree's output bit for bit, captured when the
+// generator still streamed through a node sink: per n, the node kinds, every
+// link's endpoints, nominal and realised delays and loss, the tree edges,
+// and the rng's next draw after generation (so the draw count is pinned
+// too). Key: client count; the seed is 40 + n.
+var treeDigests = map[int]string{
+	1:    "90bf20271e97d0a5",
+	2:    "ea48314b714a547d",
+	7:    "328f1a262e59a157",
+	100:  "b4da2e4b111ee804",
+	2053: "022d9fc8a7adc031",
+}
+
+// TestGenerateTreeDigest checks GenerateTree against treeDigests.
+func TestGenerateTreeDigest(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 100, 2053} {
+		r := rng.New(uint64(40 + n))
+		net, err := GenerateTree(DefaultTreeConfig(n), r)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		h := fnv.New64a()
+		fmt.Fprintf(h, "kinds=%v source=%d clients=%v tree=%v\n", net.Kind, net.Source, net.Clients, net.TreeEdges)
+		for id := 0; id < net.NumLinks(); id++ {
+			e := net.G.Edge(graph.EdgeID(id))
+			fmt.Fprintf(h, "%d-%d %x %x %x\n", e.A, e.B,
+				math.Float64bits(net.Nominal[id]), math.Float64bits(net.Delay[id]), math.Float64bits(net.Loss[id]))
+		}
+		fmt.Fprintf(h, "next=%x\n", math.Float64bits(r.Float64()))
+		if got, want := fmt.Sprintf("%016x", h.Sum64()), treeDigests[n]; got != want {
+			t.Errorf("n=%d: digest %s, want %s", n, got, want)
+		}
+	}
+}
 
 func TestGenerateTreeShape(t *testing.T) {
 	for _, n := range []int{1, 2, 10, 500} {
@@ -53,6 +92,10 @@ func TestGenerateTreeRejectsBadConfig(t *testing.T) {
 		{Clients: 10, ClientsPerRouter: 4, DelayMin: 5, DelayMax: 2, AccessDelay: 1},
 		{Clients: 10, ClientsPerRouter: 4, DelayMin: 1, DelayMax: 10, AccessDelay: 0},
 		{Clients: 10, ClientsPerRouter: 4, DelayMin: 1, DelayMax: 10, AccessDelay: 1, LossProb: 1.5},
+		{Clients: 10, ClientsPerRouter: 4, DelayMin: nan, DelayMax: 10, AccessDelay: 1},
+		{Clients: 10, ClientsPerRouter: 4, DelayMin: 1, DelayMax: nan, AccessDelay: 1},
+		{Clients: 10, ClientsPerRouter: 4, DelayMin: 1, DelayMax: 10, AccessDelay: nan},
+		{Clients: 10, ClientsPerRouter: 4, DelayMin: 1, DelayMax: 10, AccessDelay: 1, LossProb: nan},
 	}
 	for i, cfg := range bad {
 		if _, err := GenerateTree(cfg, rng.New(1)); err == nil {
