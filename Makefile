@@ -115,6 +115,7 @@ FUZZ_TARGETS := \
 	./internal/experiment:FuzzMutator \
 	./internal/experiment:FuzzRunPath \
 	./internal/protocol:FuzzDetectProgram \
+	./internal/protocol:FuzzRecoveries \
 	./internal/protocol/coop:FuzzCoopDecode \
 	./internal/protocol/rpproto:FuzzElection
 FUZZTIME_fuzz := 30s

@@ -94,7 +94,8 @@ func TestDomainModeFallbackReason(t *testing.T) {
 
 // TestDomainParityChaos reruns the chaos parity schedule in domain mode —
 // crash windows and link outages crossing domain boundaries must still merge
-// to the serial result exactly.
+// to the serial result exactly. SRM has no CloneForShard, so its row
+// compares two serial runs.
 func TestDomainParityChaos(t *testing.T) {
 	for _, proto := range []string{"SRM", "RMA", "RP", "SRC", "COOP"} {
 		t.Run(proto, func(t *testing.T) {
@@ -106,6 +107,7 @@ func TestDomainParityChaos(t *testing.T) {
 					t.Errorf("chaos %s at %d workers (domain mode): digest %s, want serial %s",
 						proto, w, got, want)
 				}
+				checkParityShape(t, proto, "chaos", w, res)
 			}
 		})
 	}

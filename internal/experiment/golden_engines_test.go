@@ -7,18 +7,28 @@ package experiment
 // the plain cell does not reach: sequence-gap and session-message detection,
 // jittered lossy recovery (net-stream draws on every control hop) and the
 // message mutator (draws at every control delivery), the last both on the
-// precomputed path and under the queueing model.
+// precomputed path and under the queueing model. The crash and churn cells
+// drive the engines' crash hooks: crash windows of three clients plus two
+// link outages (chaosParitySchedule), and the churn sweep's crash waves at
+// rate 1, aimed at the coordinator succession line.
 //
-// The constants were captured from the run-path implementation that
-// predates the single delivery path; do not re-capture them without first
-// explaining why the firing order moved.
+// The plain, queued, gap, session, jitter-lossy and mutation constants were
+// captured from the run-path implementation that predates the single
+// delivery path. The crash and churn constants were captured on 2026-10-18
+// at commit 8b1b5c2 (linux/amd64, go1.24.0), where each request engine still
+// kept its own pending map, before their in-flight recoveries moved into the
+// session's per-client recovery table. Do not re-capture any of them without
+// first explaining why the firing order moved.
 
 import (
 	"fmt"
 	"testing"
 
+	"rmcast/internal/core"
 	"rmcast/internal/fault"
+	"rmcast/internal/mtree"
 	"rmcast/internal/protocol"
+	"rmcast/internal/rng"
 	"rmcast/internal/topology"
 )
 
@@ -129,28 +139,73 @@ var engineDigests = map[string]string{
 	"COOP/jitter-lossy":            "8a3b76c6b73c9b7a",
 	"COOP/mutation":                "1285612d0e0253b0",
 	"COOP/mutation-queued":         "2a6155dd3395956f",
+	// The crash and churn cells; see the file comment.
+	"SRM/crash":          "635513e190c3029d",
+	"SRM/churn":          "07a0e5cb86565eaa",
+	"RMA/crash":          "6f2e8a776e8b9bfd",
+	"RMA/churn":          "e63bc64035cc312b",
+	"RP/crash":           "b562c6f25293df9f",
+	"RP/churn":           "4c258be6dccb66cb",
+	"RP-AWARE/crash":     "07d52e9d0c364c17",
+	"RP-AWARE/churn":     "1356d52e5c068ce8",
+	"RP-NOSRC/crash":     "9601d17ce4b70faa",
+	"RP-NOSRC/churn":     "dedd253530743e77",
+	"RP-NAK/crash":       "0949188cbd8292b1",
+	"RP-NAK/churn":       "194554057ef7ea56",
+	"RP-SUBGROUP/crash":  "2106eee1c5b725c0",
+	"RP-SUBGROUP/churn":  "3a0d2407a14ecb18",
+	"SRC/crash":          "ebb27162102e1a58",
+	"SRC/churn":          "29534e408cbc0750",
+	"SRM-HONEST/crash":   "33997cddf9b3beb8",
+	"SRM-HONEST/churn":   "f84d5ef03ccd496f",
+	"SRM-ADAPT/crash":    "800c9a2c8f63d06d",
+	"SRM-ADAPT/churn":    "772c9fd290ccb66a",
+	"FEC/crash":          "7ea2cad3aabc15d1",
+	"FEC/churn":          "676537364182dffa",
+	"ACK/crash":          "f58df0a8b9764951",
+	"ACK/churn":          "5e8217baef7f1247",
+	"RP-RESILIENT/crash": "a7d648c8beb24b77",
+	"RP-RESILIENT/churn": "d4d5a66b0aea876a",
+	"RP-FAILOVER/crash":  "43748568209f281b",
+	"RP-FAILOVER/churn":  "e27a255321e18c8f",
+	"COOP/crash":         "0acb5f63601b4ec5",
+	"COOP/churn":         "f4e333107fff47f1",
 }
 
 // engineCells are the extra configurations run for every engine, each a
-// change to the golden cell's plain Config.
+// change to the golden cell's plain Config on the cell's network.
 var engineCells = []struct {
 	name string
-	set  func(cfg *protocol.Config)
+	set  func(cfg *protocol.Config, topo *topology.Network)
 }{
-	{"gap", func(cfg *protocol.Config) { cfg.Detection = protocol.DetectGap }},
-	{"session", func(cfg *protocol.Config) { cfg.Detection = protocol.DetectSession }},
-	{"jitter-lossy", func(cfg *protocol.Config) { cfg.Jitter, cfg.LossyRecovery = 0.3, true }},
-	{"mutation", func(cfg *protocol.Config) { cfg.Fault = mutationSchedule(cfg) }},
-	{"mutation-queued", func(cfg *protocol.Config) {
+	{"gap", func(cfg *protocol.Config, _ *topology.Network) { cfg.Detection = protocol.DetectGap }},
+	{"session", func(cfg *protocol.Config, _ *topology.Network) { cfg.Detection = protocol.DetectSession }},
+	{"jitter-lossy", func(cfg *protocol.Config, _ *topology.Network) { cfg.Jitter, cfg.LossyRecovery = 0.3, true }},
+	{"mutation", func(cfg *protocol.Config, _ *topology.Network) { cfg.Fault = mutationSchedule(cfg) }},
+	{"mutation-queued", func(cfg *protocol.Config, _ *topology.Network) {
 		cfg.Fault = mutationSchedule(cfg)
 		cfg.PacketTime, cfg.DetectLag = 0.2, 4
 	}},
+	{"crash", func(cfg *protocol.Config, topo *topology.Network) { cfg.Fault = chaosParitySchedule(topo) }},
+	{"churn", func(cfg *protocol.Config, topo *topology.Network) { cfg.Fault = churnSchedule(cfg, topo) }},
 }
 
 // mutationSchedule is a full-intensity message-plane mutator over the
 // stream's span.
 func mutationSchedule(cfg *protocol.Config) *fault.Schedule {
 	return &fault.Schedule{Mutation: fault.MutationFromIntensity(1, float64(cfg.Packets)*cfg.Interval)}
+}
+
+// churnSchedule is the churn sweep's top rate over the stream's span: crash
+// waves aimed at the coordinator succession line plus background blackouts,
+// from a fixed fault seed.
+func churnSchedule(cfg *protocol.Config, topo *topology.Network) *fault.Schedule {
+	tree, err := mtree.Build(topo)
+	if err != nil {
+		panic(err)
+	}
+	p := fault.ChurnParams{Rate: 1, Span: float64(cfg.Packets) * cfg.Interval}
+	return fault.GenerateChurn(p, core.ElectionOrder(tree), rng.New(77))
 }
 
 // TestGoldenDigestsEngines runs every engine-table name on the golden cell,
@@ -186,12 +241,16 @@ func TestGoldenDigestsEngineCells(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := protocol.Config{Packets: 40, Interval: 50}
-				cell.set(&cfg)
+				cell.set(&cfg, topo)
 				s, err := protocol.NewSession(topo, eng, cfg, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkEngineDigest(t, key, s.Run())
+				res := s.Run()
+				if err := Check(res); err != nil {
+					t.Fatalf("%s: run %v", key, err)
+				}
+				checkEngineDigest(t, key, res)
 			})
 		}
 	}

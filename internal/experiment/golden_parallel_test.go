@@ -11,6 +11,7 @@ package experiment
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"rmcast/internal/fault"
@@ -82,18 +83,19 @@ func chaosParitySchedule(topo *topology.Network) *fault.Schedule {
 	return s
 }
 
-// adversarialParitySchedule adds the message-plane mutator, which the
-// parallel mode cannot reproduce — the run must run as one shard, the serial
-// run.
-func adversarialParitySchedule(topo *topology.Network) *fault.Schedule {
+// adversarialParitySchedule adds a full-intensity message-plane mutator over
+// the stream's span, which the parallel mode cannot reproduce — the run must
+// run as one shard, the serial run.
+func adversarialParitySchedule(topo *topology.Network, cfg protocol.Config) *fault.Schedule {
 	s := chaosParitySchedule(topo)
-	s.SetMutation(&fault.MutationConfig{})
+	s.SetMutation(fault.MutationFromIntensity(1, float64(cfg.Packets)*cfg.Interval))
 	return s
 }
 
 // TestParallelParityChaos asserts serial/parallel byte-equivalence for all
-// four engines under the eligible chaos schedule (genuinely sharded) and the
-// adversarial schedule (serial fallback), at every worker count.
+// five engines under the eligible chaos schedule (genuinely sharded) and the
+// adversarial schedule (serial fallback), at every worker count. SRM has no
+// CloneForShard, so its rows compare two serial runs.
 func TestParallelParityChaos(t *testing.T) {
 	for _, kind := range []string{"chaos", "adversarial"} {
 		for _, proto := range []string{"SRM", "RMA", "RP", "SRC", "COOP"} {
@@ -106,9 +108,30 @@ func TestParallelParityChaos(t *testing.T) {
 						t.Errorf("%s %s at %d workers: digest %s, want serial %s",
 							kind, proto, w, got, want)
 					}
+					checkParityShape(t, proto, kind, w, res)
 				}
 			})
 		}
+	}
+}
+
+// checkParityShape asserts how a parity run at w ≥ 2 workers was laid out:
+// SRM always runs as one shard, an adversarial run of any other engine falls
+// back to one shard because of the mutator, and a chaos run shards.
+func checkParityShape(t *testing.T, proto, kind string, w int, res *protocol.Result) {
+	t.Helper()
+	switch {
+	case proto == "SRM":
+		if res.Sharded {
+			t.Errorf("%s SRM at %d workers: sharded without CloneForShard", kind, w)
+		}
+	case kind == "adversarial":
+		if res.Sharded || !strings.HasPrefix(res.SerialReason, "message-plane mutation") {
+			t.Errorf("adversarial %s at %d workers: sharded=%v reason %q, want the mutator's serial fallback",
+				proto, w, res.Sharded, res.SerialReason)
+		}
+	case !res.Sharded:
+		t.Errorf("chaos %s at %d workers: ran serially: %s", proto, w, res.SerialReason)
 	}
 }
 
@@ -120,15 +143,15 @@ func parityRun(t *testing.T, proto, kind string, workers int) *protocol.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := chaosParitySchedule(topo)
+	cfg := protocol.Config{Packets: 40, Interval: 50, SimWorkers: workers}
+	cfg.Fault = chaosParitySchedule(topo)
 	if kind == "adversarial" {
-		sched = adversarialParitySchedule(topo)
+		cfg.Fault = adversarialParitySchedule(topo, cfg)
 	}
 	eng, err := NewEngine(proto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := protocol.Config{Packets: 40, Interval: 50, Fault: sched, SimWorkers: workers}
 	s, err := protocol.NewSession(topo, eng, cfg, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -139,6 +162,9 @@ func parityRun(t *testing.T, proto, kind string, workers int) *protocol.Result {
 	}
 	if len(res.Violations) > 0 {
 		t.Fatalf("%s %s workers=%d: oracle violations %v", kind, proto, workers, res.Violations)
+	}
+	if kind == "adversarial" && res.Stats.Malformed == 0 {
+		t.Fatalf("adversarial %s workers=%d: the mutator corrupted nothing", proto, workers)
 	}
 	return res
 }

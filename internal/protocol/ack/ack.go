@@ -42,8 +42,8 @@ func DefaultOptions() Options {
 type Engine struct {
 	opt Options
 	s   *protocol.Session
-	// acked[seq] marks clients whose ACK reached the source.
-	acked map[int]map[graph.NodeID]bool
+	// acked[seq][node] marks clients whose ACK reached the source.
+	acked [][]bool
 	// maxRTT is the slowest client round trip, the base timeout.
 	maxRTT float64
 }
@@ -61,7 +61,7 @@ func New(opt Options) *Engine {
 	if opt.MaxRounds <= 0 {
 		opt.MaxRounds = 30
 	}
-	return &Engine{opt: opt, acked: make(map[int]map[graph.NodeID]bool)}
+	return &Engine{opt: opt}
 }
 
 // Name implements protocol.Engine.
@@ -72,13 +72,14 @@ func (e *Engine) Name() string { return "ACK" }
 func (e *Engine) Attach(s *protocol.Session) {
 	e.s = s
 	cfg := s.Config()
+	e.acked = make([][]bool, cfg.Packets)
 	for _, c := range s.Clients() {
 		if rtt := s.Routes.RTT(c, s.Topo.Source); rtt > e.maxRTT {
 			e.maxRTT = rtt
 		}
 	}
 	for seq := 0; seq < cfg.Packets; seq++ {
-		e.acked[seq] = make(map[graph.NodeID]bool, len(s.Clients()))
+		e.acked[seq] = make([]bool, s.Topo.NumNodes())
 		sendAt := float64(seq) * cfg.Interval
 		// Client ACKs: each client checks at its own expected arrival
 		// (plus AckDelay) and acknowledges if it holds the packet; later
@@ -146,13 +147,6 @@ func (e *Engine) OnPacket(host graph.NodeID, pkt sim.Packet) {
 			e.s.Eng.After(e.opt.AckDelay, func() { e.sendAck(host, pkt.Seq) })
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 var _ protocol.Engine = (*Engine)(nil)

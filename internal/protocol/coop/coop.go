@@ -28,14 +28,13 @@
 // There is no request/repair pairing for the adversarial message plane to
 // mutate: duplicated and reordered symbols are absorbed by set semantics,
 // and corrupted symbols (flipped index, truncated payload) fail domain
-// validation and count as malformed. Crash/park/resume follows the other
-// engines' FaultAware discipline with sorted-key determinism.
+// validation and count as malformed. Each block recovery lives in the
+// session's recovery table (keyed by block number), so crash and reboot
+// park and resume it in block order like every other request engine.
 package coop
 
 import (
-	"cmp"
 	"math/bits"
-	"slices"
 
 	"rmcast/internal/core"
 	"rmcast/internal/graph"
@@ -83,12 +82,11 @@ type Engine struct {
 	// Algorithm 1 legitimately returns an empty peer list (asking the
 	// source is latency-optimal), but COOP's objective is source
 	// offload, so every competitive class is tried before the source.
-	// sharedPeers, when non-nil, is a parent engine's map adopted
-	// verbatim by shard clones (never mutated).
-	peers       map[graph.NodeID][]core.Candidate
-	sharedPeers map[graph.NodeID][]core.Candidate
-	// recs tracks one in-flight block recovery per (client, block).
-	recs map[bkey]*blockRec
+	// The lists are indexed by NodeID (nil for non-clients). sharedPeers,
+	// when non-nil, is a parent engine's lists adopted verbatim by shard
+	// clones (never mutated).
+	peers       [][]core.Candidate
+	sharedPeers [][]core.Candidate
 	// served suppresses duplicated solicitations at the relay: a repeat
 	// of (requester, block) within half the retry window is a message-
 	// plane duplicate, not a retry, and is dropped unanswered.
@@ -97,18 +95,6 @@ type Engine struct {
 	// the bounded last resort, zero whenever ranked peers can cover the
 	// block (asserted by the burst-envelope test).
 	sourceFallbacks int64
-}
-
-type bkey struct {
-	c graph.NodeID
-	b int
-}
-
-// blockRec is one client's in-flight recovery of one block.
-type blockRec struct {
-	round  int
-	timer  sim.Timer
-	parked bool
 }
 
 // solicit is the payload of a block solicitation: the requester's current
@@ -147,11 +133,7 @@ func New(opt Options) *Engine {
 	if opt.Slack < 0 {
 		opt.Slack = 0
 	}
-	return &Engine{
-		opt:    opt,
-		recs:   make(map[bkey]*blockRec),
-		served: protocol.NewDedupCache(dedupCacheSize),
-	}
+	return &Engine{opt: opt, served: protocol.NewDedupCache(dedupCacheSize)}
 }
 
 // Name implements protocol.Engine.
@@ -171,7 +153,7 @@ func (e *Engine) Attach(s *protocol.Session) {
 	}
 	p := core.NewPlanner(s.Tree, s.Routes)
 	plans := p.PlanAllDense()
-	e.peers = make(map[graph.NodeID][]core.Candidate, len(s.Tree.Clients))
+	e.peers = make([][]core.Candidate, len(s.Tree.Parent))
 	for i, c := range s.Tree.Clients {
 		list := append([]core.Candidate(nil), plans[i].Peers...)
 		in := make(map[graph.NodeID]bool)
@@ -202,48 +184,43 @@ func (e *Engine) CloneForShard() protocol.Engine {
 }
 
 // OnDetect implements protocol.Engine: the first detected loss inside a
-// block opens its recovery; further detections in the same block ride the
-// solicitation already in flight. Monotonic guard: a packet the client
-// already holds never opens a recovery, whatever duplicated or reordered
-// signal suggested it.
+// block opens its recovery, keyed by block number; further detections in
+// the same block ride the solicitation already in flight. Monotonic guard:
+// a packet the client already holds never opens a recovery, whatever
+// duplicated or reordered signal suggested it.
 func (e *Engine) OnDetect(c graph.NodeID, seq int) {
-	b := seq / e.opt.K
-	k := bkey{c, b}
-	if _, dup := e.recs[k]; dup {
-		return
-	}
 	if !e.s.Missing(c, seq) {
 		return
 	}
-	rec := &blockRec{}
-	e.recs[k] = rec
-	e.solicitRound(c, b, rec)
+	if rec := e.s.Open(c, seq/e.opt.K); rec != nil {
+		e.solicitRound(c, rec)
+	}
 }
 
-// solicitRound sends one round of block solicitations: the next Fanout
-// ranked peers, each assigned a disjoint slice of the coded range [0, R);
-// with the peer list exhausted, the source (which can supply everything).
-func (e *Engine) solicitRound(c graph.NodeID, b int, rec *blockRec) {
+// solicitRound sends one round (rec.Step) of solicitations for block
+// rec.Seq: the next Fanout ranked peers, each assigned a disjoint slice of
+// the coded range [0, R); with the peer list exhausted, the source (which
+// can supply everything).
+func (e *Engine) solicitRound(c graph.NodeID, rec *protocol.Recovery) {
 	if !e.s.Alive(c) {
-		rec.parked = true
+		rec.Parked = true
 		return
 	}
-	if e.tryFinish(c, b, rec) {
+	if e.tryFinish(c, rec) {
 		return
 	}
+	b := rec.Seq
 	lo, hi := e.s.BlockBounds(b)
-	k := bkey{c, b}
 	if eta := e.s.ExpectedArrival(c, hi-1); eta > e.s.Eng.Now() {
 		// The block is still streaming: a solicitation now would ask
 		// relays — and the oracle — to repair data the source has not
 		// even sent yet, and would carry a stale Have mask. Hold until
 		// the block has streamed past, then re-decide (the surviving
 		// tail may have closed the gap or raised the rank already).
-		rec.timer = e.s.Eng.NewTimer(eta-e.s.Eng.Now()+holdEps, func() {
-			if e.recs[k] != rec || rec.parked {
-				return
+		rec.Timer = e.s.Eng.NewTimer(eta-e.s.Eng.Now()+holdEps, func() {
+			if !rec.Closed() && !rec.Parked {
+				e.solicitRound(c, rec)
 			}
-			e.solicitRound(c, b, rec)
 		})
 		return
 	}
@@ -261,7 +238,7 @@ func (e *Engine) solicitRound(c graph.NodeID, b int, rec *blockRec) {
 		Have: have, Coded: e.s.CodedHeld(c, b),
 	}
 	peers := e.peers[c]
-	start := rec.round * e.opt.Fanout
+	start := rec.Step * e.opt.Fanout
 	var maxTO float64
 	if start < len(peers) {
 		end := start + e.opt.Fanout
@@ -296,21 +273,19 @@ func (e *Engine) solicitRound(c graph.NodeID, b int, rec *blockRec) {
 	// deeper in the tree may still be expecting it (and holds the
 	// solicitation until then) — the RetryFactor'd round trip plus slack
 	// covers that skew.
-	rec.timer = e.s.Eng.NewTimer(maxTO+e.opt.Slack, func() {
-		if e.recs[k] != rec || rec.parked {
+	rec.Timer = e.s.Eng.NewTimer(maxTO+e.opt.Slack, func() {
+		if rec.Closed() || rec.Parked || e.tryFinish(c, rec) {
 			return
 		}
-		if e.tryFinish(c, b, rec) {
-			return
-		}
-		rec.round++
-		e.solicitRound(c, b, rec)
+		rec.Step++
+		e.solicitRound(c, rec)
 	})
 }
 
 // tryFinish closes the block's recovery if it is complete — decoding first
 // when the symbol rank suffices. Returns whether the record was retired.
-func (e *Engine) tryFinish(c graph.NodeID, b int, rec *blockRec) bool {
+func (e *Engine) tryFinish(c graph.NodeID, rec *protocol.Recovery) bool {
+	b := rec.Seq
 	lo, hi := e.s.BlockBounds(b)
 	complete := true
 	for seq := lo; seq < hi; seq++ {
@@ -326,10 +301,7 @@ func (e *Engine) tryFinish(c graph.NodeID, b int, rec *blockRec) bool {
 	if !complete {
 		return false
 	}
-	if rec.timer.Valid() {
-		rec.timer.Stop()
-	}
-	delete(e.recs, bkey{c, b})
+	e.s.Close(c, rec)
 	return true
 }
 
@@ -362,9 +334,8 @@ func (e *Engine) OnPacket(host graph.NodeID, pkt sim.Packet) {
 		if !ok {
 			return
 		}
-		b := int(sym.Block)
-		if rec, open := e.recs[bkey{host, b}]; open {
-			e.tryFinish(host, b, rec)
+		if rec := e.s.Recovery(host, int(sym.Block)); rec != nil {
+			e.tryFinish(host, rec)
 		}
 	}
 }
@@ -460,47 +431,21 @@ func (e *Engine) sendSymbol(from, to graph.NodeID, b, index, lo int) {
 
 // OnCrash implements protocol.FaultAware: park the crashed client's block
 // recoveries so a permanent crash cannot re-arm timers forever.
-func (e *Engine) OnCrash(h graph.NodeID) {
-	for _, k := range e.keysFor(h) {
-		rec := e.recs[k]
-		if rec.timer.Valid() {
-			rec.timer.Stop()
-			rec.timer = sim.Timer{}
-		}
-		rec.parked = true
-	}
-}
+func (e *Engine) OnCrash(h graph.NodeID) { e.s.Park(h) }
 
 // OnRecover implements protocol.FaultAware: resume the client's parked
 // block recoveries in block order (deterministic — sends draw from the
 // shared rng streams).
 func (e *Engine) OnRecover(h graph.NodeID) {
-	for _, k := range e.keysFor(h) {
-		rec := e.recs[k]
-		if !rec.parked {
-			continue
+	e.s.Resume(h, func(rec *protocol.Recovery) {
+		if !e.tryFinish(h, rec) {
+			e.solicitRound(h, rec)
 		}
-		rec.parked = false
-		if !e.tryFinish(k.c, k.b, rec) {
-			e.solicitRound(k.c, k.b, rec)
-		}
-	}
-}
-
-// keysFor returns h's open block keys in block order.
-func (e *Engine) keysFor(h graph.NodeID) []bkey {
-	var ks []bkey
-	for k := range e.recs {
-		if k.c == h {
-			ks = append(ks, k)
-		}
-	}
-	slices.SortFunc(ks, func(a, b bkey) int { return cmp.Compare(a.b, b.b) })
-	return ks
+	})
 }
 
 // PendingRecoveries reports in-flight block recoveries (testing).
-func (e *Engine) PendingRecoveries() int { return len(e.recs) }
+func (e *Engine) PendingRecoveries() int { return e.s.OpenRecoveries() }
 
 // SourceFallbacks reports how many solicitation rounds had to fall back to
 // the source — zero whenever ranked peers covered every loss burst.

@@ -19,9 +19,7 @@
 package fec
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"rmcast/internal/graph"
 	"rmcast/internal/protocol"
@@ -52,16 +50,12 @@ type Engine struct {
 	s   *protocol.Session
 	// paritySeen counts parity symbols held per (client, block).
 	paritySeen map[key]int
-	// pending tracks fallback timers per (client, seq).
-	pending map[key]sim.Timer
-	// parked marks fallbacks suspended while their client is crashed; a
-	// permanent crash must not keep re-arming retry timers forever.
-	parked map[key]bool
 }
 
+// key names one (client, block) pair.
 type key struct {
 	c graph.NodeID
-	n int // block or seq, per map
+	b int
 }
 
 // parity is the payload of a parity packet; Block identifies the group.
@@ -86,12 +80,7 @@ func New(opt Options) *Engine {
 	if opt.RetryFactor <= 0 {
 		opt.RetryFactor = 3
 	}
-	return &Engine{
-		opt:        opt,
-		paritySeen: make(map[key]int),
-		pending:    make(map[key]sim.Timer),
-		parked:     make(map[key]bool),
-	}
+	return &Engine{opt: opt, paritySeen: make(map[key]int)}
 }
 
 // Name implements protocol.Engine.
@@ -170,13 +159,11 @@ func (e *Engine) tryDecode(c graph.NodeID, b int) {
 	}
 }
 
+// cancel closes client c's fallback for seq, if one is open.
 func (e *Engine) cancel(c graph.NodeID, seq int) {
-	k := key{c, seq}
-	if t, ok := e.pending[k]; ok {
-		t.Stop()
-		delete(e.pending, k)
+	if r := e.s.Recovery(c, seq); r != nil {
+		e.s.Close(c, r)
 	}
-	delete(e.parked, k)
 }
 
 // OnDetect implements protocol.Engine: wait for the block's parity; if the
@@ -194,33 +181,31 @@ func (e *Engine) OnDetect(c graph.NodeID, seq int) {
 	if wait < 0 {
 		wait = 0
 	}
-	k := key{c, seq}
-	e.pending[k] = e.s.Eng.NewTimer(wait+1e-3, func() { e.fallback(c, seq) })
+	if r := e.s.Open(c, seq); r != nil {
+		r.Timer = e.s.Eng.NewTimer(wait+1e-3, func() { e.fallback(c, r) })
+	}
 }
 
 // fallback asks the source directly (and keeps retrying).
-func (e *Engine) fallback(c graph.NodeID, seq int) {
-	k := key{c, seq}
-	delete(e.pending, k)
-	if !e.s.Missing(c, seq) {
-		return
+func (e *Engine) fallback(c graph.NodeID, r *protocol.Recovery) {
+	if e.s.Missing(c, r.Seq) {
+		// One more decode attempt — parity may have landed since.
+		e.tryDecode(c, e.block(r.Seq))
 	}
-	// One more decode attempt — parity may have landed since.
-	e.tryDecode(c, e.block(seq))
-	if !e.s.Missing(c, seq) {
+	if !e.s.Missing(c, r.Seq) {
+		e.s.Close(c, r)
 		return
 	}
 	if !e.s.Alive(c) {
 		// Crashed mid-cycle: park rather than re-arm, OnRecover resumes.
-		e.pending[k] = sim.Timer{}
-		e.parked[k] = true
+		r.Parked = true
 		return
 	}
 	e.s.Net.Unicast(e.s.Topo.Source, sim.Packet{
-		Kind: sim.Request, Seq: seq, From: c, Payload: request{Requester: c},
+		Kind: sim.Request, Seq: r.Seq, From: c, Payload: request{Requester: c},
 	})
 	retry := e.opt.RetryFactor * e.s.Routes.RTT(c, e.s.Topo.Source)
-	e.pending[k] = e.s.Eng.NewTimer(retry, func() { e.fallback(c, seq) })
+	r.Timer = e.s.Eng.NewTimer(retry, func() { e.fallback(c, r) })
 }
 
 // OnPacket implements protocol.Engine.
@@ -246,48 +231,20 @@ func (e *Engine) OnPacket(host graph.NodeID, pkt sim.Packet) {
 }
 
 // OnCrash implements protocol.FaultAware: stop the crashed client's
-// fallback timers and park the keys, so a permanent crash cannot keep the
-// event loop alive with retries that can never be answered.
-func (e *Engine) OnCrash(h graph.NodeID) {
-	for _, k := range e.keysFor(h) {
-		if t := e.pending[k]; t.Valid() {
-			t.Stop()
-			e.pending[k] = sim.Timer{}
-		}
-		e.parked[k] = true
-	}
-}
+// fallback timers and park them, so a permanent crash cannot keep the event
+// loop alive with retries that can never be answered.
+func (e *Engine) OnCrash(h graph.NodeID) { e.s.Park(h) }
 
 // OnRecover implements protocol.FaultAware: resume parked fallbacks in
 // sequence order (deterministic), decoding first where parity already
-// suffices.
+// suffices. A decode can close later parked fallbacks of the same block,
+// which the table's walk then skips.
 func (e *Engine) OnRecover(h graph.NodeID) {
-	for _, k := range e.keysFor(h) {
-		if !e.parked[k] {
-			continue
-		}
-		delete(e.parked, k)
-		delete(e.pending, k)
-		if e.s.Missing(k.c, k.n) {
-			e.fallback(k.c, k.n)
-		}
-	}
+	e.s.Resume(h, func(r *protocol.Recovery) { e.fallback(h, r) })
 }
 
-// keysFor returns h's pending fallback keys in sequence order.
-func (e *Engine) keysFor(h graph.NodeID) []key {
-	var ks []key
-	for k := range e.pending {
-		if k.c == h {
-			ks = append(ks, k)
-		}
-	}
-	slices.SortFunc(ks, func(a, b key) int { return cmp.Compare(a.n, b.n) })
-	return ks
-}
-
-// PendingRecoveries reports outstanding fallback timers (testing).
-func (e *Engine) PendingRecoveries() int { return len(e.pending) }
+// PendingRecoveries reports outstanding fallbacks (testing).
+func (e *Engine) PendingRecoveries() int { return e.s.OpenRecoveries() }
 
 var (
 	_ protocol.Engine     = (*Engine)(nil)

@@ -72,9 +72,11 @@ type Coordinator interface {
 // FaultAware is optionally implemented by engines that react to host
 // crash/recover transitions of an installed fault schedule (Config.Fault):
 // parking a crashed client's retry timers so a permanent crash cannot wedge
-// the event loop, and resuming its recovery after a reboot. The session
-// dispatches the hooks at each effective transition; engines without the
-// interface rely on the network layer silencing a dead host's traffic.
+// the event loop, and resuming its recovery after a reboot. The request
+// engines keep their recoveries in the session's table, so each hook is a
+// Park or a Resume call. The session dispatches the hooks at each effective
+// transition; engines without the interface rely on the network layer
+// silencing a dead host's traffic.
 type FaultAware interface {
 	OnCrash(host graph.NodeID)
 	OnRecover(host graph.NodeID)
@@ -323,7 +325,8 @@ type Session struct {
 
 // clientRow is one client's ground truth: which packets it holds, when it
 // detected each loss, its recovery latency and, under gap detection, the
-// next sequence it expects.
+// next sequence it expects. It also holds the client's open recoveries
+// (recovery.go), which only the owning domain allocates.
 type clientRow struct {
 	received []bool    // [seq]
 	detectAt []float64 // [seq]; NaN = not (yet) detected
@@ -331,6 +334,7 @@ type clientRow struct {
 	// model validation.
 	latency metrics.Summary
 	nextExp int
+	recs    []*Recovery // ascending Seq
 }
 
 func newClientRow(packets int) *clientRow {

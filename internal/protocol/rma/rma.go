@@ -18,9 +18,6 @@
 package rma
 
 import (
-	"cmp"
-	"slices"
-
 	"rmcast/internal/core"
 	"rmcast/internal/graph"
 	"rmcast/internal/protocol"
@@ -52,9 +49,9 @@ type Engine struct {
 	opt Options
 	s   *protocol.Session
 	// chain is the per-client full upstream receiver order (descending
-	// meet depth — nearest upstream first).
-	chain   map[graph.NodeID][]core.Candidate
-	pending map[key]*attempt
+	// meet depth — nearest upstream first), indexed by NodeID (nil for
+	// non-clients).
+	chain [][]core.Candidate
 	// repaired records, per (repairer, seq), the root and time of the
 	// last repair multicast, for repairer-side suppression.
 	repaired map[key]repairMark
@@ -63,7 +60,7 @@ type Engine struct {
 	// sharedChain/sharedDiameter, when set, are a parent engine's plans
 	// adopted verbatim by Attach (shard clones of a partitioned run); the
 	// chains are read-only at run time.
-	sharedChain    map[graph.NodeID][]core.Candidate
+	sharedChain    [][]core.Candidate
 	sharedDiameter float64
 	// served suppresses duplicated requests: a repeat of (requester, seq)
 	// within half the requester's retry timeout is a message-plane
@@ -80,17 +77,10 @@ type repairMark struct {
 	at   float64
 }
 
+// key names one (repairer, seq) pair.
 type key struct {
 	c   graph.NodeID
 	seq int
-}
-
-type attempt struct {
-	idx int // position in the chain; len(chain) means "at source"
-	// parked marks a walk whose owner is crashed: no timer runs until
-	// OnRecover resumes it.
-	parked bool
-	timer  sim.Timer
 }
 
 // request is the payload of an RMA recovery request.
@@ -106,7 +96,6 @@ type request struct {
 func New(opt Options) *Engine {
 	return &Engine{
 		opt:      opt,
-		pending:  make(map[key]*attempt),
 		repaired: make(map[key]repairMark),
 		served:   protocol.NewDedupCache(dedupCacheSize),
 	}
@@ -142,7 +131,7 @@ func (e *Engine) Attach(s *protocol.Session) {
 	}
 	p := core.NewPlanner(s.Tree, s.Routes)
 	p.Timeout = e.opt.Timeout
-	e.chain = make(map[graph.NodeID][]core.Candidate, len(s.Clients()))
+	e.chain = make([][]core.Candidate, len(s.Tree.Parent))
 	var deep float64
 	for _, c := range s.Clients() {
 		// Candidates are already one-per-class in descending DS order —
@@ -157,35 +146,31 @@ func (e *Engine) Attach(s *protocol.Session) {
 
 // OnDetect implements protocol.Engine: start at the nearest upstream
 // receiver. Monotonic guard: a packet the client already holds never
-// (re-)enters pending, whatever duplicated or reordered signal suggested it.
+// (re-)opens a walk, whatever duplicated or reordered signal suggested it.
 func (e *Engine) OnDetect(c graph.NodeID, seq int) {
-	k := key{c, seq}
-	if _, dup := e.pending[k]; dup {
-		return
-	}
 	if !e.s.Missing(c, seq) {
 		return
 	}
-	a := &attempt{}
-	e.pending[k] = a
-	e.send(c, seq, a)
+	if r := e.s.Open(c, seq); r != nil {
+		e.send(c, r)
+	}
 }
 
-// send fires the request for the attempt's current chain position and arms
-// the fall-through timer.
-func (e *Engine) send(c graph.NodeID, seq int, a *attempt) {
+// send fires the request for the walk's current chain position (Step;
+// len(chain) means "at source") and arms the fall-through timer.
+func (e *Engine) send(c graph.NodeID, r *protocol.Recovery) {
 	if !e.s.Alive(c) {
-		a.parked = true
+		r.Parked = true
 		return
 	}
 	chain := e.chain[c]
 	var target graph.NodeID
 	var t0 float64
 	minDS := e.s.Tree.Depth[c] - 1
-	if a.idx < len(chain) {
-		target = chain[a.idx].Peer
-		t0 = chain[a.idx].Timeout
-		minDS = chain[a.idx].DS
+	if r.Step < len(chain) {
+		target = chain[r.Step].Peer
+		t0 = chain[r.Step].Timeout
+		minDS = chain[r.Step].DS
 	} else {
 		target = e.s.Topo.Source
 		srcRTT := e.s.Routes.RTT(c, target)
@@ -195,27 +180,26 @@ func (e *Engine) send(c graph.NodeID, seq int, a *attempt) {
 		}
 	}
 	e.s.Net.Unicast(target, sim.Packet{
-		Kind: sim.Request, Seq: seq, From: c,
+		Kind: sim.Request, Seq: r.Seq, From: c,
 		Payload: request{Requester: c, MinDS: minDS},
 	})
-	a.timer = e.s.Eng.NewTimer(t0, func() { e.expire(c, seq, a) })
+	r.Timer = e.s.Eng.NewTimer(t0, func() { e.expire(c, r) })
 }
 
 // expire advances to the next upstream receiver (the source attempt repeats
 // until recovery).
-func (e *Engine) expire(c graph.NodeID, seq int, a *attempt) {
-	k := key{c, seq}
-	if e.pending[k] != a || a.parked {
+func (e *Engine) expire(c graph.NodeID, r *protocol.Recovery) {
+	if r.Closed() || r.Parked {
 		return
 	}
-	if !e.s.Missing(c, seq) {
-		delete(e.pending, k)
+	if !e.s.Missing(c, r.Seq) {
+		e.s.Close(c, r)
 		return
 	}
-	if a.idx < len(e.chain[c]) {
-		a.idx++
+	if r.Step < len(e.chain[c]) {
+		r.Step++
 	}
-	e.send(c, seq, a)
+	e.send(c, r)
 }
 
 // OnPacket implements protocol.Engine.
@@ -258,10 +242,8 @@ func (e *Engine) OnPacket(host graph.NodeID, pkt sim.Packet) {
 		// A receiver without the packet stays silent; the requester's
 		// timeout advances the walk.
 	case sim.Repair:
-		k := key{host, pkt.Seq}
-		if a := e.pending[k]; a != nil {
-			a.timer.Stop()
-			delete(e.pending, k)
+		if r := e.s.Recovery(host, pkt.Seq); r != nil {
+			e.s.Close(host, r)
 		}
 	}
 }
@@ -308,41 +290,16 @@ func (e *Engine) repair(host graph.NodeID, seq int, pay request) {
 }
 
 // PendingRecoveries reports in-flight walks (testing).
-func (e *Engine) PendingRecoveries() int { return len(e.pending) }
+func (e *Engine) PendingRecoveries() int { return e.s.OpenRecoveries() }
 
 // OnCrash implements protocol.FaultAware: park the crashed client's walks so
 // a permanent crash cannot re-arm timers forever.
-func (e *Engine) OnCrash(h graph.NodeID) {
-	for _, k := range e.pendingKeysFor(h) {
-		a := e.pending[k]
-		a.timer.Stop()
-		a.parked = true
-	}
-}
+func (e *Engine) OnCrash(h graph.NodeID) { e.s.Park(h) }
 
 // OnRecover implements protocol.FaultAware: resume the client's parked walks
 // where they left off.
 func (e *Engine) OnRecover(h graph.NodeID) {
-	for _, k := range e.pendingKeysFor(h) {
-		a := e.pending[k]
-		if a.parked {
-			a.parked = false
-			e.send(k.c, k.seq, a)
-		}
-	}
-}
-
-// pendingKeysFor returns h's walk keys in sequence order (resumption sends
-// draw from the shared rng streams, so order must be deterministic).
-func (e *Engine) pendingKeysFor(h graph.NodeID) []key {
-	var ks []key
-	for k := range e.pending {
-		if k.c == h {
-			ks = append(ks, k)
-		}
-	}
-	slices.SortFunc(ks, func(a, b key) int { return cmp.Compare(a.seq, b.seq) })
-	return ks
+	e.s.Resume(h, func(r *protocol.Recovery) { e.send(h, r) })
 }
 
 // DedupCaches implements protocol.DedupAudited.

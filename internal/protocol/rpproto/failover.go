@@ -46,6 +46,7 @@ package rpproto
 import (
 	"rmcast/internal/core"
 	"rmcast/internal/graph"
+	"rmcast/internal/protocol"
 	"rmcast/internal/sim"
 )
 
@@ -164,41 +165,40 @@ func (e *Engine) foTarget(c graph.NodeID) graph.NodeID {
 
 // foSend fires the epoch-stamped request for one pending recovery and arms
 // the timeout. A crashed owner parks (resumed by OnRecover).
-func (e *Engine) foSend(c graph.NodeID, seq int, a *attempt) {
+func (e *Engine) foSend(c graph.NodeID, r *protocol.Recovery) {
 	if !e.s.Alive(c) {
-		a.parked = true
+		r.Parked = true
 		return
 	}
 	target := e.foTarget(c)
 	t0 := e.timeoutPolicy().Timeout(e.s.Routes.RTT(c, target))
 	e.s.Net.Unicast(target, sim.Packet{
-		Kind: sim.Request, Seq: seq, From: c,
+		Kind: sim.Request, Seq: r.Seq, From: c,
 		Payload: foRequest{Requester: c, Epoch: e.epochOf[c], RP: e.rpView[c]},
 	})
-	a.target = target
-	a.timer = e.s.Eng.NewTimer(e.attemptTimeout(t0, a.retry), func() { e.foTimeout(c, seq, a) })
+	r.Target = target
+	r.Timer = e.s.Eng.NewTimer(e.attemptTimeout(t0, r.Retry), func() { e.foTimeout(c, r) })
 }
 
 // foTimeout retries the recovery; consecutive timeouts against the current
 // RP feed the suspicion counter. Requests re-resolve their target on every
 // retry, so a client that entered the interregnum mid-recovery re-routes to
 // the source automatically.
-func (e *Engine) foTimeout(c graph.NodeID, seq int, a *attempt) {
-	k := key{c, seq}
-	if e.pending[k] != a || a.parked {
+func (e *Engine) foTimeout(c graph.NodeID, r *protocol.Recovery) {
+	if r.Closed() || r.Parked {
 		return
 	}
-	if !e.s.Missing(c, seq) {
-		delete(e.pending, k)
+	if !e.s.Missing(c, r.Seq) {
+		e.s.Close(c, r)
 		return
 	}
-	if a.target != e.s.Topo.Source && a.target == e.rpView[c] && !e.interregnum[c] {
+	if r.Target != e.s.Topo.Source && r.Target == e.rpView[c] && !e.interregnum[c] {
 		e.rpTimeouts[c]++
 		if e.rpTimeouts[c] >= e.foThreshold() {
 			e.foSuspect(c)
 		}
 	}
-	e.foSend(c, seq, a)
+	e.foSend(c, r)
 }
 
 // foSuspect marks client c's RP as suspected: c degrades to source unicast
@@ -314,18 +314,17 @@ func (e *Engine) adoptEpoch(h graph.NodeID, epoch int, rp graph.NodeID) {
 
 // foRehome re-issues h's un-parked in-flight recoveries whose armed request
 // is aimed at a stale target — the requester's half of the state handover.
-// pendingKeysFor's ascending-sequence order keeps the replay deterministic.
+// The table's ascending-sequence walk keeps the replay deterministic.
 func (e *Engine) foRehome(h graph.NodeID) {
 	target := e.foTarget(h)
-	for _, k := range e.pendingKeysFor(h) {
-		a := e.pending[k]
-		if a.parked || a.target == target {
-			continue
+	e.s.Recoveries(h, func(r *protocol.Recovery) {
+		if r.Parked || r.Target == target {
+			return
 		}
-		a.timer.Stop()
-		a.retry = 0
-		e.foSend(h, k.seq, a)
-	}
+		r.Timer.Stop()
+		r.Retry = 0
+		e.foSend(h, r)
+	})
 }
 
 // foOnRequest serves one epoch-fenced recovery request arriving at host.

@@ -24,11 +24,10 @@
 package rpproto
 
 import (
-	"cmp"
 	"math"
-	"slices"
 
 	"rmcast/internal/graph"
+	"rmcast/internal/protocol"
 )
 
 // Resilience configures the hardening layer. The zero value disables it,
@@ -157,13 +156,7 @@ func (e *Engine) declareDead(v graph.NodeID) {
 // OnCrash implements protocol.FaultAware: park the crashed client's
 // in-flight recoveries. Without parking a permanently crashed client would
 // re-arm its retry timers forever and the run could never quiesce.
-func (e *Engine) OnCrash(h graph.NodeID) {
-	for _, k := range e.pendingKeysFor(h) {
-		a := e.pending[k]
-		a.timer.Stop()
-		a.parked = true
-	}
-}
+func (e *Engine) OnCrash(h graph.NodeID) { e.s.Park(h) }
 
 // OnRecover implements protocol.FaultAware: re-admit the host if it had
 // been evicted, forget what observers held against it, and resume its
@@ -184,29 +177,11 @@ func (e *Engine) OnRecover(h graph.NodeID) {
 			}
 		}
 	}
-	for _, k := range e.pendingKeysFor(h) {
-		a := e.pending[k]
-		if a.parked {
-			a.parked = false
-			a.retry = 0
-			e.dispatchSend(k.c, k.seq, a)
-		}
-	}
+	e.s.Resume(h, func(r *protocol.Recovery) {
+		r.Retry = 0
+		e.dispatchSend(h, r)
+	})
 	if e.opt.Failover.Enabled {
 		e.foOnRecover(h)
 	}
-}
-
-// pendingKeysFor returns h's pending recovery keys in sequence order —
-// resumption order must be deterministic because each send draws from the
-// shared rng streams.
-func (e *Engine) pendingKeysFor(h graph.NodeID) []key {
-	var ks []key
-	for k := range e.pending {
-		if k.c == h {
-			ks = append(ks, k)
-		}
-	}
-	slices.SortFunc(ks, func(a, b key) int { return cmp.Compare(a.seq, b.seq) })
-	return ks
 }

@@ -85,7 +85,6 @@ type Engine struct {
 	// verbatim by Attach — shard clones of a partitioned run skip
 	// replanning and must never mutate the shared structs.
 	sharedPlans []*core.Strategy
-	pending     map[key]*attempt
 	// lastSubRepair records the send time of the latest subgroup repair
 	// multicast per (seq, subgroup root), for source-side suppression.
 	lastSubRepair map[key]float64
@@ -121,21 +120,10 @@ type Engine struct {
 // protocol.DedupCache); eviction only ever re-serves a duplicate.
 const dedupCacheSize = 4096
 
+// key names one (host, seq) pair.
 type key struct {
 	c   graph.NodeID
 	seq int
-}
-
-type attempt struct {
-	idx   int // index into the peer list; len(peers) means "at source"
-	retry int // consecutive attempts at the current index (resilience)
-	// parked marks a recovery whose owner is crashed: no timer is armed
-	// until OnRecover resumes it.
-	parked bool
-	// target is the peer the armed timer is waiting on, for attributing
-	// the timeout to the right failure-detector entry.
-	target graph.NodeID
-	timer  sim.Timer
 }
 
 // request is the payload of an RP recovery request.
@@ -153,7 +141,6 @@ func New(opt Options) *Engine {
 	}
 	return &Engine{
 		opt:           opt,
-		pending:       make(map[key]*attempt),
 		lastSubRepair: make(map[key]float64),
 		served:        protocol.NewDedupCache(dedupCacheSize),
 		suspectCount:  make(map[obs]int),
@@ -244,39 +231,36 @@ func (e *Engine) Strategy(c graph.NodeID) *core.Strategy {
 	return e.strategies[c]
 }
 
-// OnDetect implements protocol.Engine: start attempt 0. Monotonic guard:
-// a packet the client already holds never (re-)enters pending, whatever
-// duplicated or reordered signal suggested it.
+// OnDetect implements protocol.Engine: open the recovery at attempt 0.
+// Monotonic guard: a packet the client already holds never (re-)opens a
+// recovery, whatever duplicated or reordered signal suggested it.
 func (e *Engine) OnDetect(c graph.NodeID, seq int) {
-	k := key{c, seq}
-	if _, dup := e.pending[k]; dup {
-		return
-	}
 	if !e.s.Missing(c, seq) {
 		return
 	}
-	a := &attempt{}
-	e.pending[k] = a
-	e.dispatchSend(c, seq, a)
+	if r := e.s.Open(c, seq); r != nil {
+		e.dispatchSend(c, r)
+	}
 }
 
 // dispatchSend routes a fresh or resumed attempt through the mode's send
 // path: coordinator-routed (failover) or peer-list walk.
-func (e *Engine) dispatchSend(c graph.NodeID, seq int, a *attempt) {
+func (e *Engine) dispatchSend(c graph.NodeID, r *protocol.Recovery) {
 	if e.opt.Failover.Enabled {
-		e.foSend(c, seq, a)
+		e.foSend(c, r)
 		return
 	}
-	e.send(c, seq, a)
+	e.send(c, r)
 }
 
-// send fires the request for the attempt's current index and arms the
-// fall-through timer. A crashed owner parks instead (resumed by OnRecover);
-// an owner whose strategy was evicted from the roster (a false-positive
-// death declaration) falls back to source-only recovery.
-func (e *Engine) send(c graph.NodeID, seq int, a *attempt) {
+// send fires the request for the recovery's current peer-list index (Step;
+// len(peers) means "at source") and arms the fall-through timer. A crashed
+// owner parks instead (resumed by OnRecover); an owner whose strategy was
+// evicted from the roster (a false-positive death declaration) falls back
+// to source-only recovery.
+func (e *Engine) send(c graph.NodeID, r *protocol.Recovery) {
 	if !e.s.Alive(c) {
-		a.parked = true
+		r.Parked = true
 		return
 	}
 	st := e.Strategy(c)
@@ -287,23 +271,23 @@ func (e *Engine) send(c graph.NodeID, seq int, a *attempt) {
 		target = e.s.Topo.Source
 		t0 = e.timeoutPolicy().Timeout(e.s.Routes.RTT(c, e.s.Topo.Source))
 	default:
-		for a.idx < len(st.Peers) && e.skipPeer(c, st.Peers[a.idx].Peer) {
-			a.idx++
-			a.retry = 0
+		for r.Step < len(st.Peers) && e.skipPeer(c, st.Peers[r.Step].Peer) {
+			r.Step++
+			r.Retry = 0
 		}
-		if a.idx < len(st.Peers) {
-			target = st.Peers[a.idx].Peer
-			t0 = st.Peers[a.idx].Timeout
+		if r.Step < len(st.Peers) {
+			target = st.Peers[r.Step].Peer
+			t0 = st.Peers[r.Step].Timeout
 		} else {
 			target = e.s.Topo.Source
 			t0 = st.SourceTimeout
 		}
 	}
 	e.s.Net.Unicast(target, sim.Packet{
-		Kind: sim.Request, Seq: seq, From: c, Payload: request{Requester: c},
+		Kind: sim.Request, Seq: r.Seq, From: c, Payload: request{Requester: c},
 	})
-	a.target = target
-	a.timer = e.s.Eng.NewTimer(e.attemptTimeout(t0, a.retry), func() { e.timeout(c, seq, a) })
+	r.Target = target
+	r.Timer = e.s.Eng.NewTimer(e.attemptTimeout(t0, r.Retry), func() { e.timeout(c, r) })
 }
 
 // timeoutPolicy mirrors the planner's default for clients that lost their
@@ -318,28 +302,31 @@ func (e *Engine) timeoutPolicy() core.TimeoutPolicy {
 // timeout retries the current peer while its budget lasts, then advances to
 // the next attempt (the source attempt repeats forever, so recovery is
 // guaranteed to terminate while the client is up).
-func (e *Engine) timeout(c graph.NodeID, seq int, a *attempt) {
-	k := key{c, seq}
-	if e.pending[k] != a || a.parked {
-		return // superseded, or owner crashed
+func (e *Engine) timeout(c graph.NodeID, r *protocol.Recovery) {
+	if r.Closed() || r.Parked {
+		return // served, or owner crashed
 	}
-	if !e.s.Missing(c, seq) {
-		delete(e.pending, k)
+	if !e.s.Missing(c, r.Seq) {
+		e.s.Close(c, r)
 		return
 	}
-	e.noteTimeout(c, a.target)
+	e.noteTimeout(c, r.Target)
 	res := e.opt.Resilience
-	atSource := a.target == e.s.Topo.Source
-	if res.Enabled && (a.retry < res.PeerRetries || atSource) {
-		a.retry++ // retry the same target (backoff grows; capped)
+	atSource := r.Target == e.s.Topo.Source
+	if res.Enabled && (r.Retry < res.PeerRetries || atSource) {
+		r.Retry++ // retry the same target (backoff grows; capped)
 	} else {
-		a.retry = 0
-		st := e.Strategy(c)
-		if st != nil && a.idx < len(st.Peers) {
-			a.idx++
-		}
+		r.Retry = 0
+		e.nextPeer(c, r)
 	}
-	e.send(c, seq, a)
+	e.send(c, r)
+}
+
+// nextPeer moves the walk one peer down c's list (the source step repeats).
+func (e *Engine) nextPeer(c graph.NodeID, r *protocol.Recovery) {
+	if st := e.Strategy(c); st != nil && r.Step < len(st.Peers) {
+		r.Step++
+	}
 }
 
 // advance is the NAK fast path: the peer answered that it lacks the packet,
@@ -348,22 +335,18 @@ func (e *Engine) timeout(c graph.NodeID, seq int, a *attempt) {
 // timer is actually waiting on advances the walk: a duplicated or delayed
 // NAK from an earlier attempt must not double-advance past unasked peers.
 func (e *Engine) advance(c graph.NodeID, seq int, from graph.NodeID) {
-	k := key{c, seq}
-	a := e.pending[k]
-	if a == nil || a.parked || from != a.target || !a.timer.Stop() {
+	r := e.s.Recovery(c, seq)
+	if r == nil || r.Parked || from != r.Target || !r.Timer.Stop() {
 		return
 	}
 	if !e.s.Missing(c, seq) {
-		delete(e.pending, k)
+		e.s.Close(c, r)
 		return
 	}
-	e.clearSuspicion(c, a.target)
-	a.retry = 0
-	st := e.Strategy(c)
-	if st != nil && a.idx < len(st.Peers) {
-		a.idx++
-	}
-	e.send(c, seq, a)
+	e.clearSuspicion(c, r.Target)
+	r.Retry = 0
+	e.nextPeer(c, r)
+	e.send(c, r)
 }
 
 // OnPacket implements protocol.Engine.
@@ -407,10 +390,8 @@ func (e *Engine) OnPacket(host graph.NodeID, pkt sim.Packet) {
 			e.s.NoteMalformed()
 		}
 	case sim.Repair:
-		k := key{host, pkt.Seq}
-		if a := e.pending[k]; a != nil {
-			a.timer.Stop()
-			delete(e.pending, k)
+		if r := e.s.Recovery(host, pkt.Seq); r != nil {
+			e.s.Close(host, r)
 		}
 		e.clearSuspicion(host, pkt.From)
 		if e.opt.Failover.Enabled {
@@ -490,7 +471,7 @@ func (e *Engine) subgroupRoot(requester graph.NodeID) graph.NodeID {
 }
 
 // PendingRecoveries reports the number of in-flight recoveries (testing).
-func (e *Engine) PendingRecoveries() int { return len(e.pending) }
+func (e *Engine) PendingRecoveries() int { return e.s.OpenRecoveries() }
 
 // DedupCaches implements protocol.DedupAudited.
 func (e *Engine) DedupCaches() []*protocol.DedupCache {

@@ -8,9 +8,6 @@
 package srcrec
 
 import (
-	"cmp"
-	"slices"
-
 	"rmcast/internal/graph"
 	"rmcast/internal/protocol"
 	"rmcast/internal/sim"
@@ -28,13 +25,8 @@ func DefaultOptions() Options { return Options{RetryFactor: 3} }
 
 // Engine is the source-recovery engine.
 type Engine struct {
-	opt     Options
-	s       *protocol.Session
-	pending map[key]sim.Timer
-	// parked holds recoveries whose owner is crashed (the pending entry
-	// stays, with a zero Timer, so OnDetect still dedupes); OnRecover
-	// re-issues them.
-	parked map[key]bool
+	opt Options
+	s   *protocol.Session
 	// served suppresses duplicated requests at the source: a repeat of
 	// (requester, seq) within half the requester's retry timeout is a
 	// message-plane duplicate, not a retry, and is dropped unanswered.
@@ -44,11 +36,6 @@ type Engine struct {
 // dedupCacheSize bounds the served-request dedup cache (see
 // protocol.DedupCache); eviction only ever re-serves a duplicate.
 const dedupCacheSize = 4096
-
-type key struct {
-	c   graph.NodeID
-	seq int
-}
 
 // request is the payload of a source-recovery request.
 type request struct {
@@ -60,12 +47,7 @@ func New(opt Options) *Engine {
 	if opt.RetryFactor <= 0 {
 		opt.RetryFactor = 3
 	}
-	return &Engine{
-		opt:     opt,
-		pending: make(map[key]sim.Timer),
-		parked:  make(map[key]bool),
-		served:  protocol.NewDedupCache(dedupCacheSize),
-	}
+	return &Engine{opt: opt, served: protocol.NewDedupCache(dedupCacheSize)}
 }
 
 // Name implements protocol.Engine.
@@ -79,40 +61,42 @@ func (e *Engine) Attach(s *protocol.Session) { e.s = s }
 func (e *Engine) CloneForShard() protocol.Engine { return New(e.opt) }
 
 // OnDetect implements protocol.Engine. Monotonic guard: a packet the client
-// already holds never (re-)enters pending, whatever duplicated or reordered
-// signal suggested it.
+// already holds never (re-)opens a recovery, whatever duplicated or
+// reordered signal suggested it.
 func (e *Engine) OnDetect(c graph.NodeID, seq int) {
-	k := key{c, seq}
-	if _, dup := e.pending[k]; dup {
-		return
-	}
 	if !e.s.Missing(c, seq) {
 		return
 	}
-	e.ask(c, seq)
+	if r := e.s.Open(c, seq); r != nil {
+		e.ask(c, r)
+	}
 }
 
-func (e *Engine) ask(c graph.NodeID, seq int) {
+// ask requests the packet from the source and arms the retry timer; a
+// crashed owner parks instead.
+func (e *Engine) ask(c graph.NodeID, r *protocol.Recovery) {
 	if !e.s.Alive(c) {
-		e.pending[key{c, seq}] = sim.Timer{}
-		e.parked[key{c, seq}] = true
+		r.Parked = true
 		return
 	}
 	e.s.Net.Unicast(e.s.Topo.Source, sim.Packet{
-		Kind: sim.Request, Seq: seq, From: c, Payload: request{Requester: c},
+		Kind: sim.Request, Seq: r.Seq, From: c, Payload: request{Requester: c},
 	})
-	k := key{c, seq}
-	e.pending[k] = e.s.Eng.NewTimer(
-		e.opt.RetryFactor*e.s.Routes.RTT(c, e.s.Topo.Source),
-		func() {
-			if !e.pending[k].Valid() {
-				return
-			}
-			delete(e.pending, k)
-			if e.s.Missing(c, seq) {
-				e.ask(c, seq)
-			}
-		})
+	r.Timer = e.s.Eng.NewTimer(e.opt.RetryFactor*e.s.Routes.RTT(c, e.s.Topo.Source), func() {
+		if !r.Closed() && !r.Parked {
+			e.retry(c, r)
+		}
+	})
+}
+
+// retry re-asks while the packet is still missing, and closes the recovery
+// once it is not.
+func (e *Engine) retry(c graph.NodeID, r *protocol.Recovery) {
+	if e.s.Missing(c, r.Seq) {
+		e.ask(c, r)
+	} else {
+		e.s.Close(c, r)
+	}
 }
 
 // OnPacket implements protocol.Engine.
@@ -139,56 +123,23 @@ func (e *Engine) OnPacket(host graph.NodeID, pkt sim.Packet) {
 		}
 		e.s.Net.Unicast(pay.Requester, sim.Packet{Kind: sim.Repair, Seq: pkt.Seq, From: host})
 	case sim.Repair:
-		k := key{host, pkt.Seq}
-		if t, ok := e.pending[k]; ok && t.Valid() {
-			t.Stop()
-			delete(e.pending, k)
+		if r := e.s.Recovery(host, pkt.Seq); r != nil {
+			e.s.Close(host, r)
 		}
 	}
 }
 
 // PendingRecoveries reports in-flight recoveries (testing).
-func (e *Engine) PendingRecoveries() int { return len(e.pending) }
+func (e *Engine) PendingRecoveries() int { return e.s.OpenRecoveries() }
 
 // OnCrash implements protocol.FaultAware: park the crashed client's retries
 // so a permanent crash cannot re-arm timers forever.
-func (e *Engine) OnCrash(h graph.NodeID) {
-	for _, k := range e.keysFor(h) {
-		if t := e.pending[k]; t.Valid() {
-			t.Stop()
-			e.pending[k] = sim.Timer{}
-		}
-		e.parked[k] = true
-	}
-}
+func (e *Engine) OnCrash(h graph.NodeID) { e.s.Park(h) }
 
 // OnRecover implements protocol.FaultAware: re-issue the client's parked
 // requests.
 func (e *Engine) OnRecover(h graph.NodeID) {
-	for _, k := range e.keysFor(h) {
-		if !e.parked[k] {
-			continue
-		}
-		delete(e.parked, k)
-		if e.s.Missing(k.c, k.seq) {
-			e.ask(k.c, k.seq)
-		} else {
-			delete(e.pending, k)
-		}
-	}
-}
-
-// keysFor returns h's pending keys in sequence order (deterministic
-// resumption — sends draw from the shared rng streams).
-func (e *Engine) keysFor(h graph.NodeID) []key {
-	var ks []key
-	for k := range e.pending {
-		if k.c == h {
-			ks = append(ks, k)
-		}
-	}
-	slices.SortFunc(ks, func(a, b key) int { return cmp.Compare(a.seq, b.seq) })
-	return ks
+	e.s.Resume(h, func(r *protocol.Recovery) { e.retry(h, r) })
 }
 
 // DedupCaches implements protocol.DedupAudited.
