@@ -166,12 +166,14 @@ func TestOptimalDPRestrictedUsesPeerFirst(t *testing.T) {
 
 func TestLossAwarePlannerDropsRiskyPeers(t *testing.T) {
 	// The peer sits behind a long private chain below the meet router:
-	// under the paper model it looks attractive (deep meet, modest RTT);
-	// under the loss-aware model its private path makes it a bad bet.
+	// under the paper model it looks attractive (deep meet, modest RTT,
+	// and a 30 ms source haul that makes the direct source attempt
+	// dearer); under the loss-aware model its private path makes it a bad
+	// bet.
 	b := topology.NewBuilder()
 	src := b.Source()
 	r1, r2 := b.Router(), b.Router()
-	b.TreeLink(src, r1, 12)
+	b.TreeLink(src, r1, 30)
 	b.TreeLink(r1, r2, 1)
 	u := b.Client()
 	b.TreeLink(r2, u, 1)
@@ -200,7 +202,7 @@ func TestLossAwarePlannerDropsRiskyPeers(t *testing.T) {
 	stAware := aware.StrategyFor(u)
 
 	if len(stPaper.Peers) == 0 {
-		t.Skip("paper model already rejects the peer on this geometry")
+		t.Fatalf("paper model rejects the peer on this geometry: %v", stPaper)
 	}
 	if len(stAware.Peers) != 0 {
 		t.Fatalf("loss-aware planner kept the risky peer: %v", stAware.Peers)

@@ -53,11 +53,15 @@ type FixedTimeout float64
 func (f FixedTimeout) Timeout(float64) float64 { return float64(f) }
 
 // ProportionalTimeout sets t0 = factor·rtt — an adaptive timeout in the
-// style of TCP RTO. The reproduction experiments use factor 3.
+// style of TCP RTO.
 type ProportionalTimeout float64
 
 // Timeout implements TimeoutPolicy.
 func (p ProportionalTimeout) Timeout(rtt float64) float64 { return float64(p) * rtt }
+
+// DefaultTimeout is the per-attempt timeout every engine and the planner
+// use unless told otherwise: three times the attempt's RTT.
+const DefaultTimeout = ProportionalTimeout(3)
 
 // Candidate is one prospective recovery peer of a client u: the cheapest
 // member of one competitive equivalence class.
@@ -121,7 +125,7 @@ type Planner struct {
 	// protocol.NewSessionPrebuilt does before it plans.
 	Routes route.Router
 	// Timeout is the per-attempt timeout policy; nil means
-	// ProportionalTimeout(3).
+	// DefaultTimeout.
 	Timeout TimeoutPolicy
 	// AllowDirectSource controls the (u→S) edge of the strategy graph.
 	// Disabling it reproduces the paper's restricted strategies that
@@ -166,12 +170,12 @@ type meetRouter interface {
 // NewPlanner returns a Planner with the default timeout policy and direct
 // source access allowed.
 func NewPlanner(t *mtree.Tree, rt route.Router) *Planner {
-	return &Planner{Tree: t, Routes: rt, Timeout: ProportionalTimeout(3), AllowDirectSource: true}
+	return &Planner{Tree: t, Routes: rt, Timeout: DefaultTimeout, AllowDirectSource: true}
 }
 
 func (p *Planner) timeout() TimeoutPolicy {
 	if p.Timeout == nil {
-		return ProportionalTimeout(3)
+		return DefaultTimeout
 	}
 	return p.Timeout
 }

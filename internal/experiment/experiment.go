@@ -42,70 +42,59 @@ var ChaosProtocols = []string{"SRM", "RMA", "RP", "RP-RESILIENT", "COOP"}
 // failover mode whose RP the churn driver deliberately kills.
 var ChurnProtocols = []string{"SRM", "RP", "RP-RESILIENT", "RP-FAILOVER"}
 
-// engines is the engine table NewEngine builds from, in listing order. A
-// variant is one option set applied to its engine's DefaultOptions; every
-// variant backs a figure or an E7 ablation reading (EXPERIMENTS.md).
+// engines is the engine table NewEngine builds from, in listing order. Each
+// zero Options is the paper's engine and a variant sets only its own flag;
+// every variant backs a figure or an E7 ablation reading (EXPERIMENTS.md).
+// Everything else about an engine is a constant of its package.
 var engines = []struct {
 	name string
 	new  func() protocol.Engine
 }{
 	// Scalable Reliable Multicast baseline.
-	{"SRM", srmWith(nil)},
+	{"SRM", srmWith(srm.Options{})},
 	// Reliable Multicast Architecture baseline.
-	{"RMA", variant(rma.DefaultOptions, rma.New, nil)},
+	{"RMA", func() protocol.Engine { return rma.New() }},
 	// The paper's recovery strategy.
-	{"RP", rpWith(nil)},
+	{"RP", rpWith(rpproto.Options{})},
 	// RP planned with the loss-aware model (core/aware.go).
-	{"RP-AWARE", rpWith(func(o *rpproto.Options) { o.LossAware = true })},
+	{"RP-AWARE", rpWith(rpproto.Options{LossAware: true})},
 	// RP with the restricted strategy graph (no direct u→S edge).
-	{"RP-NOSRC", rpWith(func(o *rpproto.Options) { o.AllowDirectSource = false })},
+	{"RP-NOSRC", rpWith(rpproto.Options{Restricted: true})},
 	// RP with explicit NAK replies instead of pure timeouts.
-	{"RP-NAK", rpWith(func(o *rpproto.Options) { o.NakReplies = true })},
+	{"RP-NAK", rpWith(rpproto.Options{NakReplies: true})},
 	// RP with source subgroup-multicast repairs ([4]).
-	{"RP-SUBGROUP", rpWith(func(o *rpproto.Options) { o.SubgroupRepair = true })},
+	{"RP-SUBGROUP", rpWith(rpproto.Options{SubgroupRepair: true})},
 	// Pure unicast source recovery (ablation floor).
-	{"SRC", variant(srcrec.DefaultOptions, srcrec.New, nil)},
+	{"SRC", func() protocol.Engine { return srcrec.New() }},
 	// SRM without the paper's idealised one-flood-per-packet repair cost
 	// model (distributed suppression only).
-	{"SRM-HONEST", srmWith(func(o *srm.Options) { o.GlobalSuppression = false })},
+	{"SRM-HONEST", srmWith(srm.Options{Honest: true})},
 	// SRM-HONEST plus Floyd-style adaptive timer widening.
-	{"SRM-ADAPT", srmWith(func(o *srm.Options) { o.GlobalSuppression, o.Adaptive = false, true })},
+	{"SRM-ADAPT", srmWith(srm.Options{Honest: true, Adaptive: true})},
 	// Proactive parity baseline (reference [5]): K=8 data + 2 parity per
 	// block, local decode, source fallback.
-	{"FEC", variant(fec.DefaultOptions, fec.New, nil)},
+	{"FEC", func() protocol.Engine { return fec.New() }},
 	// Sender-initiated positive-ACK baseline (reference [21]); shows the
 	// ACK-implosion cost in request hops.
-	{"ACK", variant(ack.DefaultOptions, ack.New, nil)},
+	{"ACK", func() protocol.Engine { return ack.New() }},
 	// RP with the crash/churn hardening layer (retry budgets, dead-peer
 	// suspicion, roster-driven replanning).
-	{"RP-RESILIENT", rpWith(func(o *rpproto.Options) { o.Resilience = rpproto.DefaultResilience() })},
+	{"RP-RESILIENT", rpWith(rpproto.Options{Resilient: true})},
 	// Coordinated-RP mode with epoch-fenced deterministic re-election and
 	// state handover when the RP crashes.
-	{"RP-FAILOVER", rpWith(func(o *rpproto.Options) { o.Failover = rpproto.DefaultFailover() })},
+	{"RP-FAILOVER", rpWith(rpproto.Options{Failover: true})},
 	// Cooperative coded repair: block-level symbol solicitation from
 	// strategy-ranked peers over disjoint coded ranges, decode at rank K,
 	// source as bounded last resort.
-	{"COOP", variant(coop.DefaultOptions, coop.New, nil)},
+	{"COOP", func() protocol.Engine { return coop.New() }},
 }
 
-// variant returns a constructor that applies set (nil: nothing) to
-// defaults() and builds the engine from the result.
-func variant[O any, E protocol.Engine](defaults func() O, build func(O) E, set func(*O)) func() protocol.Engine {
-	return func() protocol.Engine {
-		opt := defaults()
-		if set != nil {
-			set(&opt)
-		}
-		return build(opt)
-	}
+func rpWith(opt rpproto.Options) func() protocol.Engine {
+	return func() protocol.Engine { return rpproto.New(opt) }
 }
 
-func rpWith(set func(*rpproto.Options)) func() protocol.Engine {
-	return variant(rpproto.DefaultOptions, rpproto.New, set)
-}
-
-func srmWith(set func(*srm.Options)) func() protocol.Engine {
-	return variant(srm.DefaultOptions, srm.New, set)
+func srmWith(opt srm.Options) func() protocol.Engine {
+	return func() protocol.Engine { return srm.New(opt) }
 }
 
 // Engines lists every name NewEngine accepts, in table order.

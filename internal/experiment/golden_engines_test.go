@@ -10,15 +10,21 @@ package experiment
 // precomputed path and under the queueing model. The crash and churn cells
 // drive the engines' crash hooks: crash windows of three clients plus two
 // link outages (chaosParitySchedule), and the churn sweep's crash waves at
-// rate 1, aimed at the coordinator succession line.
+// rate 1, aimed at the coordinator succession line. Their jitter-lossy
+// twins add link jitter and lossy recovery, so the order in which a
+// rebooted client resumes its recoveries moves net-stream draws: walking a
+// client's recoveries in descending seq moves 19 of those 30 digests.
 //
 // The plain, queued, gap, session, jitter-lossy and mutation constants were
 // captured from the run-path implementation that predates the single
 // delivery path. The crash and churn constants were captured on 2026-10-18
 // at commit 8b1b5c2 (linux/amd64, go1.24.0), where each request engine still
 // kept its own pending map, before their in-flight recoveries moved into the
-// session's per-client recovery table. Do not re-capture any of them without
-// first explaining why the firing order moved.
+// session's per-client recovery table. The crash-jitter-lossy and
+// churn-jitter-lossy constants were captured on 2026-10-18 at commit 96c375e
+// (linux/amd64, go1.24.0), where every engine still took its full option
+// set. Do not re-capture any of them without first explaining why the
+// firing order moved.
 
 import (
 	"fmt"
@@ -170,6 +176,38 @@ var engineDigests = map[string]string{
 	"RP-FAILOVER/churn":  "e27a255321e18c8f",
 	"COOP/crash":         "0acb5f63601b4ec5",
 	"COOP/churn":         "f4e333107fff47f1",
+	// The crash and churn cells with jitter and lossy recovery; see the
+	// file comment.
+	"SRM/crash-jitter-lossy":          "53a4555e6ac1771d",
+	"SRM/churn-jitter-lossy":          "facb98eee8d8d2b9",
+	"RMA/crash-jitter-lossy":          "2c1c37090e3d3f6d",
+	"RMA/churn-jitter-lossy":          "de9c34b1f1259eba",
+	"RP/crash-jitter-lossy":           "776f6cb483e58696",
+	"RP/churn-jitter-lossy":           "806d03c82c595d66",
+	"RP-AWARE/crash-jitter-lossy":     "27fcbd23f32150ee",
+	"RP-AWARE/churn-jitter-lossy":     "6662367d0f3a8cea",
+	"RP-NOSRC/crash-jitter-lossy":     "39c46d0a890b576b",
+	"RP-NOSRC/churn-jitter-lossy":     "af0985f40f5557af",
+	"RP-NAK/crash-jitter-lossy":       "d8efa0054b2963c2",
+	"RP-NAK/churn-jitter-lossy":       "9f50f03085b3ecd4",
+	"RP-SUBGROUP/crash-jitter-lossy":  "ec15ce37da8bbbaa",
+	"RP-SUBGROUP/churn-jitter-lossy":  "6edfb1e0e7085ea7",
+	"SRC/crash-jitter-lossy":          "7515ac9a3affc372",
+	"SRC/churn-jitter-lossy":          "51007590a592fbbd",
+	"SRM-HONEST/crash-jitter-lossy":   "6bbc217ea2ac50fb",
+	"SRM-HONEST/churn-jitter-lossy":   "00a10657ebfe47b3",
+	"SRM-ADAPT/crash-jitter-lossy":    "51f5f86e6ec44763",
+	"SRM-ADAPT/churn-jitter-lossy":    "b7d2232f628ba5e7",
+	"FEC/crash-jitter-lossy":          "eb2ac1c0e864c054",
+	"FEC/churn-jitter-lossy":          "a37283b9b6594f09",
+	"ACK/crash-jitter-lossy":          "f9c5e2a30a2445a2",
+	"ACK/churn-jitter-lossy":          "f15b2f0ed9181235",
+	"RP-RESILIENT/crash-jitter-lossy": "9aa67e500481e26a",
+	"RP-RESILIENT/churn-jitter-lossy": "08f3b846219f5e14",
+	"RP-FAILOVER/crash-jitter-lossy":  "51edbb001f4b2b87",
+	"RP-FAILOVER/churn-jitter-lossy":  "21aacbd843594624",
+	"COOP/crash-jitter-lossy":         "6a2bedef2df0e2d1",
+	"COOP/churn-jitter-lossy":         "65f0ba980534bce8",
 }
 
 // engineCells are the extra configurations run for every engine, each a
@@ -188,6 +226,14 @@ var engineCells = []struct {
 	}},
 	{"crash", func(cfg *protocol.Config, topo *topology.Network) { cfg.Fault = chaosParitySchedule(topo) }},
 	{"churn", func(cfg *protocol.Config, topo *topology.Network) { cfg.Fault = churnSchedule(cfg, topo) }},
+	{"crash-jitter-lossy", func(cfg *protocol.Config, topo *topology.Network) {
+		cfg.Fault = chaosParitySchedule(topo)
+		cfg.Jitter, cfg.LossyRecovery = 0.3, true
+	}},
+	{"churn-jitter-lossy", func(cfg *protocol.Config, topo *topology.Network) {
+		cfg.Fault = churnSchedule(cfg, topo)
+		cfg.Jitter, cfg.LossyRecovery = 0.3, true
+	}},
 }
 
 // mutationSchedule is a full-intensity message-plane mutator over the

@@ -141,7 +141,7 @@ func TestSessionRunsOverLinkStateRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt, _ := Converge(net, Config{Noise: 0.25}, rng.New(18))
-	e := rpproto.New(rpproto.DefaultOptions())
+	e := rpproto.New(rpproto.Options{})
 	s, err := protocol.NewSessionWithRouter(net, e,
 		protocol.Config{Packets: 40, Interval: 40}, 19, rt)
 	if err != nil {

@@ -19,29 +19,22 @@ import (
 	"rmcast/internal/sim"
 )
 
-// Options configures the engine.
-type Options struct {
-	// AckDelay is the client-side delay between receiving a packet and
+const (
+	// ackDelay is the client-side delay between receiving a packet and
 	// sending the ACK (ms), modelling processing/aggregation.
-	AckDelay float64
-	// TimeoutFactor scales the source's first retransmission timer as a
+	ackDelay = 0.1
+	// timeoutFactor scales the source's first retransmission timer as a
 	// multiple of the farthest client's RTT; the timer doubles per round.
-	TimeoutFactor float64
-	// MaxRounds caps retransmission rounds per (packet, client) before
+	timeoutFactor = 1.5
+	// maxRounds caps retransmission rounds per (packet, client) before
 	// the source gives up until the next external trigger (the cap only
 	// matters on partitioned topologies; lossy runs converge earlier).
-	MaxRounds int
-}
-
-// DefaultOptions returns the standard configuration.
-func DefaultOptions() Options {
-	return Options{AckDelay: 0.1, TimeoutFactor: 1.5, MaxRounds: 30}
-}
+	maxRounds = 30
+)
 
 // Engine is the sender-initiated ACK engine.
 type Engine struct {
-	opt Options
-	s   *protocol.Session
+	s *protocol.Session
 	// acked[seq][node] marks clients whose ACK reached the source.
 	acked [][]bool
 	// maxRTT is the slowest client round trip, the base timeout.
@@ -54,15 +47,7 @@ type ackPayload struct {
 }
 
 // New returns an ACK engine.
-func New(opt Options) *Engine {
-	if opt.TimeoutFactor <= 0 {
-		opt.TimeoutFactor = 1.5
-	}
-	if opt.MaxRounds <= 0 {
-		opt.MaxRounds = 30
-	}
-	return &Engine{opt: opt}
-}
+func New() *Engine { return &Engine{} }
 
 // Name implements protocol.Engine.
 func (e *Engine) Name() string { return "ACK" }
@@ -82,11 +67,11 @@ func (e *Engine) Attach(s *protocol.Session) {
 		e.acked[seq] = make([]bool, s.Topo.NumNodes())
 		sendAt := float64(seq) * cfg.Interval
 		// Client ACKs: each client checks at its own expected arrival
-		// (plus AckDelay) and acknowledges if it holds the packet; later
+		// (plus ackDelay) and acknowledges if it holds the packet; later
 		// retransmissions are acknowledged from OnPacket.
 		for _, c := range s.Clients() {
 			c, seq := c, seq
-			at := sendAt + s.Net.WouldArrive(c) + e.opt.AckDelay + 2e-3
+			at := sendAt + s.Net.WouldArrive(c) + ackDelay + 2e-3
 			s.Eng.Schedule(at, func() {
 				if e.s.Has(c, seq) {
 					e.sendAck(c, seq)
@@ -95,7 +80,7 @@ func (e *Engine) Attach(s *protocol.Session) {
 		}
 		// Source retransmission rounds.
 		seq := seq
-		s.Eng.Schedule(sendAt+e.opt.TimeoutFactor*e.maxRTT, func() {
+		s.Eng.Schedule(sendAt+timeoutFactor*e.maxRTT, func() {
 			e.round(seq, 1)
 		})
 	}
@@ -122,10 +107,10 @@ func (e *Engine) round(seq, n int) {
 		missing++
 		e.s.Net.Unicast(c, sim.Packet{Kind: sim.Repair, Seq: seq, From: src})
 	}
-	if missing == 0 || n >= e.opt.MaxRounds {
+	if missing == 0 || n >= maxRounds {
 		return
 	}
-	backoff := e.opt.TimeoutFactor * e.maxRTT * float64(int64(1)<<uint(min(n, 20)))
+	backoff := timeoutFactor * e.maxRTT * float64(int64(1)<<uint(min(n, 20)))
 	e.s.Eng.After(backoff, func() { e.round(seq, n+1) })
 }
 
@@ -144,7 +129,7 @@ func (e *Engine) OnPacket(host graph.NodeID, pkt sim.Packet) {
 		// A retransmission landed: acknowledge it (the session has
 		// already recorded the recovery).
 		if e.s.IsClient(host) && e.s.Has(host, pkt.Seq) && !e.acked[pkt.Seq][host] {
-			e.s.Eng.After(e.opt.AckDelay, func() { e.sendAck(host, pkt.Seq) })
+			e.s.Eng.After(ackDelay, func() { e.sendAck(host, pkt.Seq) })
 		}
 	}
 }

@@ -18,7 +18,7 @@ func TestSingleLossRetransmittedBySource(t *testing.T) {
 	c := topo.Clients[0]
 	link := tree.ParentLink[c]
 	topo.Loss[link] = 1
-	e := New(DefaultOptions())
+	e := New()
 	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 1, Interval: 10}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func TestAckImplosionVisibleInRequestHops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(DefaultOptions())
+	e := New()
 	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 10, Interval: 10}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestRandomLossFullRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := New(DefaultOptions())
+		e := New()
 		s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 40, Interval: 40}, 73)
 		if err != nil {
 			t.Fatal(err)
@@ -86,7 +86,7 @@ func TestLostAckTriggersRedundantRetransmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo.SetUniformLoss(0.4)
-	e := New(DefaultOptions())
+	e := New()
 	s, err := protocol.NewSession(topo, e, protocol.Config{
 		Packets: 60, Interval: 20, LossyRecovery: true,
 	}, 5)

@@ -4,26 +4,26 @@
 // detection triggers block-level symbol solicitation instead of per-seq
 // requests.
 //
-// The data stream is viewed as blocks of K packets protected by R coded
-// symbols (a counting-property erasure code, like the FEC baseline: any K
-// distinct symbols of the K+R symbol space reconstruct the block). When a
-// client detects any loss inside a block it solicits its strategy-ranked
-// peers — the same core.Planner/PlanAllDense candidate lists RP plans with —
-// each peer being assigned a disjoint, deterministically derived coded
-// symbol range, so two peers never relay the same symbol and a duplicated
-// solicitation reproduces byte-identical symbol traffic (structural
-// idempotency; the session's per-(client, block) symbol bitmask absorbs
-// redundant copies the way the request engines' DedupCache absorbs
-// duplicated requests). A peer holding the whole block re-encodes and
-// relays coded symbols from its assigned range; a peer holding only part
-// of it relays the systematic symbols (data verbatim) the requester lacks;
-// a peer still expecting the block's data holds the solicitation until the
+// The data stream is viewed as blocks of K = 8 packets protected by R = 4
+// coded symbols (a counting-property erasure code, like the FEC baseline:
+// any K distinct symbols of the K+R symbol space reconstruct the block).
+// When a client detects any loss inside a block it solicits its
+// strategy-ranked peers, two per round — the same core.Planner/PlanAllDense
+// candidate lists RP plans with — each peer being assigned a disjoint,
+// deterministically derived coded symbol range, so two peers never relay the
+// same symbol and a duplicated solicitation reproduces byte-identical symbol
+// traffic (structural idempotency; the session's per-(client, block) symbol
+// bitmask absorbs redundant copies the way the request engines' DedupCache
+// absorbs duplicated requests). A peer holding the whole block re-encodes
+// and relays coded symbols from its assigned range; a peer holding only part
+// of it relays the systematic symbols (data verbatim) the requester lacks; a
+// peer still expecting the block's data holds the solicitation until the
 // block has streamed past, then decides. The client decodes as soon as its
 // block rank — data held plus distinct coded symbols — reaches the block
 // length. Only when every ranked peer has been exhausted does the client
 // fall back to unicast solicitation of the source (counted, bounded, and
-// asserted zero for recoverable bursts in the tests): per-block loss
-// bursts of up to R packets are recovered entirely from peers.
+// asserted zero for recoverable bursts in the tests): per-block loss bursts
+// of up to R packets are recovered entirely from peers.
 //
 // There is no request/repair pairing for the adversarial message plane to
 // mutate: duplicated and reordered symbols are absorbed by set semantics,
@@ -42,27 +42,20 @@ import (
 	"rmcast/internal/sim"
 )
 
-// Options configures the engine.
-type Options struct {
-	// K is the data packets per block; R the coded symbols protecting it.
-	// Both are clamped to [1, 64] so a block's symbol set fits one word.
-	K, R int
-	// Fanout is the number of peers solicited per round; the round's
+const (
+	// blockK and blockR are the K and R of the package comment. Each is
+	// at most 64, so a block's data and coded masks fit one word each.
+	blockK = 8
+	blockR = 4
+	// fanout is the number of peers solicited per round; the round's
 	// coded range [0, R) is partitioned across them.
-	Fanout int
-	// RetryFactor scales each round's timeout as a multiple of the
+	fanout = 2
+	// retryFactor scales each round's timeout as a multiple of the
 	// largest solicited-peer RTT.
-	RetryFactor float64
-	// Slack is the extra margin (ms) added to every round timeout.
-	Slack float64
-}
-
-// DefaultOptions returns the standard configuration: 8-packet blocks with
-// 4 coded symbols (any per-block burst of ≤ 4 losses peer-recoverable),
-// two peers per round.
-func DefaultOptions() Options {
-	return Options{K: 8, R: 4, Fanout: 2, RetryFactor: 3, Slack: 5}
-}
+	retryFactor = 3
+	// slack is the extra margin (ms) added to every round timeout.
+	slack = 5
+)
 
 // dedupCacheSize bounds the served-solicitation dedup cache.
 const dedupCacheSize = 4096
@@ -73,8 +66,7 @@ const holdEps = 2e-3
 
 // Engine is the cooperative coded repair engine.
 type Engine struct {
-	opt Options
-	s   *protocol.Session
+	s *protocol.Session
 	// peers are the per-client ranked relay lists, immutable after
 	// Attach: the client's optimal strategy peers (core.Planner,
 	// Algorithm 1) first, then the remaining candidate classes in the
@@ -111,29 +103,8 @@ type solicit struct {
 }
 
 // New returns a COOP engine.
-func New(opt Options) *Engine {
-	if opt.K < 1 {
-		opt.K = DefaultOptions().K
-	}
-	if opt.K > 64 {
-		opt.K = 64
-	}
-	if opt.R < 1 {
-		opt.R = DefaultOptions().R
-	}
-	if opt.R > 64 {
-		opt.R = 64
-	}
-	if opt.Fanout < 1 {
-		opt.Fanout = DefaultOptions().Fanout
-	}
-	if opt.RetryFactor <= 0 {
-		opt.RetryFactor = DefaultOptions().RetryFactor
-	}
-	if opt.Slack < 0 {
-		opt.Slack = 0
-	}
-	return &Engine{opt: opt, served: protocol.NewDedupCache(dedupCacheSize)}
+func New() *Engine {
+	return &Engine{served: protocol.NewDedupCache(dedupCacheSize)}
 }
 
 // Name implements protocol.Engine.
@@ -144,7 +115,7 @@ func (e *Engine) Name() string { return "COOP" }
 // peer lists.
 func (e *Engine) Attach(s *protocol.Session) {
 	e.s = s
-	if err := s.EnableCodedRecovery(e.opt.K, e.opt.R); err != nil {
+	if err := s.EnableCodedRecovery(blockK, blockR); err != nil {
 		panic("coop: " + err.Error())
 	}
 	if e.sharedPeers != nil {
@@ -178,7 +149,7 @@ func (e *Engine) Attach(s *protocol.Session) {
 // parallel envelope (queueing, mutation, …) still fall back to serial
 // automatically; -simworkers is always safe.
 func (e *Engine) CloneForShard() protocol.Engine {
-	cl := New(e.opt)
+	cl := New()
 	cl.sharedPeers = e.peers
 	return cl
 }
@@ -192,13 +163,13 @@ func (e *Engine) OnDetect(c graph.NodeID, seq int) {
 	if !e.s.Missing(c, seq) {
 		return
 	}
-	if rec := e.s.Open(c, seq/e.opt.K); rec != nil {
+	if rec := e.s.Open(c, seq/blockK); rec != nil {
 		e.solicitRound(c, rec)
 	}
 }
 
 // solicitRound sends one round (rec.Step) of solicitations for block
-// rec.Seq: the next Fanout ranked peers, each assigned a disjoint slice of
+// rec.Seq: the next fanout ranked peers, each assigned a disjoint slice of
 // the coded range [0, R); with the peer list exhausted, the source (which
 // can supply everything).
 func (e *Engine) solicitRound(c graph.NodeID, rec *protocol.Recovery) {
@@ -238,42 +209,39 @@ func (e *Engine) solicitRound(c graph.NodeID, rec *protocol.Recovery) {
 		Have: have, Coded: e.s.CodedHeld(c, b),
 	}
 	peers := e.peers[c]
-	start := rec.Step * e.opt.Fanout
+	start := rec.Step * fanout
 	var maxTO float64
 	if start < len(peers) {
-		end := start + e.opt.Fanout
-		if end > len(peers) {
-			end = len(peers)
-		}
+		end := min(start+fanout, len(peers))
 		targets := peers[start:end]
 		nt := len(targets)
 		for i, cand := range targets {
 			// Disjoint deterministic ranges partitioning [0, R): the
 			// assignment is a pure function of the peer's rank, so a
 			// duplicated solicitation is structurally idempotent.
-			sol.Lo = int32(i * e.opt.R / nt)
-			sol.Hi = int32((i + 1) * e.opt.R / nt)
+			sol.Lo = int32(i * blockR / nt)
+			sol.Hi = int32((i + 1) * blockR / nt)
 			e.s.Net.Unicast(cand.Peer, sim.Packet{
 				Kind: sim.Request, Seq: repSeq, From: c, Payload: sol,
 			})
-			if to := e.opt.RetryFactor * e.s.Routes.RTT(c, cand.Peer); to > maxTO {
+			if to := retryFactor * e.s.Routes.RTT(c, cand.Peer); to > maxTO {
 				maxTO = to
 			}
 		}
 	} else {
 		src := e.s.Topo.Source
 		e.sourceFallbacks++
-		sol.Lo, sol.Hi = 0, int32(e.opt.R)
+		sol.Lo, sol.Hi = 0, blockR
 		e.s.Net.Unicast(src, sim.Packet{
 			Kind: sim.Request, Seq: repSeq, From: c, Payload: sol,
 		})
-		maxTO = e.opt.RetryFactor * e.s.Routes.RTT(c, src)
+		maxTO = retryFactor * e.s.Routes.RTT(c, src)
 	}
 	// The block has already streamed past the requester, but a relay
 	// deeper in the tree may still be expecting it (and holds the
-	// solicitation until then) — the RetryFactor'd round trip plus slack
+	// solicitation until then) — the retryFactor'd round trip plus slack
 	// covers that skew.
-	rec.Timer = e.s.Eng.NewTimer(maxTO+e.opt.Slack, func() {
+	rec.Timer = e.s.Eng.NewTimer(maxTO+slack, func() {
 		if rec.Closed() || rec.Parked || e.tryFinish(c, rec) {
 			return
 		}
@@ -316,12 +284,12 @@ func (e *Engine) OnPacket(host graph.NodeID, pkt sim.Packet) {
 		}
 		if !e.s.IsClient(sol.Requester) || int(sol.Block) < 0 ||
 			int(sol.Block) >= e.s.CodedBlocks() ||
-			sol.Lo < 0 || sol.Hi < sol.Lo || int(sol.Hi) > e.opt.R {
+			sol.Lo < 0 || sol.Hi < sol.Lo || sol.Hi > blockR {
 			e.s.NoteMalformed()
 			return
 		}
 		// Block-level duplicate suppression, keyed by block number.
-		window := 0.5 * e.opt.RetryFactor * e.s.Routes.RTT(host, sol.Requester)
+		window := 0.5 * retryFactor * e.s.Routes.RTT(host, sol.Requester)
 		if e.served.Seen(host, sol.Requester, int(sol.Block), e.s.Eng.Now(), window) {
 			return
 		}
@@ -378,7 +346,7 @@ func (e *Engine) respond(host graph.NodeID, sol solicit) {
 		// minus what the requester already reports.
 		for j := int(sol.Lo); j < int(sol.Hi); j++ {
 			if sol.Coded&(1<<uint(j)) == 0 {
-				e.sendSymbol(host, sol.Requester, b, e.opt.K+j, lo)
+				e.sendSymbol(host, sol.Requester, b, blockK+j, lo)
 			}
 		}
 		return
@@ -393,7 +361,7 @@ func (e *Engine) respond(host graph.NodeID, sol solicit) {
 	}
 	for j := int(sol.Lo); j < int(sol.Hi); j++ {
 		if sol.Coded&(1<<uint(j)) == 0 {
-			e.sendSymbol(host, sol.Requester, b, e.opt.K+j, lo)
+			e.sendSymbol(host, sol.Requester, b, blockK+j, lo)
 		}
 	}
 	need := bl - rank
@@ -420,7 +388,7 @@ func rangeMask(lo, hi int32) uint64 {
 // block's first sequence as the in-range representative.
 func (e *Engine) sendSymbol(from, to graph.NodeID, b, index, lo int) {
 	seq := lo
-	if index < e.opt.K {
+	if index < blockK {
 		seq = lo + index
 	}
 	e.s.Net.Unicast(to, sim.Packet{

@@ -23,7 +23,7 @@ func TestBurstWithinREnvelopeNoSourceFallback(t *testing.T) {
 	tree := mtree.MustBuild(topo)
 	c := topo.Clients[0]
 	link := tree.ParentLink[c]
-	e := New(Options{K: 8, R: 4, Fanout: 2, RetryFactor: 3, Slack: 5})
+	e := New()
 	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 16, Interval: 10}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestBurstBeyondRUsesSourceAsLastResort(t *testing.T) {
 	tree := mtree.MustBuild(topo)
 	c := topo.Clients[0]
 	link := tree.ParentLink[c]
-	e := New(Options{K: 8, R: 4, Fanout: 2, RetryFactor: 3, Slack: 5})
+	e := New()
 	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 16, Interval: 10}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestRandomLossFullRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := New(DefaultOptions())
+		e := New()
 		s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 64, Interval: 20}, 43)
 		if err != nil {
 			t.Fatal(err)
@@ -120,7 +120,7 @@ func coopRun(t *testing.T, sched *fault.Schedule) *protocol.Result {
 		t.Fatal(err)
 	}
 	cfg := protocol.Config{Packets: 48, Interval: 20, Fault: sched}
-	s, err := protocol.NewSession(topo, New(DefaultOptions()), cfg, 7)
+	s, err := protocol.NewSession(topo, New(), cfg, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestCrashParkAndResume(t *testing.T) {
 	sched.CrashWindow(topo.Clients[0], 100, 500)
 	sched.CrashWindow(topo.Clients[1], 200, 700)
 	cfg := protocol.Config{Packets: 48, Interval: 20, Fault: sched}
-	e := New(DefaultOptions())
+	e := New()
 	s, err := protocol.NewSession(topo, e, cfg, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestPermanentCrashDoesNotWedge(t *testing.T) {
 	sched := &fault.Schedule{}
 	sched.CrashHost(300, topo.Clients[0])
 	cfg := protocol.Config{Packets: 48, Interval: 20, Fault: sched}
-	e := New(DefaultOptions())
+	e := New()
 	s, err := protocol.NewSession(topo, e, cfg, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if New(DefaultOptions()).Name() != "COOP" {
+	if New().Name() != "COOP" {
 		t.Fatal("name")
 	}
 }

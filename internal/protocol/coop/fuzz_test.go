@@ -10,25 +10,24 @@ import (
 	"rmcast/internal/topology"
 )
 
-// FuzzCoopDecode throws arbitrary block geometries, exact per-packet loss
-// patterns, and adversarial mutation intensities at full COOP runs with the
-// strict invariant oracle on. The loss mask drives a deterministic outage
-// window around each marked packet's access-link traversal at the farthest
-// client, so the fuzzer explores the whole burst spectrum — isolated
-// losses, bursts within and beyond R, whole blocks, block-boundary
-// straddles, tail blocks shorter than K. Whatever the pattern, the run
-// must terminate, recover every loss, and keep the coded books clean (the
-// oracle panics mid-run on any safety divergence; rank and count
+// FuzzCoopDecode throws exact per-packet loss patterns, stream lengths and
+// adversarial mutation intensities at full COOP runs with the strict
+// invariant oracle on. The stream is two full blocks plus a tail block of
+// every length from 1 to blockK. The loss mask drives a deterministic
+// outage window around each marked packet's access-link traversal at the
+// farthest client, so the fuzzer explores the whole burst spectrum —
+// isolated losses, bursts within and beyond R, whole blocks,
+// block-boundary straddles, short tail blocks. Whatever the pattern, the
+// run must terminate, recover every loss, and keep the coded books clean
+// (the oracle panics mid-run on any safety divergence; rank and count
 // conservation are verified per decode).
 func FuzzCoopDecode(f *testing.F) {
-	f.Add(uint64(1), uint8(8), uint8(4), uint64(0b111100), 0.0)
-	f.Add(uint64(2), uint8(3), uint8(1), uint64(0xdeadbeef), 0.6)
-	f.Add(uint64(3), uint8(0), uint8(63), ^uint64(0), 1.0)
-	f.Add(uint64(4), uint8(15), uint8(0), uint64(1)<<40, 0.3)
-	f.Fuzz(func(t *testing.T, seed uint64, k, r uint8, lossMask uint64, intensity float64) {
-		kk := int(k%16) + 1
-		rr := int(r%8) + 1
-		packets := 2*kk + kk/2 + 1 // two full blocks plus a short tail
+	f.Add(uint64(1), uint8(7), uint64(0b111100), 0.0)
+	f.Add(uint64(2), uint8(2), uint64(0xdeadbeef), 0.6)
+	f.Add(uint64(3), uint8(0), ^uint64(0), 1.0)
+	f.Add(uint64(4), uint8(4), uint64(1)<<16, 0.3)
+	f.Fuzz(func(t *testing.T, seed uint64, tail uint8, lossMask uint64, intensity float64) {
+		packets := 2*blockK + int(tail%blockK) + 1
 		topo, err := topology.Chain(3, 1, []int{1, 2})
 		if err != nil {
 			t.Fatal(err)
@@ -36,7 +35,7 @@ func FuzzCoopDecode(f *testing.F) {
 		tree := mtree.MustBuild(topo)
 		c := topo.Clients[0] // the tail client, 4 hops from the source
 		link := tree.ParentLink[c]
-		e := New(Options{K: kk, R: rr, Fanout: 2, RetryFactor: 3, Slack: 5})
+		e := New()
 		cfg := protocol.Config{
 			Packets: packets, Interval: 10,
 			Fault: &fault.Schedule{
@@ -67,20 +66,20 @@ func FuzzCoopDecode(f *testing.F) {
 		}
 		res := s.Run()
 		if !res.Complete {
-			t.Fatalf("k=%d r=%d mask=%x: run hit the event cap", kk, rr, lossMask)
+			t.Fatalf("packets=%d mask=%x: run hit the event cap", packets, lossMask)
 		}
 		if int(res.Stats.Losses) != want {
-			t.Fatalf("k=%d r=%d mask=%x: %d losses, mask wants %d (mask=%d bits in range)",
-				kk, rr, lossMask, res.Stats.Losses, want, bits.OnesCount64(lossMask))
+			t.Fatalf("packets=%d mask=%x: %d losses, mask wants %d (mask=%d bits in range)",
+				packets, lossMask, res.Stats.Losses, want, bits.OnesCount64(lossMask))
 		}
 		if res.Stats.Unrecovered != 0 {
-			t.Fatalf("k=%d r=%d mask=%x: %d unrecovered", kk, rr, lossMask, res.Stats.Unrecovered)
+			t.Fatalf("packets=%d mask=%x: %d unrecovered", packets, lossMask, res.Stats.Unrecovered)
 		}
 		if len(res.Violations) > 0 {
-			t.Fatalf("k=%d r=%d mask=%x: oracle violations %v", kk, rr, lossMask, res.Violations)
+			t.Fatalf("packets=%d mask=%x: oracle violations %v", packets, lossMask, res.Violations)
 		}
 		if e.PendingRecoveries() != 0 {
-			t.Fatalf("k=%d r=%d mask=%x: dangling block recoveries", kk, rr, lossMask)
+			t.Fatalf("packets=%d mask=%x: dangling block recoveries", packets, lossMask)
 		}
 	})
 }

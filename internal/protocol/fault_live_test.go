@@ -48,18 +48,16 @@ func chaosSchedule(t *testing.T, topo *topology.Network) *fault.Schedule {
 // crashed client may hold gaps, and those must be classified as
 // UnrecoveredCrashed, never Unrecovered.
 func TestLivenessUnderCombinedFaults(t *testing.T) {
-	resilient := rpproto.DefaultOptions()
-	resilient.Resilience = rpproto.DefaultResilience()
 	engines := []struct {
 		name string
 		mk   func() protocol.Engine
 	}{
-		{"RP", func() protocol.Engine { return rpproto.New(rpproto.DefaultOptions()) }},
-		{"RP-RESILIENT", func() protocol.Engine { return rpproto.New(resilient) }},
-		{"SRM", func() protocol.Engine { return srm.New(srm.DefaultOptions()) }},
-		{"RMA", func() protocol.Engine { return rma.New(rma.DefaultOptions()) }},
-		{"SRC", func() protocol.Engine { return srcrec.New(srcrec.DefaultOptions()) }},
-		{"COOP", func() protocol.Engine { return coop.New(coop.DefaultOptions()) }},
+		{"RP", func() protocol.Engine { return rpproto.New(rpproto.Options{}) }},
+		{"RP-RESILIENT", func() protocol.Engine { return rpproto.New(rpproto.Options{Resilient: true}) }},
+		{"SRM", func() protocol.Engine { return srm.New(srm.Options{}) }},
+		{"RMA", func() protocol.Engine { return rma.New() }},
+		{"SRC", func() protocol.Engine { return srcrec.New() }},
+		{"COOP", func() protocol.Engine { return coop.New() }},
 	}
 	for _, tc := range engines {
 		tc := tc
@@ -107,14 +105,12 @@ func TestFaultRunDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := rpproto.DefaultOptions()
-		opt.Resilience = rpproto.DefaultResilience()
 		cfg := protocol.Config{
 			Packets: 60, Interval: 25,
 			LossyRecovery: true,
 			Fault:         chaosSchedule(t, topo),
 		}
-		s, err := protocol.NewSession(topo, rpproto.New(opt), cfg, 13)
+		s, err := protocol.NewSession(topo, rpproto.New(rpproto.Options{Resilient: true}), cfg, 13)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +132,7 @@ func TestZeroFaultSessionUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := protocol.Config{Packets: 40, Interval: 30, Fault: sched}
-		s, err := protocol.NewSession(topo, srm.New(srm.DefaultOptions()), cfg, 9)
+		s, err := protocol.NewSession(topo, srm.New(srm.Options{}), cfg, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +154,7 @@ func TestSourceCrashRejected(t *testing.T) {
 	}
 	sched := (&fault.Schedule{}).CrashHost(100, topo.Source)
 	cfg := protocol.Config{Packets: 10, Interval: 20, Fault: sched}
-	if _, err := protocol.NewSession(topo, srm.New(srm.DefaultOptions()), cfg, 1); err == nil {
+	if _, err := protocol.NewSession(topo, srm.New(srm.Options{}), cfg, 1); err == nil {
 		t.Fatal("source-crashing schedule accepted")
 	}
 }

@@ -26,28 +26,22 @@ import (
 	"rmcast/internal/sim"
 )
 
-// Options configures the FEC engine.
-type Options struct {
-	// K is the data block size; R the parity count per block.
-	K, R int
-	// RetryFactor scales the fallback retransmission timeout as a
+const (
+	// blockK and blockR are the K and R of the package comment: 8 data
+	// packets and 2 parity packets per block, 25% proactive overhead.
+	blockK = 8
+	blockR = 2
+	// retryFactor scales the fallback retransmission timeout as a
 	// multiple of the client's RTT to the source.
-	RetryFactor float64
-	// Slack is extra waiting (ms) after a block's parity should have
+	retryFactor = 3
+	// slack is extra waiting (ms) after a block's parity should have
 	// arrived before declaring decode impossible and falling back.
-	Slack float64
-}
-
-// DefaultOptions returns K=8, R=2 (25% proactive overhead) with a 3×RTT
-// fallback.
-func DefaultOptions() Options {
-	return Options{K: 8, R: 2, RetryFactor: 3, Slack: 5}
-}
+	slack = 5
+)
 
 // Engine is the FEC protocol engine.
 type Engine struct {
-	opt Options
-	s   *protocol.Session
+	s *protocol.Session
 	// paritySeen counts parity symbols held per (client, block).
 	paritySeen map[key]int
 }
@@ -70,21 +64,10 @@ type request struct {
 }
 
 // New returns an FEC engine.
-func New(opt Options) *Engine {
-	if opt.K <= 0 {
-		opt.K = 8
-	}
-	if opt.R < 0 {
-		opt.R = 0
-	}
-	if opt.RetryFactor <= 0 {
-		opt.RetryFactor = 3
-	}
-	return &Engine{opt: opt, paritySeen: make(map[key]int)}
-}
+func New() *Engine { return &Engine{paritySeen: make(map[key]int)} }
 
 // Name implements protocol.Engine.
-func (e *Engine) Name() string { return fmt.Sprintf("FEC(%d,%d)", e.opt.K, e.opt.R) }
+func (e *Engine) Name() string { return fmt.Sprintf("FEC(%d,%d)", blockK, blockR) }
 
 // Attach schedules the proactive parity multicasts: R parity packets right
 // after each block's last data packet. Parity travels the data plane (it is
@@ -94,15 +77,15 @@ func (e *Engine) Attach(s *protocol.Session) {
 	e.s = s
 	cfg := s.Config()
 	src := s.Topo.Source
-	blocks := (cfg.Packets + e.opt.K - 1) / e.opt.K
+	blocks := (cfg.Packets + blockK - 1) / blockK
 	for b := 0; b < blocks; b++ {
-		lastSeq := (b+1)*e.opt.K - 1
+		lastSeq := (b+1)*blockK - 1
 		if lastSeq >= cfg.Packets {
 			lastSeq = cfg.Packets - 1
 		}
 		at := float64(lastSeq)*cfg.Interval + 1e-3
 		b := b
-		for i := 0; i < e.opt.R; i++ {
+		for i := 0; i < blockR; i++ {
 			i := i
 			s.Eng.Schedule(at, func() {
 				s.Net.MulticastFromSource(sim.Packet{
@@ -115,13 +98,13 @@ func (e *Engine) Attach(s *protocol.Session) {
 }
 
 // block returns the block number of a data sequence.
-func (e *Engine) block(seq int) int { return seq / e.opt.K }
+func (e *Engine) block(seq int) int { return seq / blockK }
 
 // blockSeqs returns the data sequence range [lo, hi) of a block, clamped to
 // the stream length.
 func (e *Engine) blockSeqs(b int) (int, int) {
-	lo := b * e.opt.K
-	hi := lo + e.opt.K
+	lo := b * blockK
+	hi := lo + blockK
 	if n := e.s.Config().Packets; hi > n {
 		hi = n
 	}
@@ -176,7 +159,7 @@ func (e *Engine) OnDetect(c graph.NodeID, seq int) {
 	}
 	cfg := e.s.Config()
 	_, hi := e.blockSeqs(b)
-	parityArrive := float64(hi-1)*cfg.Interval + e.s.Net.WouldArrive(c) + e.opt.Slack
+	parityArrive := float64(hi-1)*cfg.Interval + e.s.Net.WouldArrive(c) + slack
 	wait := parityArrive - e.s.Eng.Now()
 	if wait < 0 {
 		wait = 0
@@ -204,7 +187,7 @@ func (e *Engine) fallback(c graph.NodeID, r *protocol.Recovery) {
 	e.s.Net.Unicast(e.s.Topo.Source, sim.Packet{
 		Kind: sim.Request, Seq: r.Seq, From: c, Payload: request{Requester: c},
 	})
-	retry := e.opt.RetryFactor * e.s.Routes.RTT(c, e.s.Topo.Source)
+	retry := retryFactor * e.s.Routes.RTT(c, e.s.Topo.Source)
 	r.Timer = e.s.Eng.NewTimer(retry, func() { e.fallback(c, r) })
 }
 

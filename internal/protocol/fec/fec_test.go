@@ -21,8 +21,8 @@ func TestSingleLossDecodedFromParity(t *testing.T) {
 	c := topo.Clients[0]
 	link := tree.ParentLink[c]
 	topo.Loss[link] = 1
-	e := New(Options{K: 4, R: 1, RetryFactor: 3, Slack: 5})
-	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 4, Interval: 10}, 1)
+	e := New()
+	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 8, Interval: 10}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +36,14 @@ func TestSingleLossDecodedFromParity(t *testing.T) {
 	if res.Hops.Recovery() != 0 {
 		t.Fatalf("FEC decode generated recovery traffic: %+v", res.Hops)
 	}
-	// Parity multicast happened: data hops exceed 4 packets × 3 links.
-	if res.Hops.Data <= 4*3 {
+	// Parity multicast happened: data hops exceed 8 packets × 3 links.
+	if res.Hops.Data <= 8*3 {
 		t.Fatalf("no parity traffic visible in data hops: %d", res.Hops.Data)
 	}
 	// Latency: loss detected at ~3 ms (would-arrive), parity sent at
-	// t=30+ε arrives ~33; recovery ≈ 30 ms after detection.
-	if res.AvgLatency() < 25 || res.AvgLatency() > 35 {
-		t.Fatalf("decode latency %v outside expected ~30 ms", res.AvgLatency())
+	// t=70+ε arrives ~73; recovery ≈ 70 ms after detection.
+	if res.AvgLatency() < 65 || res.AvgLatency() > 75 {
+		t.Fatalf("decode latency %v outside expected ~70 ms", res.AvgLatency())
 	}
 	if e.PendingRecoveries() != 0 {
 		t.Fatal("dangling fallback timers")
@@ -51,7 +51,7 @@ func TestSingleLossDecodedFromParity(t *testing.T) {
 }
 
 func TestLossBeyondParityFallsBackToSource(t *testing.T) {
-	// Lose 2 packets of a K=4,R=1 block: one decode is impossible, the
+	// Lose 3 packets of a K=8,R=2 block: decoding alone is impossible, the
 	// fallback must fetch from the source.
 	topo, err := topology.Chain(2, 1, nil)
 	if err != nil {
@@ -61,19 +61,19 @@ func TestLossBeyondParityFallsBackToSource(t *testing.T) {
 	c := topo.Clients[0]
 	link := tree.ParentLink[c]
 	topo.Loss[link] = 1
-	e := New(Options{K: 4, R: 1, RetryFactor: 3, Slack: 5})
-	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 4, Interval: 10}, 2)
+	e := New()
+	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 8, Interval: 10}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Packets 0 (t=0) and 1 (t=10) lost; heal at t=15.
-	s.Eng.Schedule(15, func() { topo.Loss[link] = 0 })
+	// Packets 0 (t=0), 1 (t=10) and 2 (t=20) lost; heal at t=25.
+	s.Eng.Schedule(25, func() { topo.Loss[link] = 0 })
 	res := s.Run()
-	if res.Stats.Losses != 2 || res.Stats.Recoveries != 2 || res.Stats.Unrecovered != 0 {
+	if res.Stats.Losses != 3 || res.Stats.Recoveries != 3 || res.Stats.Unrecovered != 0 {
 		t.Fatalf("stats %+v", res.Stats)
 	}
-	// With 2 losses and 1 parity: decode covers one missing packet only
-	// after the other is fetched; at least one unicast round trip happened.
+	// With 3 losses and 2 parities: decode covers the missing packets only
+	// after one is fetched; at least one unicast round trip happened.
 	if res.Hops.Recovery() == 0 {
 		t.Fatal("no fallback traffic despite undecodable block")
 	}
@@ -89,17 +89,17 @@ func TestParityLossHandled(t *testing.T) {
 	c := topo.Clients[0]
 	link := tree.ParentLink[c]
 	topo.Loss[link] = 1
-	e := New(Options{K: 2, R: 1, RetryFactor: 3, Slack: 5})
-	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 2, Interval: 10}, 3)
+	e := New()
+	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 8, Interval: 10}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Packet 0 (t=0) lost. Heal so packet 1 (t=10) survives, break again
-	// in the 1 ms gap before the parity send (t=10.001) so the parity is
+	// Packet 0 (t=0) lost. Heal so packets 1–7 survive, break again in the
+	// 1 ms gap before the parity send (t=70.001) so both parities are
 	// lost, then heal for the fallback.
 	s.Eng.Schedule(5, func() { topo.Loss[link] = 0 })
-	s.Eng.Schedule(10.0005, func() { topo.Loss[link] = 1 })
-	s.Eng.Schedule(10.5, func() { topo.Loss[link] = 0 })
+	s.Eng.Schedule(70.0005, func() { topo.Loss[link] = 1 })
+	s.Eng.Schedule(70.5, func() { topo.Loss[link] = 0 })
 	res := s.Run()
 	if res.Stats.Recoveries != 1 || res.Stats.Unrecovered != 0 {
 		t.Fatalf("stats %+v", res.Stats)
@@ -115,7 +115,7 @@ func TestRandomLossFullRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := New(DefaultOptions())
+		e := New()
 		s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 64, Interval: 20}, 43)
 		if err != nil {
 			t.Fatal(err)
@@ -143,7 +143,7 @@ func TestRandomLossFullRecovery(t *testing.T) {
 }
 
 func TestTailBlockShorterThanK(t *testing.T) {
-	// 10 packets with K=4: tail block has 2 data packets; its parity must
+	// 10 packets with K=8: tail block has 2 data packets; its parity must
 	// still decode single losses.
 	topo, err := topology.Chain(2, 1, nil)
 	if err != nil {
@@ -152,7 +152,7 @@ func TestTailBlockShorterThanK(t *testing.T) {
 	tree := mtree.MustBuild(topo)
 	c := topo.Clients[0]
 	link := tree.ParentLink[c]
-	e := New(Options{K: 4, R: 1, RetryFactor: 3, Slack: 5})
+	e := New()
 	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 10, Interval: 10}, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestPermanentCrashMidBlockDoesNotWedge(t *testing.T) {
 	sched := &fault.Schedule{}
 	// Crash mid-stream, inside a block, after losses have been detected.
 	sched.CrashHost(300, topo.Clients[0])
-	e := New(DefaultOptions())
+	e := New()
 	cfg := protocol.Config{Packets: 48, Interval: 20, Fault: sched}
 	s, err := protocol.NewSession(topo, e, cfg, 7)
 	if err != nil {
@@ -215,7 +215,7 @@ func TestCrashAndResumeFinishesStream(t *testing.T) {
 	sched := &fault.Schedule{}
 	sched.CrashWindow(topo.Clients[0], 100, 500)
 	sched.CrashWindow(topo.Clients[1], 200, 700)
-	e := New(DefaultOptions())
+	e := New()
 	cfg := protocol.Config{Packets: 48, Interval: 20, Fault: sched}
 	s, err := protocol.NewSession(topo, e, cfg, 7)
 	if err != nil {
@@ -237,7 +237,7 @@ func TestCrashAndResumeFinishesStream(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if New(Options{K: 8, R: 2}).Name() != "FEC(8,2)" {
+	if New().Name() != "FEC(8,2)" {
 		t.Fatal("name format")
 	}
 	var _ graph.NodeID // keep import balanced if assertions change

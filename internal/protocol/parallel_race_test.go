@@ -43,7 +43,7 @@ func raceRun(t *testing.T, topo *topology.Network, workers int) *protocol.Result
 	sched.LinkDownWindow(topo.TreeEdges[3], 150, 400)
 	sched.LinkDownWindow(topo.TreeEdges[40], 450, 700)
 	cfg := protocol.Config{Packets: 25, Interval: 40, Fault: sched, SimWorkers: workers}
-	s, err := protocol.NewSession(topo, rpproto.New(rpproto.DefaultOptions()), cfg, 13)
+	s, err := protocol.NewSession(topo, rpproto.New(rpproto.Options{}), cfg, 13)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -202,10 +202,11 @@ func DefaultConfig() Config {
 
 // validate rejects a configuration the session cannot simulate: a NaN or
 // infinite float field, a non-positive Packets or Interval, a negative
-// DetectLag, a Detection or Check outside its constants, or a program whose
-// last instant — the last send, plus DetectLag, plus the tail sweep's or one
-// heartbeat's wait — is not finite. Negative GapTailLag, HeartbeatInterval
-// and PacketTime keep meaning "default" or "off".
+// DetectLag, Jitter or DomainClients, a Detection or Check outside its
+// constants, or a program whose last instant — the last send, plus
+// DetectLag, plus the tail sweep's or one heartbeat's wait — is not finite.
+// Negative GapTailLag, HeartbeatInterval and PacketTime keep meaning
+// "default" or "off".
 func (c Config) validate() error {
 	last := float64(c.Packets-1)*c.Interval + c.DetectLag
 	switch c.Detection {
@@ -224,8 +225,9 @@ func (c Config) validate() error {
 		{"DetectLag", c.DetectLag, c.DetectLag >= 0},
 		{"GapTailLag", c.GapTailLag, true},
 		{"HeartbeatInterval", c.HeartbeatInterval, true},
-		{"Jitter", c.Jitter, true},
+		{"Jitter", c.Jitter, c.Jitter >= 0},
 		{"PacketTime", c.PacketTime, true},
+		{"DomainClients", float64(c.DomainClients), c.DomainClients >= 0},
 		{"Detection", float64(c.Detection), c.Detection <= DetectSession},
 		{"Check", float64(c.Check), c.Check <= CheckOff},
 		{"the program's last instant", last, true},
@@ -1022,8 +1024,8 @@ func (s *Session) gapScan(idx int, c graph.NodeID, seq int) {
 // ExpectedArrival returns the loss-free arrival time of packet seq at a
 // host: its send time plus the tree-path delay. Before this instant the
 // host cannot distinguish "lost" from "still in transit" — protocol engines
-// use it to hold recovery requests for data a peer still expects
-// (see rpproto.Options.HoldFreshRequests).
+// use it to hold recovery requests for data a peer still expects (see
+// rpproto's onRequest).
 func (s *Session) ExpectedArrival(host graph.NodeID, seq int) float64 {
 	return s.sentAt[seq] + s.Net.WouldArrive(host)
 }

@@ -170,10 +170,12 @@ func TestBadConfigRejected(t *testing.T) {
 		{"infinite heartbeat", Config{Packets: 5, Interval: 10, Detection: DetectSession, HeartbeatInterval: inf}},
 		{"NaN jitter", Config{Packets: 5, Interval: 10, Jitter: nan}},
 		{"infinite jitter", Config{Packets: 5, Interval: 10, Jitter: inf}},
+		{"negative jitter", Config{Packets: 5, Interval: 10, Jitter: -1}},
 		{"NaN packet time", Config{Packets: 5, Interval: 10, PacketTime: nan}},
 		{"infinite packet time", Config{Packets: 5, Interval: 10, PacketTime: inf}},
 		{"unknown detection mode", Config{Packets: 5, Interval: 10, Detection: 9}},
 		{"unknown check mode", Config{Packets: 5, Interval: 10, Check: 9}},
+		{"negative domain size", Config{Packets: 5, Interval: 10, SimWorkers: 2, DomainClients: -4}},
 		{"crash at +Inf", Config{Packets: 5, Interval: 10,
 			Fault: (&fault.Schedule{}).CrashHost(inf, topo.Clients[0])}},
 	} {

@@ -24,7 +24,7 @@ func TestDuplicateRepairIdempotent(t *testing.T) {
 		Request: fault.MutationParams{DupProb: 1, MaxDup: 8, MaxDelay: 5},
 		Repair:  fault.MutationParams{DupProb: 1, MaxDup: 8, MaxDelay: 5},
 	})
-	e := New(DefaultOptions())
+	e := New()
 	s, err := protocol.NewSession(topo, e, cfg, 11)
 	if err != nil {
 		t.Fatal(err)

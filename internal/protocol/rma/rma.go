@@ -15,6 +15,13 @@
 // just best-effort, not strategic": when the loss sits high in the tree,
 // every nearby receiver has lost the packet too, and RMA burns one timeout
 // per hopeless neighbour before reaching a holder.
+//
+// The engine shares RP's per-attempt timeout (core.DefaultTimeout) and
+// request holding, so the comparison isolates list construction. A
+// repairer ignores further requests for a packet whose meet router is
+// already covered by a recent repair multicast it sent — the paper's
+// semantics that one repair serves "all the receivers that have been
+// requested".
 package rma
 
 import (
@@ -24,30 +31,9 @@ import (
 	"rmcast/internal/sim"
 )
 
-// Options configures the RMA engine.
-type Options struct {
-	// Timeout is the per-attempt timeout policy (shared shape with RP so
-	// the comparison isolates list construction); nil means
-	// core.ProportionalTimeout(3).
-	Timeout core.TimeoutPolicy
-	// RepairSuppression makes a repairer ignore further requests for a
-	// packet whose meet router is already covered by a recent repair
-	// multicast it sent — the paper's semantics that one repair serves
-	// "all the receivers that have been requested". Disabling it makes
-	// every concurrent requester cost a full subtree multicast.
-	RepairSuppression bool
-	// NoHoldFreshRequests disables request holding for packets still in
-	// transit to the receiver (see rpproto.Options.NoHoldFreshRequests).
-	NoHoldFreshRequests bool
-}
-
-// DefaultOptions returns the configuration used in the reproduction.
-func DefaultOptions() Options { return Options{RepairSuppression: true} }
-
 // Engine is the RMA protocol engine.
 type Engine struct {
-	opt Options
-	s   *protocol.Session
+	s *protocol.Session
 	// chain is the per-client full upstream receiver order (descending
 	// meet depth — nearest upstream first), indexed by NodeID (nil for
 	// non-clients).
@@ -93,9 +79,8 @@ type request struct {
 }
 
 // New returns an RMA engine.
-func New(opt Options) *Engine {
+func New() *Engine {
 	return &Engine{
-		opt:      opt,
 		repaired: make(map[key]repairMark),
 		served:   protocol.NewDedupCache(dedupCacheSize),
 	}
@@ -104,18 +89,11 @@ func New(opt Options) *Engine {
 // Name implements protocol.Engine.
 func (e *Engine) Name() string { return "RMA" }
 
-func (e *Engine) timeout() core.TimeoutPolicy {
-	if e.opt.Timeout == nil {
-		return core.ProportionalTimeout(3)
-	}
-	return e.opt.Timeout
-}
-
-// CloneForShard implements protocol.ShardCloner: a fresh engine with the
-// same options that adopts this (attached) engine's receiver chains and
-// diameter — both read-only at run time — instead of recomputing them.
+// CloneForShard implements protocol.ShardCloner: a fresh engine that
+// adopts this (attached) engine's receiver chains and diameter — both
+// read-only at run time — instead of recomputing them.
 func (e *Engine) CloneForShard() protocol.Engine {
-	cl := New(e.opt)
+	cl := New()
 	cl.sharedChain = e.chain
 	cl.sharedDiameter = e.diameter
 	return cl
@@ -130,7 +108,6 @@ func (e *Engine) Attach(s *protocol.Session) {
 		return
 	}
 	p := core.NewPlanner(s.Tree, s.Routes)
-	p.Timeout = e.opt.Timeout
 	e.chain = make([][]core.Candidate, len(s.Tree.Parent))
 	var deep float64
 	for _, c := range s.Clients() {
@@ -174,7 +151,7 @@ func (e *Engine) send(c graph.NodeID, r *protocol.Recovery) {
 	} else {
 		target = e.s.Topo.Source
 		srcRTT := e.s.Routes.RTT(c, target)
-		t0 = e.timeout().Timeout(srcRTT)
+		t0 = core.DefaultTimeout.Timeout(srcRTT)
 		if len(chain) > 0 {
 			minDS = chain[len(chain)-1].DS
 		}
@@ -220,7 +197,7 @@ func (e *Engine) OnPacket(host graph.NodeID, pkt sim.Packet) {
 		// Duplicate suppression: retries from one requester are spaced at
 		// least a full attempt timeout apart, so a repeat inside half that
 		// window is a duplicated packet, not a walk advance.
-		window := 0.5 * e.timeout().Timeout(e.s.Routes.RTT(host, pay.Requester))
+		window := 0.5 * core.DefaultTimeout.Timeout(e.s.Routes.RTT(host, pay.Requester))
 		if e.served.Seen(host, pay.Requester, pkt.Seq, e.s.Eng.Now(), window) {
 			return
 		}
@@ -228,7 +205,7 @@ func (e *Engine) OnPacket(host graph.NodeID, pkt sim.Packet) {
 			e.repair(host, pkt.Seq, pay)
 			return
 		}
-		if !e.opt.NoHoldFreshRequests && e.s.IsClient(host) {
+		if e.s.IsClient(host) {
 			if eta := e.s.ExpectedArrival(host, pkt.Seq); eta > e.s.Eng.Now() {
 				seq, p2 := pkt.Seq, pay
 				e.s.Eng.Schedule(eta+2e-3, func() {
@@ -271,11 +248,9 @@ func (e *Engine) repair(host graph.NodeID, seq int, pay request) {
 		root = t.LCA(host, pay.Requester)
 	}
 	k := key{host, seq}
-	if e.opt.RepairSuppression {
-		if m, ok := e.repaired[k]; ok && e.s.Eng.Now()-m.at < e.diameter &&
-			(m.root == root || t.IsAncestor(m.root, root)) {
-			return // the in-flight repair already covers this requester
-		}
+	if m, ok := e.repaired[k]; ok && e.s.Eng.Now()-m.at < e.diameter &&
+		(m.root == root || t.IsAncestor(m.root, root)) {
+		return // the in-flight repair already covers this requester
 	}
 	e.repaired[k] = repairMark{root: root, at: e.s.Eng.Now()}
 	pkt := sim.Packet{Kind: sim.Repair, Seq: seq, From: host}

@@ -8,6 +8,7 @@ import (
 	"rmcast/internal/mtree"
 	"rmcast/internal/protocol"
 	"rmcast/internal/topology"
+	"rmcast/internal/trace"
 )
 
 func oneLossSession(t *testing.T, topo *topology.Network, lossLink graph.EdgeID, e protocol.Engine) *protocol.Session {
@@ -32,7 +33,7 @@ func TestNearestUpstreamRepairs(t *testing.T) {
 	tree := mtree.MustBuild(topo)
 	tail := topo.Clients[0]
 	c2 := topo.Clients[2] // at r2: nearest upstream receiver of tail
-	e := New(DefaultOptions())
+	e := New()
 	s := oneLossSession(t, topo, tree.ParentLink[tail], e)
 	res := s.Run()
 	if res.Stats.Losses != 1 || res.Stats.Recoveries != 1 || res.Stats.Unrecovered != 0 {
@@ -74,7 +75,7 @@ func TestWalkForwardsWhenFirstPeerMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(DefaultOptions())
+	e := New()
 	s := oneLossSession(t, topo, shared, e)
 	res := s.Run()
 	healed := res.Stats.Recoveries + res.Stats.PreDetection
@@ -104,7 +105,7 @@ func TestSourceFallbackRepairsSubtree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(DefaultOptions())
+	e := New()
 	s := oneLossSession(t, topo, shared, e)
 	res := s.Run()
 	healed := res.Stats.Recoveries + res.Stats.PreDetection
@@ -119,7 +120,7 @@ func TestRandomLossFullRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := New(DefaultOptions())
+		e := New()
 		s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 40, Interval: 60}, 29)
 		if err != nil {
 			t.Fatal(err)
@@ -148,7 +149,7 @@ func TestControlLossFullRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(DefaultOptions())
+	e := New()
 	cfg := protocol.Config{Packets: 50, Interval: 50, LossyRecovery: true}
 	s, err := protocol.NewSession(topo, e, cfg, 37)
 	if err != nil {
@@ -183,7 +184,7 @@ func TestLostRequestRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo.Loss[link] = 1
-	e := New(DefaultOptions())
+	e := New()
 	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 1, Interval: 10, LossyRecovery: true}, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -199,26 +200,43 @@ func TestLostRequestRetries(t *testing.T) {
 }
 
 func TestRepairSuppressionReducesBandwidth(t *testing.T) {
-	run := func(suppress bool) *protocol.Result {
-		topo, err := topology.Standard(60, 0.1, 61)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := DefaultOptions()
-		opt.RepairSuppression = suppress
-		s, err := protocol.NewSession(topo, New(opt), protocol.Config{Packets: 50, Interval: 50}, 63)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s.Run()
+	// Two clients under r2 lose the packet, time out on each other at the
+	// same instant and both ask the holder under r1. Both requests name
+	// meet router r1, so the holder's one subtree multicast serves both
+	// and it suppresses the second request.
+	b := topology.NewBuilder()
+	src := b.Source()
+	r1, r2 := b.Router(), b.Router()
+	b.TreeLink(src, r1, 2)
+	shared := b.TreeLink(r1, r2, 1)
+	c1 := b.Client()
+	b.TreeLink(r2, c1, 1)
+	c2 := b.Client()
+	b.TreeLink(r2, c2, 1)
+	holder := b.Client()
+	b.TreeLink(r1, holder, 1)
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	with := run(true)
-	without := run(false)
-	if with.Stats.Unrecovered != 0 || without.Stats.Unrecovered != 0 {
-		t.Fatal("incomplete recovery")
+	e := New()
+	s := oneLossSession(t, topo, shared, e)
+	var tr trace.Counter
+	s.Trace = &tr
+	res := s.Run()
+	if res.Stats.Recoveries+res.Stats.PreDetection != 2 || res.Stats.Unrecovered != 0 {
+		t.Fatalf("stats %+v", res.Stats)
 	}
-	if with.Hops.Repair >= without.Hops.Repair {
-		t.Fatalf("suppression did not cut repair hops: %d vs %d",
-			with.Hops.Repair, without.Hops.Repair)
+	for _, c := range []graph.NodeID{c1, c2} {
+		if chain := e.chain[c]; len(chain) != 2 || chain[1].Peer != holder {
+			t.Fatalf("client %d: chain %v, want its sibling then %d", c, chain, holder)
+		}
+	}
+	// Each client asked its sibling, then the holder.
+	if n := tr.Count(trace.SendRequest); n != 4 {
+		t.Fatalf("%d requests, want 4", n)
+	}
+	if n := tr.Count(trace.SendRepair); n != 1 {
+		t.Fatalf("%d repair multicasts for two concurrent requesters, want 1", n)
 	}
 }

@@ -50,26 +50,10 @@ import (
 	"rmcast/internal/sim"
 )
 
-// Failover configures the coordinated-RP failover mode. The zero value
-// disables it, leaving the plain peer-list engine untouched.
-type Failover struct {
-	// Enabled turns the mode on (and renames the engine RP-FAILOVER).
-	Enabled bool
-	// SuspicionThreshold is the number of consecutive request timeouts
-	// against the current RP before a client suspects it and triggers the
-	// election. Values < 1 mean the default (2).
-	SuspicionThreshold int
-	// NoElection degrades without re-electing: suspecting clients fall back
-	// to source unicast forever. With no election the coordinator role can
-	// never move, so CoordinatorInfo reports the failover capability absent
-	// and schedules that crash the RP are rejected at session build.
-	NoElection bool
-}
-
-// DefaultFailover returns the configuration used by the churn sweeps.
-func DefaultFailover() Failover {
-	return Failover{Enabled: true, SuspicionThreshold: 2}
-}
+// foSuspicionThreshold is the number of consecutive request timeouts
+// against the current RP before a client suspects it and triggers the
+// election.
+const foSuspicionThreshold = 2
 
 // foRequest is the epoch-fenced recovery request of the coordinated mode:
 // the requester's identity plus its current (epoch, RP) view. The RP relays
@@ -110,14 +94,6 @@ type promoteState struct {
 	timer  sim.Timer
 }
 
-// foThreshold returns the effective suspicion threshold.
-func (e *Engine) foThreshold() int {
-	if k := e.opt.Failover.SuspicionThreshold; k >= 1 {
-		return k
-	}
-	return 2
-}
-
 // initFailover bootstraps the coordinated mode at Attach: epoch 1 is
 // claimed by the electorate's initial Best() and adopted by every client,
 // so the run starts from an agreed view (the deployment analogue is the
@@ -137,13 +113,13 @@ func (e *Engine) initFailover() {
 	}
 }
 
-// CoordinatorInfo implements protocol.Coordinator: the designated RP and
-// whether the engine can survive its crash (election enabled).
+// CoordinatorInfo implements protocol.Coordinator: in failover mode, the
+// designated RP, whose crash the engine survives by re-election.
 func (e *Engine) CoordinatorInfo() (graph.NodeID, bool) {
-	if !e.opt.Failover.Enabled {
+	if !e.opt.Failover {
 		return graph.None, false
 	}
-	return e.initialRP, !e.opt.Failover.NoElection
+	return e.initialRP, true
 }
 
 // CurrentRP returns a host's current coordinator view (testing).
@@ -171,7 +147,7 @@ func (e *Engine) foSend(c graph.NodeID, r *protocol.Recovery) {
 		return
 	}
 	target := e.foTarget(c)
-	t0 := e.timeoutPolicy().Timeout(e.s.Routes.RTT(c, target))
+	t0 := core.DefaultTimeout.Timeout(e.s.Routes.RTT(c, target))
 	e.s.Net.Unicast(target, sim.Packet{
 		Kind: sim.Request, Seq: r.Seq, From: c,
 		Payload: foRequest{Requester: c, Epoch: e.epochOf[c], RP: e.rpView[c]},
@@ -194,7 +170,7 @@ func (e *Engine) foTimeout(c graph.NodeID, r *protocol.Recovery) {
 	}
 	if r.Target != e.s.Topo.Source && r.Target == e.rpView[c] && !e.interregnum[c] {
 		e.rpTimeouts[c]++
-		if e.rpTimeouts[c] >= e.foThreshold() {
+		if e.rpTimeouts[c] >= foSuspicionThreshold {
 			e.foSuspect(c)
 		}
 	}
@@ -202,8 +178,7 @@ func (e *Engine) foTimeout(c graph.NodeID, r *protocol.Recovery) {
 }
 
 // foSuspect marks client c's RP as suspected: c degrades to source unicast
-// (the interregnum) and, unless NoElection, triggers the deterministic
-// election.
+// (the interregnum) and triggers the deterministic election.
 func (e *Engine) foSuspect(c graph.NodeID) {
 	rp := e.rpView[c]
 	if rp == graph.None || rp == c {
@@ -211,9 +186,6 @@ func (e *Engine) foSuspect(c graph.NodeID) {
 	}
 	e.interregnum[c] = true
 	e.rpTimeouts[c] = 0
-	if e.opt.Failover.NoElection {
-		return
-	}
 	e.foElect(c, rp)
 }
 
@@ -242,7 +214,7 @@ func (e *Engine) foElect(c, suspect graph.NodeID) {
 		pw.timer.Stop()
 	}
 	pw := &promoteState{goal: proposed, target: w}
-	d := 2 * e.timeoutPolicy().Timeout(e.s.Routes.RTT(c, w))
+	d := 2 * core.DefaultTimeout.Timeout(e.s.Routes.RTT(c, w))
 	pw.timer = e.s.Eng.NewTimer(d, func() { e.promoteTimeout(c, pw) })
 	e.promoteWatch[c] = pw
 }
@@ -344,7 +316,7 @@ func (e *Engine) foOnRequest(host graph.NodeID, seq int, pay foRequest) {
 		})
 		return
 	}
-	window := 0.5 * e.timeoutPolicy().Timeout(e.s.Routes.RTT(host, pay.Requester))
+	window := 0.5 * core.DefaultTimeout.Timeout(e.s.Routes.RTT(host, pay.Requester))
 	if e.served.Seen(host, pay.Requester, seq, e.s.Eng.Now(), window) {
 		return
 	}
@@ -352,11 +324,9 @@ func (e *Engine) foOnRequest(host graph.NodeID, seq int, pay foRequest) {
 		e.s.Net.Unicast(pay.Requester, sim.Packet{Kind: sim.Repair, Seq: seq, From: host})
 		return
 	}
-	if !e.opt.NoHoldFreshRequests {
-		if eta := e.s.ExpectedArrival(host, seq); eta > e.s.Eng.Now() {
-			e.s.Eng.Schedule(eta+2e-3, func() { e.foOnRequestHeld(host, seq, pay.Requester) })
-			return
-		}
+	if eta := e.s.ExpectedArrival(host, seq); eta > e.s.Eng.Now() {
+		e.s.Eng.Schedule(eta+2e-3, func() { e.foOnRequestHeld(host, seq, pay.Requester) })
+		return
 	}
 	e.foRelay(host, seq, pay.Requester)
 }

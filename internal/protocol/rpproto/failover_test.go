@@ -29,14 +29,9 @@ func churnTopo(t *testing.T, seed uint64) (*topology.Network, []graph.NodeID) {
 // violation panics) and returns the result plus the engine for state
 // inspection.
 func runFailover(t *testing.T, topo *topology.Network, sched *fault.Schedule,
-	packets int, seed uint64, mod func(*Options)) (*protocol.Result, *Engine) {
+	packets int, seed uint64) (*protocol.Result, *Engine) {
 	t.Helper()
-	opt := DefaultOptions()
-	opt.Failover = DefaultFailover()
-	if mod != nil {
-		mod(&opt)
-	}
-	e := New(opt)
+	e := New(Options{Failover: true})
 	cfg := protocol.Config{Packets: packets, Interval: 10, Fault: sched}
 	s, err := protocol.NewSession(topo, e, cfg, seed)
 	if err != nil {
@@ -59,7 +54,7 @@ func TestFailoverEnvelope(t *testing.T) {
 	topo, order := churnTopo(t, 7)
 	rp0 := order[0]
 	sched := (&fault.Schedule{}).CrashHost(150, rp0) // mid-run, permanent
-	res, e := runFailover(t, topo, sched, 60, 11, nil)
+	res, e := runFailover(t, topo, sched, 60, 11)
 
 	if len(res.Violations) != 0 {
 		t.Fatalf("oracle violations: %v", res.Violations)
@@ -97,7 +92,7 @@ func TestFailoverDeterministicReplay(t *testing.T) {
 	run := func() (string, string) {
 		topo, order := churnTopo(t, 7)
 		sched := (&fault.Schedule{}).CrashHost(150, order[0])
-		res, e := runFailover(t, topo, sched, 60, 11, nil)
+		res, e := runFailover(t, topo, sched, 60, 11)
 		views := ""
 		for _, c := range topo.Clients {
 			views += fmt.Sprintf("%d:%d/%d ", c, e.CurrentEpoch(c), e.CurrentRP(c))
@@ -126,7 +121,7 @@ func TestSimultaneousSuspicionSingleClaim(t *testing.T) {
 	// suspects the bootstrap RP, from many clients in the same timeout
 	// window.
 	sched := (&fault.Schedule{}).CrashHost(0, rp0)
-	res, e := runFailover(t, topo, sched, 30, 17, nil)
+	res, e := runFailover(t, topo, sched, 30, 17)
 	if len(res.Violations) != 0 {
 		t.Fatalf("oracle violations: %v", res.Violations)
 	}
@@ -152,7 +147,7 @@ func TestCrashDuringHandover(t *testing.T) {
 	sched := (&fault.Schedule{}).
 		CrashHost(0, order[0]).
 		CrashHost(300, order[1]) // the successor, after it has seated
-	res, e := runFailover(t, topo, sched, 60, 19, nil)
+	res, e := runFailover(t, topo, sched, 60, 19)
 	if len(res.Violations) != 0 {
 		t.Fatalf("oracle violations: %v", res.Violations)
 	}
@@ -175,7 +170,7 @@ func TestExRPRejoin(t *testing.T) {
 	topo, order := churnTopo(t, 7)
 	rp0 := order[0]
 	sched := (&fault.Schedule{}).CrashWindow(rp0, 120, 320)
-	res, e := runFailover(t, topo, sched, 60, 23, nil)
+	res, e := runFailover(t, topo, sched, 60, 23)
 	if len(res.Violations) != 0 {
 		t.Fatalf("oracle violations: %v", res.Violations)
 	}
@@ -207,7 +202,7 @@ func TestExRPRejoin(t *testing.T) {
 func TestAdoptEpochIdempotent(t *testing.T) {
 	topo, order := churnTopo(t, 7)
 	sched := (&fault.Schedule{}).CrashHost(120, order[0])
-	res, e := runFailover(t, topo, sched, 40, 29, nil)
+	res, e := runFailover(t, topo, sched, 40, 29)
 	if len(res.Violations) != 0 {
 		t.Fatalf("oracle violations: %v", res.Violations)
 	}
@@ -225,39 +220,14 @@ func TestAdoptEpochIdempotent(t *testing.T) {
 	}
 }
 
-// TestNoElectionRejectsRPCrash: with NoElection the coordinator role can
-// never move, so a schedule that crashes the designated RP must be rejected
-// at session construction with the role-aware error — while the same
-// schedule against a non-coordinator client builds fine.
-func TestNoElectionRejectsRPCrash(t *testing.T) {
-	topo, order := churnTopo(t, 7)
-	mk := func(victim graph.NodeID) error {
-		opt := DefaultOptions()
-		opt.Failover = DefaultFailover()
-		opt.Failover.NoElection = true
-		cfg := protocol.Config{Packets: 10, Interval: 10,
-			Fault: (&fault.Schedule{}).CrashHost(50, victim)}
-		_, err := protocol.NewSession(topo, New(opt), cfg, 3)
-		return err
-	}
-	if err := mk(order[0]); err == nil {
-		t.Fatal("RP crash accepted despite NoElection")
-	}
-	if err := mk(order[len(order)-1]); err != nil {
-		t.Fatalf("non-coordinator crash rejected: %v", err)
-	}
-}
-
 // TestFailoverFallsBackSerial pins the parallel-engine contract: a failover
 // run requesting sharding must run as one shard — the serial run — and say
 // why.
 func TestFailoverFallsBackSerial(t *testing.T) {
 	topo, order := churnTopo(t, 7)
 	sched := (&fault.Schedule{}).CrashHost(150, order[0])
-	opt := DefaultOptions()
-	opt.Failover = DefaultFailover()
 	cfg := protocol.Config{Packets: 40, Interval: 10, Fault: sched, SimWorkers: 4}
-	s, err := protocol.NewSession(topo, New(opt), cfg, 11)
+	s, err := protocol.NewSession(topo, New(Options{Failover: true}), cfg, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,10 +268,8 @@ func FuzzElection(f *testing.F) {
 		if second {
 			sched.CrashWindow(order[1], at1, at1+down1)
 		}
-		opt := DefaultOptions()
-		opt.Failover = DefaultFailover()
 		cfg := protocol.Config{Packets: 60, Interval: 10, Fault: sched}
-		s, err := protocol.NewSession(topo, New(opt), cfg, seed)
+		s, err := protocol.NewSession(topo, New(Options{Failover: true}), cfg, seed)
 		if err != nil {
 			t.Fatal(err)
 		}

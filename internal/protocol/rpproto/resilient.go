@@ -4,7 +4,7 @@
 // Under fault injection (internal/fault) both assumptions break, and plain
 // RP degrades two ways: a transiently lost request wastes a whole timeout
 // before advancing, and a crashed peer keeps absorbing first-choice requests
-// from every client whose list it tops. The Resilience options add, per the
+// from every client whose list it tops. Options.Resilient adds, per the
 // usual failure-detector playbook:
 //
 //   - a per-peer retry budget with exponential backoff and jitter, so a
@@ -30,44 +30,27 @@ import (
 	"rmcast/internal/protocol"
 )
 
-// Resilience configures the hardening layer. The zero value disables it,
-// leaving the paper-faithful engine untouched.
-type Resilience struct {
-	// Enabled turns the layer on (and renames the engine RP-RESILIENT).
-	Enabled bool
-	// PeerRetries is the number of extra attempts (beyond the first) a
+// The hardening layer's constants.
+const (
+	// peerRetries is the number of extra attempts (beyond the first) a
 	// peer gets before the requester advances past it.
-	PeerRetries int
-	// BackoffFactor multiplies the attempt timeout per retry
-	// (exponential backoff, exponent capped at 6). Values < 1 mean 1.
-	BackoffFactor float64
-	// JitterFrac adds U[0, JitterFrac)·t0 to every armed timeout,
+	peerRetries = 1
+	// backoffFactor multiplies the attempt timeout per retry (exponential
+	// backoff, exponent capped at maxBackoffExp).
+	backoffFactor = 2
+	maxBackoffExp = 6
+	// jitterFrac adds U[0, jitterFrac)·t0 to every armed timeout,
 	// decorrelating retry storms after a shared outage.
-	JitterFrac float64
-	// SuspicionThreshold is K: after K consecutive timeouts against a
-	// peer, the requester skips it for SuspicionCooldown ms. 0 disables
-	// suspicion.
-	SuspicionThreshold int
-	// SuspicionCooldown is the skip window, ms.
-	SuspicionCooldown float64
-	// DeclareDeadAfter evicts a peer from the roster (with incremental
+	jitterFrac = 0.1
+	// suspicionThreshold is K: after K consecutive timeouts against a
+	// peer, the requester skips it for suspicionCooldown ms.
+	suspicionThreshold = 2
+	suspicionCooldown  = 2000
+	// declareDeadAfter evicts a peer from the roster (with incremental
 	// replanning) after this many consecutive timeouts from a single
-	// observer. 0 disables eviction.
-	DeclareDeadAfter int
-}
-
-// DefaultResilience returns the configuration used by the chaos sweeps.
-func DefaultResilience() Resilience {
-	return Resilience{
-		Enabled:            true,
-		PeerRetries:        1,
-		BackoffFactor:      2,
-		JitterFrac:         0.1,
-		SuspicionThreshold: 2,
-		SuspicionCooldown:  2000,
-		DeclareDeadAfter:   4,
-	}
-}
+	// observer.
+	declareDeadAfter = 4
+)
 
 // obs is one client's view of one peer — suspicion is per observer, the
 // way a deployed failure detector would keep it, not group-global.
@@ -77,29 +60,17 @@ type obs struct {
 
 // attemptTimeout applies backoff and jitter to a base timeout.
 func (e *Engine) attemptTimeout(t0 float64, retry int) float64 {
-	res := e.opt.Resilience
-	if !res.Enabled {
+	if !e.opt.Resilient {
 		return t0
 	}
-	f := res.BackoffFactor
-	if f < 1 {
-		f = 1
-	}
-	n := retry
-	if n > 6 {
-		n = 6
-	}
-	to := t0 * math.Pow(f, float64(n))
-	if res.JitterFrac > 0 {
-		to += t0 * res.JitterFrac * e.s.Rand.Float64()
-	}
-	return to
+	to := t0 * math.Pow(backoffFactor, float64(min(retry, maxBackoffExp)))
+	return to + t0*jitterFrac*e.s.Rand.Float64()
 }
 
 // skipPeer reports whether a requester should currently pass over a peer:
 // evicted peers always, suspected peers until their cooldown expires.
 func (e *Engine) skipPeer(c, peer graph.NodeID) bool {
-	if !e.opt.Resilience.Enabled {
+	if !e.opt.Resilient {
 		return false
 	}
 	if e.dead[peer] {
@@ -112,17 +83,16 @@ func (e *Engine) skipPeer(c, peer graph.NodeID) bool {
 // noteTimeout records one consecutive timeout of peer as seen by c and
 // applies the suspicion/eviction thresholds.
 func (e *Engine) noteTimeout(c, peer graph.NodeID) {
-	res := e.opt.Resilience
-	if !res.Enabled || peer == e.s.Topo.Source {
+	if !e.opt.Resilient || peer == e.s.Topo.Source {
 		return
 	}
 	o := obs{c, peer}
 	e.suspectCount[o]++
 	n := e.suspectCount[o]
-	if res.SuspicionThreshold > 0 && n >= res.SuspicionThreshold {
-		e.skipUntil[o] = e.s.Eng.Now() + res.SuspicionCooldown
+	if n >= suspicionThreshold {
+		e.skipUntil[o] = e.s.Eng.Now() + suspicionCooldown
 	}
-	if res.DeclareDeadAfter > 0 && n >= res.DeclareDeadAfter {
+	if n >= declareDeadAfter {
 		e.declareDead(peer)
 	}
 }
@@ -130,7 +100,7 @@ func (e *Engine) noteTimeout(c, peer graph.NodeID) {
 // clearSuspicion resets c's failure-detector state for peer after any
 // explicit sign of life (a repair or a NAK from it).
 func (e *Engine) clearSuspicion(c, peer graph.NodeID) {
-	if !e.opt.Resilience.Enabled {
+	if !e.opt.Resilient {
 		return
 	}
 	o := obs{c, peer}
@@ -181,7 +151,7 @@ func (e *Engine) OnRecover(h graph.NodeID) {
 		r.Retry = 0
 		e.dispatchSend(h, r)
 	})
-	if e.opt.Failover.Enabled {
+	if e.opt.Failover {
 		e.foOnRecover(h)
 	}
 }

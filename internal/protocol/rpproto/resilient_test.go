@@ -39,7 +39,7 @@ func deepTailTopo(t *testing.T) (*topology.Network, graph.NodeID) {
 func firstPeerOf(t *testing.T, mk func(t *testing.T) (*topology.Network, graph.NodeID)) graph.NodeID {
 	t.Helper()
 	topo, c := mk(t)
-	e := New(DefaultOptions())
+	e := New(Options{})
 	if _, err := protocol.NewSession(topo, e, protocol.Config{Packets: 1, Interval: 10}, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +62,7 @@ func TestDeadPeerEvictedAndRecoveryContinues(t *testing.T) {
 	topo, tail := deepTailTopo(t)
 	topo.Loss[mtree.MustBuild(topo).ParentLink[tail]] = 1 // every data packet to tail lost
 
-	opt := DefaultOptions()
-	opt.Resilience = DefaultResilience()
-	opt.Resilience.JitterFrac = 0        // deterministic timeouts
-	opt.Resilience.SuspicionCooldown = 1 // keep probing so suspicion grows
-	e := New(opt)
+	e := New(Options{Resilient: true})
 	cfg := protocol.Config{Packets: 12, Interval: 10, Fault: (&fault.Schedule{}).CrashHost(0, victim)}
 	s, err := protocol.NewSession(topo, e, cfg, 5)
 	if err != nil {
@@ -105,14 +101,8 @@ func TestBaselineRPWedgesWhereResilientRecovers(t *testing.T) {
 	run := func(resilient bool) *protocol.Result {
 		topo, tail := deepTailTopo(t)
 		topo.Loss[mtree.MustBuild(topo).ParentLink[tail]] = 1
-		opt := DefaultOptions()
-		if resilient {
-			opt.Resilience = DefaultResilience()
-			opt.Resilience.JitterFrac = 0
-			opt.Resilience.SuspicionCooldown = 1
-		}
 		cfg := protocol.Config{Packets: 12, Interval: 10, Fault: (&fault.Schedule{}).CrashHost(0, victim)}
-		s, err := protocol.NewSession(topo, New(opt), cfg, 5)
+		s, err := protocol.NewSession(topo, New(Options{Resilient: resilient}), cfg, 5)
 		if err != nil {
 			t.Fatal(err)
 		}

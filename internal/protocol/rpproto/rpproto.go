@@ -1,14 +1,17 @@
 // Package rpproto implements the deployed form of the paper's contribution:
 // the RP recovery protocol (§2.2). Each client holds the prioritized peer
 // list computed by internal/core; on detecting a loss it unicasts a request
-// to the first peer, falls through the list on per-attempt timeouts, and
-// lands on the source as the guaranteed last resort ("If the packet may not
-// be recovered from v1 … vk, then u will recover it from S by default").
+// to the first peer, falls through the list on per-attempt timeouts of
+// core.DefaultTimeout, and lands on the source as the guaranteed last
+// resort ("If the packet may not be recovered from v1 … vk, then u will
+// recover it from S by default").
 //
-// Options expose the paper's variants: the restricted strategy graph that
-// forbids going to the source directly (§4), the source-subgroup multicast
-// repair of §2.2/[4], and an explicit-NAK extension that lets a peer reject
-// a request immediately instead of letting it time out.
+// The zero Options is the paper's engine. Each field switches on one
+// variant of the engine table: the restricted strategy graph that forbids
+// going to the source directly (§4), the source-subgroup multicast repair
+// of §2.2/[4], an explicit-NAK extension that lets a peer reject a request
+// immediately instead of letting it time out, the loss-aware planner, and
+// the two hardened deployments (resilient.go, failover.go).
 package rpproto
 
 import (
@@ -18,28 +21,14 @@ import (
 	"rmcast/internal/sim"
 )
 
-// Options configures the RP engine.
+// Options selects an RP variant. The zero value is the paper's engine.
 type Options struct {
-	// Timeout is the per-attempt timeout policy shared with planning;
-	// nil means core.ProportionalTimeout(3).
-	Timeout core.TimeoutPolicy
-	// AllowDirectSource mirrors the strategy-graph option (§4): when
-	// false the planner never puts the source first.
-	AllowDirectSource bool
+	// Restricted plans with the restricted strategy graph (§4): the
+	// planner never puts the source first (RP-NOSRC).
+	Restricted bool
 	// SubgroupRepair makes the source answer requests with a multicast to
 	// the requester's subgroup subtree instead of a unicast (§2.2 / [4]).
 	SubgroupRepair bool
-	// SubgroupDepth is the tree depth of subgroup roots (default 1: the
-	// requester's top-level subtree).
-	SubgroupDepth int32
-	// SubgroupSuppressFactor controls source-side request suppression
-	// when SubgroupRepair is on: a request for (seq, subgroup) arriving
-	// within factor·RTT(source, requester) of the previous subgroup
-	// multicast for the same pair is ignored — the in-flight repair will
-	// serve it. This is the load reduction of reference [4] ("the
-	// recovery load on S may be reduced by grouping clients", §2.2).
-	// Default 1; ≤ 0 disables suppression.
-	SubgroupSuppressFactor float64
 	// NakReplies makes peers that lack a requested packet reply with an
 	// explicit NAK so the requester advances without waiting for the
 	// timeout. An extension beyond the paper (it assumes the timeout
@@ -49,30 +38,27 @@ type Options struct {
 	// to the network's mean link loss) instead of the paper's reliable-
 	// network model — the extension discussed in internal/core/aware.go.
 	LossAware bool
-	// Resilience configures the crash/churn hardening layer (see
-	// resilient.go). The zero value keeps the paper-faithful engine.
-	Resilience Resilience
-	// Failover configures the coordinated-RP mode with epoch-fenced
-	// re-election (see failover.go). The zero value keeps the peer-list
-	// engine; when enabled it takes precedence over Resilience (the two
-	// harden different deployments and are not composed).
-	Failover Failover
-	// NoHoldFreshRequests disables request holding. By default a peer
-	// that receives a request for a packet it has not seen — but whose
-	// loss-free arrival time is still in the future — holds the request
-	// until that instant and answers if the packet shows up. Without
-	// holding, a peer farther from the source than the requester can
-	// never serve fresh packets (they are still in transit when the
-	// request lands), which silently disables deep-meet peers — a transit
-	// effect the paper's static model does not represent. Holding needs
-	// only peer-local knowledge (its own expected arrival time).
-	NoHoldFreshRequests bool
+	// Resilient turns on the crash/churn hardening layer (resilient.go)
+	// and renames the engine RP-RESILIENT.
+	Resilient bool
+	// Failover turns on the coordinated-RP mode with epoch-fenced
+	// re-election (failover.go) and renames the engine RP-FAILOVER. It
+	// takes precedence over Resilient: the two harden different
+	// deployments and are not composed.
+	Failover bool
 }
 
-// DefaultOptions returns the paper-faithful configuration.
-func DefaultOptions() Options {
-	return Options{AllowDirectSource: true, SubgroupDepth: 1, SubgroupSuppressFactor: 1}
-}
+// subgroupDepth is the tree depth of subgroup roots: a SubgroupRepair
+// multicast covers the requester's top-level subtree.
+const subgroupDepth int32 = 1
+
+// Source-side request suppression under SubgroupRepair: a request for
+// (seq, subgroup) arriving within subgroupSuppressFactor·RTT(source,
+// requester) of the previous subgroup multicast for the same pair is
+// ignored — the in-flight repair will serve it. This is the load reduction
+// of reference [4] ("the recovery load on S may be reduced by grouping
+// clients", §2.2).
+const subgroupSuppressFactor = 1
 
 // Engine is the RP protocol engine.
 type Engine struct {
@@ -94,15 +80,15 @@ type Engine struct {
 	served *protocol.DedupCache
 
 	// Resilience state (see resilient.go). roster is non-nil only when
-	// Resilience.Enabled; it then holds the live plans in place of
-	// strategies, so incremental replans are visible through Strategy.
+	// Resilient; it then holds the live plans in place of strategies, so
+	// incremental replans are visible through Strategy.
 	roster       *core.Roster
 	suspectCount map[obs]int
 	skipUntil    map[obs]float64
 	dead         map[graph.NodeID]bool
 
 	// Failover state (see failover.go). elect is non-nil only when
-	// Failover.Enabled; maxClaimed/claimant form the epoch registry (the
+	// Failover; maxClaimed/claimant form the epoch registry (the
 	// source-as-sequencer), the per-host maps each simulated host's view.
 	elect        *core.Electorate
 	initialRP    graph.NodeID
@@ -136,9 +122,6 @@ type nak struct{}
 
 // New returns an RP engine with the given options.
 func New(opt Options) *Engine {
-	if opt.SubgroupDepth <= 0 {
-		opt.SubgroupDepth = 1
-	}
 	return &Engine{
 		opt:           opt,
 		lastSubRepair: make(map[key]float64),
@@ -159,10 +142,10 @@ func New(opt Options) *Engine {
 
 // Name implements protocol.Engine.
 func (e *Engine) Name() string {
-	if e.opt.Failover.Enabled {
+	if e.opt.Failover {
 		return "RP-FAILOVER"
 	}
-	if e.opt.Resilience.Enabled {
+	if e.opt.Resilient {
 		return "RP-RESILIENT"
 	}
 	return "RP"
@@ -176,7 +159,7 @@ func (e *Engine) Name() string {
 // failover (election and the epoch registry are group-global run-time
 // state); both force a one-shard (serial) run.
 func (e *Engine) CloneForShard() protocol.Engine {
-	if e.opt.Resilience.Enabled || e.opt.Failover.Enabled {
+	if e.opt.Resilient || e.opt.Failover {
 		return nil
 	}
 	cl := New(e.opt)
@@ -190,7 +173,7 @@ func (e *Engine) CloneForShard() protocol.Engine {
 // epoch-1 view instead of planning.
 func (e *Engine) Attach(s *protocol.Session) {
 	e.s = s
-	if e.opt.Failover.Enabled {
+	if e.opt.Failover {
 		e.initFailover()
 		return
 	}
@@ -199,8 +182,7 @@ func (e *Engine) Attach(s *protocol.Session) {
 		return
 	}
 	p := core.NewPlanner(s.Tree, s.Routes)
-	p.Timeout = e.opt.Timeout
-	p.AllowDirectSource = e.opt.AllowDirectSource
+	p.AllowDirectSource = !e.opt.Restricted
 	if e.opt.LossAware {
 		var sum float64
 		for _, l := range s.Topo.Loss {
@@ -208,7 +190,7 @@ func (e *Engine) Attach(s *protocol.Session) {
 		}
 		p.LossProb = sum / float64(len(s.Topo.Loss))
 	}
-	if e.opt.Resilience.Enabled {
+	if e.opt.Resilient {
 		e.roster = core.NewRoster(p)
 		return
 	}
@@ -246,7 +228,7 @@ func (e *Engine) OnDetect(c graph.NodeID, seq int) {
 // dispatchSend routes a fresh or resumed attempt through the mode's send
 // path: coordinator-routed (failover) or peer-list walk.
 func (e *Engine) dispatchSend(c graph.NodeID, r *protocol.Recovery) {
-	if e.opt.Failover.Enabled {
+	if e.opt.Failover {
 		e.foSend(c, r)
 		return
 	}
@@ -269,7 +251,7 @@ func (e *Engine) send(c graph.NodeID, r *protocol.Recovery) {
 	switch {
 	case st == nil:
 		target = e.s.Topo.Source
-		t0 = e.timeoutPolicy().Timeout(e.s.Routes.RTT(c, e.s.Topo.Source))
+		t0 = core.DefaultTimeout.Timeout(e.s.Routes.RTT(c, e.s.Topo.Source))
 	default:
 		for r.Step < len(st.Peers) && e.skipPeer(c, st.Peers[r.Step].Peer) {
 			r.Step++
@@ -290,15 +272,6 @@ func (e *Engine) send(c graph.NodeID, r *protocol.Recovery) {
 	r.Timer = e.s.Eng.NewTimer(e.attemptTimeout(t0, r.Retry), func() { e.timeout(c, r) })
 }
 
-// timeoutPolicy mirrors the planner's default for clients that lost their
-// strategy to eviction.
-func (e *Engine) timeoutPolicy() core.TimeoutPolicy {
-	if e.opt.Timeout != nil {
-		return e.opt.Timeout
-	}
-	return core.ProportionalTimeout(3)
-}
-
 // timeout retries the current peer while its budget lasts, then advances to
 // the next attempt (the source attempt repeats forever, so recovery is
 // guaranteed to terminate while the client is up).
@@ -311,9 +284,8 @@ func (e *Engine) timeout(c graph.NodeID, r *protocol.Recovery) {
 		return
 	}
 	e.noteTimeout(c, r.Target)
-	res := e.opt.Resilience
 	atSource := r.Target == e.s.Topo.Source
-	if res.Enabled && (r.Retry < res.PeerRetries || atSource) {
+	if e.opt.Resilient && (r.Retry < peerRetries || atSource) {
 		r.Retry++ // retry the same target (backoff grows; capped)
 	} else {
 		r.Retry = 0
@@ -363,25 +335,25 @@ func (e *Engine) OnPacket(host graph.NodeID, pkt sim.Packet) {
 		case nak:
 			e.advance(host, pkt.Seq, pkt.From)
 		case foRequest:
-			if !e.opt.Failover.Enabled || !e.s.IsClient(pay.Requester) || pay.Epoch < 1 {
+			if !e.opt.Failover || !e.s.IsClient(pay.Requester) || pay.Epoch < 1 {
 				e.s.NoteMalformed()
 				return
 			}
 			e.foOnRequest(host, pkt.Seq, pay)
 		case foPromote:
-			if !e.opt.Failover.Enabled || pay.Epoch < 1 {
+			if !e.opt.Failover || pay.Epoch < 1 {
 				e.s.NoteMalformed()
 				return
 			}
 			e.foOnPromote(host, pay)
 		case foAnnounce:
-			if !e.opt.Failover.Enabled || pay.Epoch < 1 {
+			if !e.opt.Failover || pay.Epoch < 1 {
 				e.s.NoteMalformed()
 				return
 			}
 			e.foOnAnnounce(host, pay)
 		case foProbe:
-			if !e.opt.Failover.Enabled || !e.s.IsClient(pay.Requester) {
+			if !e.opt.Failover || !e.s.IsClient(pay.Requester) {
 				e.s.NoteMalformed()
 				return
 			}
@@ -394,7 +366,7 @@ func (e *Engine) OnPacket(host graph.NodeID, pkt sim.Packet) {
 			e.s.Close(host, r)
 		}
 		e.clearSuspicion(host, pkt.From)
-		if e.opt.Failover.Enabled {
+		if e.opt.Failover {
 			// A served recovery is proof the coordinator path works again.
 			e.rpTimeouts[host] = 0
 		}
@@ -405,13 +377,21 @@ func (e *Engine) OnPacket(host graph.NodeID, pkt sim.Packet) {
 // repeat of the same (requester, seq) within half the requester's own retry
 // timeout cannot be a retry — retries are spaced at least one full timeout
 // apart — so it is dropped as a message-plane duplicate.
+//
+// A peer that lacks the packet but whose loss-free arrival time is still in
+// the future holds the request until that instant and answers if the packet
+// shows up. Without holding, a peer farther from the source than the
+// requester could never serve fresh packets (they are still in transit when
+// the request lands), which would silently disable deep-meet peers — a
+// transit effect the paper's static model does not represent. Holding needs
+// only peer-local knowledge (its own expected arrival time).
 func (e *Engine) onRequest(host graph.NodeID, seq int, requester graph.NodeID) {
-	window := 0.5 * e.timeoutPolicy().Timeout(e.s.Routes.RTT(host, requester))
+	window := 0.5 * core.DefaultTimeout.Timeout(e.s.Routes.RTT(host, requester))
 	if e.served.Seen(host, requester, seq, e.s.Eng.Now(), window) {
 		return
 	}
 	if !e.s.Has(host, seq) {
-		if !e.opt.NoHoldFreshRequests && e.s.IsClient(host) {
+		if e.s.IsClient(host) {
 			// The packet may still be in transit to us: hold the request
 			// until our own expected arrival and re-decide.
 			if eta := e.s.ExpectedArrival(host, seq); eta > e.s.Eng.Now() {
@@ -427,11 +407,9 @@ func (e *Engine) onRequest(host graph.NodeID, seq int, requester graph.NodeID) {
 	if host == e.s.Topo.Source && e.opt.SubgroupRepair {
 		sub := e.subgroupRoot(requester)
 		sk := key{sub, seq}
-		if e.opt.SubgroupSuppressFactor > 0 {
-			window := e.opt.SubgroupSuppressFactor * e.s.Routes.RTT(host, requester)
-			if last, ok := e.lastSubRepair[sk]; ok && e.s.Eng.Now()-last < window {
-				return // an in-flight subgroup repair already covers this
-			}
+		window := subgroupSuppressFactor * e.s.Routes.RTT(host, requester)
+		if last, ok := e.lastSubRepair[sk]; ok && e.s.Eng.Now()-last < window {
+			return // an in-flight subgroup repair already covers this
 		}
 		e.lastSubRepair[sk] = e.s.Eng.Now()
 		e.s.Net.MulticastDescend(sub, sim.Packet{Kind: sim.Repair, Seq: seq, From: host})
@@ -459,15 +437,15 @@ func (e *Engine) declineRequest(host graph.NodeID, seq int, requester graph.Node
 	}
 }
 
-// subgroupRoot returns the requester's ancestor at SubgroupDepth (or the
+// subgroupRoot returns the requester's ancestor at subgroupDepth (or the
 // requester itself for very shallow clients).
 func (e *Engine) subgroupRoot(requester graph.NodeID) graph.NodeID {
 	t := e.s.Tree
 	depth := t.Depth[requester]
-	if depth <= e.opt.SubgroupDepth {
+	if depth <= subgroupDepth {
 		return requester
 	}
-	return t.Ancestor(requester, depth-e.opt.SubgroupDepth)
+	return t.Ancestor(requester, depth-subgroupDepth)
 }
 
 // PendingRecoveries reports the number of in-flight recoveries (testing).

@@ -10,6 +10,7 @@ import (
 	"rmcast/internal/protocol"
 	"rmcast/internal/rng"
 	"rmcast/internal/topology"
+	"rmcast/internal/trace"
 )
 
 // oneLossSession builds a session where exactly the given tree link drops
@@ -46,7 +47,7 @@ func TestRecoverFromFirstPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := New(DefaultOptions())
+	e := New(Options{})
 	s := oneLossSession(t, topo, tailLink, e)
 	res := s.Run()
 	if res.Stats.Losses != 1 || res.Stats.Recoveries != 1 || res.Stats.Unrecovered != 0 {
@@ -89,7 +90,7 @@ func TestTimeoutFallsThroughToSource(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := New(DefaultOptions())
+	e := New(Options{})
 	s := oneLossSession(t, topo, sharedLink, e)
 	res := s.Run()
 	if res.Stats.Losses != 2 || res.Stats.Recoveries != 2 {
@@ -133,14 +134,12 @@ func TestNakRepliesCutLatency(t *testing.T) {
 		return topo, shared
 	}
 	topo1, link1 := build()
-	plain := New(DefaultOptions())
+	plain := New(Options{})
 	s1 := oneLossSession(t, topo1, link1, plain)
 	r1 := s1.Run()
 
 	topo2, link2 := build()
-	opt := DefaultOptions()
-	opt.NakReplies = true
-	nak := New(opt)
+	nak := New(Options{NakReplies: true})
 	s2 := oneLossSession(t, topo2, link2, nak)
 	r2 := s2.Run()
 
@@ -170,9 +169,7 @@ func TestSubgroupRepairCoversSubtree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := DefaultOptions()
-		opt.SubgroupRepair = sub
-		e := New(opt)
+		e := New(Options{SubgroupRepair: sub})
 		s := oneLossSession(t, topo, shared, e)
 		return s.Run()
 	}
@@ -197,7 +194,7 @@ func TestRandomLossFullRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := New(DefaultOptions())
+		e := New(Options{})
 		s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 80, Interval: 30}, 13)
 		if err != nil {
 			t.Fatal(err)
@@ -223,9 +220,7 @@ func TestRestrictedStrategiesStillRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := DefaultOptions()
-	opt.AllowDirectSource = false
-	e := New(opt)
+	e := New(Options{Restricted: true})
 	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 40, Interval: 30}, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +242,7 @@ func TestLoneClientGoesToSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(DefaultOptions())
+	e := New(Options{})
 	s := oneLossSession(t, topo, link, e)
 	res := s.Run()
 	if res.Stats.Recoveries != 1 {
@@ -274,7 +269,7 @@ func TestRepairLossTriggersRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo.Loss[link] = 1
-	e := New(DefaultOptions())
+	e := New(Options{})
 	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 1, Interval: 10, LossyRecovery: true}, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -299,87 +294,89 @@ func TestRepairLossTriggersRetry(t *testing.T) {
 }
 
 func TestSubgroupSuppressionSkipsBurstRequests(t *testing.T) {
-	// Two clients under one subtree lose the same packet and both fall
-	// back to the source near-simultaneously: with suppression the source
-	// multicasts once; with the factor disabled it multicasts per request.
-	build := func(factor float64) *protocol.Result {
-		b := topology.NewBuilder()
-		src := b.Source()
-		r1, r2 := b.Router(), b.Router()
-		b.TreeLink(src, r1, 50)
-		shared := b.TreeLink(r1, r2, 1)
-		c1 := b.Client()
-		b.TreeLink(r2, c1, 1)
-		c2 := b.Client()
-		b.TreeLink(r2, c2, 1)
-		topo, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := DefaultOptions()
-		opt.SubgroupRepair = true
-		opt.SubgroupSuppressFactor = factor
-		e := New(opt)
-		s := oneLossSession(t, topo, shared, e)
-		return s.Run()
+	// Two clients under one subtree lose the same packet, time out on each
+	// other and fall back to the source at the same instant: the source
+	// multicasts once to the subgroup and suppresses the second request,
+	// which that one multicast already serves.
+	b := topology.NewBuilder()
+	src := b.Source()
+	r1, r2 := b.Router(), b.Router()
+	b.TreeLink(src, r1, 50)
+	shared := b.TreeLink(r1, r2, 1)
+	c1 := b.Client()
+	b.TreeLink(r2, c1, 1)
+	c2 := b.Client()
+	b.TreeLink(r2, c2, 1)
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	suppressed := build(1)
-	unsuppressed := build(0)
-	if suppressed.Stats.Unrecovered != 0 || unsuppressed.Stats.Unrecovered != 0 {
-		t.Fatal("incomplete recovery")
+	e := New(Options{SubgroupRepair: true})
+	s := oneLossSession(t, topo, shared, e)
+	res := s.Run()
+	if res.Stats.Recoveries+res.Stats.PreDetection != 2 || res.Stats.Unrecovered != 0 {
+		t.Fatalf("stats %+v", res.Stats)
 	}
-	if suppressed.Hops.Repair >= unsuppressed.Hops.Repair {
-		t.Fatalf("suppression did not reduce repair hops: %d vs %d",
-			suppressed.Hops.Repair, unsuppressed.Hops.Repair)
+	// Both clients asked each other, then the source.
+	asked := int64(2 * (s.Routes.Hops(c1, c2) + s.Routes.Hops(c1, src)))
+	if res.Hops.Request != asked {
+		t.Fatalf("request hops %d, want %d (both clients at the source)", res.Hops.Request, asked)
+	}
+	// The subgroup root is r1, so one multicast crosses every tree link
+	// once; a second one would double the count.
+	if links := int64(s.Tree.NumTreeEdges()); res.Hops.Repair != links {
+		t.Fatalf("repair hops %d, want %d (one subgroup multicast)", res.Hops.Repair, links)
+	}
+}
+
+// recoverLog records the trace's completed recoveries.
+type recoverLog []trace.Event
+
+func (l *recoverLog) Emit(ev trace.Event) {
+	if ev.Kind == trace.Recover {
+		*l = append(*l, ev)
 	}
 }
 
 func TestHoldFreshRequestsServesDeepPeer(t *testing.T) {
-	// The only peer sits much farther from the source than the requester,
-	// so for a fresh packet the peer's copy is still in transit when the
-	// request arrives. With holding (default) the peer answers as soon as
-	// its copy lands; without holding the requester burns the timeout and
-	// goes to the source.
-	build := func(noHold bool) (*protocol.Result, *Engine) {
-		b := topology.NewBuilder()
-		src := b.Source()
-		r1, r2 := b.Router(), b.Router()
-		b.TreeLink(src, r1, 30)
-		b.TreeLink(r1, r2, 1)
-		u := b.Client()
-		uLink := b.TreeLink(r2, u, 1)
-		// Peer behind a long private chain below r2.
-		prev := r2
-		for i := 0; i < 6; i++ {
-			rr := b.Router()
-			b.TreeLink(prev, rr, 2)
-			prev = rr
-		}
-		peer := b.Client()
-		b.TreeLink(prev, peer, 1)
-		topo, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := DefaultOptions()
-		opt.NoHoldFreshRequests = noHold
-		e := New(opt)
-		s := oneLossSession(t, topo, uLink, e)
-		res := s.Run()
-		// Sanity: the plan must actually use the deep peer first.
-		st := e.Strategy(u)
-		if len(st.Peers) == 0 || st.Peers[0].Peer != peer {
-			t.Skipf("planner did not pick the deep peer (strategy %v)", st)
-		}
-		return res, e
+	// The peer hangs below a long private chain, so the fresh packet
+	// reaches it 12 ms after the requester's loss; a direct off-tree link
+	// carries the request there first. The peer holds the request until
+	// its own copy lands and then answers. Without holding it would stay
+	// silent and the requester would time out on it and go to the source.
+	b := topology.NewBuilder()
+	src := b.Source()
+	r1, r2 := b.Router(), b.Router()
+	b.TreeLink(src, r1, 30)
+	b.TreeLink(r1, r2, 1)
+	u := b.Client()
+	uLink := b.TreeLink(r2, u, 1)
+	prev := r2
+	for i := 0; i < 6; i++ {
+		rr := b.Router()
+		b.TreeLink(prev, rr, 2)
+		prev = rr
 	}
-	held, _ := build(false)
-	unheld, _ := build(true)
-	if held.Stats.Recoveries != 1 || unheld.Stats.Recoveries != 1 {
-		t.Fatalf("recoveries %d/%d", held.Stats.Recoveries, unheld.Stats.Recoveries)
+	peer := b.Client()
+	b.TreeLink(prev, peer, 1)
+	b.Link(u, peer, 1)
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if held.AvgLatency() >= unheld.AvgLatency() {
-		t.Fatalf("holding did not help: %v vs %v", held.AvgLatency(), unheld.AvgLatency())
+	e := New(Options{})
+	s := oneLossSession(t, topo, uLink, e)
+	if st := e.Strategy(u); len(st.Peers) == 0 || st.Peers[0].Peer != peer {
+		t.Fatalf("planner did not rank the deep peer first (strategy %v)", st)
+	}
+	var log recoverLog
+	s.Trace = &log
+	res := s.Run()
+	if res.Stats.Recoveries != 1 || len(log) != 1 {
+		t.Fatalf("stats %+v, %d recover events", res.Stats, len(log))
+	}
+	if got := graph.NodeID(log[0].Peer); got != peer {
+		t.Fatalf("repair came from %d, want the held peer %d", got, peer)
 	}
 }
 
@@ -399,49 +396,11 @@ func TestSubgroupRepairShallowClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := DefaultOptions()
-	opt.SubgroupRepair = true
-	e := New(opt)
+	e := New(Options{SubgroupRepair: true})
 	s := oneLossSession(t, topo, link, e)
 	res := s.Run()
 	if res.Stats.Recoveries != 1 || res.Stats.Unrecovered != 0 {
 		t.Fatalf("stats %+v", res.Stats)
-	}
-}
-
-func TestSubgroupDepthTwo(t *testing.T) {
-	// SubgroupDepth 2 roots the repair multicast deeper: only the closer
-	// subtree is covered.
-	b := topology.NewBuilder()
-	src := b.Source()
-	r1, r2, r3 := b.Router(), b.Router(), b.Router()
-	b.TreeLink(src, r1, 5)
-	b.TreeLink(r1, r2, 1)
-	shared := b.TreeLink(r2, r3, 1)
-	c1 := b.Client()
-	b.TreeLink(r3, c1, 1)
-	c2 := b.Client()
-	b.TreeLink(r3, c2, 1)
-	// A third client under r1 but outside r2's subtree.
-	outside := b.Client()
-	b.TreeLink(r1, outside, 1)
-	topo, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := DefaultOptions()
-	opt.SubgroupRepair = true
-	opt.SubgroupDepth = 2
-	e := New(opt)
-	s := oneLossSession(t, topo, shared, e)
-	res := s.Run()
-	if res.Stats.Recoveries+res.Stats.PreDetection != 2 || res.Stats.Unrecovered != 0 {
-		t.Fatalf("stats %+v", res.Stats)
-	}
-	// The deeper subgroup root keeps the repair inside r2's subtree, so
-	// `outside` (which has the packet) must never see a duplicate.
-	if res.Stats.Duplicates != 0 {
-		t.Fatalf("repair leaked outside the subgroup: %d duplicates", res.Stats.Duplicates)
 	}
 }
 
@@ -451,7 +410,7 @@ func TestSubgroupDepthTwo(t *testing.T) {
 // the parent's plans instead of replanning.
 func TestStrategyIndexesAttachPlans(t *testing.T) {
 	topo := topology.MustGenerate(topology.DefaultConfig(40), rng.New(3))
-	e := New(DefaultOptions())
+	e := New(Options{})
 	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 1, Interval: 10}, 1)
 	if err != nil {
 		t.Fatal(err)

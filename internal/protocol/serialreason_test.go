@@ -42,7 +42,7 @@ func TestSerialReasonReported(t *testing.T) {
 	base := protocol.Config{Packets: 10, Interval: 20, SimWorkers: 4}
 
 	// An engine with no ShardCloner must fall back and name itself.
-	res := reasonRun(t, srm.New(srm.DefaultOptions()), base)
+	res := reasonRun(t, srm.New(srm.Options{}), base)
 	if res.Sharded {
 		t.Fatal("SRM claimed to have sharded")
 	}
@@ -51,7 +51,7 @@ func TestSerialReasonReported(t *testing.T) {
 	}
 
 	// An eligible run shards and carries no reason.
-	res = reasonRun(t, rpproto.New(rpproto.DefaultOptions()), base)
+	res = reasonRun(t, rpproto.New(rpproto.Options{}), base)
 	if !res.Sharded {
 		t.Fatalf("eligible RP run did not shard: %q", res.SerialReason)
 	}
@@ -62,7 +62,7 @@ func TestSerialReasonReported(t *testing.T) {
 	// A run that never requested sharding reports neither.
 	serial := base
 	serial.SimWorkers = 0
-	res = reasonRun(t, srm.New(srm.DefaultOptions()), serial)
+	res = reasonRun(t, srm.New(srm.Options{}), serial)
 	if res.Sharded || res.SerialReason != "" {
 		t.Fatalf("serial-by-default run got parallel bookkeeping: sharded=%v reason=%q",
 			res.Sharded, res.SerialReason)

@@ -13,20 +13,13 @@ import (
 	"rmcast/internal/sim"
 )
 
-// Options configures the engine.
-type Options struct {
-	// RetryFactor scales the retransmission timeout as a multiple of the
-	// client's RTT to the source.
-	RetryFactor float64
-}
-
-// DefaultOptions returns the standard configuration.
-func DefaultOptions() Options { return Options{RetryFactor: 3} }
+// retryFactor scales the retransmission timeout as a multiple of the
+// client's RTT to the source.
+const retryFactor = 3
 
 // Engine is the source-recovery engine.
 type Engine struct {
-	opt Options
-	s   *protocol.Session
+	s *protocol.Session
 	// served suppresses duplicated requests at the source: a repeat of
 	// (requester, seq) within half the requester's retry timeout is a
 	// message-plane duplicate, not a retry, and is dropped unanswered.
@@ -43,11 +36,8 @@ type request struct {
 }
 
 // New returns a source-recovery engine.
-func New(opt Options) *Engine {
-	if opt.RetryFactor <= 0 {
-		opt.RetryFactor = 3
-	}
-	return &Engine{opt: opt, served: protocol.NewDedupCache(dedupCacheSize)}
+func New() *Engine {
+	return &Engine{served: protocol.NewDedupCache(dedupCacheSize)}
 }
 
 // Name implements protocol.Engine.
@@ -58,7 +48,7 @@ func (e *Engine) Attach(s *protocol.Session) { e.s = s }
 
 // CloneForShard implements protocol.ShardCloner: the engine has no
 // precomputed plans, so a shard clone is simply a fresh engine.
-func (e *Engine) CloneForShard() protocol.Engine { return New(e.opt) }
+func (e *Engine) CloneForShard() protocol.Engine { return New() }
 
 // OnDetect implements protocol.Engine. Monotonic guard: a packet the client
 // already holds never (re-)opens a recovery, whatever duplicated or
@@ -82,7 +72,7 @@ func (e *Engine) ask(c graph.NodeID, r *protocol.Recovery) {
 	e.s.Net.Unicast(e.s.Topo.Source, sim.Packet{
 		Kind: sim.Request, Seq: r.Seq, From: c, Payload: request{Requester: c},
 	})
-	r.Timer = e.s.Eng.NewTimer(e.opt.RetryFactor*e.s.Routes.RTT(c, e.s.Topo.Source), func() {
+	r.Timer = e.s.Eng.NewTimer(retryFactor*e.s.Routes.RTT(c, e.s.Topo.Source), func() {
 		if !r.Closed() && !r.Parked {
 			e.retry(c, r)
 		}
@@ -112,9 +102,9 @@ func (e *Engine) OnPacket(host graph.NodeID, pkt sim.Packet) {
 			e.s.NoteMalformed()
 			return
 		}
-		// Retries are spaced RetryFactor·RTT apart, so a repeat inside half
+		// Retries are spaced retryFactor·RTT apart, so a repeat inside half
 		// that window is a duplicated packet and is dropped unanswered.
-		window := 0.5 * e.opt.RetryFactor * e.s.Routes.RTT(host, pay.Requester)
+		window := 0.5 * retryFactor * e.s.Routes.RTT(host, pay.Requester)
 		if e.served.Seen(host, pay.Requester, pkt.Seq, e.s.Eng.Now(), window) {
 			return
 		}

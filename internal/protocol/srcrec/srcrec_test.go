@@ -18,7 +18,7 @@ func TestSingleLossRecoveredFromSource(t *testing.T) {
 	tail := topo.Clients[0]
 	link := tree.ParentLink[tail]
 	topo.Loss[link] = 1
-	e := New(DefaultOptions())
+	e := New()
 	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 1, Interval: 10}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestRandomLossFullRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(DefaultOptions())
+	e := New()
 	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 60, Interval: 30}, 37)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestRetryAfterLostRepair(t *testing.T) {
 	c := topo.Clients[0]
 	link := tree.ParentLink[c]
 	topo.Loss[link] = 1
-	e := New(DefaultOptions())
+	e := New()
 	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 1, Interval: 10, LossyRecovery: true}, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,10 @@
 // repairs but add multiples of the one-way delay to every recovery, and the
 // global multicasts charge the entire tree — both effects are what Figures
 // 5–8 measure against RP.
+//
+// The zero Options is the SRM the figures run: the canonical timer
+// constants with the paper's idealised repair cost model. Honest and
+// Adaptive select the two ablation variants.
 package srm
 
 import (
@@ -24,44 +28,40 @@ import (
 	"rmcast/internal/sim"
 )
 
-// Options holds the SRM timer constants. The defaults (C1=C2=2, D1=D2=1)
-// are the canonical values from the SRM literature; the paper does not
-// override them.
+// Options selects an SRM variant. The zero value is the paper's SRM.
 type Options struct {
-	C1, C2 float64 // request timer window, in units of d(member, source)
-	D1, D2 float64 // repair timer window, in units of d(member, requester)
-	// MaxBackoff caps the exponential request backoff exponent.
-	MaxBackoff int
-	// IgnoreFactor is SRM's repair ignore-window: a member that saw a
-	// repair for seq within IgnoreFactor·d(member, requester) ignores
-	// NACKs for seq — they were sent before that repair could have
-	// reached their senders. Without it, every stale NACK from a slow
-	// loser re-triggers repair floods across all holders. ≤ 0 disables.
-	IgnoreFactor float64
-	// GlobalSuppression enables the paper's idealised SRM cost model:
-	// at most one repair flood per lost packet per network-diameter
-	// window ("the total bandwidth usage for SRM for recovering each
-	// packet is fixed", §5.2). Distributed SRM only approximates this —
-	// equidistant holders race their repair timers and duplicate — so
-	// disabling it yields the honest (chattier) protocol measured by the
-	// SRM-HONEST ablation.
-	GlobalSuppression bool
+	// Honest drops the paper's idealised SRM cost model — at most one
+	// repair flood per lost packet per network-diameter window ("the total
+	// bandwidth usage for SRM for recovering each packet is fixed", §5.2).
+	// Distributed SRM only approximates that model: equidistant holders
+	// race their repair timers and duplicate. Honest is that chattier
+	// protocol, measured by the SRM-HONEST ablation.
+	Honest bool
 	// Adaptive enables the adaptive timer adjustment of Floyd et al.:
 	// each member widens its request/repair windows when it observes
 	// duplicate NACKs/repairs for losses it participated in, and narrows
 	// them when rounds complete without duplication. The adaptation is
-	// per member and multiplicative, bounded to [1, MaxAdapt]× the base
+	// per member and multiplicative, bounded to [1, 8]× the base
 	// constants.
 	Adaptive bool
-	// MaxAdapt bounds the adaptive multiplier (default 8).
-	MaxAdapt float64
 }
 
-// DefaultOptions returns the canonical SRM constants.
-func DefaultOptions() Options {
-	return Options{C1: 2, C2: 2, D1: 1, D2: 1, MaxBackoff: 8, IgnoreFactor: 3,
-		GlobalSuppression: true, MaxAdapt: 8}
-}
+// The SRM timer constants. C1=C2=2 and D1=D2=1 are the canonical values
+// from the SRM literature; the paper does not override them.
+const (
+	c1, c2 = 2, 2 // request timer window, in units of d(member, source)
+	d1, d2 = 1, 1 // repair timer window, in units of d(member, requester)
+	// maxBackoff caps the exponential request backoff exponent.
+	maxBackoff = 8
+	// ignoreFactor is SRM's repair ignore-window: a member that saw a
+	// repair for seq within ignoreFactor·d(member, requester) ignores
+	// NACKs for seq — they were sent before that repair could have
+	// reached their senders. Without it, every stale NACK from a slow
+	// loser re-triggers repair floods across all holders.
+	ignoreFactor = 3
+	// maxAdapt bounds the adaptive multiplier.
+	maxAdapt = 8
+)
 
 // Engine is the SRM protocol engine.
 //
@@ -119,9 +119,6 @@ type nack struct {
 
 // New returns an SRM engine.
 func New(opt Options) *Engine {
-	if opt.MaxBackoff <= 0 {
-		opt.MaxBackoff = 8
-	}
 	return &Engine{
 		opt:      opt,
 		reqScale: make(map[graph.NodeID]float64),
@@ -193,7 +190,7 @@ func (e *Engine) scaleOf(m map[graph.NodeID]float64, host graph.NodeID) float64 
 }
 
 // adapt nudges a member's widening factor: duplicates observed → widen
-// (×1.5); a clean round → narrow (×0.95), bounded to [1, MaxAdapt].
+// (×1.5); a clean round → narrow (×0.95), bounded to [1, maxAdapt].
 func (e *Engine) adapt(m map[graph.NodeID]float64, host graph.NodeID, dups int) {
 	if !e.opt.Adaptive {
 		return
@@ -204,17 +201,7 @@ func (e *Engine) adapt(m map[graph.NodeID]float64, host graph.NodeID, dups int) 
 	} else {
 		s *= 0.95
 	}
-	maxA := e.opt.MaxAdapt
-	if maxA <= 1 {
-		maxA = 8
-	}
-	if s < 1 {
-		s = 1
-	}
-	if s > maxA {
-		s = maxA
-	}
-	m[host] = s
+	m[host] = min(max(s, 1), maxAdapt)
 }
 
 // armRequest draws the suppression timer U[C1·d, (C1+C2)·d]·2^backoff
@@ -229,7 +216,7 @@ func (e *Engine) armRequest(c graph.NodeID, seq int, rs *reqState) {
 		d = 1
 	}
 	scale := float64(int64(1)<<uint(rs.backoff)) * e.scaleOf(e.reqScale, c)
-	delay := (e.opt.C1 + e.opt.C2*e.s.Rand.Float64()) * d * scale
+	delay := (c1 + c2*e.s.Rand.Float64()) * d * scale
 	rs.timer = e.s.Eng.NewTimer(delay, func() { e.fireRequest(c, seq, rs) })
 }
 
@@ -248,7 +235,7 @@ func (e *Engine) fireRequest(c graph.NodeID, seq int, rs *reqState) {
 	e.s.Net.FloodTree(sim.Packet{
 		Kind: sim.Request, Seq: seq, From: c, Payload: nack{Requester: c},
 	})
-	if rs.backoff < e.opt.MaxBackoff {
+	if rs.backoff < maxBackoff {
 		rs.backoff++
 	}
 	e.armRequest(c, seq, rs)
@@ -302,7 +289,7 @@ func (e *Engine) onNACK(host graph.NodeID, seq int, requester graph.NodeID) {
 	if d0 <= 0 {
 		d0 = 1
 	}
-	if e.seen.Seen(host, requester, seq, e.s.Eng.Now(), 0.5*e.opt.C1*d0) {
+	if e.seen.Seen(host, requester, seq, e.s.Eng.Now(), 0.5*c1*d0) {
 		return
 	}
 	i := e.idx(host, seq)
@@ -318,19 +305,17 @@ func (e *Engine) onNACK(host graph.NodeID, seq int, requester graph.NodeID) {
 			d = 1
 		}
 		// Ignore window: a recent repair makes this NACK stale.
-		if e.opt.IgnoreFactor > 0 {
-			if at := e.lastRepair[i]; !math.IsNaN(at) && e.s.Eng.Now()-at < e.opt.IgnoreFactor*d {
-				return
-			}
+		if at := e.lastRepair[i]; !math.IsNaN(at) && e.s.Eng.Now()-at < ignoreFactor*d {
+			return
 		}
-		delay := (e.opt.D1 + e.opt.D2*e.s.Rand.Float64()) * d * e.scaleOf(e.repScale, host)
+		delay := (d1 + d2*e.s.Rand.Float64()) * d * e.scaleOf(e.repScale, host)
 		e.rep[i] = e.s.Eng.NewTimer(delay, func() { e.fireRepair(host, seq) })
 		return
 	}
 	// Request suppression: we miss it too and someone already asked —
 	// back off our own request and wait for the shared repair.
 	if rs := e.req[i]; rs != nil && rs.timer.Stop() {
-		if rs.backoff < e.opt.MaxBackoff {
+		if rs.backoff < maxBackoff {
 			rs.backoff++
 		}
 		e.armRequest(host, seq, rs)
@@ -353,7 +338,7 @@ func (e *Engine) fireRepair(host graph.NodeID, seq int) {
 		// claiming the global-suppression window with a phantom repair.
 		return
 	}
-	if e.opt.GlobalSuppression {
+	if !e.opt.Honest {
 		if at := e.lastFlood[seq]; !math.IsNaN(at) && e.s.Eng.Now()-at < e.diameter {
 			return // idealised model: one flood per packet per window
 		}

@@ -7,6 +7,7 @@ import (
 	"rmcast/internal/mtree"
 	"rmcast/internal/protocol"
 	"rmcast/internal/topology"
+	"rmcast/internal/trace"
 )
 
 func oneLossSession(t *testing.T, topo *topology.Network, lossLink graph.EdgeID, e protocol.Engine) *protocol.Session {
@@ -27,7 +28,7 @@ func TestSingleLossRecoveredByFlood(t *testing.T) {
 	}
 	tree := mtree.MustBuild(topo)
 	tail := topo.Clients[0]
-	e := New(DefaultOptions())
+	e := New(Options{})
 	s := oneLossSession(t, topo, tree.ParentLink[tail], e)
 	res := s.Run()
 	if res.Stats.Losses != 1 || res.Stats.Recoveries != 1 || res.Stats.Unrecovered != 0 {
@@ -66,7 +67,7 @@ func TestRepairFloodHealsAllLosers(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := mtree.MustBuild(topo)
-	e := New(DefaultOptions())
+	e := New(Options{})
 	s := oneLossSession(t, topo, shared, e)
 	res := s.Run()
 	healed := res.Stats.Recoveries + res.Stats.PreDetection
@@ -86,34 +87,37 @@ func TestRepairFloodHealsAllLosers(t *testing.T) {
 }
 
 func TestRepairSuppressionLimitsDuplicates(t *testing.T) {
-	// Many holders hear the NACK; suppression should keep repair floods
-	// below the holder count. In a symmetric star every holder is
-	// equidistant, so the timer window must exceed the inter-holder
-	// propagation delay for suppression to have room to act — hence the
-	// widened D2 (with the canonical D2=1 the window equals the
-	// propagation delay and SRM genuinely duplicates almost every
-	// repair, which is one of the paper's criticisms of it).
-	topo, err := topology.Star(8, 1)
+	// Honest SRM, so only the distributed repair timers suppress: three
+	// clients and the source hold the packet and hear the victim's NACK at
+	// one-way delays 2, 11, 21 and 31 ms, drawing repair timers from
+	// [d, 2d]. The nearest holder's repair flood reaches the others before
+	// their timers can fire, and they cancel.
+	b := topology.NewBuilder()
+	src := b.Source()
+	hub := b.Router()
+	b.TreeLink(src, hub, 30)
+	victim := b.Client()
+	victimLink := b.TreeLink(hub, victim, 1)
+	for _, d := range []float64{1, 10, 20} {
+		b.TreeLink(hub, b.Client(), d)
+	}
+	topo, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := mtree.MustBuild(topo)
-	victim := topo.Clients[0]
-	opt := DefaultOptions()
-	opt.D2 = 4
-	e := New(opt)
-	s := oneLossSession(t, topo, tree.ParentLink[victim], e)
+	e := New(Options{Honest: true})
+	s := oneLossSession(t, topo, victimLink, e)
+	var tr trace.Counter
+	s.Trace = &tr
 	res := s.Run()
-	if res.Stats.Recoveries != 1 {
+	if res.Stats.Recoveries != 1 || res.Stats.Unrecovered != 0 {
 		t.Fatalf("stats %+v", res.Stats)
 	}
-	edges := int64(tree.NumTreeEdges())
-	repairs := res.Hops.Repair / edges
-	if repairs >= 7 {
-		t.Fatalf("no repair suppression: ~%d repair floods", repairs)
+	if n := tr.Count(trace.SendRequest); n != 1 {
+		t.Fatalf("%d NACK floods, want 1", n)
 	}
-	if repairs < 1 {
-		t.Fatal("no repair at all?")
+	if n := tr.Count(trace.SendRepair); n != 1 {
+		t.Fatalf("%d repair floods from 4 holders, want 1", n)
 	}
 }
 
@@ -123,7 +127,7 @@ func TestRandomLossFullRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := New(DefaultOptions())
+		e := New(Options{})
 		s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 40, Interval: 60}, 19)
 		if err != nil {
 			t.Fatal(err)
@@ -149,7 +153,7 @@ func TestControlLossFullRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(DefaultOptions())
+	e := New(Options{})
 	cfg := protocol.Config{Packets: 50, Interval: 50, LossyRecovery: true}
 	s, err := protocol.NewSession(topo, e, cfg, 29)
 	if err != nil {
@@ -182,7 +186,7 @@ func TestLostRepairEventuallyRerequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo.Loss[link] = 1
-	e := New(DefaultOptions())
+	e := New(Options{})
 	s, err := protocol.NewSession(topo, e, protocol.Config{Packets: 1, Interval: 10, LossyRecovery: true}, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +210,7 @@ func TestDuplicateRepairsCounted(t *testing.T) {
 	}
 	tree := mtree.MustBuild(topo)
 	victim := topo.Clients[0]
-	e := New(DefaultOptions())
+	e := New(Options{})
 	s := oneLossSession(t, topo, tree.ParentLink[victim], e)
 	res := s.Run()
 	if res.Stats.Duplicates == 0 {
@@ -223,9 +227,7 @@ func TestAdaptiveTimersReduceDuplicateFloods(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := DefaultOptions()
-		opt.GlobalSuppression = false
-		opt.Adaptive = adaptive
+		opt := Options{Honest: true, Adaptive: adaptive}
 		s, err := protocol.NewSession(topo, New(opt), protocol.Config{Packets: 60, Interval: 50}, 53)
 		if err != nil {
 			t.Fatal(err)
@@ -244,16 +246,13 @@ func TestAdaptiveTimersReduceDuplicateFloods(t *testing.T) {
 }
 
 func TestAdaptiveScaleBounded(t *testing.T) {
-	opt := DefaultOptions()
-	opt.Adaptive = true
-	opt.MaxAdapt = 4
-	e := New(opt)
+	e := New(Options{Adaptive: true})
 	var host graph.NodeID = 3
 	for i := 0; i < 50; i++ {
 		e.adapt(e.repScale, host, 5) // duplicates every round
 	}
-	if s := e.scaleOf(e.repScale, host); s > 4 {
-		t.Fatalf("scale %v exceeds bound", s)
+	if s := e.scaleOf(e.repScale, host); s != maxAdapt {
+		t.Fatalf("scale %v, want the bound %v", s, maxAdapt)
 	}
 	for i := 0; i < 500; i++ {
 		e.adapt(e.repScale, host, 0) // clean rounds shrink it back
@@ -262,7 +261,7 @@ func TestAdaptiveScaleBounded(t *testing.T) {
 		t.Fatalf("scale %v did not return to 1", s)
 	}
 	// Non-adaptive engines always report 1.
-	plain := New(DefaultOptions())
+	plain := New(Options{})
 	plain.adapt(plain.repScale, host, 9)
 	if plain.scaleOf(plain.repScale, host) != 1 {
 		t.Fatal("non-adaptive engine scaled")
