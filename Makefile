@@ -128,8 +128,10 @@ FUZZ_TARGETS := \
 	./internal/experiment:FuzzRunPath \
 	./internal/protocol:FuzzDetectProgram \
 	./internal/protocol:FuzzRecoveries \
+	./internal/protocol:FuzzDedupCache \
 	./internal/protocol/coop:FuzzCoopDecode \
-	./internal/protocol/rpproto:FuzzElection
+	./internal/protocol/rpproto:FuzzElection \
+	./internal/sim:FuzzCalendar
 FUZZTIME_fuzz := 30s
 FUZZTIME_fuzz-short := 5s
 

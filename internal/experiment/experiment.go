@@ -8,6 +8,7 @@ package experiment
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"rmcast/internal/core"
 	"rmcast/internal/fault"
@@ -160,8 +161,44 @@ type RunSpec struct {
 	Mutation *fault.MutationConfig
 }
 
-// Run executes one simulation run.
+// validate rejects the RunSpec fields that protocol.Config does not see: a
+// non-finite or negative RouteNoise, and a NaN or infinite field of Chaos
+// or Churn.
+func (spec RunSpec) validate() error {
+	type field struct {
+		name string
+		v    float64
+	}
+	if !(spec.RouteNoise >= 0) || math.IsInf(spec.RouteNoise, 1) {
+		return fmt.Errorf("experiment: bad run spec: RouteNoise = %v", spec.RouteNoise)
+	}
+	var fields []field
+	if c := spec.Chaos; c != nil {
+		fields = append(fields, field{"Chaos.CrashRate", c.CrashRate},
+			field{"Chaos.PermanentFrac", c.PermanentFrac}, field{"Chaos.LinkDownRate", c.LinkDownRate},
+			field{"Chaos.BurstSeverity", c.BurstSeverity}, field{"Chaos.BaseLoss", c.BaseLoss},
+			field{"Chaos.Span", c.Span})
+	}
+	if c := spec.Churn; c != nil {
+		fields = append(fields, field{"Churn.Rate", c.Rate},
+			field{"Churn.BackgroundRate", c.BackgroundRate}, field{"Churn.DowntimeFrac", c.DowntimeFrac},
+			field{"Churn.PermanentFrac", c.PermanentFrac}, field{"Churn.Span", c.Span})
+	}
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("experiment: bad run spec: %s = %v", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+// Run executes one simulation run. A zero Packets or Interval means the
+// protocol default; any other value goes to protocol.Config, whose
+// validation rejects it if it is bad.
 func Run(spec RunSpec) (*protocol.Result, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
 	tcfg := topology.DefaultConfig(spec.Routers)
 	tcfg.LossProb = spec.Loss
 	tcfg.Tree = spec.Tree
@@ -174,10 +211,10 @@ func Run(spec RunSpec) (*protocol.Result, error) {
 		return nil, err
 	}
 	cfg := protocol.DefaultConfig()
-	if spec.Packets > 0 {
+	if spec.Packets != 0 {
 		cfg.Packets = spec.Packets
 	}
-	if spec.Interval > 0 {
+	if spec.Interval != 0 {
 		cfg.Interval = spec.Interval
 	}
 	if spec.Chaos != nil {

@@ -2,9 +2,11 @@ package experiment
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
+	"rmcast/internal/fault"
 	"rmcast/internal/protocol"
 	"rmcast/internal/topology"
 )
@@ -305,6 +307,64 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 	}
 	if _, err := Run(RunSpec{Routers: 30, Loss: 0.05, Protocol: "NOPE", Packets: 5, Interval: 10}); err == nil {
 		t.Fatal("unknown protocol accepted")
+	}
+}
+
+// TestRunRejectsBadFields gives each RunSpec field that a run reads a NaN,
+// infinite or negative value and wants an error back: not a panic, and not
+// a silent run with a default or a vacuous schedule.
+func TestRunRejectsBadFields(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	chaos := func(set func(*fault.ChaosParams)) func(*RunSpec) {
+		return func(s *RunSpec) {
+			c := fault.ChaosParams{CrashRate: 0.1, PermanentFrac: 0.3, LinkDownRate: 0.1,
+				BurstSeverity: 0.2, BaseLoss: 0.05, Span: 50}
+			set(&c)
+			s.Chaos = &c
+		}
+	}
+	churn := func(set func(*fault.ChurnParams)) func(*RunSpec) {
+		return func(s *RunSpec) {
+			c := fault.ChurnParams{Rate: 0.5, Span: 50}
+			set(&c)
+			s.Churn = &c
+		}
+	}
+	for _, row := range []struct {
+		name string
+		set  func(*RunSpec)
+	}{
+		{"Packets=-3", func(s *RunSpec) { s.Packets = -3 }},
+		{"Interval=NaN", func(s *RunSpec) { s.Interval = nan }},
+		{"Interval=-1", func(s *RunSpec) { s.Interval = -1 }},
+		{"RouteNoise=NaN", func(s *RunSpec) { s.LinkState, s.RouteNoise = true, nan }},
+		{"RouteNoise=-1", func(s *RunSpec) { s.LinkState, s.RouteNoise = true, -1 }},
+		{"RouteNoise=+Inf", func(s *RunSpec) { s.LinkState, s.RouteNoise = true, inf }},
+		{"Chaos.CrashRate=NaN", chaos(func(c *fault.ChaosParams) { c.CrashRate = nan })},
+		{"Chaos.PermanentFrac=NaN", chaos(func(c *fault.ChaosParams) { c.PermanentFrac = nan })},
+		{"Chaos.LinkDownRate=NaN", chaos(func(c *fault.ChaosParams) { c.LinkDownRate = nan })},
+		{"Chaos.BurstSeverity=+Inf", chaos(func(c *fault.ChaosParams) { c.BurstSeverity = inf })},
+		{"Chaos.BaseLoss=NaN", chaos(func(c *fault.ChaosParams) { c.BaseLoss = nan })},
+		{"Chaos.Span=-Inf", chaos(func(c *fault.ChaosParams) { c.Span = -inf })},
+		{"Churn.Rate=NaN", churn(func(c *fault.ChurnParams) { c.Rate = nan })},
+		{"Churn.BackgroundRate=+Inf", churn(func(c *fault.ChurnParams) { c.BackgroundRate = inf })},
+		{"Churn.DowntimeFrac=NaN", churn(func(c *fault.ChurnParams) { c.DowntimeFrac = nan })},
+		{"Churn.PermanentFrac=NaN", churn(func(c *fault.ChurnParams) { c.PermanentFrac = nan })},
+		{"Churn.Span=-Inf", churn(func(c *fault.ChurnParams) { c.Span = -inf })},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			spec := RunSpec{Routers: 40, Loss: 0.05, Protocol: "RP", Packets: 5, Interval: 10,
+				TopoSeed: 1, SimSeed: 2, FaultSeed: 3}
+			row.set(&spec)
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			if _, err := Run(spec); err == nil {
+				t.Fatal("accepted")
+			}
+		})
 	}
 }
 

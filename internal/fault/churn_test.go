@@ -9,40 +9,24 @@ import (
 	"rmcast/internal/rng"
 )
 
+// TestValidateRoles: a schedule that crashes the source is rejected and
+// names the role; a crash of any other host, and a nil schedule, pass.
 func TestValidateRoles(t *testing.T) {
-	src, rp := graph.NodeID(0), graph.NodeID(5)
+	src := graph.NodeID(0)
 	srcCrash := (&Schedule{}).CrashHost(100, src)
-	rpCrash := (&Schedule{}).CrashWindow(rp, 100, 200)
-	bystander := (&Schedule{}).CrashHost(100, 9)
-
-	// Source crashes are rejected unconditionally — even with failover.
-	for _, fo := range []bool{false, true} {
-		err := srcCrash.ValidateRoles(src, rp, fo)
-		if err == nil {
-			t.Fatalf("source crash accepted (failover=%v)", fo)
-		}
-		if !strings.Contains(err.Error(), "source") {
-			t.Fatalf("source-crash error does not name the role: %v", err)
-		}
+	err := srcCrash.ValidateRoles(src)
+	if err == nil {
+		t.Fatal("source crash accepted")
 	}
-	// RP crashes: rejected without failover capability, accepted with.
-	if err := rpCrash.ValidateRoles(src, rp, false); err == nil {
-		t.Fatal("RP crash accepted without failover capability")
-	} else if !strings.Contains(err.Error(), "failover") {
-		t.Fatalf("RP-crash error does not point at failover: %v", err)
+	if !strings.Contains(err.Error(), "source") {
+		t.Fatalf("source-crash error does not name the role: %v", err)
 	}
-	if err := rpCrash.ValidateRoles(src, rp, true); err != nil {
-		t.Fatalf("RP crash rejected despite failover capability: %v", err)
-	}
-	// Non-role hosts are always fine; unknown RP (graph.None) never matches.
-	if err := bystander.ValidateRoles(src, rp, false); err != nil {
+	bystander := (&Schedule{}).CrashWindow(5, 100, 200).CrashHost(150, 9)
+	if err := bystander.ValidateRoles(src); err != nil {
 		t.Fatalf("bystander crash rejected: %v", err)
 	}
-	if err := rpCrash.ValidateRoles(src, graph.None, false); err != nil {
-		t.Fatalf("schedule rejected with no RP designated: %v", err)
-	}
 	var nilSched *Schedule
-	if err := nilSched.ValidateRoles(src, rp, false); err != nil {
+	if err := nilSched.ValidateRoles(src); err != nil {
 		t.Fatalf("nil schedule rejected: %v", err)
 	}
 }

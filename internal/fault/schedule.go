@@ -234,20 +234,13 @@ func (s *Schedule) CrashesHost(h graph.NodeID) bool {
 	return false
 }
 
-// ValidateRoles layers role-aware checks on top of Validate, with the two
-// protected roles kept distinct:
-//
-//   - the SOURCE may never crash, whatever the engine: the liveness
-//     invariant (every gap at a live client is eventually filled) is
-//     conditioned on the source staying up, exactly as the paper's
-//     source-as-last-resort argument requires;
-//   - the RP/meet-router may crash only when the engine carries the
-//     failover capability (rpproto's epoch-fenced re-election) — without
-//     it, killing the coordinator makes every result vacuous, so the
-//     schedule is rejected with instructions instead.
-//
-// rp is graph.None for engines with no coordinator role.
-func (s *Schedule) ValidateRoles(source, rp graph.NodeID, rpFailover bool) error {
+// ValidateRoles layers the role-aware check on top of Validate: the SOURCE
+// may never crash, whatever the engine. The liveness invariant (every gap at
+// a live client is eventually filled) is conditioned on the source staying
+// up, exactly as the paper's source-as-last-resort argument requires. Every
+// engine with a coordinator role (rpproto's RP-FAILOVER) re-elects a
+// replacement, so a coordinator crash needs no check.
+func (s *Schedule) ValidateRoles(source graph.NodeID) error {
 	if s == nil {
 		return nil
 	}
@@ -257,9 +250,6 @@ func (s *Schedule) ValidateRoles(source, rp graph.NodeID, rpFailover bool) error
 		}
 		if e.Node == source {
 			return fmt.Errorf("fault: event %d crashes the source (host %d); source crashes are always rejected — liveness is conditioned on the source staying up", i, e.Node)
-		}
-		if rp != graph.None && e.Node == rp && !rpFailover {
-			return fmt.Errorf("fault: event %d crashes the RP (host %d) but the engine has no failover capability; enable rpproto failover (RP-FAILOVER) or keep the coordinator out of the schedule", i, e.Node)
 		}
 	}
 	return nil

@@ -71,6 +71,68 @@ func TestDedupCacheMinCapacity(t *testing.T) {
 	}
 }
 
+// refDedup is the map-and-ring reference model of DedupCache: the same
+// FIFO slot ring, indexed by a Go map.
+type refDedup struct {
+	keys []dedupKey
+	at   map[dedupKey]float64
+	head int
+}
+
+func newRefDedup(capacity int) *refDedup {
+	return &refDedup{keys: make([]dedupKey, 0, capacity), at: map[dedupKey]float64{}}
+}
+
+func (r *refDedup) seen(k dedupKey, now, window float64) bool {
+	if at, ok := r.at[k]; ok {
+		if now-at < window {
+			return true
+		}
+		r.at[k] = now
+		return false
+	}
+	if len(r.keys) < cap(r.keys) {
+		r.keys = append(r.keys, k)
+	} else {
+		delete(r.at, r.keys[r.head])
+		r.keys[r.head] = k
+	}
+	r.at[k] = now
+	r.head = (r.head + 1) % cap(r.keys)
+	return false
+}
+
+// FuzzDedupCache drives a cache and the reference model with byte-decoded
+// Seen calls over a small key space, so that probe collisions, wraps and
+// evictions out of the middle of a probe cluster all happen, and compares
+// every answer and Len.
+func FuzzDedupCache(f *testing.F) {
+	f.Add(uint8(3), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0, 1, 2})
+	f.Add(uint8(0), []byte{7, 7, 7, 200, 7})
+	f.Add(uint8(15), []byte("a duplicate stream, then a retry, then eviction"))
+	f.Fuzz(func(t *testing.T, capByte uint8, ops []byte) {
+		capacity := int(capByte%16) + 1
+		d, ref := NewDedupCache(capacity), newRefDedup(capacity)
+		now := 0.0
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, arg := ops[i], ops[i+1]
+			// Keys: 4 hosts × 2 peers × 4 seqs, some negative (corrupted).
+			k := dedupKey{host: graph.NodeID(op & 3), peer: graph.NodeID(op >> 2 & 1),
+				seq: int(op>>3&3) - 1}
+			now += float64(arg & 15)
+			window := float64(arg >> 4)
+			got, want := d.Seen(k.host, k.peer, k.seq, now, window), ref.seen(k, now, window)
+			if got != want {
+				t.Fatalf("op %d: Seen(%v, now %v, window %v) = %v, reference says %v",
+					i/2, k, now, window, got, want)
+			}
+			if d.Len() != len(ref.at) {
+				t.Fatalf("op %d: Len %d, reference holds %d", i/2, d.Len(), len(ref.at))
+			}
+		}
+	})
+}
+
 // BenchmarkDedupCache measures the per-packet cost the hardening layer adds
 // to every control delivery: one Seen call on a warm, full cache. The bench
 // target in ISSUE terms: the adversarial hardening must stay under 5% of a

@@ -41,7 +41,6 @@ import (
 	"math"
 	"runtime/debug"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -184,8 +183,8 @@ func (s *Session) Run() *Result {
 		}
 		horizon, budget := t0+delta, maxEvents-total
 		// Ingest: each shard collects its own arrivals from every outbox in
-		// shard order, time-sorted (stably, so equal instants keep a
-		// deterministic order), and schedules them locally.
+		// shard order and schedules them locally as one batch, which fires
+		// them in time order, equal instants in collection order.
 		eachShard(workers, len(shards), func(i int) {
 			buf := ingest[i][:0]
 			for _, src := range shards {
@@ -195,10 +194,7 @@ func (s *Session) Run() *Result {
 					}
 				}
 			}
-			sort.SliceStable(buf, func(a, b int) bool { return buf[a].At < buf[b].At })
-			for _, rd := range buf {
-				shards[i].Net.InjectRemote(rd.At, rd.Node, rd.Pkt)
-			}
+			shards[i].Net.InjectRemote(buf)
 			ingest[i] = buf
 		})
 		// Window: each shard clears its (fully ingested) outbox and drains

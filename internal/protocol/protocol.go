@@ -57,18 +57,6 @@ type Engine interface {
 	OnPacket(host graph.NodeID, pkt sim.Packet)
 }
 
-// Coordinator is optionally implemented by engines that route recovery
-// through a designated coordinator host (an RP/meet-router). The session
-// uses it after Attach to validate fault schedules role-aware: crashing the
-// coordinator is only admissible when the engine can fail over
-// (fault.Schedule.ValidateRoles).
-type Coordinator interface {
-	// CoordinatorInfo returns the initially-designated coordinator
-	// (graph.None when the group is empty) and whether the engine can
-	// re-elect a replacement when it crashes.
-	CoordinatorInfo() (rp graph.NodeID, failover bool)
-}
-
 // FaultAware is optionally implemented by engines that react to host
 // crash/recover transitions of an installed fault schedule (Config.Fault):
 // parking a crashed client's retry timers so a permanent crash cannot wedge
@@ -559,10 +547,9 @@ func NewSessionPrebuilt(topo *topology.Network, tree *mtree.Tree, engine Engine,
 		if err := cfg.Fault.Validate(topo.NumNodes(), len(topo.Loss)); err != nil {
 			return nil, err
 		}
-		// Role-aware validation, pass 1: the source may never crash (the
-		// liveness invariant is conditioned on it staying up). The engine's
-		// coordinator role, if any, is only known after Attach — pass 2 below.
-		if err := cfg.Fault.ValidateRoles(topo.Source, graph.None, false); err != nil {
+		// Role-aware validation: the source may never crash (the liveness
+		// invariant is conditioned on it staying up).
+		if err := cfg.Fault.ValidateRoles(topo.Source); err != nil {
 			return nil, fmt.Errorf("protocol: %w", err)
 		}
 		net.InstallFault(fault.NewState(cfg.Fault, root.Split()))
@@ -598,17 +585,6 @@ func NewSessionPrebuilt(topo *topology.Network, tree *mtree.Tree, engine Engine,
 		s.rows[i] = newClientRow(cfg.Packets)
 	}
 	s.attach()
-	if !cfg.Fault.Empty() {
-		// Role-aware validation, pass 2: with the engine attached its
-		// coordinator role is known — a schedule that crashes the RP is only
-		// admissible when the engine can fail over.
-		if co, ok := engine.(Coordinator); ok {
-			rp, failover := co.CoordinatorInfo()
-			if err := cfg.Fault.ValidateRoles(topo.Source, rp, failover); err != nil {
-				return nil, fmt.Errorf("protocol: %w", err)
-			}
-		}
-	}
 	return s, nil
 }
 

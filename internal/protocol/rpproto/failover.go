@@ -113,15 +113,6 @@ func (e *Engine) initFailover() {
 	}
 }
 
-// CoordinatorInfo implements protocol.Coordinator: in failover mode, the
-// designated RP, whose crash the engine survives by re-election.
-func (e *Engine) CoordinatorInfo() (graph.NodeID, bool) {
-	if !e.opt.Failover {
-		return graph.None, false
-	}
-	return e.initialRP, true
-}
-
 // CurrentRP returns a host's current coordinator view (testing).
 func (e *Engine) CurrentRP(c graph.NodeID) graph.NodeID { return e.rpView[c] }
 

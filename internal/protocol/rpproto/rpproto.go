@@ -460,5 +460,4 @@ var (
 	_ protocol.Engine       = (*Engine)(nil)
 	_ protocol.FaultAware   = (*Engine)(nil)
 	_ protocol.DedupAudited = (*Engine)(nil)
-	_ protocol.Coordinator  = (*Engine)(nil)
 )

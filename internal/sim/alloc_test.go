@@ -171,6 +171,99 @@ func TestAllocsSubtreeMulticasts(t *testing.T) {
 	}
 }
 
+// TestAllocsFloods budgets the precomputed floods, FloodTree from a client
+// and MulticastFromSource, at zero allocations once warm: each send's
+// deliveries ride in one pooled batch.
+func TestAllocsFloods(t *testing.T) {
+	topo, err := topology.Binary(3, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("FloodTree", func(t *testing.T) {
+		n, deliveries := allocNet(t, topo, false)
+		checkSendAllocs(t, n, deliveries, 0, func() {
+			n.FloodTree(Packet{Kind: Request, Seq: 1, From: topo.Clients[0]})
+		})
+	})
+	t.Run("MulticastFromSource", func(t *testing.T) {
+		n, deliveries := allocNet(t, topo, false)
+		checkSendAllocs(t, n, deliveries, 0, func() {
+			n.MulticastFromSource(Packet{Kind: Data, Seq: 1, From: topo.Source})
+		})
+	})
+}
+
+// TestAllocsTimerStopChurn budgets arm-and-stop cycles that purge the
+// calendar at zero allocations once warm: purged keys and freed slots
+// recycle through the side heap and the slot free list.
+func TestAllocsTimerStopChurn(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	timers := make([]Timer, 64)
+	purged := false
+	cycle := func() {
+		for i := range timers {
+			timers[i] = e.NewTimer(float64(i%5), fn)
+		}
+		for _, tm := range timers[:60] {
+			tm.Stop()
+		}
+		purged = purged || len(e.stale) > 0
+		e.Run(0)
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("arm-and-stop cycle allocates %v, want 0", avg)
+	}
+	if !purged {
+		t.Fatal("no cycle purged — the measurement exercised nothing")
+	}
+}
+
+// TestAllocsLargeBatches budgets overlapping batches beyond batchKeep
+// entries, the shape of a data flood to a large group, at zero allocations
+// once warm: their entry arrays come back as spares. The first cycle also
+// checks that every entry fires once, in (at, seq) order.
+func TestAllocsLargeBatches(t *testing.T) {
+	const size, overlap = 3 * batchKeep, 3
+	e := NewEngine()
+	n := &Net{Eng: e, hosts: make([]bool, size)}
+	for i := range n.hosts {
+		n.hosts[i] = true
+	}
+	var fired []float64
+	n.Deliver = func(graph.NodeID, Packet) { fired = append(fired, e.Now()) }
+	r := rng.New(3)
+	at := make([]float64, size)
+	for i := range at {
+		at[i] = float64(r.Intn(64))
+	}
+	cycle := func() {
+		fired = fired[:0]
+		for k := 0; k < overlap; k++ {
+			b := e.newBatch(n, true)
+			pk := b.addPkt(Packet{Kind: Data, Seq: k})
+			for i, d := range at {
+				e.addArrival(b, e.Now()+d+float64(k), graph.NodeID(i), pk)
+			}
+			e.scheduleBatch(b)
+		}
+		e.Run(0)
+	}
+	cycle()
+	if len(fired) != size*overlap {
+		t.Fatalf("%d deliveries, want %d", len(fired), size*overlap)
+	}
+	for i := 1; i < len(fired); i++ {
+		if fired[i] < fired[i-1] {
+			t.Fatalf("delivery %d at %v after one at %v", i, fired[i], fired[i-1])
+		}
+	}
+	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
+		t.Fatalf("a cycle of %d overlapping %d-entry batches allocates %v, want 0", overlap, size, avg)
+	}
+}
+
 // BenchmarkEngineScheduleStep measures the raw calendar hot loop.
 func BenchmarkEngineScheduleStep(b *testing.B) {
 	e := NewEngine()

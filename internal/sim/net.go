@@ -147,7 +147,7 @@ type Net struct {
 	// path and floodStack are reused scratch: path holds the hops of the
 	// send in progress (see walk), floodStack the pending nodes of a
 	// precomputed-path flood (floodFrom, subtreeFlood). Safe to share: a
-	// precomputed walk only schedules deliveries, so no receiver — and no
+	// precomputed walk only fills a delivery batch, so no receiver — and no
 	// nested send — runs inside it, and a queued walk copies its hops into
 	// its walker before any receiver runs.
 	path       []hop
@@ -290,47 +290,36 @@ func (n *Net) senderDown(pkt Packet) bool {
 	return n.Fault != nil && !n.Fault.HostUpAt(pkt.From, n.Eng.Now())
 }
 
-// deliver schedules the receiver upcall for node at absolute time at.
-// Deliveries to hosts crashed at the arrival instant vanish silently.
-// Control-plane deliveries pass through the message mutator when one is
-// installed and active for their class.
-func (n *Net) deliver(node graph.NodeID, at float64, pkt Packet) {
-	if n.mut != nil && pkt.Kind != Data && n.mut.Active(classOf(pkt)) {
-		n.deliverMutated(node, at, pkt)
+// deliver queues the receiver upcall of b.pkts[pk] at node, at absolute
+// time at, into b. Deliveries to hosts crashed at the arrival instant vanish
+// silently. Control-plane deliveries pass through the message mutator when
+// one is installed and active for their class.
+func (n *Net) deliver(b *batch, node graph.NodeID, at float64, pk int32) {
+	if n.mut != nil && b.pkts[pk].Kind != Data && n.mut.Active(classOf(b.pkts[pk])) {
+		n.deliverMutated(b, node, at, pk)
 		return
 	}
-	n.deliverAt(node, at, pkt)
+	n.deliverAt(b, node, at, pk)
 }
 
-// deliverAt is the mutation-free delivery: crash check, then scheduleDeliver.
-// In sharded mode a delivery to a node another shard owns goes to the
-// outbox instead — the arrival time is final here, and the crash check
-// against the shared fault state gives the same verdict the owner would
-// compute.
-func (n *Net) deliverAt(node graph.NodeID, at float64, pkt Packet) {
+// deliverAt is the mutation-free delivery: the crash check, then an entry
+// of b if node takes deliveries. In sharded mode a delivery to a node
+// another shard owns goes to the outbox instead — the arrival time is final
+// here, and the crash check against the shared fault state gives the same
+// verdict the owner would compute.
+func (n *Net) deliverAt(b *batch, node graph.NodeID, at float64, pk int32) {
 	if n.Fault != nil && !n.Fault.HostUpAt(node, at) {
 		return
 	}
 	if n.shardOf != nil {
 		if dst := n.shardOf[node]; dst != n.shardID {
-			n.outbox = append(n.outbox, RemoteDelivery{At: at, Node: node, Dst: dst, Pkt: pkt})
+			n.outbox = append(n.outbox, RemoteDelivery{At: at, Node: node, Dst: dst, Pkt: b.pkts[pk]})
 			return
 		}
 	}
-	n.scheduleDeliver(at, node, pkt)
-}
-
-// scheduleDeliver schedules a pooled wDeliver walker (no per-delivery
-// closure) that hands pkt to the receiver at time at, if node takes
-// deliveries. Local deliveries and those ingested from other shards
-// (InjectRemote) both land here.
-func (n *Net) scheduleDeliver(at float64, node graph.NodeID, pkt Packet) {
-	if !n.receives(node) {
-		return
+	if n.receives(node) {
+		n.Eng.addArrival(b, at, node, pk)
 	}
-	w := n.Eng.getWalker()
-	w.op, w.n, w.pkt, w.node = wDeliver, n, pkt, node
-	n.Eng.scheduleWalker(at, w)
 }
 
 // receives reports whether node takes deliveries: it is a host, and the
@@ -342,14 +331,14 @@ func (n *Net) receives(node graph.NodeID) bool {
 // deliverMutated samples one delivery's adversarial fate: the original copy
 // (possibly delayed and corrupted) plus any duplicate copies, each intact
 // and independently delayed. Every copy still respects the crash model at
-// its own arrival instant.
-func (n *Net) deliverMutated(node graph.NodeID, at float64, pkt Packet) {
+// its own arrival instant. A corrupted copy joins b's packet table.
+func (n *Net) deliverMutated(b *batch, node graph.NodeID, at float64, pk int32) {
+	pkt := b.pkts[pk]
 	var mu fault.Mutation
 	if !n.mut.Sample(classOf(pkt), at, &mu) {
-		n.deliverAt(node, at, pkt)
+		n.deliverAt(b, node, at, pk)
 		return
 	}
-	orig := pkt
 	switch mu.Corrupt {
 	case fault.CorruptSeq:
 		pkt.Seq = -1 - pkt.Seq
@@ -364,9 +353,13 @@ func (n *Net) deliverMutated(node graph.NodeID, at float64, pkt Packet) {
 	case fault.CorruptSymbolTrunc:
 		pkt.Payload = Garbage{}
 	}
-	n.deliverAt(node, at+mu.Delay, pkt)
+	first := pk
+	if mu.Corrupt != fault.CorruptNone {
+		first = b.addPkt(pkt)
+	}
+	n.deliverAt(b, node, at+mu.Delay, first)
 	for _, d := range mu.Copies {
-		n.deliverAt(node, at+d, orig)
+		n.deliverAt(b, node, at+d, pk)
 	}
 }
 
@@ -386,10 +379,12 @@ func classOf(pkt Packet) fault.MsgClass {
 // upcall hands pkt to the receiver immediately (queued-model arrivals), if
 // node takes deliveries and is not crashed at the current time. A mutated
 // control delivery is rescheduled through deliverMutated instead — its
-// copies need their own arrival events.
+// copies need their own arrival events, which ride in one batch.
 func (n *Net) upcall(node graph.NodeID, pkt Packet) {
 	if n.mut != nil && pkt.Kind != Data && n.mut.Active(classOf(pkt)) {
-		n.deliverMutated(node, n.Eng.Now(), pkt)
+		b := n.Eng.newBatch(n, false)
+		n.deliverMutated(b, node, n.Eng.Now(), b.addPkt(pkt))
+		n.Eng.scheduleBatch(b)
 		return
 	}
 	if n.Fault != nil && !n.Fault.HostUpAt(node, n.Eng.Now()) {
@@ -468,7 +463,9 @@ func (n *Net) Unicast(dest graph.NodeID, pkt Packet) (delivered bool, delay floa
 	}
 	n.noteSend(pkt)
 	if pkt.From == dest {
-		n.deliver(dest, n.Eng.Now(), pkt)
+		b := n.Eng.newBatch(n, false)
+		n.deliver(b, dest, n.Eng.Now(), b.addPkt(pkt))
+		n.Eng.scheduleBatch(b)
 		return true, 0
 	}
 	hops := n.path[:0]
@@ -528,12 +525,12 @@ func (n *Net) MulticastDescend(sub graph.NodeID, pkt Packet) {
 
 // walk carries pkt from pkt.From across hops: the one path walk behind
 // Unicast, MulticastSubtree and MulticastDescend. The precomputed model
-// crosses every hop now; the queue model takes one hop per event
-// (pathStep). At the end a unicast (flood false) hands its destination to
-// deliver unconditionally — the message mutator draws there — while a
-// subtree multicast (flood true) delivers to the end node only if it is a
-// host and then floods the end node's subtree. It returns Unicast's fate
-// and delay.
+// crosses every hop now and collects the deliveries into one batch; the
+// queue model takes one hop per event (pathStep). At the end a unicast
+// (flood false) hands its destination to deliver unconditionally — the
+// message mutator draws there — while a subtree multicast (flood true)
+// delivers to the end node only if it is a host and then floods the end
+// node's subtree. It returns Unicast's fate and delay.
 func (n *Net) walk(hops []hop, pkt Packet, flood bool) (bool, float64) {
 	n.path = hops
 	if n.Queue != nil {
@@ -553,12 +550,15 @@ func (n *Net) walk(hops []hop, pkt Packet, flood bool) (bool, float64) {
 		}
 		end = h.to
 	}
+	b := n.Eng.newBatch(n, flood)
+	pk := b.addPkt(pkt)
 	if !flood || n.hosts[end] {
-		n.deliver(end, n.Eng.Now()+acc, pkt)
+		n.deliver(b, end, n.Eng.Now()+acc, pk)
 	}
 	if flood {
-		n.subtreeFlood(end, acc, pkt)
+		n.subtreeFlood(b, end, acc, pk)
 	}
+	n.Eng.scheduleBatch(b)
 	return true, acc
 }
 
@@ -575,13 +575,16 @@ func (n *Net) FloodTree(pkt Packet) {
 		n.floodFanOut(pkt.From, graph.NoEdge, pkt)
 		return
 	}
-	n.floodFrom(pkt.From, graph.None, 0, pkt)
+	b := n.Eng.newBatch(n, true)
+	n.floodFrom(b, b.addPkt(pkt))
+	n.Eng.scheduleBatch(b)
 }
 
-// floodFrom walks tree links outward from cur (skipping the link back to
-// prev), delivering to hosts along the way.
-func (n *Net) floodFrom(cur, prev graph.NodeID, acc float64, pkt Packet) {
-	stack := append(n.floodStack[:0], floodFrame{cur, prev, acc})
+// floodFrom walks tree links outward from the sender of b.pkts[pk],
+// delivering into b at hosts along the way.
+func (n *Net) floodFrom(b *batch, pk int32) {
+	pkt := b.pkts[pk]
+	stack := append(n.floodStack[:0], floodFrame{pkt.From, graph.None, 0})
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -595,7 +598,7 @@ func (n *Net) floodFrom(cur, prev graph.NodeID, acc float64, pkt Packet) {
 				continue // prune the subtree behind the lossy link
 			}
 			if n.hosts[h.Peer] {
-				n.deliver(h.Peer, n.Eng.Now()+d, pkt)
+				n.deliver(b, h.Peer, n.Eng.Now()+d, pk)
 			}
 			stack = append(stack, floodFrame{h.Peer, f.node, d})
 		}
@@ -603,8 +606,10 @@ func (n *Net) floodFrom(cur, prev graph.NodeID, acc float64, pkt Packet) {
 	n.floodStack = stack[:0]
 }
 
-// subtreeFlood delivers pkt to every host strictly below root.
-func (n *Net) subtreeFlood(root graph.NodeID, acc float64, pkt Packet) {
+// subtreeFlood delivers b.pkts[pk] into b at every host strictly below
+// root, which the packet reaches acc ms from now.
+func (n *Net) subtreeFlood(b *batch, root graph.NodeID, acc float64, pk int32) {
+	pkt := b.pkts[pk]
 	stack := append(n.floodStack[:0], floodFrame{node: root, acc: acc})
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
@@ -617,7 +622,7 @@ func (n *Net) subtreeFlood(root graph.NodeID, acc float64, pkt Packet) {
 				continue
 			}
 			if n.hosts[c] {
-				n.deliver(c, n.Eng.Now()+d, pkt)
+				n.deliver(b, c, n.Eng.Now()+d, pk)
 			}
 			stack = append(stack, floodFrame{node: c, acc: d})
 		}
@@ -640,7 +645,9 @@ func (n *Net) MulticastFromSource(pkt Packet) {
 		n.subtreeFanOut(n.Tree.Root, pkt)
 		return
 	}
-	n.subtreeFlood(n.Tree.Root, 0, pkt)
+	b := n.Eng.newBatch(n, true)
+	n.subtreeFlood(b, n.Tree.Root, 0, b.addPkt(pkt))
+	n.Eng.scheduleBatch(b)
 }
 
 // WouldArrive returns the loss-free tree-path delay from the source to a

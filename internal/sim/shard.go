@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"rmcast/internal/graph"
 	"rmcast/internal/rng"
 )
@@ -45,9 +47,34 @@ func (n *Net) Outbox() []RemoteDelivery { return n.outbox }
 // ResetOutbox clears the outbox, keeping its capacity.
 func (n *Net) ResetOutbox() { n.outbox = n.outbox[:0] }
 
-// InjectRemote schedules a delivery computed by another shard. The crash
-// check already ran on the sending shard (against the shared fault state, so
-// the answer is identical), leaving only the receiver upcall.
-func (n *Net) InjectRemote(at float64, node graph.NodeID, pkt Packet) {
-	n.scheduleDeliver(at, node, pkt)
+// InjectRemote schedules the deliveries other shards computed for this one
+// in a window, as one delivery batch. Its entries take consecutive
+// tie-break sequence numbers in slice order, exactly as one push each
+// would, so the batch fires them in time order and equal instants in slice
+// order. The crash check already ran on the sending shard (against the
+// shared fault state, so the answer is identical), leaving only the
+// receiver upcall. rds is copied; the caller keeps it. A run of entries
+// carrying one payload-free packet (a flood's data, in the order its
+// sender produced it) shares one packet-table slot.
+func (n *Net) InjectRemote(rds []RemoteDelivery) {
+	b := n.Eng.newBatch(n, true)
+	b.ents = slices.Grow(b.ents, len(rds))
+	for _, rd := range rds {
+		if !n.receives(rd.Node) {
+			continue
+		}
+		pk := int32(len(b.pkts) - 1)
+		if pk < 0 || !samePlain(b.pkts[pk], rd.Pkt) {
+			pk = b.addPkt(rd.Pkt)
+		}
+		n.Eng.addArrival(b, rd.At, rd.Node, pk)
+	}
+	n.Eng.scheduleBatch(b)
+}
+
+// samePlain reports whether x and y are one payload-free packet. Packets
+// with a payload never match: it is an interface, and comparing it could
+// panic or be wrong.
+func samePlain(x, y Packet) bool {
+	return x.Payload == nil && y.Payload == nil && x.Kind == y.Kind && x.Seq == y.Seq && x.From == y.From
 }

@@ -1,34 +1,218 @@
 package sim
 
-import "rmcast/internal/graph"
+import (
+	"slices"
 
-// Hop walkers: pooled, typed replacements for the per-hop closures the
-// network layer used to schedule. Every delivery and every queued-model hop
-// is one walker event; walkers recycle through an engine-owned free list,
-// so forwarding a packet allocates nothing in steady state.
+	"rmcast/internal/graph"
+)
+
+// Delivery batches and hop walkers: the two pooled event payloads of the
+// network layer. Forwarding a packet allocates nothing in steady state.
 //
-// There is one delivery event (wDeliver, which hands the packet to the
-// net's single receiver) and one path walk per forwarding model: Unicast,
-// MulticastSubtree and MulticastDescend each write their hops into the
-// net's scratch and hand them to Net.walk. The precomputed model crosses
-// them at send time; the queue model copies them into a walker, which takes
-// one hop per wPathStep event. Floods fan out instead (wFloodVisit,
+// A delivery batch holds every receiver upcall one send produces under the
+// precomputed model: one for a unicast, one per reached host for a flood
+// (FloodTree, MulticastFromSource and the subtree part of MulticastSubtree
+// and MulticastDescend), one per mutated copy, or one per arrival a shard
+// ingests from the other shards in a window (InjectRemote). The crash check
+// and the mutator's draws still run at send time, in the order the eager
+// schedule made them. Each entry takes the tie-break sequence number its
+// own push would have taken, the entries are sorted by (at, seq), and the
+// batch sits in the calendar as one event keyed at its next entry. Each
+// entry fires as one event; the batch takes its next key before the
+// receiver runs, and goes back to the pool with its last entry.
+//
+// A hop walker carries one queued-model packet: Unicast, MulticastSubtree
+// and MulticastDescend write their hops into the net's scratch and hand
+// them to Net.walk, which copies them into a walker that takes one hop per
+// wPathStep event. Queued floods fan out instead (wFloodVisit,
 // wSubtreeVisit).
 //
-// Determinism: each walker replaces exactly one closure of the original
-// implementation — the schedule calls happen in the same order, at the same
-// times, drawing from the rng stream at the same points — so the (at, seq)
-// event order of a fixed-seed run is unchanged.
+// Determinism: each walker event replaces exactly one closure of the
+// original implementation and each batch entry exactly one delivery event —
+// the schedule calls happen in the same order, at the same times, drawing
+// from the rng stream at the same points — so the (at, seq) event order of
+// a fixed-seed run is unchanged.
+
+// Batch pooling. A recycled batch keeps its arrays up to batchKeep slots: a
+// flood to a large group would otherwise pin its array in the pool for the
+// rest of the run. The engine keeps the spareKeep largest entry arrays given
+// up, and the next floods that start without an array or outgrow batchKeep
+// take them, so a run whose floods reach many hosts reuses a few arrays
+// instead of growing a new one per flood. A unicast's batch and a flood's or
+// an ingest's pool apart, so the many unicasts in flight never hold a
+// flood's arrays.
+const (
+	batchKeep = 1024
+	spareKeep = 4
+)
+
+// arrival is one entry of a delivery batch: the receiver upcall of pkts[pkt]
+// at node, keyed (at, seq) like the event it stands for.
+type arrival struct {
+	at   float64
+	seq  uint64
+	node graph.NodeID
+	pkt  int32
+}
+
+// batch is the reusable state of one send's deliveries. pkts holds the
+// packets its entries refer to: the send's own packet first, then each
+// corrupted copy (one send) or each ingested packet (InjectRemote). many
+// marks a flood's or an ingest's batch, which recycles through its own
+// free list.
+type batch struct {
+	n    *Net
+	next int
+	many bool
+	ents []arrival
+	pkts []Packet
+}
+
+// newBatch pops a recycled batch (or allocates the pool's next one) for
+// deliveries on n: a large one when many is set.
+func (e *Engine) newBatch(n *Net, many bool) *batch {
+	pool := &e.freeB
+	if many {
+		pool = &e.freeBig
+	}
+	var b *batch
+	if k := len(*pool); k > 0 {
+		b = (*pool)[k-1]
+		*pool = (*pool)[:k-1]
+	} else {
+		b = &batch{many: many}
+	}
+	b.n = n
+	return b
+}
+
+// putBatch returns b to the pool, dropping every packet it referenced and
+// any array above batchKeep; an entry array above it may become a spare.
+func (e *Engine) putBatch(b *batch) {
+	clear(b.pkts)
+	b.n, b.next, b.ents, b.pkts = nil, 0, b.ents[:0], b.pkts[:0]
+	if cap(b.ents) > batchKeep {
+		e.keepSpare(b.ents)
+		b.ents = nil
+	}
+	if cap(b.pkts) > batchKeep {
+		b.pkts = nil
+	}
+	if b.many {
+		e.freeBig = append(e.freeBig, b)
+	} else {
+		e.freeB = append(e.freeB, b)
+	}
+}
+
+// addPkt appends pkt to b's packet table and returns its index.
+func (b *batch) addPkt(pkt Packet) int32 {
+	b.pkts = append(b.pkts, pkt)
+	return int32(len(b.pkts) - 1)
+}
+
+// keepSpare keeps the empty entry array a as a spare if fewer than
+// spareKeep are kept or a is larger than the smallest of them.
+func (e *Engine) keepSpare(a []arrival) {
+	if len(e.spares) < spareKeep {
+		e.spares = append(e.spares, a)
+		return
+	}
+	m := 0
+	for i, s := range e.spares {
+		if cap(s) < cap(e.spares[m]) {
+			m = i
+		}
+	}
+	if cap(a) > cap(e.spares[m]) {
+		e.spares[m] = a
+	}
+}
+
+// takeSpare moves the entries of the full batch b into a spare array with
+// room for one more, if there is one.
+func (e *Engine) takeSpare(b *batch) {
+	for i, s := range e.spares {
+		if cap(s) > len(b.ents) {
+			b.ents = append(s, b.ents...)
+			last := len(e.spares) - 1
+			e.spares[i], e.spares[last] = e.spares[last], nil
+			e.spares = e.spares[:last]
+			return
+		}
+	}
+}
+
+// addArrival stamps the next tie-break sequence number on the delivery of
+// b.pkts[pkt] to node at time at and appends it to b. A flood's batch that
+// has no array (it gave a large one up) or outgrows batchKeep takes a spare
+// first; an ingest sizes its batch up front instead (InjectRemote).
+func (e *Engine) addArrival(b *batch, at float64, node graph.NodeID, pkt int32) {
+	e.check(at)
+	e.seq++
+	if c := cap(b.ents); b.many && len(b.ents) == c && (c == 0 || c >= batchKeep) {
+		e.takeSpare(b)
+	}
+	b.ents = append(b.ents, arrival{at: at, seq: e.seq, node: node, pkt: pkt})
+}
+
+// cmpArrival orders batch entries by (at, seq), the calendar's order.
+func cmpArrival(x, y arrival) int {
+	switch {
+	case x.at < y.at:
+		return -1
+	case x.at > y.at:
+		return 1
+	case x.seq < y.seq:
+		return -1
+	case x.seq > y.seq:
+		return 1
+	}
+	return 0
+}
+
+// scheduleBatch sorts b's entries and puts b in the calendar as one event
+// keyed at its first entry; an empty batch goes straight back to the pool.
+func (e *Engine) scheduleBatch(b *batch) {
+	if len(b.ents) == 0 {
+		e.putBatch(b)
+		return
+	}
+	slices.SortFunc(b.ents, cmpArrival)
+	first := &b.ents[0]
+	e.pending += len(b.ents)
+	heapPush(&e.pq, event{at: first.at, seq: first.seq, kind: evBatch, ref: e.batches.put(b)})
+}
+
+// fireBatch runs the next entry of the batch at the top of the calendar.
+// The batch takes its next entry's key (or leaves the calendar and goes back
+// to the pool) before the receiver runs, so a receiver may schedule, stop
+// timers and purge freely.
+func (e *Engine) fireBatch() {
+	top := &e.pq[0]
+	ref := top.ref
+	b := e.batches.slots[ref]
+	a := b.ents[b.next]
+	n, pkt := b.n, b.pkts[a.pkt]
+	b.next++
+	if b.next < len(b.ents) {
+		ev := *top
+		ev.at, ev.seq = b.ents[b.next].at, b.ents[b.next].seq
+		siftDown(e.pq, 0, ev)
+	} else {
+		heapPop(&e.pq)
+		e.batches.take(ref)
+		e.putBatch(b)
+	}
+	n.Deliver(a.node, pkt)
+}
 
 // walkOp selects what a popped walker event does.
 type walkOp uint8
 
 const (
-	// wDeliver hands the packet to the receiver — the terminal event of
-	// every precomputed-path delivery.
-	wDeliver walkOp = iota
 	// wPathStep advances a queued path walk one hop.
-	wPathStep
+	wPathStep walkOp = iota
 	// wFloodVisit delivers at a tree node and fans the queued flood out
 	// over its remaining tree links.
 	wFloodVisit
@@ -36,10 +220,11 @@ const (
 	wSubtreeVisit
 )
 
-// walker is the reusable state of one in-flight hop sequence. Fields are a
-// union over the ops: node is always the next node to act at; via is the
-// tree link a flood arrived on; path, idx and flood drive a path walk (its
-// hops, the next one to take, and whether it ends in a subtree multicast).
+// walker is the reusable state of one in-flight queued hop sequence. Fields
+// are a union over the ops: node is always the next node to act at; via is
+// the tree link a flood arrived on; path, idx and flood drive a path walk
+// (its hops, the next one to take, and whether it ends in a subtree
+// multicast).
 type walker struct {
 	op    walkOp
 	flood bool
@@ -80,10 +265,6 @@ func (e *Engine) scheduleWalker(at float64, w *walker) {
 func (w *walker) run() {
 	n := w.n
 	switch w.op {
-	case wDeliver:
-		node, pkt := w.node, w.pkt
-		n.Eng.putWalker(w)
-		n.Deliver(node, pkt)
 	case wPathStep:
 		n.pathStep(w)
 	case wFloodVisit:
