@@ -420,9 +420,10 @@ func BenchmarkTopologyFamilies(b *testing.B) {
 	}
 }
 
-// BenchmarkLCA measures the O(1) Euler-tour LCA query on the paper's
-// largest topology — the primitive behind every meet-depth lookup in
-// candidate selection (O(k²) queries per planning pass).
+// BenchmarkLCA measures the LCA query — binary lifting, O(log depth) — on
+// the paper's largest topology: the meet-router lookup behind the scan
+// planner's candidate classes and the engines' meet depths. The batch
+// planner's fast path makes none (route.TreeTables.RTTVia).
 func BenchmarkLCA(b *testing.B) {
 	net, err := topology.Standard(600, 0.05, 2003)
 	if err != nil {

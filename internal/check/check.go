@@ -33,6 +33,15 @@
 // block length. A decode below rank, a double decode, an out-of-range
 // symbol index, or a duplicate-verdict mismatch between session and oracle
 // are safety violations like any other.
+//
+// The oracle is sized to run at every group size, the million-client cell
+// included. Its shadow state is one row pointer per client, as in the
+// session: a row holds the client's have and detected flags and, in coded
+// mode, its symbol sets and decode flags. A
+// shard oracle of a partitioned run (NewShard) allocates rows only for the
+// clients its domain owns — the others stay nil, so a misrouted event
+// faults — and the master that absorbs the shards takes their rows over one
+// pointer per client.
 package check
 
 import (
@@ -61,24 +70,36 @@ type Totals struct {
 	Failovers, FencedStale int64
 }
 
-// codedState is the coded-recovery extension: per (client, block) the set
-// of distinct coded symbols held (a bitmask — R ≤ 64 by construction) and
-// whether the block has been decoded.
+// codedState is the coded-recovery configuration: blocks of k data packets
+// protected by r coded symbols. The per-(client, block) state lives in the
+// client's row.
 type codedState struct {
 	k, r, blocks int
-	seen         [][]uint64 // [clientIdx][block] coded-index bitmask
-	decoded      [][]bool
+}
+
+// clientRow is one client's shadow state: which seqs it holds and which
+// losses it has detected, and in coded mode, per block, the set of distinct
+// coded symbols held (a bitmask — R ≤ 64 by construction) and whether the
+// block has been decoded.
+type clientRow struct {
+	have, detected []bool   // [seq]
+	seen           []uint64 // [block] coded-index bitmask
+	decoded        []bool   // [block]
+}
+
+func newClientRow(packets int) *clientRow {
+	return &clientRow{have: make([]bool, packets), detected: make([]bool, packets)}
 }
 
 // Oracle is the shadow state machine for one run. Hooks are O(1); the
-// memory is two bits per (client, seq) pair plus counters.
+// memory is one row pointer per client plus, for each client it owns, two
+// flags per seq, plus counters.
 type Oracle struct {
 	packets int
 	strict  bool
 
-	sent     []bool
-	have     [][]bool // [clientIdx][seq]
-	detected [][]bool
+	sent []bool
+	rows []*clientRow // [clientIdx]; nil for a client a shard does not own
 
 	losses, recoveries, duplicates, preDetection int64
 	deliveries, lateData, malformed              int64
@@ -96,9 +117,8 @@ type Oracle struct {
 // level findings are always returned, never thrown.
 func New(clients, packets int, strict bool) *Oracle {
 	o := newOracle(clients, packets, strict, make([]bool, packets))
-	for i := range o.have {
-		o.have[i] = make([]bool, packets)
-		o.detected[i] = make([]bool, packets)
+	for i := range o.rows {
+		o.rows[i] = newClientRow(packets)
 	}
 	return o
 }
@@ -115,8 +135,7 @@ func New(clients, packets int, strict bool) *Oracle {
 func NewShard(clients, packets int, strict bool, sent []bool, owned []int) *Oracle {
 	o := newOracle(clients, packets, strict, sent)
 	for _, ci := range owned {
-		o.have[ci] = make([]bool, packets)
-		o.detected[ci] = make([]bool, packets)
+		o.rows[ci] = newClientRow(packets)
 	}
 	return o
 }
@@ -124,11 +143,10 @@ func NewShard(clients, packets int, strict bool, sent []bool, owned []int) *Orac
 // newOracle returns an oracle with no shadow rows yet.
 func newOracle(clients, packets int, strict bool, sent []bool) *Oracle {
 	return &Oracle{
-		packets:  packets,
-		strict:   strict,
-		sent:     sent,
-		have:     make([][]bool, clients),
-		detected: make([][]bool, clients),
+		packets: packets,
+		strict:  strict,
+		sent:    sent,
+		rows:    make([]*clientRow, clients),
 	}
 }
 
@@ -143,13 +161,9 @@ func (o *Oracle) Absorb(sh *Oracle) {
 		// master inherits the configuration from the first coded shard.
 		o.EnableCoded(sh.coded.k, sh.coded.r)
 	}
-	for ci, row := range sh.have {
-		if row == nil {
-			continue
-		}
-		o.have[ci], o.detected[ci] = row, sh.detected[ci]
-		if sh.coded != nil {
-			o.coded.seen[ci], o.coded.decoded[ci] = sh.coded.seen[ci], sh.coded.decoded[ci]
+	for ci, r := range sh.rows {
+		if r != nil {
+			o.rows[ci] = r
 		}
 	}
 	o.losses += sh.losses
@@ -187,18 +201,13 @@ func (o *Oracle) EnableCoded(k, r int) {
 	if blocks < 1 {
 		blocks = 1
 	}
-	c := &codedState{
-		k: k, r: r, blocks: blocks,
-		seen:    make([][]uint64, len(o.have)),
-		decoded: make([][]bool, len(o.have)),
-	}
-	for i := range c.seen {
-		if o.have[i] != nil {
-			c.seen[i] = make([]uint64, blocks)
-			c.decoded[i] = make([]bool, blocks)
+	o.coded = &codedState{k: k, r: r, blocks: blocks}
+	for _, row := range o.rows {
+		if row != nil {
+			row.seen = make([]uint64, blocks)
+			row.decoded = make([]bool, blocks)
 		}
 	}
-	o.coded = c
 }
 
 // blockLen returns the number of data sequences in block b (the tail block
@@ -220,7 +229,7 @@ func (o *Oracle) OnSymbol(ci, block, idx int, dup bool) {
 		o.violate("symbol: coded-recovery mode not enabled")
 		return
 	}
-	if ci < 0 || ci >= len(o.have) || block < 0 || block >= o.coded.blocks {
+	if ci < 0 || ci >= len(o.rows) || block < 0 || block >= o.coded.blocks {
 		o.violate("symbol: out-of-range client %d block %d", ci, block)
 		return
 	}
@@ -229,8 +238,9 @@ func (o *Oracle) OnSymbol(ci, block, idx int, dup bool) {
 			ci, block, idx, o.coded.r)
 		return
 	}
+	row := o.rows[ci]
 	bit := uint64(1) << uint(idx)
-	held := o.coded.seen[ci][block]&bit != 0
+	held := row.seen[block]&bit != 0
 	if held != dup {
 		o.violate("symbol: client %d block %d index %d: session dup=%v, oracle dup=%v",
 			ci, block, idx, dup, held)
@@ -239,7 +249,7 @@ func (o *Oracle) OnSymbol(ci, block, idx int, dup bool) {
 		o.codedDup++
 		return
 	}
-	o.coded.seen[ci][block] |= bit
+	row.seen[block] |= bit
 	o.codedSymbols++
 }
 
@@ -253,23 +263,24 @@ func (o *Oracle) OnDecode(ci, block int) {
 		o.violate("decode: coded-recovery mode not enabled")
 		return
 	}
-	if ci < 0 || ci >= len(o.have) || block < 0 || block >= o.coded.blocks {
+	if ci < 0 || ci >= len(o.rows) || block < 0 || block >= o.coded.blocks {
 		o.violate("decode: out-of-range client %d block %d", ci, block)
 		return
 	}
-	if o.coded.decoded[ci][block] {
+	row := o.rows[ci]
+	if row.decoded[block] {
 		o.violate("decode: client %d decoded block %d twice", ci, block)
 		return
 	}
 	bl := o.coded.blockLen(block, o.packets)
-	rank := bits.OnesCount64(o.coded.seen[ci][block])
+	rank := bits.OnesCount64(row.seen[block])
 	if rank > o.coded.r {
 		o.violate("decode: client %d block %d: %d coded symbols exceed r=%d",
 			ci, block, rank, o.coded.r)
 	}
 	lo := block * o.coded.k
 	for s := 0; s < bl; s++ {
-		if o.have[ci][lo+s] {
+		if row.have[lo+s] {
 			rank++
 		}
 	}
@@ -278,7 +289,7 @@ func (o *Oracle) OnDecode(ci, block int) {
 			ci, block, rank, bl)
 		return
 	}
-	o.coded.decoded[ci][block] = true
+	row.decoded[block] = true
 }
 
 // violate reports an event-level safety violation: panic in strict mode,
@@ -300,21 +311,21 @@ func (o *Oracle) record(msg string) {
 
 // shadow cross-checks the session's view of one (client, seq) pair against
 // the oracle's before a transition is applied.
-func (o *Oracle) shadow(ci, seq int, has, det bool, event string) {
-	if o.have[ci][seq] != has {
+func (o *Oracle) shadow(row *clientRow, ci, seq int, has, det bool, event string) {
+	if row.have[seq] != has {
 		o.violate("%s: client %d seq %d: session has=%v, oracle has=%v",
-			event, ci, seq, has, o.have[ci][seq])
+			event, ci, seq, has, row.have[seq])
 	}
-	if o.detected[ci][seq] != det {
+	if row.detected[seq] != det {
 		o.violate("%s: client %d seq %d: session detected=%v, oracle detected=%v",
-			event, ci, seq, det, o.detected[ci][seq])
+			event, ci, seq, det, row.detected[seq])
 	}
 }
 
 // inRange validates a client/seq pair (violations here mean a corrupted
 // packet slipped past the session's own validation).
 func (o *Oracle) inRange(ci, seq int, event string) bool {
-	if seq < 0 || seq >= o.packets || ci < 0 || ci >= len(o.have) {
+	if seq < 0 || seq >= o.packets || ci < 0 || ci >= len(o.rows) {
 		o.violate("%s: out-of-range client %d seq %d", event, ci, seq)
 		return false
 	}
@@ -342,11 +353,12 @@ func (o *Oracle) OnData(ci, seq int, has, det bool) {
 	if !o.sent[seq] {
 		o.violate("data: client %d received never-sent seq %d", ci, seq)
 	}
-	o.shadow(ci, seq, has, det, "data")
-	if !o.have[ci][seq] {
-		o.have[ci][seq] = true
+	row := o.rows[ci]
+	o.shadow(row, ci, seq, has, det, "data")
+	if !row.have[seq] {
+		row.have[seq] = true
 		o.deliveries++
-		if o.detected[ci][seq] {
+		if row.detected[seq] {
 			o.lateData++
 		}
 	}
@@ -366,21 +378,22 @@ func (o *Oracle) OnRepair(ci, seq int, has, det bool) {
 	if ci < 0 {
 		return
 	}
-	if ci >= len(o.have) {
+	if ci >= len(o.rows) {
 		o.violate("repair: out-of-range client %d", ci)
 		return
 	}
-	o.shadow(ci, seq, has, det, "repair")
+	row := o.rows[ci]
+	o.shadow(row, ci, seq, has, det, "repair")
 	switch {
-	case o.have[ci][seq]:
+	case row.have[seq]:
 		// Duplicate delivery: the pair must not transition again — it is
 		// counted as pure overhead, never as a second recovery.
 		o.duplicates++
-	case o.detected[ci][seq]:
-		o.have[ci][seq] = true
+	case row.detected[seq]:
+		row.have[seq] = true
 		o.recoveries++
 	default:
-		o.have[ci][seq] = true
+		row.have[seq] = true
 		o.preDetection++
 	}
 }
@@ -395,8 +408,9 @@ func (o *Oracle) OnLocalRecover(ci, seq int, det bool) {
 	if !o.sent[seq] {
 		o.violate("local recovery of never-sent seq %d at client %d", seq, ci)
 	}
-	o.shadow(ci, seq, false, det, "local-recover")
-	o.have[ci][seq] = true
+	row := o.rows[ci]
+	o.shadow(row, ci, seq, false, det, "local-recover")
+	row.have[seq] = true
 	if det {
 		o.recoveries++
 	} else {
@@ -413,13 +427,14 @@ func (o *Oracle) OnDetect(ci, seq int) {
 	if !o.sent[seq] {
 		o.violate("detect: client %d detected loss of never-sent seq %d", ci, seq)
 	}
-	if o.have[ci][seq] {
+	row := o.rows[ci]
+	if row.have[seq] {
 		o.violate("detect: client %d detected seq %d after delivery", ci, seq)
 	}
-	if o.detected[ci][seq] {
+	if row.detected[seq] {
 		o.violate("detect: client %d detected seq %d twice", ci, seq)
 	}
-	o.detected[ci][seq] = true
+	row.detected[seq] = true
 	o.losses++
 }
 
@@ -459,14 +474,14 @@ func (o *Oracle) Finish(complete bool, down []bool, t Totals) []string {
 		cmp("coded duplicates", o.codedDup, t.CodedDuplicates)
 		// A decoded block is a delivered block: the decode recovered every
 		// missing sequence, so no decoded (client, block) may leave a gap.
-		for ci := range o.coded.decoded {
-			for b, dec := range o.coded.decoded[ci] {
+		for ci, row := range o.rows {
+			for b, dec := range row.decoded {
 				if !dec {
 					continue
 				}
 				lo := b * o.coded.k
 				for s := 0; s < o.coded.blockLen(b, o.packets); s++ {
-					if !o.have[ci][lo+s] {
+					if !row.have[lo+s] {
 						o.record(fmt.Sprintf(
 							"coded: client %d decoded block %d but lacks seq %d",
 							ci, b, lo+s))
@@ -495,15 +510,15 @@ func (o *Oracle) Finish(complete bool, down []bool, t Totals) []string {
 	// Classification cross-check: recompute the end-of-run partition from
 	// the shadow state and compare.
 	var delivered, unrec, crashed int64
-	for ci := range o.have {
+	for ci, row := range o.rows {
 		isDown := ci < len(down) && down[ci]
-		for seq, h := range o.have[ci] {
+		for seq, h := range row.have {
 			switch {
 			case h:
 				delivered++
 			case isDown:
 				crashed++
-			case o.detected[ci][seq]:
+			case row.detected[seq]:
 				unrec++
 			}
 		}
@@ -516,14 +531,14 @@ func (o *Oracle) Finish(complete bool, down []bool, t Totals) []string {
 	// by each live client or explicitly attributed to its crash. An open
 	// gap at a live client — detected or not — means some engine gave up.
 	if complete {
-		for ci := range o.have {
+		for ci, row := range o.rows {
 			if ci < len(down) && down[ci] {
 				continue
 			}
-			for seq := range o.have[ci] {
-				if o.sent[seq] && !o.have[ci][seq] {
+			for seq, h := range row.have {
+				if o.sent[seq] && !h {
 					o.record(fmt.Sprintf("liveness: client %d never recovered seq %d (detected=%v)",
-						ci, seq, o.detected[ci][seq]))
+						ci, seq, row.detected[seq]))
 				}
 			}
 		}

@@ -175,7 +175,7 @@ func TestShardOraclesOwnTheirRows(t *testing.T) {
 	sent := make([]bool, 2)
 	a := NewShard(2, 2, true, sent, []int{0})
 	b := NewShard(2, 2, true, sent, []int{1})
-	if a.have[1] != nil || b.have[0] != nil {
+	if a.rows[1] != nil || b.rows[0] != nil {
 		t.Fatal("shard oracle allocated rows for a client it does not own")
 	}
 	a.OnSent(0)

@@ -160,9 +160,8 @@ type Planner struct {
 // meetRouter is implemented by routers that can answer an RTT query from the
 // endpoints' precomputed meet router alone (route.TreeTables.RTTVia). Every
 // candidate the planner builds carries its meet by construction, so on such
-// routers the tree-aggregated path needs no LCA queries at all — the
-// property that keeps BuildLite trees (no O(1) LCA index) off the planning
-// critical path.
+// routers the tree-aggregated path needs no LCA queries at all, and the
+// O(log depth) lifting query stays off the planning critical path.
 type meetRouter interface {
 	RTTVia(a, b, meet graph.NodeID) float64
 }

@@ -11,33 +11,29 @@ import (
 	"rmcast/internal/topology"
 )
 
-// TestPlanAllDenseMatchesPlanAll pins the LCA-free planning path: a lite
-// tree (BuildLite, no O(1) LCA index, so every candidate RTT comes through
-// RTTVia off its meet router) must plan, through PlanAllDense, exactly what
-// the full tree's PlanAll gives each client, field for field.
-// PlanAllDenseInto must then update the same backing objects in place.
+// TestPlanAllDenseMatchesPlanAll pins the LCA-free planning path: through
+// PlanAllDense, where every candidate RTT comes through RTTVia off its meet
+// router, the planner must give each client exactly what PlanAll gives it,
+// field for field. PlanAllDenseInto must then update the same backing
+// objects in place.
 func TestPlanAllDenseMatchesPlanAll(t *testing.T) {
 	net, err := topology.GenerateTree(topology.DefaultTreeConfig(120), rng.New(19))
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := mtree.Build(net)
+	tree, err := mtree.Build(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lite, err := mtree.BuildLite(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := NewPlanner(full, route.NewTreeTables(full)).PlanAll()
-	p := NewPlanner(lite, route.NewTreeTables(lite))
+	want := NewPlanner(tree, route.NewTreeTables(tree)).PlanAll()
+	p := NewPlanner(tree, route.NewTreeTables(tree))
 	got := p.PlanAllDense()
-	if len(got) != len(lite.Clients) || len(want) != len(lite.Clients) {
-		t.Fatalf("%d dense and %d mapped strategies for %d clients", len(got), len(want), len(lite.Clients))
+	if len(got) != len(tree.Clients) || len(want) != len(tree.Clients) {
+		t.Fatalf("%d dense and %d mapped strategies for %d clients", len(got), len(want), len(tree.Clients))
 	}
-	for i, u := range lite.Clients {
+	for i, u := range tree.Clients {
 		if got[i] == nil || !reflect.DeepEqual(got[i], want[u]) {
-			t.Fatalf("client %d: lite dense %v, full %v", u, got[i], want[u])
+			t.Fatalf("client %d: dense %v, mapped %v", u, got[i], want[u])
 		}
 	}
 	prev := slices.Clone(got)

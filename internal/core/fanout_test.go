@@ -68,19 +68,14 @@ func checkFanOut(t *testing.T, mk func() *Planner, fast bool) {
 // TestPlanAllDenseFanOutMatchesSerial pins the batch fan-out's contract:
 // a pass split over GOMAXPROCS workers returns exactly what one worker
 // returns, for the first plan and for the replan into the same slice. It
-// covers the fast path on full and compact (BuildLite) trees, the
-// DisableFastPath scan fallback and the loss-aware planner, and rosters
-// over member subsets, each of which then applies one Leave, so the class
-// winners the workers recorded are checked too. The scans are O(N²), so
-// they plan the small tree.
+// covers the fast path on a small and a large tree, the DisableFastPath
+// scan fallback and the loss-aware planner, and rosters over member
+// subsets, each of which then applies one Leave, so the class winners the
+// workers recorded are checked too. The scans are O(N²), so they plan the
+// small tree.
 func TestPlanAllDenseFanOutMatchesSerial(t *testing.T) {
 	small := mtree.MustBuild(treeNet(t, fanOutSmall, 21))
-	largeNet := treeNet(t, fanOutLarge, 22)
-	large := mtree.MustBuild(largeNet)
-	lite, err := mtree.BuildLite(largeNet)
-	if err != nil {
-		t.Fatal(err)
-	}
+	large := mtree.MustBuild(treeNet(t, fanOutLarge, 22))
 	planner := func(tree *mtree.Tree, setup func(*Planner)) func() *Planner {
 		return func() *Planner {
 			p := NewPlanner(tree, route.NewTreeTables(tree))
@@ -99,7 +94,6 @@ func TestPlanAllDenseFanOutMatchesSerial(t *testing.T) {
 	}{
 		{"small-build", planner(small, fastPath), true},
 		{"large-build", planner(large, fastPath), true},
-		{"large-buildlite", planner(lite, fastPath), true},
 		{"scan", planner(small, scan), false},
 		{"aware", planner(small, aware), false},
 	} {

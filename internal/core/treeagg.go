@@ -223,7 +223,7 @@ const (
 //   - the route metric agrees with the tree metric: RTT(u,v) must be the
 //     tree-path delay. route.TreeTables guarantees this by construction;
 //     Dijkstra tables over the same network qualify when no non-tree link
-//     can shortcut a tree path (checked once, O(links) with O(1) LCA).
+//     can shortcut a tree path (checked once, one LCA query per link).
 //
 // Everything else (restricted strategies, any timeout values, hand-built
 // topologies) is supported by both paths.

@@ -162,8 +162,8 @@ type RunSpec struct {
 }
 
 // validate rejects the RunSpec fields that protocol.Config does not see: a
-// non-finite or negative RouteNoise, and a NaN or infinite field of Chaos
-// or Churn.
+// non-finite or negative RouteNoise, and a NaN or infinite field of Chaos,
+// Churn or a Mutation class.
 func (spec RunSpec) validate() error {
 	type field struct {
 		name string
@@ -183,6 +183,17 @@ func (spec RunSpec) validate() error {
 		fields = append(fields, field{"Churn.Rate", c.Rate},
 			field{"Churn.BackgroundRate", c.BackgroundRate}, field{"Churn.DowntimeFrac", c.DowntimeFrac},
 			field{"Churn.PermanentFrac", c.PermanentFrac}, field{"Churn.Span", c.Span})
+	}
+	if m := spec.Mutation; m != nil {
+		for _, c := range []struct {
+			name string
+			p    fault.MutationParams
+		}{{"Request", m.Request}, {"Repair", m.Repair}, {"Symbol", m.Symbol}} {
+			fields = append(fields, field{"Mutation." + c.name + ".DupProb", c.p.DupProb},
+				field{"Mutation." + c.name + ".ReorderProb", c.p.ReorderProb},
+				field{"Mutation." + c.name + ".MaxDelay", c.p.MaxDelay},
+				field{"Mutation." + c.name + ".CorruptProb", c.p.CorruptProb})
+		}
 	}
 	for _, f := range fields {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {

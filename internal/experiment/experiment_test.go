@@ -330,6 +330,13 @@ func TestRunRejectsBadFields(t *testing.T) {
 			s.Churn = &c
 		}
 	}
+	mutate := func(set func(*fault.MutationConfig)) func(*RunSpec) {
+		return func(s *RunSpec) {
+			m := fault.MutationConfig{Request: fault.MutationParams{DupProb: 0.2, MaxDelay: 5}}
+			set(&m)
+			s.Mutation = &m
+		}
+	}
 	for _, row := range []struct {
 		name string
 		set  func(*RunSpec)
@@ -351,6 +358,18 @@ func TestRunRejectsBadFields(t *testing.T) {
 		{"Churn.DowntimeFrac=NaN", churn(func(c *fault.ChurnParams) { c.DowntimeFrac = nan })},
 		{"Churn.PermanentFrac=NaN", churn(func(c *fault.ChurnParams) { c.PermanentFrac = nan })},
 		{"Churn.Span=-Inf", churn(func(c *fault.ChurnParams) { c.Span = -inf })},
+		{"Mutation.Request.DupProb=NaN", mutate(func(m *fault.MutationConfig) { m.Request.DupProb = nan })},
+		{"Mutation.Request.ReorderProb=+Inf", mutate(func(m *fault.MutationConfig) { m.Request.ReorderProb = inf })},
+		{"Mutation.Request.MaxDelay=NaN", mutate(func(m *fault.MutationConfig) { m.Request.MaxDelay = nan })},
+		{"Mutation.Request.CorruptProb=-Inf", mutate(func(m *fault.MutationConfig) { m.Request.CorruptProb = -inf })},
+		{"Mutation.Repair.DupProb=+Inf", mutate(func(m *fault.MutationConfig) { m.Repair.DupProb = inf })},
+		{"Mutation.Repair.ReorderProb=NaN", mutate(func(m *fault.MutationConfig) { m.Repair.ReorderProb = nan })},
+		{"Mutation.Repair.MaxDelay=+Inf", mutate(func(m *fault.MutationConfig) { m.Repair.MaxDelay = inf })},
+		{"Mutation.Repair.CorruptProb=NaN", mutate(func(m *fault.MutationConfig) { m.Repair.CorruptProb = nan })},
+		{"Mutation.Symbol.DupProb=-Inf", mutate(func(m *fault.MutationConfig) { m.Symbol.DupProb = -inf })},
+		{"Mutation.Symbol.ReorderProb=NaN", mutate(func(m *fault.MutationConfig) { m.Symbol.ReorderProb = nan })},
+		{"Mutation.Symbol.MaxDelay=-Inf", mutate(func(m *fault.MutationConfig) { m.Symbol.MaxDelay = -inf })},
+		{"Mutation.Symbol.CorruptProb=NaN", mutate(func(m *fault.MutationConfig) { m.Symbol.CorruptProb = nan })},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			spec := RunSpec{Routers: 40, Loss: 0.05, Protocol: "RP", Packets: 5, Interval: 10,

@@ -2,20 +2,23 @@ package experiment
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"rmcast/internal/fault"
 	"rmcast/internal/protocol"
+	"rmcast/internal/rng"
 	"rmcast/internal/topology"
 )
 
 // FuzzMutator throws arbitrary mutation configs — including NaN, infinite,
-// negative and absurd values, which the mutator must clamp — at small but
-// complete simulation runs of every hardened engine, with the strict
-// invariant oracle on. Whatever the adversary's parameters, the run must
-// terminate, deliver everything, and keep clean books: Run errors on an
-// event-cap hit, an unrecovered loss, or any oracle violation, and the
-// oracle panics mid-run on safety divergence.
+// negative and absurd values — at small but complete simulation runs of
+// every hardened engine, with the strict invariant oracle on. Run rejects a
+// NaN or infinite intensity as a bad run spec; a caller that goes straight
+// to protocol gets every value clamped by the mutator. Whatever the
+// adversary's parameters, the run must terminate, deliver everything, and
+// keep clean books: Check fails an event-cap hit, an unrecovered loss, or
+// any oracle violation, and the oracle panics mid-run on safety divergence.
 func FuzzMutator(f *testing.F) {
 	f.Add(uint64(1), 0.3, 0.4, 0.12, 25.0, int16(3), 100.0, 300.0, int16(2), uint8(0))
 	f.Add(uint64(2), 1.0, 1.0, 1.0, 1e12, int16(999), math.Inf(-1), math.NaN(), int16(-5), uint8(1))
@@ -43,10 +46,49 @@ func FuzzMutator(f *testing.F) {
 			TopoSeed: 2003, SimSeed: seed,
 			Mutation: cfg,
 		}
-		if _, err := Run(spec); err != nil {
-			t.Fatalf("%s under %+v: %v", proto, cfg, err)
+		_, err := Run(spec)
+		finite := true
+		for _, v := range []float64{dup, reorder, corrupt, maxDelay} {
+			finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
+		}
+		if finite {
+			if err != nil {
+				t.Fatalf("%s under %+v: %v", proto, cfg, err)
+			}
+			return
+		}
+		if err == nil || !strings.Contains(err.Error(), "experiment: bad run spec: Mutation.") {
+			t.Fatalf("%s under %+v: Run returned %v, want a bad run spec", proto, cfg, err)
+		}
+		if err := runClamped(spec); err != nil {
+			t.Fatalf("%s under %+v, clamped: %v", proto, cfg, err)
 		}
 	})
+}
+
+// runClamped is Run's mutation-only path without RunSpec.validate: the
+// config goes straight to protocol, whose mutator clamps every intensity.
+func runClamped(spec RunSpec) error {
+	tcfg := topology.DefaultConfig(spec.Routers)
+	tcfg.LossProb = spec.Loss
+	topo, err := topology.Generate(tcfg, rng.New(spec.TopoSeed))
+	if err != nil {
+		return err
+	}
+	eng, err := NewEngine(spec.Protocol)
+	if err != nil {
+		return err
+	}
+	cfg := protocol.DefaultConfig()
+	cfg.Packets, cfg.Interval = spec.Packets, spec.Interval
+	if sched := (&fault.Schedule{Mutation: spec.Mutation}); !sched.Empty() {
+		cfg.Fault = sched
+	}
+	s, err := protocol.NewSession(topo, eng, cfg, spec.SimSeed)
+	if err != nil {
+		return err
+	}
+	return Check(s.Run())
 }
 
 // FuzzRunPath drives the one run path across its envelope: any engine, any

@@ -50,12 +50,6 @@ type ScalingSweep struct {
 	DomainClients int
 }
 
-// hugeClients is the size past which a cell switches to the memory-compact
-// representations: BuildLite trees (no Euler/sparse LCA index), oracle
-// checking off, and a raised event cap. Below it cells keep the full tree
-// and the strict oracle. Every cell plans into dense strategy slices.
-const hugeClients = 100_000
-
 // DefaultScaling returns the standard tier: n ∈ {1k, 5k, 20k, 50k}.
 func DefaultScaling() ScalingSweep {
 	return ScalingSweep{
@@ -119,9 +113,6 @@ type ScalingCell struct {
 	// SimDigest is the shared digest of the two runs (they are required to
 	// be identical).
 	SimDigest string
-	// LiteTree reports the memory-compact cell path (BuildLite + oracle
-	// off) was used.
-	LiteTree bool
 	// PeakHeapMB is the largest live heap observed at the cell's phase
 	// boundaries (runtime.ReadMemStats HeapAlloc) — the number that decides
 	// whether a tier fits a deployment host. Sampled, not continuous: true
@@ -179,27 +170,21 @@ func (s ScalingSweep) runCell(n int, seed uint64, withScan bool) (ScalingCell, e
 	if s.ClientsPerRouter > 0 {
 		cfg.ClientsPerRouter = s.ClientsPerRouter
 	}
-	huge := n > hugeClients
 	var peak heapPeak
 	buildStart := time.Now()
 	net, err := topology.GenerateTree(cfg, rng.New(seed))
 	if err != nil {
 		return ScalingCell{}, err
 	}
-	build := mtree.Build
-	if huge {
-		build = mtree.BuildLite
-	}
-	tree, err := build(net)
+	tree, err := mtree.Build(net)
 	if err != nil {
 		return ScalingCell{}, err
 	}
 	rt := route.NewTreeTables(tree)
 	cell := ScalingCell{
-		Clients:  n,
-		Nodes:    net.NumNodes(),
-		BuildMs:  float64(time.Since(buildStart)) / float64(time.Millisecond),
-		LiteTree: huge,
+		Clients: n,
+		Nodes:   net.NumNodes(),
+		BuildMs: float64(time.Since(buildStart)) / float64(time.Millisecond),
 	}
 	peak.Sample()
 	for _, d := range tree.Depth {
@@ -232,7 +217,7 @@ func (s ScalingSweep) runCell(n int, seed uint64, withScan bool) (ScalingCell, e
 	}
 	cell.MeanPeers = float64(peers) / float64(len(dense))
 
-	if withScan && !huge {
+	if withScan {
 		scan := core.NewPlanner(tree, rt)
 		scan.DisableFastPath = true
 		var scanned []*core.Strategy
@@ -251,7 +236,7 @@ func (s ScalingSweep) runCell(n int, seed uint64, withScan bool) (ScalingCell, e
 	}
 
 	if s.SimWorkers >= 2 {
-		if err := s.simPhase(&cell, net, tree, rt, seed, huge, &peak); err != nil {
+		if err := s.simPhase(&cell, net, tree, rt, seed, &peak); err != nil {
 			return cell, err
 		}
 	}
@@ -262,10 +247,11 @@ func (s ScalingSweep) runCell(n int, seed uint64, withScan bool) (ScalingCell, e
 
 // simPhase runs the cell's topology through one serial and one sharded RP
 // packet simulation and records wall clocks plus the digest-equality check.
-// Any digest mismatch is an error, not a column: a sharded run that is not
+// Both runs go through the strict oracle at every size and must pass Check;
+// any digest mismatch is an error, not a column: a sharded run that is not
 // byte-identical to its serial twin is wrong, whatever its speed.
 func (s ScalingSweep) simPhase(cell *ScalingCell, net *topology.Network,
-	tree *mtree.Tree, rt route.Router, seed uint64, huge bool, peak *heapPeak) error {
+	tree *mtree.Tree, rt route.Router, seed uint64, peak *heapPeak) error {
 	packets := s.SimPackets
 	if packets == 0 {
 		packets = 20
@@ -275,15 +261,10 @@ func (s ScalingSweep) simPhase(cell *ScalingCell, net *topology.Network,
 		if err != nil {
 			return nil, 0, err
 		}
+		// The package's default event cap was sized for the classic tiers;
+		// a million-client run is past it, and the cap must not depend on n.
 		cfg := protocol.Config{Packets: packets, Interval: 50, SimWorkers: workers,
-			DomainClients: s.DomainClients}
-		if huge {
-			// The strict oracle is O(clients × packets) bookkeeping per shard
-			// and the default event cap was sized for the classic tiers; the
-			// million tier turns the first off and raises the second.
-			cfg.Check = protocol.CheckOff
-			cfg.MaxEvents = 1_000_000_000
-		}
+			DomainClients: s.DomainClients, MaxEvents: 1_000_000_000}
 		sess, err := protocol.NewSessionPrebuilt(net, tree, eng, cfg, seed, rt)
 		if err != nil {
 			return nil, 0, err
@@ -292,8 +273,8 @@ func (s ScalingSweep) simPhase(cell *ScalingCell, net *topology.Network,
 		res := sess.Run()
 		ms := float64(time.Since(start)) / float64(time.Millisecond)
 		peak.Sample()
-		if !res.Complete {
-			return nil, 0, fmt.Errorf("sim phase (workers=%d): incomplete run", workers)
+		if err := Check(res); err != nil {
+			return nil, 0, fmt.Errorf("sim phase (workers=%d): %w", workers, err)
 		}
 		return res, ms, nil
 	}
@@ -390,7 +371,7 @@ func (r ScalingReport) CSV(w io.Writer) error {
 		"replan_ms", "plan_workers", "scan_ms", "speedup", "plan_allocs", "replan_allocs",
 		"mean_peers", "fast_path", "verified",
 		"sim_serial_ms", "sim_parallel_ms", "sim_speedup", "sim_sharded", "sim_digest",
-		"sim_domains", "lite_tree", "peak_heap_mb"}); err != nil {
+		"sim_domains", "peak_heap_mb"}); err != nil {
 		return err
 	}
 	for _, c := range r {
@@ -414,7 +395,6 @@ func (r ScalingReport) CSV(w io.Writer) error {
 			strconv.FormatBool(c.SimSharded),
 			c.SimDigest,
 			strconv.Itoa(c.SimDomains),
-			strconv.FormatBool(c.LiteTree),
 			strconv.FormatFloat(c.PeakHeapMB, 'f', 1, 64),
 		}
 		if err := cw.Write(rec); err != nil {

@@ -1,74 +1,35 @@
 package mtree
 
 import (
-	"math/bits"
+	"fmt"
 
 	"rmcast/internal/graph"
 )
 
-// This file implements constant-time LCA queries via the classic Euler-tour
-// reduction to range-minimum: the DFS in Build records the full Euler tour
-// (2n−1 entries — every node once per visit), and the LCA of a and b is the
-// minimum-depth node on the tour segment between their first occurrences.
-// A sparse table over the tour answers that range-minimum in O(1).
+// This file answers the one question Algorithm 1 and both baselines ask of
+// the tree: the meet router LCA_T(u, v) and its depth DS (§3.2). It uses
+// the binary-lifting table Ancestor already needs — ⌈log2(depth+1)⌉ rows,
+// 5 on a 50,000-client tree of depth 19 — with the O(1) tin/tout ancestor
+// test, so a query is O(log depth) and the tree carries no other LCA index.
 //
-// The planner issues O(k²) LCA queries per topology (every client against
-// every other, k ≈ n/3 at the paper's client density), so replacing the
-// O(log n) binary-lifting query with O(1) removes the dominant log factor
-// from strategy planning. The lifting table is kept for Ancestor and
-// ChildToward, which genuinely need ancestor jumps.
+// Queries are few enough that a constant-time index does not pay: the
+// batch planner's fast path reads each candidate's meet router off the
+// root path and never calls LCA (route.TreeTables.RTTVia), so a serial
+// Figure 5–8 pass makes about 1.05 million queries and a 50,000-client
+// tree run about 0.6 million. An Euler-tour sparse table saved about 27 ns
+// a query — some 28 ms a pass — and cost more than half of a 600-router
+// tree's build time and about 9 MB on every 50,000-client tree.
 
-// buildLCA constructs eulerFirst and the sparse table from the Euler tour
-// recorded by Build's DFS. Preprocessing is O(n log n) time and space,
-// matching the lifting table it complements.
-func (t *Tree) buildLCA() {
-	n := len(t.Parent)
-	t.eulerFirst = make([]int32, n)
-	for i := range t.eulerFirst {
-		t.eulerFirst[i] = -1
+// LCA returns the lowest common ancestor of a and b — the paper's "first
+// common router" of two clients (§3.2) when both are group members. It
+// panics if either node is off-tree.
+//
+// No depth equalisation is needed: lift a as high as possible while it
+// stays off b's ancestor path; its parent is then the LCA.
+func (t *Tree) LCA(a, b graph.NodeID) graph.NodeID {
+	if !t.InTree[a] || !t.InTree[b] {
+		panic(fmt.Sprintf("mtree: LCA of off-tree node (%d,%d)", a, b))
 	}
-	for i, v := range t.euler {
-		if t.eulerFirst[v] < 0 {
-			t.eulerFirst[v] = int32(i)
-		}
-	}
-	m := len(t.euler)
-	levels := 1
-	if m > 1 {
-		levels = bits.Len(uint(m)) // enough rows for spans up to m
-	}
-	t.sparse = make([][]int32, levels)
-	row := make([]int32, m)
-	for i := range row {
-		row[i] = int32(i)
-	}
-	t.sparse[0] = row
-	for k := 1; k < levels; k++ {
-		span := 1 << k
-		if span > m {
-			break
-		}
-		prev := t.sparse[k-1]
-		cur := make([]int32, m-span+1)
-		half := span >> 1
-		for i := range cur {
-			l, r := prev[i], prev[i+half]
-			if t.Depth[t.euler[l]] <= t.Depth[t.euler[r]] {
-				cur[i] = l
-			} else {
-				cur[i] = r
-			}
-		}
-		t.sparse[k] = cur
-	}
-}
-
-// lcaLift answers the LCA query in O(log n) from the lifting table alone —
-// the BuildLite path, where the Euler/sparse index is deliberately absent.
-// Ancestor tests use the O(1) tin/tout intervals, so no depth equalisation
-// is needed: lift a as high as possible while staying off b's ancestor
-// path; its parent is then the LCA.
-func (t *Tree) lcaLift(a, b graph.NodeID) graph.NodeID {
 	if t.IsAncestor(a, b) {
 		return a
 	}
@@ -81,19 +42,4 @@ func (t *Tree) lcaLift(a, b graph.NodeID) graph.NodeID {
 		}
 	}
 	return t.Parent[a]
-}
-
-// lcaRMQ answers the LCA query in O(1) from the sparse table. Both nodes
-// must be in the tree (LCA checks).
-func (t *Tree) lcaRMQ(a, b graph.NodeID) graph.NodeID {
-	l, r := t.eulerFirst[a], t.eulerFirst[b]
-	if l > r {
-		l, r = r, l
-	}
-	k := bits.Len(uint(r-l+1)) - 1
-	i, j := t.sparse[k][l], t.sparse[k][r-(1<<k)+1]
-	if t.Depth[t.euler[i]] <= t.Depth[t.euler[j]] {
-		return t.euler[i]
-	}
-	return t.euler[j]
 }

@@ -9,10 +9,10 @@
 // tree), and subtree enumeration (RMA's partial-multicast repairs flood the
 // subtree under the meet router).
 //
-// LCA uses binary lifting: O(n log n) preprocessing, O(log n) per query.
-// The experiment harness issues O(k²) LCA queries per topology (every
-// client against every other), so per-query cost matters at the paper's
-// largest group sizes.
+// Every tree is built one way, at every size: a preorder DFS that stamps
+// tin/tout intervals for O(1) ancestor tests, plus a binary-lifting table
+// of ⌈log2(depth+1)⌉ rows that answers Ancestor and LCA in O(log depth)
+// (see lca.go).
 package mtree
 
 import (
@@ -55,28 +55,12 @@ type Tree struct {
 	// up is the binary-lifting ancestor table: up[k][v] is the 2^k-th
 	// ancestor of v (None past the root).
 	up [][]graph.NodeID
-	// euler/eulerFirst/sparse implement O(1) LCA via Euler tour +
-	// range-minimum sparse table (see lca.go).
-	euler      []graph.NodeID
-	eulerFirst []int32
-	sparse     [][]int32
 }
 
 // Build constructs the rooted tree from net.TreeEdges. It fails if the tree
 // edges do not form a forest containing the source and every client in one
 // component (Network.Validate enforces the same invariant).
-func Build(net *topology.Network) (*Tree, error) { return build(net, false) }
-
-// BuildLite is Build without the O(n log n) Euler-tour/sparse-table LCA
-// index (~90 B/node at depth 20+). LCA queries fall back to O(log n) binary
-// lifting; everything else — preorder, tin/tout ancestor tests, children,
-// delays, partitioning — is identical to Build. The million-client tier uses
-// it: at n=1,000,000 the index alone would cost ≈220 MB per tree, and the
-// dense planner's fast path never calls LCA (meet routers come off the root
-// path and RTTs are computed from root delays, see route.TreeTables.RTTVia).
-func BuildLite(net *topology.Network) (*Tree, error) { return build(net, true) }
-
-func build(net *topology.Network, lite bool) (*Tree, error) {
+func Build(net *topology.Network) (*Tree, error) {
 	n := net.NumNodes()
 	t := &Tree{
 		Net:           net,
@@ -102,7 +86,7 @@ func build(net *topology.Network, lite bool) (*Tree, error) {
 	// instead of n slice headers and Θ(n) grow-reallocations. Per-node
 	// half-edge order is the order edges appear in TreeEdges — identical to
 	// the append-based build this replaced, so the DFS (and with it Order,
-	// tin/tout, the Euler tour, and every digest downstream) is unchanged.
+	// tin/tout, and every digest downstream) is unchanged.
 	off := make([]int32, n+1)
 	for _, id := range net.TreeEdges {
 		e := net.G.Edge(id)
@@ -132,10 +116,6 @@ func build(net *topology.Network, lite bool) (*Tree, error) {
 		next int32
 	}
 	t.Order = make([]graph.NodeID, 0, n)
-	if !lite {
-		t.euler = make([]graph.NodeID, 0, 2*n-1)
-		t.euler = append(t.euler, t.Root)
-	}
 	stack := make([]frame, 1, 64)
 	stack[0] = frame{t.Root, 0}
 	var clock int32
@@ -161,17 +141,11 @@ func build(net *topology.Network, lite bool) (*Tree, error) {
 			t.tin[v] = clock
 			clock++
 			stack = append(stack, frame{v, 0})
-			if !lite {
-				t.euler = append(t.euler, v)
-			}
 			continue
 		}
 		t.tout[u] = clock
 		clock++
 		stack = stack[:len(stack)-1]
-		if !lite && len(stack) > 0 {
-			t.euler = append(t.euler, stack[len(stack)-1].node)
-		}
 	}
 
 	for _, c := range net.Clients {
@@ -182,11 +156,13 @@ func build(net *topology.Network, lite bool) (*Tree, error) {
 
 	t.buildChildren(off[:n+1])
 	t.buildLifting()
-	if !lite {
-		t.buildLCA()
-	}
 	return t, nil
 }
+
+// BuildLite is Build.
+//
+// Deprecated: every tree is built one way; use Build.
+func BuildLite(net *topology.Network) (*Tree, error) { return Build(net) }
 
 // buildChildren fills Children/ChildLink as sub-slices of two shared CSR
 // buffers (reusing off as scratch). Children of u are appended in preorder
@@ -280,21 +256,6 @@ func (t *Tree) Ancestor(v graph.NodeID, k int32) graph.NodeID {
 		k >>= 1
 	}
 	return v
-}
-
-// LCA returns the lowest common ancestor of a and b — the paper's "first
-// common router" of two clients (§3.2) when both are group members. It
-// panics if either node is off-tree. Queries are O(1) via the Euler-tour
-// sparse table (see lca.go) on a Build tree, O(log n) via binary lifting on
-// a BuildLite tree.
-func (t *Tree) LCA(a, b graph.NodeID) graph.NodeID {
-	if !t.InTree[a] || !t.InTree[b] {
-		panic(fmt.Sprintf("mtree: LCA of off-tree node (%d,%d)", a, b))
-	}
-	if t.sparse == nil {
-		return t.lcaLift(a, b)
-	}
-	return t.lcaRMQ(a, b)
 }
 
 // MeetDepth returns DS_{u,v}: the depth (hop count from the source along

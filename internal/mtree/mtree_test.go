@@ -73,34 +73,6 @@ func TestParentChildConsistency(t *testing.T) {
 	}
 }
 
-// naiveLCA walks parents upward — the O(depth) reference implementation.
-func naiveLCA(tr *Tree, a, b graph.NodeID) graph.NodeID {
-	seen := map[graph.NodeID]bool{}
-	for u := a; u != graph.None; u = tr.Parent[u] {
-		seen[u] = true
-	}
-	for u := b; u != graph.None; u = tr.Parent[u] {
-		if seen[u] {
-			return u
-		}
-	}
-	return graph.None
-}
-
-func TestLCAMatchesNaive(t *testing.T) {
-	net := topology.MustGenerate(topology.DefaultConfig(150), rng.New(42))
-	tr := MustBuild(net)
-	r := rng.New(1)
-	nodes := tr.Order
-	for i := 0; i < 2000; i++ {
-		a := nodes[r.Intn(len(nodes))]
-		b := nodes[r.Intn(len(nodes))]
-		if got, want := tr.LCA(a, b), naiveLCA(tr, a, b); got != want {
-			t.Fatalf("LCA(%d,%d) = %d, want %d", a, b, got, want)
-		}
-	}
-}
-
 func TestLCAIdentityAndAncestor(t *testing.T) {
 	tr := buildChain(t, 3, []int{1, 2})
 	c := tr.Clients[0]
@@ -315,24 +287,6 @@ func TestRandomTopologyTreeMatchesNetworkTree(t *testing.T) {
 				t.Fatalf("seed %d: client %d depth %d", seed, c, tr.Depth[c])
 			}
 		}
-	}
-}
-
-func BenchmarkLCA(b *testing.B) {
-	net := topology.MustGenerate(topology.DefaultConfig(600), rng.New(1))
-	tr := MustBuild(net)
-	r := rng.New(2)
-	pairs := make([][2]graph.NodeID, 1024)
-	for i := range pairs {
-		pairs[i] = [2]graph.NodeID{
-			tr.Clients[r.Intn(len(tr.Clients))],
-			tr.Clients[r.Intn(len(tr.Clients))],
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i&1023]
-		_ = tr.LCA(p[0], p[1])
 	}
 }
 

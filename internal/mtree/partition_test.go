@@ -146,3 +146,53 @@ func TestPartitionBalance(t *testing.T) {
 		}
 	}
 }
+
+// TestPartitionDomains checks the domain-sizing wrapper: the domain count is
+// ⌈clients/target⌉ (clamped by PartitionTree), every client lands in exactly
+// one domain, and — the worker-invariance anchor — the layout is a pure
+// function of (tree, target), so repeated calls agree element for element.
+func TestPartitionDomains(t *testing.T) {
+	tr := partitionFixture(t, 300, 77)
+	total := len(tr.Clients)
+	for _, target := range []int{1, 7, 32, 64, 150, 299, 300, 1000} {
+		p := PartitionDomains(tr, target)
+		wantK := (total + target - 1) / target
+		if wantK > total {
+			wantK = total
+		}
+		if p.K != wantK {
+			t.Fatalf("target=%d: K=%d, want %d", target, p.K, wantK)
+		}
+		counts := make([]int, p.K)
+		for _, c := range tr.Clients {
+			d := p.ShardOf[c]
+			if d < 0 || int(d) >= p.K {
+				t.Fatalf("target=%d: client %d in out-of-range domain %d", target, c, d)
+			}
+			counts[d]++
+		}
+		sum := 0
+		for i, got := range counts {
+			if got != p.Weights[i] {
+				t.Fatalf("target=%d domain %d: weight %d, counted %d", target, i, p.Weights[i], got)
+			}
+			sum += got
+		}
+		if sum != total {
+			t.Fatalf("target=%d: clients counted %d, want %d", target, sum, total)
+		}
+		q := PartitionDomains(tr, target)
+		if q.K != p.K || q.Lookahead != p.Lookahead {
+			t.Fatalf("target=%d: repeated partition disagrees", target)
+		}
+		for i := range p.ShardOf {
+			if p.ShardOf[i] != q.ShardOf[i] {
+				t.Fatalf("target=%d: repeated partition maps node %d to %d then %d",
+					target, i, p.ShardOf[i], q.ShardOf[i])
+			}
+		}
+	}
+	if p := PartitionDomains(tr, 0); p.K != total {
+		t.Fatalf("target=0 should clamp to one-client domains: K=%d", p.K)
+	}
+}

@@ -451,7 +451,11 @@ func (s *Session) gather(shards []*Session) {
 		latSample
 		shard int
 	}
-	var lats []stamped
+	n := 0
+	for _, sh := range shards {
+		n += len(sh.latLog)
+	}
+	lats := make([]stamped, 0, n)
 	s.rows = make([]*clientRow, len(s.Topo.Clients))
 	for si, sh := range shards {
 		st := &sh.stats

@@ -517,10 +517,9 @@ func NewSessionWithRouter(topo *topology.Network, engine Engine, cfg Config, see
 }
 
 // NewSessionPrebuilt is NewSessionWithRouter with a caller-supplied multicast
-// tree (mtree.Build or mtree.BuildLite over topo). The million-client tier
-// uses it to build one lite tree per topology and reuse it across sessions —
-// at n=1,000,000 the tree (and especially the full Build's O(n log n) LCA
-// index) dominates per-run setup cost and heap.
+// tree (mtree.Build over topo). The scaling sweep uses it to build one tree
+// per topology and reuse it across a cell's sessions — at n=1,000,000 the
+// tree dominates per-run setup cost.
 func NewSessionPrebuilt(topo *topology.Network, tree *mtree.Tree, engine Engine, cfg Config, seed uint64, routes route.Router) (*Session, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -6,7 +6,7 @@ import (
 )
 
 // TreeTables is a Router whose metric IS the multicast tree: delays are
-// tree-path delays (via DelayFromRoot and O(1) LCA) and unicast forwarding
+// tree-path delays (via DelayFromRoot and LCA) and unicast forwarding
 // follows the tree. It exists for the large-n scaling tier: Tables runs one
 // Dijkstra per client (O(N·(E+V log V)) at build), which dominates the
 // planning time this repo measures at 50k clients, whereas TreeTables needs
@@ -45,8 +45,8 @@ func (t *TreeTables) RTT(a, b graph.NodeID) float64 {
 // the same float operation sequence as RTT∘TreeDelay, so the result is
 // bit-identical when meet really is LCA(a, b) — which the batch planner
 // guarantees by construction (every candidate's meet comes off the root
-// path). This is what lets million-client planning run on BuildLite trees,
-// where LCA costs O(log n) instead of O(1).
+// path). This is what keeps LCA, an O(log depth) lifting query, off the
+// batch planner's critical path at every group size.
 func (t *TreeTables) RTTVia(a, b, meet graph.NodeID) float64 {
 	tr := t.tree
 	return 2 * (tr.DelayFromRoot[a] + tr.DelayFromRoot[b] - 2*tr.DelayFromRoot[meet])
