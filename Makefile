@@ -131,7 +131,8 @@ FUZZ_TARGETS := \
 	./internal/protocol:FuzzDedupCache \
 	./internal/protocol/coop:FuzzCoopDecode \
 	./internal/protocol/rpproto:FuzzElection \
-	./internal/sim:FuzzCalendar
+	./internal/sim:FuzzCalendar \
+	./internal/sim:FuzzSortArrivals
 FUZZTIME_fuzz := 30s
 FUZZTIME_fuzz-short := 5s
 

@@ -49,6 +49,10 @@ func main() {
 			"with -fig scaling: clients per recovery domain in the sharded half of the simulation phase (0 = max(8, ⌈clients/8⌉), i.e. 2 to 8 domains)")
 	)
 	flag.Parse()
+	if *reps < 1 {
+		fmt.Fprintf(os.Stderr, "figures: bad -reps %d: need at least one replicate\n", *reps)
+		os.Exit(2)
+	}
 
 	var svgFile *os.File
 	if *svgOut != "" {

@@ -66,6 +66,10 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
 	flag.Parse()
+	if *reps < 1 {
+		fmt.Fprintf(os.Stderr, "rmsim: bad -replicates %d: need at least one replicate\n", *reps)
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

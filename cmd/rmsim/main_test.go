@@ -1,0 +1,63 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// TestRunMain is the command itself when runCommand re-executes the test
+// binary with "--" and the command's arguments; in a plain test run it has
+// no arguments and does nothing.
+func TestRunMain(t *testing.T) {
+	if flag.NArg() == 0 {
+		return
+	}
+	os.Args = append([]string{"rmsim"}, flag.Args()...)
+	flag.CommandLine = flag.NewFlagSet("rmsim", flag.ExitOnError)
+	main()
+	os.Exit(0)
+}
+
+// runCommand runs the command with args in a child process and returns its
+// exit code and stderr.
+func runCommand(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"-test.run=^TestRunMain$", "--"}, args...)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, stderr.String()
+	case errors.As(err, &exit):
+		return exit.ExitCode(), stderr.String()
+	}
+	t.Fatalf("rmsim %v: %v", args, err)
+	return 0, ""
+}
+
+// TestBadFlagsRejected: a flag value the command cannot honour exits
+// non-zero with a message naming it, instead of running something else or
+// panicking inside the simulator.
+func TestBadFlagsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		msg  string
+	}{
+		{[]string{"-chaos", "-routers", "40", "-packets", "5", "-replicates", "-1"}, 2, "rmsim: bad -replicates -1"},
+		{[]string{"-routers", "40", "-packets", "5", "-jitter", "1e308"}, 1, "protocol: bad config: Jitter = 1e+308"},
+	} {
+		code, stderr := runCommand(t, tc.args...)
+		if code != tc.code || !strings.Contains(stderr, tc.msg) {
+			t.Errorf("rmsim %s: exit %d, stderr %q; want exit %d and %q",
+				strings.Join(tc.args, " "), code, stderr, tc.code, tc.msg)
+		}
+	}
+}

@@ -62,23 +62,8 @@ func DefaultAdversarial() MutationSweep {
 
 // Run executes the sweep and returns the four adversarial figures.
 func (m MutationSweep) Run() (delivery, latency, p99, bandwidth *Figure, err error) {
-	g := newGrid("mutation intensity", m.Protocols, AdversarialProtocols, m.Intensities, "mut=%g")
-	span := float64(m.Packets) * m.Interval
-	err = g.run(m.Replicates, m.Parallel, func(row, rep int) RunSpec {
-		return RunSpec{
-			Routers:  m.Routers,
-			Loss:     m.BaseLoss,
-			Packets:  m.Packets,
-			Interval: m.Interval,
-			// One fixed topology for the whole sweep; traffic seeds vary per
-			// (intensity, replicate) so every protocol faces the same stream
-			// fates within a cell.
-			TopoSeed: m.BaseSeed,
-			SimSeed:  m.BaseSeed + uint64(row)*100 + uint64(rep) + 1,
-			Mutation: fault.MutationFromIntensity(m.Intensities[row], span),
-		}
-	})
-	if err != nil {
+	g := m.grid()
+	if err := g.run(m.Parallel); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	return g.figure("Adversarial: delivery ratio vs mutation intensity", "delivered fraction", "delivery"),
@@ -86,4 +71,23 @@ func (m MutationSweep) Run() (delivery, latency, p99, bandwidth *Figure, err err
 		g.figure("Adversarial: p99 recovery latency vs mutation intensity", "latency (ms)", "p99"),
 		g.figure("Adversarial: recovery bandwidth vs mutation intensity", "bandwidth (hops)", "bandwidth"),
 		nil
+}
+
+// grid lays out the sweep's cells, all on one topology.
+func (m MutationSweep) grid() *grid {
+	span := float64(m.Packets) * m.Interval
+	return newGrid("mutation intensity", m.Protocols, AdversarialProtocols, m.Intensities, "mut=%g", m.Replicates,
+		func(row, rep int) RunSpec {
+			return RunSpec{
+				Routers:  m.Routers,
+				Loss:     m.BaseLoss,
+				Packets:  m.Packets,
+				Interval: m.Interval,
+				// Traffic seeds vary per (intensity, replicate) so every
+				// protocol faces the same stream fates within a cell.
+				TopoSeed: m.BaseSeed,
+				SimSeed:  m.BaseSeed + uint64(row)*100 + uint64(rep) + 1,
+				Mutation: fault.MutationFromIntensity(m.Intensities[row], span),
+			}
+		})
 }

@@ -67,24 +67,8 @@ func chaosParams(severity, baseLoss float64, packets int, interval float64) faul
 
 // Run executes the sweep and returns the four robustness figures.
 func (c ChaosSweep) Run() (delivery, latency, p99, bandwidth *Figure, err error) {
-	g := newGrid("chaos severity", c.Protocols, ChaosProtocols, c.Severities, "sev=%g")
-	err = g.run(c.Replicates, c.Parallel, func(row, rep int) RunSpec {
-		cp := chaosParams(c.Severities[row], c.BaseLoss, c.Packets, c.Interval)
-		return RunSpec{
-			Routers:  c.Routers,
-			Loss:     c.BaseLoss,
-			Packets:  c.Packets,
-			Interval: c.Interval,
-			// One fixed topology for the whole sweep; traffic and fault
-			// seeds vary per (severity, replicate) and the fault seed is
-			// protocol-independent, so every engine faces the same schedule.
-			TopoSeed:  c.BaseSeed,
-			SimSeed:   c.BaseSeed + uint64(row)*100 + uint64(rep) + 1,
-			Chaos:     &cp,
-			FaultSeed: c.BaseSeed + 0xc4a05 + uint64(row)*100 + uint64(rep),
-		}
-	})
-	if err != nil {
+	g := c.grid()
+	if err := g.run(c.Parallel); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	return g.figure("Chaos: delivery ratio vs fault severity", "delivered fraction", "delivery"),
@@ -92,4 +76,25 @@ func (c ChaosSweep) Run() (delivery, latency, p99, bandwidth *Figure, err error)
 		g.figure("Chaos: p99 recovery latency vs fault severity", "latency (ms)", "p99"),
 		g.figure("Chaos: recovery bandwidth vs fault severity", "bandwidth (hops)", "bandwidth"),
 		nil
+}
+
+// grid lays out the sweep's cells, all on one topology.
+func (c ChaosSweep) grid() *grid {
+	return newGrid("chaos severity", c.Protocols, ChaosProtocols, c.Severities, "sev=%g", c.Replicates,
+		func(row, rep int) RunSpec {
+			cp := chaosParams(c.Severities[row], c.BaseLoss, c.Packets, c.Interval)
+			return RunSpec{
+				Routers:  c.Routers,
+				Loss:     c.BaseLoss,
+				Packets:  c.Packets,
+				Interval: c.Interval,
+				// Traffic and fault seeds vary per (severity, replicate) and
+				// the fault seed is protocol-independent, so every engine
+				// faces the same schedule.
+				TopoSeed:  c.BaseSeed,
+				SimSeed:   c.BaseSeed + uint64(row)*100 + uint64(rep) + 1,
+				Chaos:     &cp,
+				FaultSeed: c.BaseSeed + 0xc4a05 + uint64(row)*100 + uint64(rep),
+			}
+		})
 }

@@ -59,25 +59,8 @@ func churnParams(rate float64, packets int, interval float64) fault.ChurnParams 
 
 // Run executes the sweep and returns the four churn figures.
 func (c ChurnSweep) Run() (delivery, latency, p99, failovers *Figure, err error) {
-	g := newGrid("churn rate", c.Protocols, ChurnProtocols, c.Rates, "churn=%g")
-	err = g.run(c.Replicates, c.Parallel, func(row, rep int) RunSpec {
-		cp := churnParams(c.Rates[row], c.Packets, c.Interval)
-		return RunSpec{
-			Routers:  c.Routers,
-			Loss:     c.BaseLoss,
-			Packets:  c.Packets,
-			Interval: c.Interval,
-			// One fixed topology for the whole sweep; traffic and fault
-			// seeds vary per (rate, replicate) and the fault seed is
-			// protocol-independent, so every engine faces the same crash
-			// waves.
-			TopoSeed:  c.BaseSeed,
-			SimSeed:   c.BaseSeed + uint64(row)*100 + uint64(rep) + 1,
-			Churn:     &cp,
-			FaultSeed: c.BaseSeed + 0xcf41 + uint64(row)*100 + uint64(rep),
-		}
-	})
-	if err != nil {
+	g := c.grid()
+	if err := g.run(c.Parallel); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	return g.figure("Churn: delivery ratio vs churn rate", "delivered fraction", "delivery"),
@@ -85,4 +68,25 @@ func (c ChurnSweep) Run() (delivery, latency, p99, failovers *Figure, err error)
 		g.figure("Churn: p99 recovery latency vs churn rate", "latency (ms)", "p99"),
 		g.figure("Churn: RP failovers vs churn rate", "failovers per run", "failovers"),
 		nil
+}
+
+// grid lays out the sweep's cells, all on one topology.
+func (c ChurnSweep) grid() *grid {
+	return newGrid("churn rate", c.Protocols, ChurnProtocols, c.Rates, "churn=%g", c.Replicates,
+		func(row, rep int) RunSpec {
+			cp := churnParams(c.Rates[row], c.Packets, c.Interval)
+			return RunSpec{
+				Routers:  c.Routers,
+				Loss:     c.BaseLoss,
+				Packets:  c.Packets,
+				Interval: c.Interval,
+				// Traffic and fault seeds vary per (rate, replicate) and the
+				// fault seed is protocol-independent, so every engine faces
+				// the same crash waves.
+				TopoSeed:  c.BaseSeed,
+				SimSeed:   c.BaseSeed + uint64(row)*100 + uint64(rep) + 1,
+				Churn:     &cp,
+				FaultSeed: c.BaseSeed + 0xcf41 + uint64(row)*100 + uint64(rep),
+			}
+		})
 }

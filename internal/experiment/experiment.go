@@ -152,18 +152,20 @@ type RunSpec struct {
 	// Churn, when non-nil, generates a mobility-style churn schedule
 	// instead: crash waves aimed at the election succession line
 	// (core.ElectionOrder) plus background client blackouts, from
-	// FaultSeed. Mutually exclusive with Chaos (Chaos wins if both set).
+	// FaultSeed. Chaos and Churn are mutually exclusive: a spec that sets
+	// both is rejected.
 	Churn *fault.ChurnParams
 	// Mutation, when non-nil and non-empty, installs the adversarial
 	// message-plane mutator (duplication, reordering, corruption, repair
-	// storms — fault.Mutator) on top of whatever schedule Chaos generated.
-	// A nil or empty config leaves the run byte-identical to one without.
+	// storms — fault.Mutator) on top of whatever schedule Chaos or Churn
+	// generated. A nil or empty config leaves the run byte-identical to one
+	// without.
 	Mutation *fault.MutationConfig
 }
 
 // validate rejects the RunSpec fields that protocol.Config does not see: a
-// non-finite or negative RouteNoise, and a NaN or infinite field of Chaos,
-// Churn or a Mutation class.
+// non-finite or negative RouteNoise, Chaos together with Churn, and a NaN
+// or infinite field of Chaos, Churn or a Mutation class.
 func (spec RunSpec) validate() error {
 	type field struct {
 		name string
@@ -171,6 +173,9 @@ func (spec RunSpec) validate() error {
 	}
 	if !(spec.RouteNoise >= 0) || math.IsInf(spec.RouteNoise, 1) {
 		return fmt.Errorf("experiment: bad run spec: RouteNoise = %v", spec.RouteNoise)
+	}
+	if spec.Chaos != nil && spec.Churn != nil {
+		return errors.New("experiment: bad run spec: Chaos and Churn are both set")
 	}
 	var fields []field
 	if c := spec.Chaos; c != nil {
@@ -207,16 +212,81 @@ func (spec RunSpec) validate() error {
 // protocol default; any other value goes to protocol.Config, whose
 // validation rejects it if it is bad.
 func Run(spec RunSpec) (*protocol.Result, error) {
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	tcfg := topology.DefaultConfig(spec.Routers)
-	tcfg.LossProb = spec.Loss
-	tcfg.Tree = spec.Tree
-	topo, err := topology.Generate(tcfg, rng.New(spec.TopoSeed))
+	return runCell(spec, buildNetwork)
+}
+
+// network is what a run takes from the fields that determine it (netKey):
+// the topology, its multicast tree and its router. A sweep builds each
+// distinct network once and runs every cell that shares it on it: cells
+// read it and never write it. Loss is set last and draws no randomness
+// (topology.Generate step 5), so nothing here depends on a cell's loss: the
+// network is built lossless, and each cell runs on a copy of the topology
+// that owns its own Loss slice.
+type network struct {
+	topo   *topology.Network
+	tree   *mtree.Tree
+	router route.Router
+}
+
+// netKey is the part of a RunSpec that determines its network.
+type netKey struct {
+	routers    int
+	topoSeed   uint64
+	tree       topology.TreeKind
+	linkState  bool
+	routeNoise float64
+}
+
+func (spec RunSpec) netKey() netKey {
+	return netKey{spec.Routers, spec.TopoSeed, spec.Tree, spec.LinkState, spec.RouteNoise}
+}
+
+// buildNetwork generates k's topology without loss and builds its tree and
+// its router: route.Build's oracle, or the converged link-state router when
+// linkState is set. lsr.Routing fills a destination's table on first use,
+// so unlike route.Tables it must not be shared by concurrent cells; no sweep
+// sets LinkState.
+func buildNetwork(k netKey) (*network, error) {
+	tcfg := topology.DefaultConfig(k.routers)
+	tcfg.LossProb = 0
+	tcfg.Tree = k.tree
+	topo, err := topology.Generate(tcfg, rng.New(k.topoSeed))
 	if err != nil {
 		return nil, err
 	}
+	tree, err := mtree.Build(topo)
+	if err != nil {
+		return nil, err
+	}
+	var router route.Router
+	if k.linkState {
+		router, _ = lsr.Converge(topo, lsr.Config{Noise: k.routeNoise},
+			rng.New(k.topoSeed+0x9e3779b9))
+	} else {
+		router = route.Build(topo)
+	}
+	return &network{topo: topo, tree: tree, router: router}, nil
+}
+
+// runCell validates spec, takes its network from build and runs spec on it.
+// Run builds a fresh network; a sweep's grid hands out its shared one.
+func runCell(spec RunSpec, build func(netKey) (*network, error)) (*protocol.Result, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	net, err := build(spec.netKey())
+	if err != nil {
+		return nil, err
+	}
+	if !(0 <= spec.Loss && spec.Loss <= 1) {
+		return nil, fmt.Errorf("topology: loss probability %v out of [0,1]", spec.Loss)
+	}
+	// The cell's own topology: a shallow copy with its own loss. The tree
+	// and the router keep the shared topology, so the planner still sees
+	// them describe one network (core.Planner's fast-path check).
+	topo := *net.topo
+	topo.Loss = make([]float64, len(net.topo.Loss))
+	topo.SetUniformLoss(spec.Loss)
 	eng, err := NewEngine(spec.Protocol)
 	if err != nil {
 		return nil, err
@@ -228,36 +298,23 @@ func Run(spec RunSpec) (*protocol.Result, error) {
 	if spec.Interval != 0 {
 		cfg.Interval = spec.Interval
 	}
-	if spec.Chaos != nil {
-		sched := fault.Generate(*spec.Chaos, topo.Clients, len(topo.Loss), rng.New(spec.FaultSeed))
-		sched.Mutation = spec.Mutation
-		if !sched.Empty() {
-			cfg.Fault = sched
-		}
-	} else if spec.Churn != nil {
+	var sched *fault.Schedule
+	switch {
+	case spec.Chaos != nil:
+		sched = fault.Generate(*spec.Chaos, topo.Clients, len(topo.Loss), rng.New(spec.FaultSeed))
+	case spec.Churn != nil:
 		// The churn driver aims its crash waves at the deterministic
 		// election succession line, which is a pure function of the tree —
 		// so the same schedule confronts every protocol on this topology.
-		tree, terr := mtree.Build(topo)
-		if terr != nil {
-			return nil, terr
-		}
-		sched := fault.GenerateChurn(*spec.Churn, core.ElectionOrder(tree), rng.New(spec.FaultSeed))
-		if !sched.Empty() {
-			cfg.Fault = sched
-		}
-	} else if spec.Mutation != nil {
-		sched := &fault.Schedule{Mutation: spec.Mutation}
-		if !sched.Empty() {
-			cfg.Fault = sched
-		}
+		sched = fault.GenerateChurn(*spec.Churn, core.ElectionOrder(net.tree), rng.New(spec.FaultSeed))
+	default:
+		sched = &fault.Schedule{}
 	}
-	var router route.Router
-	if spec.LinkState {
-		router, _ = lsr.Converge(topo, lsr.Config{Noise: spec.RouteNoise},
-			rng.New(spec.TopoSeed+0x9e3779b9))
+	sched.Mutation = spec.Mutation
+	if !sched.Empty() {
+		cfg.Fault = sched
 	}
-	s, err := protocol.NewSessionWithRouter(topo, eng, cfg, spec.SimSeed, router)
+	s, err := protocol.NewSessionPrebuilt(&topo, net.tree, eng, cfg, spec.SimSeed, net.router)
 	if err != nil {
 		return nil, err
 	}

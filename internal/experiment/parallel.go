@@ -2,13 +2,14 @@
 //
 // A sweep is a grid of independent simulation cells: every cell carries its
 // own (TopoSeed, SimSeed) pair, and inside a cell the session derives its
-// traffic and protocol streams from that seed via rng.Split. No state flows
-// between cells, so the grid can be executed by any number of workers in
-// any order and still produce bit-identical figures — determinism lives in
-// the seeds, not in the schedule. Each exploits that: it fans indices out
-// to a bounded worker pool, the grid gathers results into a slice indexed
-// by cell position, and aggregation always proceeds in the same
-// deterministic order the serial loop used.
+// traffic and protocol streams from that seed via rng.Split. Cells that
+// name one network share its topology, tree and router read-only, and no
+// other state flows between cells, so the grid can be executed by any
+// number of workers in any order and still produce bit-identical figures —
+// determinism lives in the seeds, not in the schedule. Each exploits that:
+// it fans indices out to a bounded worker pool, the grid gathers results
+// into a slice indexed by cell position, and aggregation always proceeds in
+// the same deterministic order the serial loop used.
 //
 // workers <= 1 bypasses the pool entirely and runs the serial loop
 // (including its stop-at-first-error behaviour), which keeps `-parallel 1`
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"rmcast/internal/protocol"
 )
@@ -67,16 +69,20 @@ func Each(n, workers int, f func(i int) error) (int, error) {
 }
 
 // grid is one sweep's row × protocol × replicate layout and, once run, its
-// measured rows.
+// measured rows. spec returns the cell at (row, replicate); run sets its
+// Protocol, so every protocol of a row faces the same seeds.
 type grid struct {
-	xlabel    string
-	protocols []string
-	rows      []Row // X and Label set by the sweep; run fills Points
+	xlabel     string
+	protocols  []string
+	rows       []Row // X and Label set by the sweep; run fills Points
+	replicates int
+	spec       func(row, rep int) RunSpec
 }
 
 // newGrid lays out one row per x value, labelled by format (e.g. "p=%g%%"),
-// comparing protocols (defaults when nil).
-func newGrid(xlabel string, protocols, defaults []string, xs []float64, format string) *grid {
+// comparing protocols (defaults when nil) over replicates seeds per cell.
+func newGrid(xlabel string, protocols, defaults []string, xs []float64, format string,
+	replicates int, spec func(row, rep int) RunSpec) *grid {
 	if protocols == nil {
 		protocols = defaults
 	}
@@ -84,21 +90,41 @@ func newGrid(xlabel string, protocols, defaults []string, xs []float64, format s
 	for i, x := range xs {
 		rows[i] = Row{X: x, Label: fmt.Sprintf(format, x)}
 	}
-	return &grid{xlabel: xlabel, protocols: protocols, rows: rows}
+	return &grid{xlabel: xlabel, protocols: protocols, rows: rows, replicates: replicates, spec: spec}
 }
 
-// run executes every cell on the pool and folds each (row, protocol)'s
-// replicates with Point.merge. spec returns the cell at (row, replicate);
-// run sets its Protocol, so every protocol of a row faces the same seeds.
-// A failing cell is named by its row label, protocol and replicate.
-func (g *grid) run(replicates, parallel int, spec func(row, rep int) RunSpec) error {
-	reps := max(replicates, 1)
+// run executes every cell on parallel workers and folds each (row,
+// protocol)'s replicates with Point.merge. A zero replicate count means
+// one; a negative count is an error. A failing cell is named by its row
+// label, protocol and replicate.
+//
+// Cells that share a network (netKey) share one build: the first of them to
+// run builds it, inside the pool, and the last to finish drops it, so the
+// pass holds no more networks than it is running. Nothing outlives the
+// pass, so a repeated pass pays for its own builds.
+func (g *grid) run(parallel int) error {
+	if g.replicates < 0 {
+		return fmt.Errorf("experiment: bad sweep: Replicates = %d", g.replicates)
+	}
+	reps := max(g.replicates, 1)
 	per := len(g.protocols) * reps
-	results := make([]*protocol.Result, len(g.rows)*per)
-	failed, err := Each(len(results), parallel, func(i int) (err error) {
-		s := spec(i/per, i%reps)
-		s.Protocol = g.protocols[i%per/reps]
-		results[i], err = Run(s)
+	specs := make([]RunSpec, len(g.rows)*per)
+	nets := make([]*sharedNet, len(specs))
+	byKey := map[netKey]*sharedNet{}
+	for i := range specs {
+		specs[i] = g.spec(i/per, i%reps)
+		specs[i].Protocol = g.protocols[i%per/reps]
+		k := specs[i].netKey()
+		if byKey[k] == nil {
+			byKey[k] = &sharedNet{}
+		}
+		nets[i] = byKey[k]
+		nets[i].cells.Add(1)
+	}
+	results := make([]*protocol.Result, len(specs))
+	failed, err := Each(len(specs), parallel, func(i int) (err error) {
+		defer nets[i].done()
+		results[i], err = runCell(specs[i], nets[i].get)
 		return err
 	})
 	if err != nil {
@@ -117,6 +143,26 @@ func (g *grid) run(replicates, parallel int, spec func(row, rep int) RunSpec) er
 		}
 	}
 	return nil
+}
+
+// sharedNet is one network of a grid and the count of its cells still to
+// finish. The first get builds it; the last done drops it.
+type sharedNet struct {
+	once  sync.Once
+	net   *network
+	err   error
+	cells atomic.Int32
+}
+
+func (s *sharedNet) get(k netKey) (*network, error) {
+	s.once.Do(func() { s.net, s.err = buildNetwork(k) })
+	return s.net, s.err
+}
+
+func (s *sharedNet) done() {
+	if s.cells.Add(-1) == 0 {
+		s.net = nil
+	}
 }
 
 // figure returns one metric's view of the grid's rows.

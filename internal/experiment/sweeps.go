@@ -39,22 +39,8 @@ func PaperFigure56() GroupSizeSweep {
 // Run executes the sweep and returns the latency figure (Figure 5) and the
 // bandwidth figure (Figure 6).
 func (g GroupSizeSweep) Run() (latency, bandwidth *Figure, err error) {
-	sizes := make([]float64, len(g.Sizes))
-	for i, n := range g.Sizes {
-		sizes[i] = float64(n)
-	}
-	gr := newGrid("clients", g.Protocols, PaperProtocols, sizes, "n=%.0f")
-	err = gr.run(g.Replicates, g.Parallel, func(row, rep int) RunSpec {
-		return RunSpec{
-			Routers:  g.Sizes[row],
-			Loss:     g.Loss,
-			Packets:  g.Packets,
-			Interval: g.Interval,
-			TopoSeed: g.BaseSeed + uint64(row)*1000,
-			SimSeed:  g.BaseSeed + uint64(row)*1000 + uint64(rep) + 1,
-		}
-	})
-	if err != nil {
+	gr := g.grid()
+	if err := gr.run(g.Parallel); err != nil {
 		return nil, nil, err
 	}
 	// Every protocol of a row runs on the row's one topology, so any point's
@@ -67,6 +53,25 @@ func (g GroupSizeSweep) Run() (latency, bandwidth *Figure, err error) {
 	return gr.figure("Figure 5: average recovery latency per packet recovered", "latency (ms)", "latency"),
 		gr.figure("Figure 6: average bandwidth usage per packet recovered", "bandwidth (hops)", "bandwidth"),
 		nil
+}
+
+// grid lays out the sweep's cells: one topology per size.
+func (g GroupSizeSweep) grid() *grid {
+	sizes := make([]float64, len(g.Sizes))
+	for i, n := range g.Sizes {
+		sizes[i] = float64(n)
+	}
+	return newGrid("clients", g.Protocols, PaperProtocols, sizes, "n=%.0f", g.Replicates,
+		func(row, rep int) RunSpec {
+			return RunSpec{
+				Routers:  g.Sizes[row],
+				Loss:     g.Loss,
+				Packets:  g.Packets,
+				Interval: g.Interval,
+				TopoSeed: g.BaseSeed + uint64(row)*1000,
+				SimSeed:  g.BaseSeed + uint64(row)*1000 + uint64(rep) + 1,
+			}
+		})
 }
 
 // LossSweep reproduces Figures 7 and 8: a fixed topology across loss rates.
@@ -104,25 +109,29 @@ func PaperFigure78() LossSweep {
 // Run executes the sweep and returns the latency figure (Figure 7) and the
 // bandwidth figure (Figure 8).
 func (l LossSweep) Run() (latency, bandwidth *Figure, err error) {
-	gr := newGrid("per-link loss (%)", l.Protocols, PaperProtocols, l.LossPcts, "p=%g%%")
-	err = gr.run(l.Replicates, l.Parallel, func(row, rep int) RunSpec {
-		return RunSpec{
-			Routers:  l.Routers,
-			Loss:     l.LossPcts[row] / 100,
-			Packets:  l.Packets,
-			Interval: l.Interval,
-			// One fixed topology for the whole sweep (the paper reports
-			// n=500 generating k=208 clients once).
-			TopoSeed: l.BaseSeed,
-			SimSeed:  l.BaseSeed + uint64(row)*100 + uint64(rep) + 1,
-		}
-	})
-	if err != nil {
+	gr := l.grid()
+	if err := gr.run(l.Parallel); err != nil {
 		return nil, nil, err
 	}
 	return gr.figure("Figure 7: average delay per packet recovered vs loss", "latency (ms)", "latency"),
 		gr.figure("Figure 8: average bandwidth usage per packet recovered vs loss", "bandwidth (hops)", "bandwidth"),
 		nil
+}
+
+// grid lays out the sweep's cells, all on one topology (the paper reports
+// n=500 generating k=208 clients once).
+func (l LossSweep) grid() *grid {
+	return newGrid("per-link loss (%)", l.Protocols, PaperProtocols, l.LossPcts, "p=%g%%", l.Replicates,
+		func(row, rep int) RunSpec {
+			return RunSpec{
+				Routers:  l.Routers,
+				Loss:     l.LossPcts[row] / 100,
+				Packets:  l.Packets,
+				Interval: l.Interval,
+				TopoSeed: l.BaseSeed,
+				SimSeed:  l.BaseSeed + uint64(row)*100 + uint64(rep) + 1,
+			}
+		})
 }
 
 // AblationSweep compares RP variants (and the source floor) on one
@@ -153,7 +162,18 @@ func PaperAblation() AblationSweep {
 // Run executes the ablation and returns latency and bandwidth figures over
 // the RP variants.
 func (a AblationSweep) Run() (latency, bandwidth *Figure, err error) {
-	ls := LossSweep{
+	latency, bandwidth, err = a.lossSweep().Run()
+	if err != nil {
+		return nil, nil, err
+	}
+	latency.Name = "Ablation: RP variants, latency"
+	bandwidth.Name = "Ablation: RP variants, bandwidth"
+	return latency, bandwidth, nil
+}
+
+// lossSweep is the ablation as a loss sweep over AblationProtocols.
+func (a AblationSweep) lossSweep() LossSweep {
+	return LossSweep{
 		Routers:    a.Routers,
 		LossPcts:   a.LossPcts,
 		Protocols:  AblationProtocols,
@@ -163,11 +183,4 @@ func (a AblationSweep) Run() (latency, bandwidth *Figure, err error) {
 		BaseSeed:   a.BaseSeed,
 		Parallel:   a.Parallel,
 	}
-	latency, bandwidth, err = ls.Run()
-	if err != nil {
-		return nil, nil, err
-	}
-	latency.Name = "Ablation: RP variants, latency"
-	bandwidth.Name = "Ablation: RP variants, bandwidth"
-	return latency, bandwidth, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rmcast/internal/graph"
+	"rmcast/internal/mtree"
 	"rmcast/internal/protocol"
 	"rmcast/internal/protocol/rpproto"
 	"rmcast/internal/rng"
@@ -142,7 +143,11 @@ func TestSessionRunsOverLinkStateRouting(t *testing.T) {
 	}
 	rt, _ := Converge(net, Config{Noise: 0.25}, rng.New(18))
 	e := rpproto.New(rpproto.Options{})
-	s, err := protocol.NewSessionWithRouter(net, e,
+	tree, err := mtree.Build(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := protocol.NewSessionPrebuilt(net, tree, e,
 		protocol.Config{Packets: 40, Interval: 40}, 19, rt)
 	if err != nil {
 		t.Fatal(err)

@@ -136,7 +136,9 @@ type Config struct {
 	// for the robustness experiments.
 	LossyRecovery bool
 	// Jitter adds per-traversal queueing variability (see sim.Net.Jitter).
-	// Zero — the paper's fixed-delay model — is the default.
+	// Zero — the paper's fixed-delay model — is the default. It may not
+	// exceed maxJitter, so a crossing takes at most 1001× its link's delay
+	// and a huge factor cannot overflow an arrival time to +Inf.
 	Jitter float64
 	// Fault, when non-empty, installs a failure-injection schedule (host
 	// crashes, link outages, burst loss — see internal/fault). Nil or empty
@@ -188,11 +190,15 @@ func DefaultConfig() Config {
 	return Config{Packets: 100, Interval: 50, DetectLag: 0}
 }
 
+// maxJitter is the largest Config.Jitter a session accepts.
+const maxJitter = 1000
+
 // validate rejects a configuration the session cannot simulate: a NaN or
 // infinite float field, a non-positive Packets or Interval, a negative
-// DetectLag, Jitter or DomainClients, a Detection or Check outside its
-// constants, or a program whose last instant — the last send, plus
-// DetectLag, plus the tail sweep's or one heartbeat's wait — is not finite.
+// DetectLag or DomainClients, a Jitter outside [0, maxJitter], a Detection
+// or Check outside its constants, or a program whose last instant — the
+// last send, plus DetectLag, plus the tail sweep's or one heartbeat's wait
+// — is not finite.
 // Negative GapTailLag, HeartbeatInterval and PacketTime keep meaning
 // "default" or "off".
 func (c Config) validate() error {
@@ -213,7 +219,7 @@ func (c Config) validate() error {
 		{"DetectLag", c.DetectLag, c.DetectLag >= 0},
 		{"GapTailLag", c.GapTailLag, true},
 		{"HeartbeatInterval", c.HeartbeatInterval, true},
-		{"Jitter", c.Jitter, c.Jitter >= 0},
+		{"Jitter", c.Jitter, c.Jitter >= 0 && c.Jitter <= maxJitter},
 		{"PacketTime", c.PacketTime, true},
 		{"DomainClients", float64(c.DomainClients), c.DomainClients >= 0},
 		{"Detection", float64(c.Detection), c.Detection <= DetectSession},
@@ -502,24 +508,19 @@ func (r *Result) String() string {
 // NewSession assembles a session over topo with the given protocol engine,
 // using the omniscient routing oracle. All randomness derives from seed.
 func NewSession(topo *topology.Network, engine Engine, cfg Config, seed uint64) (*Session, error) {
-	return NewSessionWithRouter(topo, engine, cfg, seed, nil)
-}
-
-// NewSessionWithRouter is NewSession with an injected routing substrate
-// (e.g. internal/lsr's converged link-state routing, whose delay estimates
-// carry measurement noise). nil means route.Build's oracle.
-func NewSessionWithRouter(topo *topology.Network, engine Engine, cfg Config, seed uint64, routes route.Router) (*Session, error) {
 	tree, err := mtree.Build(topo)
 	if err != nil {
 		return nil, err
 	}
-	return NewSessionPrebuilt(topo, tree, engine, cfg, seed, routes)
+	return NewSessionPrebuilt(topo, tree, engine, cfg, seed, nil)
 }
 
-// NewSessionPrebuilt is NewSessionWithRouter with a caller-supplied multicast
-// tree (mtree.Build over topo). The scaling sweep uses it to build one tree
-// per topology and reuse it across a cell's sessions — at n=1,000,000 the
-// tree dominates per-run setup cost.
+// NewSessionPrebuilt assembles a session from a caller-built multicast tree
+// (mtree.Build) and routing substrate: route.Build's oracle, or e.g.
+// internal/lsr's converged link-state routing, whose delay estimates carry
+// measurement noise; nil means route.Build over topo. The sweeps build one
+// tree and router per network and share them across its cells, which run on
+// copies of the tree's topology that differ only in Loss.
 func NewSessionPrebuilt(topo *topology.Network, tree *mtree.Tree, engine Engine, cfg Config, seed uint64, routes route.Router) (*Session, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err

@@ -171,6 +171,7 @@ func TestBadConfigRejected(t *testing.T) {
 		{"NaN jitter", Config{Packets: 5, Interval: 10, Jitter: nan}},
 		{"infinite jitter", Config{Packets: 5, Interval: 10, Jitter: inf}},
 		{"negative jitter", Config{Packets: 5, Interval: 10, Jitter: -1}},
+		{"jitter past the cap", Config{Packets: 5, Interval: 10, Jitter: 1e308}},
 		{"NaN packet time", Config{Packets: 5, Interval: 10, PacketTime: nan}},
 		{"infinite packet time", Config{Packets: 5, Interval: 10, PacketTime: inf}},
 		{"unknown detection mode", Config{Packets: 5, Interval: 10, Detection: 9}},
@@ -184,10 +185,12 @@ func TestBadConfigRejected(t *testing.T) {
 		}
 	}
 	// Negative GapTailLag, HeartbeatInterval and PacketTime mean "default"
-	// or "off", and the largest finite program is fine.
+	// or "off", and the largest finite program and the largest jitter are
+	// fine.
 	for _, cfg := range []Config{
 		{Packets: 5, Interval: 10, Detection: DetectSession, GapTailLag: -1, HeartbeatInterval: -1, PacketTime: -1},
 		{Packets: 2, Interval: 1e308},
+		{Packets: 5, Interval: 10, Jitter: maxJitter},
 	} {
 		if _, err := NewSession(topo, &nullEngine{}, cfg, 1); err != nil {
 			t.Errorf("%+v rejected: %v", cfg, err)

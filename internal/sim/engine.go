@@ -92,6 +92,8 @@ type Engine struct {
 	// batches gave up (see walker.go).
 	freeB, freeBig []*batch
 	spares         [][]arrival
+	// sortBuf is the batch sort's scratch, up to batchKeep entries.
+	sortBuf []arrival
 
 	// timers is the pooled timer arena; timerFree lists recyclable slots.
 	// A slot is released when its calendar event pops (fired or stopped) or

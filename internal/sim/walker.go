@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"slices"
-
-	"rmcast/internal/graph"
-)
+import "rmcast/internal/graph"
 
 // Delivery batches and hop walkers: the two pooled event payloads of the
 // network layer. Forwarding a packet allocates nothing in steady state.
@@ -132,15 +128,23 @@ func (e *Engine) keepSpare(a []arrival) {
 // takeSpare moves the entries of the full batch b into a spare array with
 // room for one more, if there is one.
 func (e *Engine) takeSpare(b *batch) {
+	if s := e.popSpare(len(b.ents) + 1); s != nil {
+		b.ents = append(s, b.ents...)
+	}
+}
+
+// popSpare removes and returns a spare array with room for n entries, or nil
+// if there is none.
+func (e *Engine) popSpare(n int) []arrival {
 	for i, s := range e.spares {
-		if cap(s) > len(b.ents) {
-			b.ents = append(s, b.ents...)
+		if cap(s) >= n {
 			last := len(e.spares) - 1
 			e.spares[i], e.spares[last] = e.spares[last], nil
 			e.spares = e.spares[:last]
-			return
+			return s
 		}
 	}
+	return nil
 }
 
 // addArrival stamps the next tie-break sequence number on the delivery of
@@ -156,21 +160,6 @@ func (e *Engine) addArrival(b *batch, at float64, node graph.NodeID, pkt int32) 
 	b.ents = append(b.ents, arrival{at: at, seq: e.seq, node: node, pkt: pkt})
 }
 
-// cmpArrival orders batch entries by (at, seq), the calendar's order.
-func cmpArrival(x, y arrival) int {
-	switch {
-	case x.at < y.at:
-		return -1
-	case x.at > y.at:
-		return 1
-	case x.seq < y.seq:
-		return -1
-	case x.seq > y.seq:
-		return 1
-	}
-	return 0
-}
-
 // scheduleBatch sorts b's entries and puts b in the calendar as one event
 // keyed at its first entry; an empty batch goes straight back to the pool.
 func (e *Engine) scheduleBatch(b *batch) {
@@ -178,10 +167,98 @@ func (e *Engine) scheduleBatch(b *batch) {
 		e.putBatch(b)
 		return
 	}
-	slices.SortFunc(b.ents, cmpArrival)
+	e.sortArrivals(b.ents)
 	first := &b.ents[0]
 	e.pending += len(b.ents)
 	heapPush(&e.pq, event{at: first.at, seq: first.seq, kind: evBatch, ref: e.batches.put(b)})
+}
+
+// sortRun is the block length the batch sort insertion-sorts before it
+// merges.
+const sortRun = 16
+
+// sortArrivals sorts a batch's entries into the calendar's (at, seq) order.
+// addArrival stamps them with ascending seq in slice order, so a sort on at
+// that keeps equal instants in slice order is that order. A batch already in
+// order costs one pass; otherwise blocks of sortRun entries are
+// insertion-sorted, then merged bottom-up through the engine's scratch.
+func (e *Engine) sortArrivals(a []arrival) {
+	n := len(a)
+	i := 1
+	for i < n && a[i-1].at <= a[i].at {
+		i++
+	}
+	if i == n {
+		return
+	}
+	for lo := 0; lo < n; lo += sortRun {
+		insertArrivals(a[lo:min(lo+sortRun, n)])
+	}
+	if n <= sortRun {
+		return
+	}
+	buf := e.sortScratch(n)
+	src, dst := a, buf
+	for w := sortRun; w < n; w *= 2 {
+		for lo := 0; lo < n; lo += 2 * w {
+			mid, hi := min(lo+w, n), min(lo+2*w, n)
+			mergeArrivals(dst[lo:hi], src[lo:mid], src[mid:hi])
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &a[0] {
+		copy(a, src)
+	}
+	if cap(buf) > batchKeep {
+		e.keepSpare(buf[:0])
+	}
+}
+
+// sortScratch returns scratch for sorting n entries: the engine's own array,
+// which it keeps up to batchKeep entries, or beyond that a spare (see
+// keepSpare), so a large group's floods do not pin a buffer of their own.
+func (e *Engine) sortScratch(n int) []arrival {
+	if n <= batchKeep {
+		if e.sortBuf == nil {
+			e.sortBuf = make([]arrival, batchKeep)
+		}
+		return e.sortBuf[:n]
+	}
+	if s := e.popSpare(n); s != nil {
+		return s[:n]
+	}
+	return make([]arrival, n)
+}
+
+// insertArrivals insertion-sorts a on at, keeping equal instants in order.
+func insertArrivals(a []arrival) {
+	for i := 1; i < len(a); i++ {
+		x := a[i]
+		j := i
+		for j > 0 && a[j-1].at > x.at {
+			a[j] = a[j-1]
+			j--
+		}
+		a[j] = x
+	}
+}
+
+// mergeArrivals merges the sorted runs x and y into dst, taking x's entry
+// first on equal instants.
+func mergeArrivals(dst, x, y []arrival) {
+	i, j, k := 0, 0, 0
+	for i < len(x) && j < len(y) {
+		if y[j].at < x[i].at {
+			dst[k] = y[j]
+			j++
+		} else {
+			dst[k] = x[i]
+			i++
+		}
+		k++
+	}
+	k += copy(dst[k:], x[i:])
+	copy(dst[k:], y[j:])
 }
 
 // fireBatch runs the next entry of the batch at the top of the calendar.

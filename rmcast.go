@@ -165,13 +165,10 @@ func DefaultPlannerOptions() PlannerOptions {
 // Strategies computes the optimal recovery strategy (Algorithm 1) for every
 // client of t.
 func Strategies(t *Topology, opt PlannerOptions) (map[NodeID]*Strategy, error) {
-	tree, err := mtree.Build(t)
+	p, err := newPlanner(t, opt)
 	if err != nil {
 		return nil, err
 	}
-	p := core.NewPlanner(tree, route.Build(t))
-	p.Timeout = opt.Timeout
-	p.AllowDirectSource = opt.AllowDirectSource
 	return p.PlanAll(), nil
 }
 
@@ -182,13 +179,10 @@ type Roster = core.Roster
 // NewRoster builds a churn-capable strategy roster over t's full client
 // set.
 func NewRoster(t *Topology, opt PlannerOptions) (*Roster, error) {
-	tree, err := mtree.Build(t)
+	p, err := newPlanner(t, opt)
 	if err != nil {
 		return nil, err
 	}
-	p := core.NewPlanner(tree, route.Build(t))
-	p.Timeout = opt.Timeout
-	p.AllowDirectSource = opt.AllowDirectSource
 	return core.NewRoster(p), nil
 }
 
@@ -198,6 +192,16 @@ func StrategyFor(t *Topology, client NodeID, opt PlannerOptions) (*Strategy, err
 	if client < 0 || int(client) >= t.NumNodes() || !t.IsClient(client) {
 		return nil, fmt.Errorf("rmcast: node %d is not a client of the topology", client)
 	}
+	p, err := newPlanner(t, opt)
+	if err != nil {
+		return nil, err
+	}
+	return p.StrategyFor(client), nil
+}
+
+// newPlanner builds t's multicast tree and routing tables and a planner over
+// them with opt's settings.
+func newPlanner(t *Topology, opt PlannerOptions) (*core.Planner, error) {
 	tree, err := mtree.Build(t)
 	if err != nil {
 		return nil, err
@@ -205,7 +209,7 @@ func StrategyFor(t *Topology, client NodeID, opt PlannerOptions) (*Strategy, err
 	p := core.NewPlanner(tree, route.Build(t))
 	p.Timeout = opt.Timeout
 	p.AllowDirectSource = opt.AllowDirectSource
-	return p.StrategyFor(client), nil
+	return p, nil
 }
 
 // Protocols lists the recovery protocols Simulate accepts.
@@ -227,7 +231,11 @@ func SimulateFull(t *Topology, protocolName string, cfg SessionConfig, seed uint
 	if err != nil {
 		return nil, err
 	}
-	s, err := protocol.NewSessionWithRouter(t, eng, cfg, seed, router)
+	tree, err := mtree.Build(t)
+	if err != nil {
+		return nil, err
+	}
+	s, err := protocol.NewSessionPrebuilt(t, tree, eng, cfg, seed, router)
 	if err != nil {
 		return nil, err
 	}
