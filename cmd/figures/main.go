@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"rmcast/internal/experiment"
 	"rmcast/internal/viz"
@@ -91,13 +92,13 @@ func main() {
 	need56 := *fig == "all" || *fig == "5" || *fig == "6" || *fig == "56"
 	need78 := *fig == "all" || *fig == "7" || *fig == "8" || *fig == "78"
 	needAb := *fig == "all" || *fig == "ablation"
-	needCh := *fig == "all" || *fig == "chaos"
-	needAdv := *fig == "all" || *fig == "adversarial"
-	needChu := *fig == "all" || *fig == "churn"
+	// The robustness sweeps, in the order "all" prints them.
+	robustness := []string{"chaos", "adversarial", "churn"}
+	needRob := *fig == "all" || slices.Contains(robustness, *fig)
 	// The scaling tier is a planning-performance probe, not a paper figure,
 	// so "all" does not imply it; ask for it explicitly.
 	needSc := *fig == "scaling"
-	if !need56 && !need78 && !needAb && !needCh && !needAdv && !needChu && !needSc {
+	if !need56 && !need78 && !needAb && !needRob && !needSc {
 		fmt.Fprintf(os.Stderr, "figures: unknown -fig %q\n", *fig)
 		os.Exit(2)
 	}
@@ -146,11 +147,14 @@ func main() {
 		emit(lat)
 		emit(bw)
 	}
-	if needCh {
-		c := experiment.DefaultChaos()
-		c.Packets, c.Replicates, c.BaseSeed, c.Interval = *packets, *reps, *seed, *interval
-		c.Parallel = *parallel
-		delivery, lat, p99, bw, err := c.Run()
+	for _, axis := range robustness {
+		if *fig != "all" && *fig != axis {
+			continue
+		}
+		s := experiment.DefaultRobustness(axis)
+		s.Packets, s.Replicates, s.BaseSeed, s.Interval = *packets, *reps, *seed, *interval
+		s.Parallel = *parallel
+		delivery, lat, p99, fourth, err := s.Run()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
 			os.Exit(1)
@@ -158,35 +162,7 @@ func main() {
 		emit(delivery)
 		emit(lat)
 		emit(p99)
-		emit(bw)
-	}
-	if needAdv {
-		a := experiment.DefaultAdversarial()
-		a.Packets, a.Replicates, a.BaseSeed, a.Interval = *packets, *reps, *seed, *interval
-		a.Parallel = *parallel
-		delivery, lat, p99, bw, err := a.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
-		emit(delivery)
-		emit(lat)
-		emit(p99)
-		emit(bw)
-	}
-	if needChu {
-		c := experiment.DefaultChurn()
-		c.Packets, c.Replicates, c.BaseSeed, c.Interval = *packets, *reps, *seed, *interval
-		c.Parallel = *parallel
-		delivery, lat, p99, failovers, err := c.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
-		emit(delivery)
-		emit(lat)
-		emit(p99)
-		emit(failovers)
+		emit(fourth)
 	}
 	if needSc {
 		s := experiment.DefaultScaling()

@@ -53,6 +53,7 @@ func TestBadFlagsRejected(t *testing.T) {
 	}{
 		{[]string{"-fig", "5", "-reps", "-2", "-packets", "5"}, 2, "figures: bad -reps -2"},
 		{[]string{"-fig", "5", "-reps", "0", "-packets", "5"}, 2, "figures: bad -reps 0"},
+		{[]string{"-fig", "scaling", "-simworkers", "-1"}, 1, "experiment: bad scaling sweep: SimWorkers = -1"},
 	} {
 		code, stderr := runCommand(t, tc.args...)
 		if code != tc.code || !strings.Contains(stderr, tc.msg) {

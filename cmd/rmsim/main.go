@@ -25,7 +25,9 @@ import (
 	"text/tabwriter"
 
 	"rmcast/internal/experiment"
+	"rmcast/internal/mtree"
 	"rmcast/internal/protocol"
+	"rmcast/internal/route"
 	"rmcast/internal/topology"
 	"rmcast/internal/trace"
 )
@@ -107,26 +109,19 @@ func main() {
 		return
 	}
 
-	if *churn {
-		sweep := experiment.DefaultChurn()
-		sweep.Routers = *routers
-		sweep.BaseLoss = *loss
-		sweep.Packets = *packets
-		sweep.Interval = *interval
-		sweep.BaseSeed = *simSeed
-		sweep.Replicates = *reps
-		sweep.Parallel = *parallel
-		delivery, latency, p99, failovers, err := sweep.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rmsim: %v\n", err)
-			os.Exit(1)
-		}
-		emitFigures(delivery, latency, p99, failovers)
-		return
+	// One robustness sweep at most; several sweep flags keep the order
+	// churn, chaos, scaling, adversarial.
+	axis := ""
+	switch {
+	case *churn:
+		axis = "churn"
+	case *chaos:
+		axis = "chaos"
+	case *adversarial && !*scaling:
+		axis = "adversarial"
 	}
-
-	if *chaos {
-		sweep := experiment.DefaultChaos()
+	if axis != "" {
+		sweep := experiment.DefaultRobustness(axis)
 		sweep.Routers = *routers
 		sweep.BaseLoss = *loss
 		sweep.Packets = *packets
@@ -134,12 +129,12 @@ func main() {
 		sweep.BaseSeed = *simSeed
 		sweep.Replicates = *reps
 		sweep.Parallel = *parallel
-		delivery, latency, p99, bandwidth, err := sweep.Run()
+		delivery, latency, p99, fourth, err := sweep.Run()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rmsim: %v\n", err)
 			os.Exit(1)
 		}
-		emitFigures(delivery, latency, p99, bandwidth)
+		emitFigures(delivery, latency, p99, fourth)
 		return
 	}
 
@@ -178,24 +173,6 @@ func main() {
 		return
 	}
 
-	if *adversarial {
-		sweep := experiment.DefaultAdversarial()
-		sweep.Routers = *routers
-		sweep.BaseLoss = *loss
-		sweep.Packets = *packets
-		sweep.Interval = *interval
-		sweep.BaseSeed = *simSeed
-		sweep.Replicates = *reps
-		sweep.Parallel = *parallel
-		delivery, latency, p99, bandwidth, err := sweep.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rmsim: %v\n", err)
-			os.Exit(1)
-		}
-		emitFigures(delivery, latency, p99, bandwidth)
-		return
-	}
-
 	protos := []string{*proto}
 	if *proto == "all" {
 		protos = experiment.PaperProtocols
@@ -229,15 +206,23 @@ func main() {
 		Events     uint64  `json:"events"`
 	}
 
-	// Each protocol run is independent (fresh topology and session from the
-	// same seeds), so they fan out to workers; results gather by index and
-	// print in the requested order. Tracing shares one writer, so it forces
-	// the serial path.
+	// Every protocol runs on one network: the topology, its tree and its
+	// routing tables are built once, and the runs only read them. Each run
+	// has its own session from the same seeds, so they fan out to workers;
+	// results gather by index and print in the requested order. Tracing
+	// shares one writer, so it forces the serial path.
+	topo, err := topology.Standard(*routers, *loss, *topoSeed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rmsim: %v\n", err)
+		os.Exit(1)
+	}
+	tree, err := mtree.Build(topo)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rmsim: %v\n", err)
+		os.Exit(1)
+	}
+	routes := route.Build(topo)
 	runOne := func(p string) (*protocol.Result, error) {
-		topo, err := topology.Standard(*routers, *loss, *topoSeed)
-		if err != nil {
-			return nil, err
-		}
 		eng, err := experiment.NewEngine(p)
 		if err != nil {
 			return nil, err
@@ -250,7 +235,7 @@ func main() {
 		if *gapDet {
 			cfg.Detection = protocol.DetectGap
 		}
-		sess, err := protocol.NewSession(topo, eng, cfg, *simSeed)
+		sess, err := protocol.NewSessionPrebuilt(topo, tree, eng, cfg, *simSeed, routes)
 		if err != nil {
 			return nil, err
 		}

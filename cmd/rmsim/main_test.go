@@ -53,6 +53,7 @@ func TestBadFlagsRejected(t *testing.T) {
 	}{
 		{[]string{"-chaos", "-routers", "40", "-packets", "5", "-replicates", "-1"}, 2, "rmsim: bad -replicates -1"},
 		{[]string{"-routers", "40", "-packets", "5", "-jitter", "1e308"}, 1, "protocol: bad config: Jitter = 1e+308"},
+		{[]string{"-routers", "40", "-packets", "5", "-simworkers", "-1"}, 1, "protocol: bad config: SimWorkers = -1"},
 	} {
 		code, stderr := runCommand(t, tc.args...)
 		if code != tc.code || !strings.Contains(stderr, tc.msg) {

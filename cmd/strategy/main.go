@@ -134,8 +134,8 @@ func main() {
 // comparable. Chorded scan-mode topologies still work through the service
 // (covered by its tests); they just bottleneck on replanning, which is a
 // planner property, not a service one. Bad flag values (no clients, a
-// non-finite beta, a negative reader count, a non-positive duration) are
-// errors.
+// non-finite beta, a negative reader count or churn rate, a non-positive
+// duration) are errors.
 func runStress(w io.Writer, routers int, seed uint64, beta float64, allowDirect bool, readers, churnRate int, d time.Duration) error {
 	timeout, err := proportionalTimeout(beta)
 	if err != nil {

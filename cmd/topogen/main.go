@@ -148,19 +148,15 @@ func writeJSON(net *topology.Network) error {
 }
 
 func writeSVG(net *topology.Network, overlay bool) error {
-	var strategies []*core.Strategy
-	if overlay {
-		tree, err := mtree.Build(net)
-		if err != nil {
-			return err
-		}
-		strategies = core.NewPlanner(tree, route.Build(net)).PlanAllDense()
-	}
-	c, err := viz.Topology(net, strategies, 1000, 700)
+	tree, err := mtree.Build(net)
 	if err != nil {
 		return err
 	}
-	_, err = c.WriteTo(os.Stdout)
+	var strategies []*core.Strategy
+	if overlay {
+		strategies = core.NewPlanner(tree, route.Build(net)).PlanAllDense()
+	}
+	_, err = viz.Topology(tree, strategies, 1000, 700).WriteTo(os.Stdout)
 	return err
 }
 

@@ -46,14 +46,15 @@ func TestMutationZeroMatchesLegacy(t *testing.T) {
 // each cell's mutator stream is derived from the cell's own seeds, and the
 // shared MutationConfig values are never written after construction.
 func TestMutationSweepParallelDeterminism(t *testing.T) {
-	base := MutationSweep{
-		Routers:     40,
-		Intensities: []float64{0, 0.5, 1},
-		BaseLoss:    0.05,
-		Packets:     15,
-		Interval:    50,
-		Replicates:  2,
-		BaseSeed:    2003,
+	base := RobustnessSweep{
+		Axis:       "adversarial",
+		Routers:    40,
+		Levels:     []float64{0, 0.5, 1},
+		BaseLoss:   0.05,
+		Packets:    15,
+		Interval:   50,
+		Replicates: 2,
+		BaseSeed:   2003,
 	}
 	serial := base
 	serial.Parallel = 1
@@ -112,15 +113,16 @@ func TestMutationIntensityBites(t *testing.T) {
 // across the whole intensity grid every hardened engine keeps delivering
 // everything — the adversary costs latency and bandwidth, never packets.
 func TestMutationSweepDeliveryHolds(t *testing.T) {
-	m := MutationSweep{
-		Routers:     40,
-		Intensities: []float64{0, 1},
-		BaseLoss:    0.05,
-		Packets:     20,
-		Interval:    50,
-		Replicates:  1,
-		BaseSeed:    2003,
-		Parallel:    4,
+	m := RobustnessSweep{
+		Axis:       "adversarial",
+		Routers:    40,
+		Levels:     []float64{0, 1},
+		BaseLoss:   0.05,
+		Packets:    20,
+		Interval:   50,
+		Replicates: 1,
+		BaseSeed:   2003,
+		Parallel:   4,
 	}
 	delivery, latency, p99, bandwidth, err := m.Run()
 	if err != nil {
@@ -148,7 +150,7 @@ func TestAdversarialSoak(t *testing.T) {
 	if os.Getenv("RMCAST_SOAK") == "" {
 		t.Skip("set RMCAST_SOAK=1 (or run `make soak`) to enable")
 	}
-	sweep := DefaultAdversarial()
+	sweep := DefaultRobustness("adversarial")
 	sweep.Replicates = 3
 	sweep.Parallel = DefaultParallelism()
 	if _, _, _, _, err := sweep.Run(); err != nil {

@@ -11,9 +11,10 @@ import (
 // the fault-injection grid where every cell additionally derives a fault
 // schedule from its seeds.
 func TestChaosSweepParallelDeterminism(t *testing.T) {
-	base := ChaosSweep{
+	base := RobustnessSweep{
+		Axis:       "chaos",
 		Routers:    40,
-		Severities: []float64{0, 0.5, 1},
+		Levels:     []float64{0, 0.5, 1},
 		BaseLoss:   0.05,
 		Packets:    15,
 		Interval:   50,
@@ -81,9 +82,10 @@ func TestChaosZeroSeverityMatchesLegacy(t *testing.T) {
 // and the harshest severity delivering strictly less for at least one
 // protocol (faults must actually bite).
 func TestChaosSweepSeverityDegradesDelivery(t *testing.T) {
-	c := ChaosSweep{
+	c := RobustnessSweep{
+		Axis:       "chaos",
 		Routers:    40,
-		Severities: []float64{0, 1},
+		Levels:     []float64{0, 1},
 		BaseLoss:   0.05,
 		Packets:    20,
 		Interval:   50,

@@ -12,9 +12,10 @@ import (
 // cells run elections — all of which must still be a pure function of the
 // cell seeds.
 func TestChurnSweepParallelDeterminism(t *testing.T) {
-	base := ChurnSweep{
+	base := RobustnessSweep{
+		Axis:       "churn",
 		Routers:    40,
-		Rates:      []float64{0, 0.5, 1},
+		Levels:     []float64{0, 0.5, 1},
 		BaseLoss:   0.05,
 		Packets:    15,
 		Interval:   50,
@@ -81,9 +82,10 @@ func TestChurnZeroRateMatchesLegacy(t *testing.T) {
 // succession line), while the protocols with no coordinator election report
 // a structurally zero failover count.
 func TestChurnSweepFailoverBites(t *testing.T) {
-	c := ChurnSweep{
+	c := RobustnessSweep{
+		Axis:       "churn",
 		Routers:    40,
-		Rates:      []float64{0, 1},
+		Levels:     []float64{0, 1},
 		BaseLoss:   0.05,
 		Packets:    20,
 		Interval:   50,

@@ -34,15 +34,6 @@ var PaperProtocols = []string{"SRM", "RMA", "RP"}
 // by the ablation benchmarks (experiment E7 in DESIGN.md).
 var AblationProtocols = []string{"RP", "RP-AWARE", "RP-NOSRC", "RP-NAK", "RP-SUBGROUP", "SRC", "SRM-HONEST", "SRM-ADAPT", "FEC", "ACK"}
 
-// ChaosProtocols are the engines compared by the chaos sweep (chaos.go):
-// the paper's three, the hardened RP, and the cooperative coded engine.
-var ChaosProtocols = []string{"SRM", "RMA", "RP", "RP-RESILIENT", "COOP"}
-
-// ChurnProtocols are the engines compared by the churn sweep (churn.go):
-// the flooding baseline, plain RP, the hardened RP, and the coordinated
-// failover mode whose RP the churn driver deliberately kills.
-var ChurnProtocols = []string{"SRM", "RP", "RP-RESILIENT", "RP-FAILOVER"}
-
 // engines is the engine table NewEngine builds from, in listing order. Each
 // zero Options is the paper's engine and a variant sets only its own flag;
 // every variant backs a figure or an E7 ablation reading (EXPERIMENTS.md).
@@ -164,46 +155,21 @@ type RunSpec struct {
 }
 
 // validate rejects the RunSpec fields that protocol.Config does not see: a
-// non-finite or negative RouteNoise, Chaos together with Churn, and a NaN
-// or infinite field of Chaos, Churn or a Mutation class.
+// non-finite or negative RouteNoise, Chaos together with Churn, and bad
+// Chaos or Churn parameters (fault.ChaosParams.Validate,
+// fault.ChurnParams.Validate), before a schedule is generated from them.
+// The Mutation config rides on the schedule, which the session validates.
 func (spec RunSpec) validate() error {
-	type field struct {
-		name string
-		v    float64
-	}
 	if !(spec.RouteNoise >= 0) || math.IsInf(spec.RouteNoise, 1) {
 		return fmt.Errorf("experiment: bad run spec: RouteNoise = %v", spec.RouteNoise)
 	}
-	if spec.Chaos != nil && spec.Churn != nil {
+	switch {
+	case spec.Chaos != nil && spec.Churn != nil:
 		return errors.New("experiment: bad run spec: Chaos and Churn are both set")
-	}
-	var fields []field
-	if c := spec.Chaos; c != nil {
-		fields = append(fields, field{"Chaos.CrashRate", c.CrashRate},
-			field{"Chaos.PermanentFrac", c.PermanentFrac}, field{"Chaos.LinkDownRate", c.LinkDownRate},
-			field{"Chaos.BurstSeverity", c.BurstSeverity}, field{"Chaos.BaseLoss", c.BaseLoss},
-			field{"Chaos.Span", c.Span})
-	}
-	if c := spec.Churn; c != nil {
-		fields = append(fields, field{"Churn.Rate", c.Rate},
-			field{"Churn.BackgroundRate", c.BackgroundRate}, field{"Churn.DowntimeFrac", c.DowntimeFrac},
-			field{"Churn.PermanentFrac", c.PermanentFrac}, field{"Churn.Span", c.Span})
-	}
-	if m := spec.Mutation; m != nil {
-		for _, c := range []struct {
-			name string
-			p    fault.MutationParams
-		}{{"Request", m.Request}, {"Repair", m.Repair}, {"Symbol", m.Symbol}} {
-			fields = append(fields, field{"Mutation." + c.name + ".DupProb", c.p.DupProb},
-				field{"Mutation." + c.name + ".ReorderProb", c.p.ReorderProb},
-				field{"Mutation." + c.name + ".MaxDelay", c.p.MaxDelay},
-				field{"Mutation." + c.name + ".CorruptProb", c.p.CorruptProb})
-		}
-	}
-	for _, f := range fields {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("experiment: bad run spec: %s = %v", f.name, f.v)
-		}
+	case spec.Chaos != nil:
+		return spec.Chaos.Validate()
+	case spec.Churn != nil:
+		return spec.Churn.Validate()
 	}
 	return nil
 }
@@ -311,9 +277,7 @@ func runCell(spec RunSpec, build func(netKey) (*network, error)) (*protocol.Resu
 		sched = &fault.Schedule{}
 	}
 	sched.Mutation = spec.Mutation
-	if !sched.Empty() {
-		cfg.Fault = sched
-	}
+	cfg.Fault = sched
 	s, err := protocol.NewSessionPrebuilt(&topo, net.tree, eng, cfg, spec.SimSeed, net.router)
 	if err != nil {
 		return nil, err

@@ -2,28 +2,29 @@ package experiment
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"rmcast/internal/fault"
 	"rmcast/internal/protocol"
-	"rmcast/internal/rng"
 	"rmcast/internal/topology"
 )
 
 // FuzzMutator throws arbitrary mutation configs — including NaN, infinite,
 // negative and absurd values — at small but complete simulation runs of
-// every hardened engine, with the strict invariant oracle on. Run rejects a
-// NaN or infinite intensity as a bad run spec; a caller that goes straight
-// to protocol gets every value clamped by the mutator. Whatever the
-// adversary's parameters, the run must terminate, deliver everything, and
-// keep clean books: Check fails an event-cap hit, an unrecovered loss, or
-// any oracle violation, and the oracle panics mid-run on safety divergence.
+// every hardened engine, with the strict invariant oracle on. A config with
+// a field out of range must be rejected both by Run and by a caller that
+// goes straight to protocol.NewSession, each naming such a field. A valid
+// config must run clean whatever the adversary's parameters: Run's Check
+// fails an event-cap hit, an unrecovered loss, or any oracle violation, and
+// the oracle panics mid-run on safety divergence.
 func FuzzMutator(f *testing.F) {
 	f.Add(uint64(1), 0.3, 0.4, 0.12, 25.0, int16(3), 100.0, 300.0, int16(2), uint8(0))
 	f.Add(uint64(2), 1.0, 1.0, 1.0, 1e12, int16(999), math.Inf(-1), math.NaN(), int16(-5), uint8(1))
 	f.Add(uint64(3), math.NaN(), -1.0, 0.5, -3.0, int16(0), 0.0, 500.0, int16(16), uint8(2))
 	f.Add(uint64(4), 0.9, 0.0, 0.0, 0.0, int16(8), 200.0, 100.0, int16(1), uint8(3))
+	f.Add(uint64(5), 1.0, 1.0, 0.9, 10_000.0, int16(8), 0.0, 400.0, int16(16), uint8(4))
 	f.Fuzz(func(t *testing.T, seed uint64,
 		dup, reorder, corrupt, maxDelay float64, maxDup int16,
 		stormFrom, stormTo float64, stormExtra int16, protoIdx uint8) {
@@ -47,48 +48,55 @@ func FuzzMutator(f *testing.F) {
 			Mutation: cfg,
 		}
 		_, err := Run(spec)
-		finite := true
-		for _, v := range []float64{dup, reorder, corrupt, maxDelay} {
-			finite = finite && !math.IsNaN(v) && !math.IsInf(v, 0)
-		}
-		if finite {
+		bad := badFields(p)
+		if len(bad) == 0 {
 			if err != nil {
 				t.Fatalf("%s under %+v: %v", proto, cfg, err)
 			}
 			return
 		}
-		if err == nil || !strings.Contains(err.Error(), "experiment: bad run spec: Mutation.") {
-			t.Fatalf("%s under %+v: Run returned %v, want a bad run spec", proto, cfg, err)
+		topo, terr := topology.Standard(spec.Routers, spec.Loss, spec.TopoSeed)
+		if terr != nil {
+			t.Fatal(terr)
 		}
-		if err := runClamped(spec); err != nil {
-			t.Fatalf("%s under %+v, clamped: %v", proto, cfg, err)
+		eng, eerr := NewEngine(proto)
+		if eerr != nil {
+			t.Fatal(eerr)
+		}
+		_, serr := protocol.NewSession(topo, eng, protocol.Config{
+			Packets: spec.Packets, Interval: spec.Interval, Fault: &fault.Schedule{Mutation: cfg},
+		}, seed)
+		for caller, err := range map[string]error{"Run": err, "protocol.NewSession": serr} {
+			if err == nil || !slices.ContainsFunc(bad, func(name string) bool {
+				return strings.Contains(err.Error(), "Request."+name+" = ")
+			}) {
+				t.Fatalf("%s under %+v: %s returned %v, want an error naming Request. and one of %v",
+					proto, cfg, caller, err, bad)
+			}
 		}
 	})
 }
 
-// runClamped is Run's mutation-only path without RunSpec.validate: the
-// config goes straight to protocol, whose mutator clamps every intensity.
-func runClamped(spec RunSpec) error {
-	tcfg := topology.DefaultConfig(spec.Routers)
-	tcfg.LossProb = spec.Loss
-	topo, err := topology.Generate(tcfg, rng.New(spec.TopoSeed))
-	if err != nil {
-		return err
+// badFields names the fields of p the mutator cannot honour as given: a
+// probability outside [0, 1], a CorruptProb above 0.9, a MaxDelay outside
+// [0, 10 000] ms or a MaxDup outside [0, 8].
+func badFields(p fault.MutationParams) []string {
+	var bad []string
+	for _, f := range []struct {
+		name string
+		ok   bool
+	}{
+		{"DupProb", 0 <= p.DupProb && p.DupProb <= 1},
+		{"MaxDup", 0 <= p.MaxDup && p.MaxDup <= 8},
+		{"ReorderProb", 0 <= p.ReorderProb && p.ReorderProb <= 1},
+		{"MaxDelay", 0 <= p.MaxDelay && p.MaxDelay <= 10_000},
+		{"CorruptProb", 0 <= p.CorruptProb && p.CorruptProb <= 0.9},
+	} {
+		if !f.ok {
+			bad = append(bad, f.name)
+		}
 	}
-	eng, err := NewEngine(spec.Protocol)
-	if err != nil {
-		return err
-	}
-	cfg := protocol.DefaultConfig()
-	cfg.Packets, cfg.Interval = spec.Packets, spec.Interval
-	if sched := (&fault.Schedule{Mutation: spec.Mutation}); !sched.Empty() {
-		cfg.Fault = sched
-	}
-	s, err := protocol.NewSession(topo, eng, cfg, spec.SimSeed)
-	if err != nil {
-		return err
-	}
-	return Check(s.Run())
+	return bad
 }
 
 // FuzzRunPath drives the one run path across its envelope: any engine, any

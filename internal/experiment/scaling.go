@@ -39,7 +39,8 @@ type ScalingSweep struct {
 	// serial RP packet run and one sharded run at this worker count on the
 	// same topology, wall-clocked separately, with the two result digests
 	// required to match exactly (the sweep errors on divergence — this is
-	// the determinism gate the CI smoke tier rides). 0 skips the phase.
+	// the determinism gate the CI smoke tier rides). 0 skips the phase; a
+	// negative count is an error.
 	SimWorkers int
 	// SimPackets sizes the simulation phase; 0 means 20.
 	SimPackets int
@@ -126,6 +127,9 @@ type ScalingReport []ScalingCell
 // Run executes the sweep. Cells run serially on purpose: wall-clock is the
 // measurement, so cells must not contend for cores.
 func (s ScalingSweep) Run() (ScalingReport, error) {
+	if s.SimWorkers < 0 {
+		return nil, fmt.Errorf("experiment: bad scaling sweep: SimWorkers = %d", s.SimWorkers)
+	}
 	cutoff := s.ScanCutoff
 	if cutoff == 0 {
 		cutoff = 5000

@@ -69,3 +69,12 @@ func TestScalingSkipsScanPastCutoff(t *testing.T) {
 		t.Fatalf("scan should be skipped past the cutoff: %+v", c)
 	}
 }
+
+// TestScalingRejectsNegativeSimWorkers: a negative worker count is an
+// error, not a sweep that silently skips its simulation phase.
+func TestScalingRejectsNegativeSimWorkers(t *testing.T) {
+	s := ScalingSweep{Sizes: []int{200}, BaseSeed: 1, SimWorkers: -1}
+	if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "SimWorkers = -1") {
+		t.Fatalf("Run returned %v, want a bad SimWorkers error", err)
+	}
+}

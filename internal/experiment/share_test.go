@@ -51,11 +51,11 @@ func TestSweepsShareNetworks(t *testing.T) {
 	loss := LossSweep{Routers: 60, LossPcts: []float64{2, 10, 20}, Packets: 15, Interval: 50, Replicates: 2, BaseSeed: 7}
 	abl := PaperAblation()
 	abl.Routers, abl.Packets = 40, 10
-	chaos := DefaultChaos()
+	chaos := DefaultRobustness("chaos")
 	chaos.Routers, chaos.Packets = 40, 15
-	churn := DefaultChurn()
+	churn := DefaultRobustness("churn")
 	churn.Routers, churn.Packets = 40, 15
-	adv := DefaultAdversarial()
+	adv := DefaultRobustness("adversarial")
 	adv.Routers, adv.Packets = 40, 15
 	for _, tc := range []struct {
 		name string

@@ -33,6 +33,20 @@ type ChaosParams struct {
 	Span float64
 }
 
+// Validate rejects a NaN or infinite field, naming it. Zero and negative
+// values keep their meaning: no crashes, no outages, no bursts, and a Span
+// of at most 0 means 1.
+func (p ChaosParams) Validate() error {
+	return firstBad("chaos params", []field{
+		{"CrashRate", p.CrashRate, true},
+		{"PermanentFrac", p.PermanentFrac, true},
+		{"LinkDownRate", p.LinkDownRate, true},
+		{"BurstSeverity", p.BurstSeverity, true},
+		{"BaseLoss", p.BaseLoss, true},
+		{"Span", p.Span, true},
+	})
+}
+
 // BurstFromSeverity maps a severity in [0, 1] and a base loss rate to
 // Gilbert–Elliott parameters: the good state keeps the flat base loss, the
 // bad state loses 30–70% of crossings, and bad states arrive more often and

@@ -6,12 +6,12 @@ import (
 )
 
 // ChurnParams drives the mobility-style churn generator used by the churn
-// sweep (experiment.ChurnSweep): instead of the chaos generator's uniform
-// crash lottery, churn aims its crash waves at the *coordinator succession
-// line* — the ranked election order of core.ElectionOrder — so a failover-
-// capable protocol is forced through repeated RP re-elections, the scenario
-// Baddi & El Kettani's mobile-IPv6 RP re-selection frames. Background
-// blackouts model ordinary member mobility. The generated schedule is a pure
+// axis of experiment.RobustnessSweep: instead of the chaos generator's
+// uniform crash lottery, churn aims its crash waves at the *coordinator
+// succession line* — the ranked election order of core.ElectionOrder — so a
+// failover-capable protocol is forced through repeated RP re-elections,
+// the scenario Baddi & El Kettani's mobile-IPv6 RP re-selection frames.
+// Background blackouts model ordinary member mobility. The generated schedule is a pure
 // function of (params, ranked, seed), so sweep cells stay bit-identical at
 // any worker count, and the same schedule can be handed to protocols with no
 // failover notion (for them, wave targets are just well-placed clients).
@@ -35,6 +35,18 @@ type ChurnParams struct {
 	PermanentFrac float64
 	// Span is the data-transmission duration (Packets·Interval), ms.
 	Span float64
+}
+
+// Validate rejects a NaN or infinite field, naming it. Zero and negative
+// values keep their documented meaning (a default, or none).
+func (p ChurnParams) Validate() error {
+	return firstBad("churn params", []field{
+		{"Rate", p.Rate, true},
+		{"BackgroundRate", p.BackgroundRate, true},
+		{"DowntimeFrac", p.DowntimeFrac, true},
+		{"PermanentFrac", p.PermanentFrac, true},
+		{"Span", p.Span, true},
+	})
 }
 
 // withDefaults fills the zero-value knobs.

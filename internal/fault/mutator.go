@@ -13,11 +13,16 @@
 // that stream at all, so runs without mutation stay byte-identical to runs
 // before this layer existed (the same guarantee Schedule gives for empty
 // schedules). Configs are never written after construction — the runtime
-// Mutator clamps into its own copy — so one config value can be shared
-// across parallel sweep cells.
+// Mutator copies what it reads — so one config value can be shared across
+// parallel sweep cells. A config out of range is an error (Validate), not a
+// value silently clamped.
 package fault
 
-import "rmcast/internal/rng"
+import (
+	"slices"
+
+	"rmcast/internal/rng"
+)
 
 // MsgClass classifies packets for mutation. The fault package cannot see
 // sim.Kind (sim imports fault), so the network layer maps packet kinds onto
@@ -108,34 +113,21 @@ type MutationParams struct {
 	CorruptProb float64
 }
 
-// clamped returns a copy with every field forced into its legal range
-// (probabilities to [0,1], NaN to 0, delay and counts to their caps).
-func (p MutationParams) clamped() MutationParams {
-	p.DupProb = clamp01(p.DupProb)
-	p.ReorderProb = clamp01(p.ReorderProb)
-	p.CorruptProb = clamp01(p.CorruptProb)
-	if p.CorruptProb > maxCorruptProb {
-		p.CorruptProb = maxCorruptProb
+// fields lists the parameters of one class, named class.Field, with whether
+// each is in its legal range.
+func (p MutationParams) fields(class string) []field {
+	return []field{
+		{class + ".DupProb", p.DupProb, 0 <= p.DupProb && p.DupProb <= 1},
+		{class + ".MaxDup", float64(p.MaxDup), 0 <= p.MaxDup && p.MaxDup <= maxDupCap},
+		{class + ".ReorderProb", p.ReorderProb, 0 <= p.ReorderProb && p.ReorderProb <= 1},
+		{class + ".MaxDelay", p.MaxDelay, 0 <= p.MaxDelay && p.MaxDelay <= maxMutationDelay},
+		{class + ".CorruptProb", p.CorruptProb, 0 <= p.CorruptProb && p.CorruptProb <= maxCorruptProb},
 	}
-	if !(p.MaxDelay > 0) { // negative or NaN
-		p.MaxDelay = 0
-	}
-	if p.MaxDelay > maxMutationDelay {
-		p.MaxDelay = maxMutationDelay
-	}
-	if p.MaxDup <= 0 {
-		p.MaxDup = maxDupDefault
-	}
-	if p.MaxDup > maxDupCap {
-		p.MaxDup = maxDupCap
-	}
-	return p
 }
 
-// Empty reports whether the parameters mutate nothing.
+// Empty reports whether valid parameters mutate nothing.
 func (p MutationParams) Empty() bool {
-	c := p.clamped()
-	return c.DupProb == 0 && c.ReorderProb == 0 && c.CorruptProb == 0
+	return p.DupProb == 0 && p.ReorderProb == 0 && p.CorruptProb == 0
 }
 
 // StormWindow is a targeted repair-storm amplification window: every repair
@@ -155,8 +147,8 @@ func (w StormWindow) active() bool {
 
 // MutationConfig is the declarative message-plane adversary attached to a
 // Schedule. The zero value (and nil) mutates nothing. Configs are read-only
-// after construction: the runtime clamps into private copies, so a single
-// config may be shared across concurrent runs.
+// after construction: the runtime copies them, so a single config may be
+// shared across concurrent runs.
 type MutationConfig struct {
 	// Request, Repair, and Symbol are the per-class mutation intensities
 	// (Symbol covers coded repair symbols; inert for engines that send
@@ -168,7 +160,20 @@ type MutationConfig struct {
 	Storms []StormWindow
 }
 
-// Empty reports whether the config mutates nothing.
+// Validate rejects, naming the field, every value the mutator would not
+// honour as given: a probability outside [0, 1] (NaN included), a
+// CorruptProb above 0.9, a MaxDelay outside [0, 10 000] ms and a MaxDup
+// outside [0, 8]. A nil config is valid. Storm windows are not checked: an
+// inactive one mutates nothing and Extra is capped at 16.
+func (c *MutationConfig) Validate() error {
+	if c == nil {
+		return nil
+	}
+	return firstBad("mutation config", slices.Concat(
+		c.Request.fields("Request"), c.Repair.fields("Repair"), c.Symbol.fields("Symbol")))
+}
+
+// Empty reports whether a valid config mutates nothing.
 func (c *MutationConfig) Empty() bool {
 	if c == nil {
 		return true
@@ -238,13 +243,17 @@ type Mutator struct {
 	scratch []float64
 }
 
-// newMutator clamps the config into a private copy; cfg itself is never
-// written (it may be shared across parallel runs).
+// newMutator compiles a valid config (Validate) into a private copy, with
+// MaxDup 0 set to its default; cfg itself is never written (it may be
+// shared across parallel runs).
 func newMutator(cfg *MutationConfig, r *rng.Rand) *Mutator {
 	m := &Mutator{r: r}
-	m.classes[ClassRequest] = cfg.Request.clamped()
-	m.classes[ClassRepair] = cfg.Repair.clamped()
-	m.classes[ClassSymbol] = cfg.Symbol.clamped()
+	m.classes = [numClasses]MutationParams{cfg.Request, cfg.Repair, cfg.Symbol}
+	for i := range m.classes {
+		if m.classes[i].MaxDup == 0 {
+			m.classes[i].MaxDup = maxDupDefault
+		}
+	}
 	for _, w := range cfg.Storms {
 		if !w.active() {
 			continue

@@ -2,41 +2,60 @@ package fault
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"rmcast/internal/rng"
 )
 
-func TestMutationParamsClamped(t *testing.T) {
-	p := MutationParams{
-		DupProb:     2,
-		MaxDup:      99,
-		ReorderProb: -1,
-		MaxDelay:    1e12,
-		CorruptProb: 1,
-	}.clamped()
-	if p.DupProb != 1 {
-		t.Fatalf("DupProb %v, want 1", p.DupProb)
+// TestMutationConfigValidate: every value the mutator would not honour as
+// given is an error naming its class and field, whatever else the config
+// holds (a config mutating nothing included); the range limits themselves
+// and MaxDup 0 (the default, 3) are valid.
+func TestMutationConfigValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		cfg   MutationConfig
+	}{
+		{"Request.DupProb = NaN", MutationConfig{Request: MutationParams{DupProb: nan}}},
+		{"Request.DupProb = -1", MutationConfig{Request: MutationParams{DupProb: -1}}},
+		{"Request.DupProb = 2", MutationConfig{Request: MutationParams{DupProb: 2}}},
+		{"Request.MaxDup = -3", MutationConfig{Request: MutationParams{DupProb: 0.5, MaxDup: -3}}},
+		{"Request.MaxDup = 99", MutationConfig{Request: MutationParams{DupProb: 0.5, MaxDup: 99}}},
+		{"Repair.ReorderProb = -1", MutationConfig{Repair: MutationParams{ReorderProb: -1}}},
+		{"Repair.ReorderProb = +Inf", MutationConfig{Repair: MutationParams{ReorderProb: inf}}},
+		{"Repair.MaxDelay = NaN", MutationConfig{Repair: MutationParams{MaxDelay: nan}}},
+		{"Repair.MaxDelay = -5", MutationConfig{Repair: MutationParams{ReorderProb: 0.5, MaxDelay: -5}}},
+		{"Symbol.MaxDelay = 1e+12", MutationConfig{Symbol: MutationParams{ReorderProb: 0.5, MaxDelay: 1e12}}},
+		{"Symbol.CorruptProb = 1", MutationConfig{Symbol: MutationParams{CorruptProb: 1}}},
+		{"Symbol.CorruptProb = -Inf", MutationConfig{Symbol: MutationParams{CorruptProb: -inf}}},
+	} {
+		err := tc.cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: Validate returned %v, want an error naming %s", tc.cfg, err, tc.field)
+		}
+		s := (&Schedule{}).SetMutation(&tc.cfg)
+		if err := s.Validate(1, 1); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: Schedule.Validate returned %v, want an error naming %s", tc.cfg, err, tc.field)
+		}
 	}
-	if p.MaxDup != maxDupCap {
-		t.Fatalf("MaxDup %d, want %d", p.MaxDup, maxDupCap)
+	edge := MutationParams{DupProb: 1, MaxDup: maxDupCap, ReorderProb: 1,
+		MaxDelay: maxMutationDelay, CorruptProb: maxCorruptProb}
+	for _, cfg := range []*MutationConfig{
+		nil,
+		{},
+		{Request: edge, Repair: edge, Symbol: edge},
+		{Request: MutationParams{DupProb: 0.3}}, // MaxDup 0: the default
+		{Storms: []StormWindow{{From: 0, To: 100, Extra: 99}}},
+	} {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", cfg, err)
+		}
 	}
-	if p.ReorderProb != 0 {
-		t.Fatalf("ReorderProb %v, want 0", p.ReorderProb)
-	}
-	if p.MaxDelay != maxMutationDelay {
-		t.Fatalf("MaxDelay %v, want %v", p.MaxDelay, float64(maxMutationDelay))
-	}
-	if p.CorruptProb != maxCorruptProb {
-		t.Fatalf("CorruptProb %v, want %v (liveness floor)", p.CorruptProb, maxCorruptProb)
-	}
-
-	n := MutationParams{DupProb: math.NaN(), MaxDelay: math.NaN(), MaxDup: -3}.clamped()
-	if n.DupProb != 0 || n.MaxDelay != 0 {
-		t.Fatalf("NaN not clamped to 0: %+v", n)
-	}
-	if n.MaxDup != maxDupDefault {
-		t.Fatalf("MaxDup %d, want default %d", n.MaxDup, maxDupDefault)
+	m := newMutator(&MutationConfig{Request: MutationParams{DupProb: 0.3}}, rng.New(1))
+	if got := m.classes[ClassRequest].MaxDup; got != maxDupDefault {
+		t.Fatalf("MaxDup 0 compiled to %d, want the default %d", got, maxDupDefault)
 	}
 }
 
@@ -177,8 +196,8 @@ func TestMutatorStormWindow(t *testing.T) {
 // inspected, so garbage there would be vacuous).
 func TestMutatorCorruptionModes(t *testing.T) {
 	cfg := &MutationConfig{
-		Request: MutationParams{CorruptProb: 1},
-		Repair:  MutationParams{CorruptProb: 1},
+		Request: MutationParams{CorruptProb: maxCorruptProb},
+		Repair:  MutationParams{CorruptProb: maxCorruptProb},
 	}
 	m := newMutator(cfg, rng.New(3))
 	var mu Mutation
@@ -187,7 +206,7 @@ func TestMutatorCorruptionModes(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		m.Sample(ClassRequest, 0, &mu)
 		if mu.Corrupt == CorruptNone {
-			misses++ // CorruptProb 1 clamps to 0.9: ~10% stay clean
+			misses++ // CorruptProb 0.9: ~10% stay clean
 		} else {
 			reqModes[mu.Corrupt] = true
 		}

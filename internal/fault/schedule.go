@@ -88,6 +88,24 @@ func clamp01(p float64) float64 {
 	return p
 }
 
+// field is one named parameter and whether it is in its legal range.
+type field struct {
+	name string
+	v    float64
+	ok   bool
+}
+
+// firstBad returns an error naming the first field of what that is out of
+// range, NaN or infinite.
+func firstBad(what string, fields []field) error {
+	for _, f := range fields {
+		if !f.ok || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("fault: bad %s: %s = %v", what, f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Clamped returns the parameters with every probability clamped to [0, 1].
 func (g GEParams) Clamped() GEParams {
 	return GEParams{
@@ -110,8 +128,8 @@ type Schedule struct {
 	Burst map[graph.EdgeID]GEParams
 	// Mutation, when non-empty, attaches the adversarial message-plane
 	// mutator (duplication, reorder delay, corruption, repair storms —
-	// see mutator.go) to the run. The config is read-only: the runtime
-	// clamps into a private copy, so it may be shared across runs.
+	// see mutator.go) to the run. Validate checks it. The config is
+	// read-only: the runtime copies it, so it may be shared across runs.
 	Mutation *MutationConfig
 }
 
@@ -193,9 +211,17 @@ func (s *Schedule) Normalize() *Schedule {
 }
 
 // Validate checks the schedule against a network of numNodes nodes and
-// numLinks links: event times must be finite and non-negative, and every
-// referenced node/link must exist. It returns the first violation found.
+// numLinks links: event times must be finite and non-negative, every
+// referenced node/link must exist, and the mutation config must be valid
+// (MutationConfig.Validate), empty or not. It returns the first violation
+// found; a nil schedule is valid.
 func (s *Schedule) Validate(numNodes, numLinks int) error {
+	if s == nil {
+		return nil
+	}
+	if err := s.Mutation.Validate(); err != nil {
+		return err
+	}
 	for i, e := range s.Events {
 		if !(e.At >= 0) || math.IsInf(e.At, 1) { // negative, NaN, +Inf
 			return fmt.Errorf("fault: event %d at invalid time %v", i, e.At)

@@ -144,7 +144,8 @@ type Config struct {
 	// crashes, link outages, burst loss — see internal/fault). Nil or empty
 	// reproduces the paper's reliable network bit-for-bit: the schedule's
 	// private rng stream is only split off when faults are configured, and
-	// an inert fault state never draws from the network's loss stream.
+	// an inert fault state never draws from the network's loss stream. A
+	// non-nil schedule is validated (Schedule.Validate) even when empty.
 	Fault *fault.Schedule
 	// PacketTime, when positive, enables the store-and-forward congestion
 	// model (sim.QueueModel) with this per-packet per-link service time
@@ -195,7 +196,7 @@ const maxJitter = 1000
 
 // validate rejects a configuration the session cannot simulate: a NaN or
 // infinite float field, a non-positive Packets or Interval, a negative
-// DetectLag or DomainClients, a Jitter outside [0, maxJitter], a Detection
+// DetectLag, SimWorkers or DomainClients, a Jitter outside [0, maxJitter], a Detection
 // or Check outside its constants, or a program whose last instant — the
 // last send, plus DetectLag, plus the tail sweep's or one heartbeat's wait
 // — is not finite.
@@ -221,6 +222,7 @@ func (c Config) validate() error {
 		{"HeartbeatInterval", c.HeartbeatInterval, true},
 		{"Jitter", c.Jitter, c.Jitter >= 0 && c.Jitter <= maxJitter},
 		{"PacketTime", c.PacketTime, true},
+		{"SimWorkers", float64(c.SimWorkers), c.SimWorkers >= 0},
 		{"DomainClients", float64(c.DomainClients), c.DomainClients >= 0},
 		{"Detection", float64(c.Detection), c.Detection <= DetectSession},
 		{"Check", float64(c.Check), c.Check <= CheckOff},
@@ -525,6 +527,16 @@ func NewSessionPrebuilt(topo *topology.Network, tree *mtree.Tree, engine Engine,
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	// Every caller's schedule is checked, an empty one too: its mutation
+	// config must be valid even when it mutates nothing.
+	if err := cfg.Fault.Validate(topo.NumNodes(), len(topo.Loss)); err != nil {
+		return nil, err
+	}
+	// Role-aware validation: the source may never crash (the liveness
+	// invariant is conditioned on it staying up).
+	if err := cfg.Fault.ValidateRoles(topo.Source); err != nil {
+		return nil, fmt.Errorf("protocol: %w", err)
+	}
 	root := rng.New(seed)
 	netRand := root.Split()
 	protoRand := root.Split()
@@ -544,14 +556,6 @@ func NewSessionPrebuilt(topo *topology.Network, tree *mtree.Tree, engine Engine,
 		net.Queue = sim.NewQueueModel(cfg.PacketTime, topo.G.NumEdges())
 	}
 	if !cfg.Fault.Empty() {
-		if err := cfg.Fault.Validate(topo.NumNodes(), len(topo.Loss)); err != nil {
-			return nil, err
-		}
-		// Role-aware validation: the source may never crash (the liveness
-		// invariant is conditioned on it staying up).
-		if err := cfg.Fault.ValidateRoles(topo.Source); err != nil {
-			return nil, fmt.Errorf("protocol: %w", err)
-		}
 		net.InstallFault(fault.NewState(cfg.Fault, root.Split()))
 	}
 	s := &Session{

@@ -177,8 +177,15 @@ func TestBadConfigRejected(t *testing.T) {
 		{"unknown detection mode", Config{Packets: 5, Interval: 10, Detection: 9}},
 		{"unknown check mode", Config{Packets: 5, Interval: 10, Check: 9}},
 		{"negative domain size", Config{Packets: 5, Interval: 10, SimWorkers: 2, DomainClients: -4}},
+		{"negative sim workers", Config{Packets: 5, Interval: 10, SimWorkers: -1}},
 		{"crash at +Inf", Config{Packets: 5, Interval: 10,
 			Fault: (&fault.Schedule{}).CrashHost(inf, topo.Clients[0])}},
+		{"negative mutation probability", Config{Packets: 5, Interval: 10,
+			Fault: mutation(fault.MutationParams{DupProb: -1})}},
+		{"NaN mutation delay, nothing mutated", Config{Packets: 5, Interval: 10,
+			Fault: mutation(fault.MutationParams{MaxDelay: nan})}},
+		{"corruption past the cap", Config{Packets: 5, Interval: 10,
+			Fault: mutation(fault.MutationParams{CorruptProb: 1})}},
 	} {
 		if _, err := NewSession(topo, &nullEngine{}, tc.cfg, 1); err == nil {
 			t.Errorf("%s: %+v accepted", tc.name, tc.cfg)
@@ -191,11 +198,18 @@ func TestBadConfigRejected(t *testing.T) {
 		{Packets: 5, Interval: 10, Detection: DetectSession, GapTailLag: -1, HeartbeatInterval: -1, PacketTime: -1},
 		{Packets: 2, Interval: 1e308},
 		{Packets: 5, Interval: 10, Jitter: maxJitter},
+		{Packets: 5, Interval: 10, Fault: mutation(fault.MutationParams{
+			DupProb: 1, MaxDup: 8, ReorderProb: 1, MaxDelay: 10_000, CorruptProb: 0.9})},
 	} {
 		if _, err := NewSession(topo, &nullEngine{}, cfg, 1); err != nil {
 			t.Errorf("%+v rejected: %v", cfg, err)
 		}
 	}
+}
+
+// mutation is a schedule whose only fault is p on every message class.
+func mutation(p fault.MutationParams) *fault.Schedule {
+	return (&fault.Schedule{}).SetMutation(&fault.MutationConfig{Request: p, Repair: p, Symbol: p})
 }
 
 func TestHasAndMissing(t *testing.T) {

@@ -416,9 +416,9 @@ func TestHist(t *testing.T) {
 }
 
 // TestStressRejectsBadArgs pins Stress's argument checks: a negative reader
-// count, a non-positive duration and an empty client list are errors, not
-// a makeslice panic or a division by a zero elapsed time; zero readers is a
-// churn-only run.
+// count, a negative churn rate, a non-positive duration and an empty client
+// list are errors, not a makeslice panic, a division by a zero elapsed time
+// or a run without churn; zero readers is a churn-only run.
 func TestStressRejectsBadArgs(t *testing.T) {
 	p := svcPlanner(t, 40, 1, false)
 	svc := New(p, Config{})
@@ -428,14 +428,16 @@ func TestStressRejectsBadArgs(t *testing.T) {
 		name    string
 		clients []graph.NodeID
 		readers int
+		rate    int
 		d       time.Duration
 	}{
-		{"negative readers", clients, -1, time.Millisecond},
-		{"zero duration", clients, 1, 0},
-		{"negative duration", clients, 1, -time.Second},
-		{"no clients", nil, 1, time.Millisecond},
+		{"negative readers", clients, -1, 100, time.Millisecond},
+		{"negative churn rate", clients, 1, -5, time.Millisecond},
+		{"zero duration", clients, 1, 100, 0},
+		{"negative duration", clients, 1, 100, -time.Second},
+		{"no clients", nil, 1, 100, time.Millisecond},
 	} {
-		if _, err := Stress(svc, tc.clients, tc.readers, 100, tc.d); err == nil {
+		if _, err := Stress(svc, tc.clients, tc.readers, tc.rate, tc.d); err == nil {
 			t.Errorf("%s: Stress accepted the arguments", tc.name)
 		}
 	}

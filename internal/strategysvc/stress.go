@@ -88,12 +88,14 @@ type StressResult struct {
 // applier's batching counters. Queries-per-second on a host with fewer
 // cores than readers measures time-slicing, not parallel speedup — readers
 // never block each other, but they still share the silicon. A negative
-// reader count, a non-positive duration or an empty client list is an
-// error.
+// reader count or churn rate, a non-positive duration or an empty client
+// list is an error.
 func Stress(svc *Service, clients []graph.NodeID, readers, churnRate int, d time.Duration) (StressResult, error) {
 	switch {
 	case readers < 0:
 		return StressResult{}, fmt.Errorf("strategysvc: stress reader count %d is negative", readers)
+	case churnRate < 0:
+		return StressResult{}, fmt.Errorf("strategysvc: stress churn rate %d is negative", churnRate)
 	case d <= 0:
 		return StressResult{}, fmt.Errorf("strategysvc: stress duration %v is not positive", d)
 	case len(clients) == 0:

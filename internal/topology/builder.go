@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 
 	"rmcast/internal/graph"
 	"rmcast/internal/rng"
@@ -60,8 +61,8 @@ func (b *Builder) TreeLink(a, c graph.NodeID, delay float64) graph.EdgeID {
 }
 
 func (b *Builder) link(a, c graph.NodeID, delay float64) graph.EdgeID {
-	if !(delay > 0) {
-		b.fail(fmt.Sprintf("non-positive delay %v on link %d-%d", delay, a, c))
+	if !(delay > 0) || math.IsInf(delay, 1) {
+		b.fail(fmt.Sprintf("delay %v on link %d-%d is not positive and finite", delay, a, c))
 		delay = 1
 	}
 	id := b.net.G.AddEdge(a, c, delay)

@@ -13,6 +13,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 
 	"rmcast/internal/graph"
 	"rmcast/internal/rng"
@@ -126,14 +127,24 @@ func (n *Network) Validate() error {
 	if len(n.Nominal) != n.G.NumEdges() || len(n.Delay) != n.G.NumEdges() || len(n.Loss) != n.G.NumEdges() {
 		return fmt.Errorf("topology: link attribute length mismatch")
 	}
+	// Every path's delay is at most the sum of all link delays, so a finite
+	// sum keeps every arrival time finite.
+	var sum float64
 	for i := range n.Delay {
+		if math.IsInf(n.Delay[i], 0) {
+			return fmt.Errorf("topology: link %d delay %v is not finite", i, n.Delay[i])
+		}
 		if !(n.Nominal[i] <= n.Delay[i] && n.Delay[i] <= 2*n.Nominal[i]) {
 			return fmt.Errorf("topology: link %d delay %v outside [d,2d]=[%v,%v]",
 				i, n.Delay[i], n.Nominal[i], 2*n.Nominal[i])
 		}
+		sum += n.Delay[i]
 		if !(0 <= n.Loss[i] && n.Loss[i] <= 1) {
 			return fmt.Errorf("topology: link %d loss %v outside [0,1]", i, n.Loss[i])
 		}
+	}
+	if math.IsInf(sum, 1) {
+		return fmt.Errorf("topology: link delays sum to %v", sum)
 	}
 	if n.Source < 0 || int(n.Source) >= n.G.NumNodes() || n.Kind[n.Source] != Source {
 		return fmt.Errorf("topology: bad source node %d", n.Source)

@@ -336,6 +336,36 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsUnboundedDelay: an infinite link delay, or finite delays
+// whose sum overflows to +Inf, is a build error, not a network whose first
+// run schedules an event at +Inf and panics.
+func TestBuildRejectsUnboundedDelay(t *testing.T) {
+	inf := math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		d1, d2 float64
+	}{
+		{"infinite delay", 1, inf},
+		{"delays sum past the largest float", 1e308, 1e308},
+	} {
+		b := NewBuilder()
+		s, r, c := b.Source(), b.Router(), b.Client()
+		b.TreeLink(s, r, tc.d1)
+		b.TreeLink(r, c, tc.d2)
+		if _, err := b.Build(); err == nil {
+			t.Errorf("%s: built", tc.name)
+		}
+	}
+	net, err := Generate(DefaultConfig(20), rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Nominal[0], net.Delay[0] = inf, inf
+	if err := net.Validate(); err == nil {
+		t.Error("infinite link delay validated")
+	}
+}
+
 func TestBuilderCycleInTreeRejected(t *testing.T) {
 	b := NewBuilder()
 	s := b.Source()

@@ -77,16 +77,13 @@ func TreeLayout(t *mtree.Tree, w, h float64) map[graph.NodeID][2]float64 {
 	return pos
 }
 
-// Topology renders a network with its multicast tree highlighted. When
-// strategies is non-nil, each client's first-choice peer is drawn as an
-// orange overlay arc (the "who asks whom first" picture of the paper's RP
+// Topology renders a multicast tree's network with the tree highlighted.
+// When strategies is non-nil, each client's first-choice peer is drawn as
+// an orange overlay arc (the "who asks whom first" picture of the paper's RP
 // lists). strategies is a dense plan (core.Planner.PlanAllDense); arcs are
 // drawn in its order, so the output is byte-stable.
-func Topology(net *topology.Network, strategies []*core.Strategy, w, h float64) (*Canvas, error) {
-	t, err := mtree.Build(net)
-	if err != nil {
-		return nil, err
-	}
+func Topology(t *mtree.Tree, strategies []*core.Strategy, w, h float64) *Canvas {
+	net := t.Net
 	c := NewCanvas(w, h)
 	c.Title(fmt.Sprintf("rmcast topology: %d nodes, %d clients", net.NumNodes(), len(net.Clients)))
 	pos := TreeLayout(t, w, h)
@@ -136,5 +133,5 @@ func Topology(net *topology.Network, strategies []*core.Strategy, w, h float64) 
 	c.Text(8, 14, 11, "#333", "start",
 		fmt.Sprintf("source=red, clients=blue, tree=green%s",
 			map[bool]string{true: ", first-choice peer=orange", false: ""}[strategies != nil]))
-	return c, nil
+	return c
 }

@@ -107,10 +107,7 @@ func TestTopologySVG(t *testing.T) {
 	net := topology.MustGenerate(topology.DefaultConfig(60), rng.New(7))
 	tr := mtree.MustBuild(net)
 	p := core.NewPlanner(tr, route.Build(net))
-	c, err := Topology(net, p.PlanAllDense(), 800, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := Topology(tr, p.PlanAllDense(), 800, 600)
 	var buf bytes.Buffer
 	if _, err := c.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -141,11 +138,8 @@ const topologySVGDigest = "18d28af01aac7f6e"
 func TestTopologySVGStable(t *testing.T) {
 	net := topology.MustGenerate(topology.DefaultConfig(60), rng.New(7))
 	render := func() []byte {
-		p := core.NewPlanner(mtree.MustBuild(net), route.Build(net))
-		c, err := Topology(net, p.PlanAllDense(), 800, 600)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := mtree.MustBuild(net)
+		c := Topology(tr, core.NewPlanner(tr, route.Build(net)).PlanAllDense(), 800, 600)
 		var buf bytes.Buffer
 		if _, err := c.WriteTo(&buf); err != nil {
 			t.Fatal(err)
@@ -166,10 +160,7 @@ func TestTopologySVGWithoutStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Topology(net, nil, 400, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := Topology(mtree.MustBuild(net), nil, 400, 300)
 	var buf bytes.Buffer
 	if _, err := c.WriteTo(&buf); err != nil {
 		t.Fatal(err)
