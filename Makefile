@@ -62,15 +62,17 @@ bench:
 bench-json:
 	{ for i in 1 2 3; do $(GO) test -run xxx -bench . -benchmem -benchtime 3x -json ./...; done; } > BENCH_$$(date +%Y-%m-%d).json
 
-# Compare the two newest BENCH_*.json captures: fails when a tracked
-# benchmark (the Figure-5 macro benchmarks and the batch planner) regressed
-# > 10% in ns/op or allocs/op.
+# Compare the two newest `go test -json` captures (BENCH_<date>*.json, not
+# the BENCH_PARALLEL_* scaling JSON), newest by the date in the file name:
+# a checkout gives every file one mtime. Fails when a tracked benchmark (the
+# Figure-5 macro benchmarks and the batch planner) regressed > 10% in ns/op
+# or allocs/op.
 bench-diff:
-	@files="$$(ls -t BENCH_*.json 2>/dev/null | head -2)"; \
+	@files="$$(ls BENCH_[0-9]*.json 2>/dev/null | LC_ALL=C sort | tail -2)"; \
 	set -- $$files; \
-	if [ $$# -lt 2 ]; then echo "bench-diff: need two BENCH_*.json captures (run 'make bench-json')"; exit 1; fi; \
-	echo "comparing $$2 (old) -> $$1 (new)"; \
-	$(GO) run ./cmd/benchdiff "$$2" "$$1"
+	if [ $$# -lt 2 ]; then echo "bench-diff: need two BENCH_<date>.json captures (run 'make bench-json')"; exit 1; fi; \
+	echo "comparing $$1 (old) -> $$2 (new)"; \
+	$(GO) run ./cmd/benchdiff "$$1" "$$2"
 
 # Cheap CI perf gate: one iteration of the n=50 macro benchmarks plus the
 # allocation-budget tests, so a perf-hostile change fails fast without

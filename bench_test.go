@@ -237,7 +237,7 @@ func BenchmarkCoopRecovery(b *testing.B) {
 	})
 	chaos := plain
 	chaos.Chaos = &fault.ChaosParams{
-		CrashRate: 0.15, PermanentFrac: 0.3, LinkDownRate: 0.1,
+		CrashRate: 0.15, LinkDownRate: 0.1,
 		BurstSeverity: 0.5, BaseLoss: 0.05,
 		Span: float64(benchPackets) * 50,
 	}
@@ -388,7 +388,7 @@ func BenchmarkTopologyFamilies(b *testing.B) {
 			}
 			return t
 		case "transit-stub":
-			t, err := NewTransitStubTopology(cfg, TransitStubParams{}, 9)
+			t, err := NewTransitStubTopology(cfg, 9)
 			if err != nil {
 				b.Fatal(err)
 			}

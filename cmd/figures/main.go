@@ -54,6 +54,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "figures: bad -reps %d: need at least one replicate\n", *reps)
 		os.Exit(2)
 	}
+	if *parallel < 1 {
+		fmt.Fprintf(os.Stderr, "figures: bad -parallel %d: need at least one worker\n", *parallel)
+		os.Exit(2)
+	}
 
 	var svgFile *os.File
 	if *svgOut != "" {

@@ -72,6 +72,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rmsim: bad -replicates %d: need at least one replicate\n", *reps)
 		os.Exit(2)
 	}
+	if *parallel < 1 {
+		fmt.Fprintf(os.Stderr, "rmsim: bad -parallel %d: need at least one worker\n", *parallel)
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -178,7 +182,12 @@ func main() {
 		protos = experiment.PaperProtocols
 	}
 
-	var tracer trace.Tracer
+	// tracer keeps the first failed write; traceFile is closed, and its
+	// error checked, once the runs are done.
+	var (
+		tracer    *trace.Writer
+		traceFile *os.File
+	)
 	if *traceOut != "" {
 		w := os.Stderr
 		if *traceOut != "-" {
@@ -187,8 +196,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "rmsim: %v\n", err)
 				os.Exit(1)
 			}
-			defer f.Close()
-			w = f
+			traceFile, w = f, f
 		}
 		tracer = trace.NewWriter(w)
 	}
@@ -239,7 +247,9 @@ func main() {
 		if err != nil {
 			return nil, err
 		}
-		sess.Trace = tracer
+		if tracer != nil {
+			sess.Trace = tracer
+		}
 		res := sess.Run()
 		if err := experiment.Check(res); err != nil {
 			return nil, fmt.Errorf("%s %w", p, err)
@@ -258,6 +268,18 @@ func main() {
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "rmsim: %v\n", err)
 		os.Exit(1)
+	}
+	if tracer != nil {
+		err := tracer.Err()
+		if traceFile != nil {
+			if cerr := traceFile.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rmsim: -trace: %v\n", err)
+			os.Exit(1)
+		}
 	}
 
 	// Sharding was requested but some run stayed one shard (serial): say

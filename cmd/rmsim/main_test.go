@@ -54,6 +54,12 @@ func TestBadFlagsRejected(t *testing.T) {
 		{[]string{"-chaos", "-routers", "40", "-packets", "5", "-replicates", "-1"}, 2, "rmsim: bad -replicates -1"},
 		{[]string{"-routers", "40", "-packets", "5", "-jitter", "1e308"}, 1, "protocol: bad config: Jitter = 1e+308"},
 		{[]string{"-routers", "40", "-packets", "5", "-simworkers", "-1"}, 1, "protocol: bad config: SimWorkers = -1"},
+		{[]string{"-churn", "-routers", "40", "-packets", "0"}, 1, "protocol: bad config: Packets = 0"},
+		{[]string{"-churn", "-routers", "40", "-packets", "5", "-interval", "0"}, 1, "protocol: bad config: Interval = 0"},
+		{[]string{"-routers", "40", "-packets", "5", "-trace", "/dev/full"}, 1, "rmsim: -trace: write /dev/full: no space left on device"},
+		{[]string{"-scaling", "-sizes", "1000", "-domainsize", "-5"}, 1, "experiment: bad scaling sweep: DomainClients = -5"},
+		{[]string{"-routers", "40", "-packets", "5", "-protocol", "all", "-parallel", "-3"}, 2, "rmsim: bad -parallel -3"},
+		{[]string{"-routers", "40", "-packets", "5", "-protocol", "all", "-parallel", "0"}, 2, "rmsim: bad -parallel 0"},
 	} {
 		code, stderr := runCommand(t, tc.args...)
 		if code != tc.code || !strings.Contains(stderr, tc.msg) {

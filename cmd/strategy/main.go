@@ -133,9 +133,9 @@ func main() {
 // BenchmarkStrategyService grid measures, so the two sets of numbers are
 // comparable. Chorded scan-mode topologies still work through the service
 // (covered by its tests); they just bottleneck on replanning, which is a
-// planner property, not a service one. Bad flag values (no clients, a
-// non-finite beta, a negative reader count or churn rate, a non-positive
-// duration) are errors.
+// planner property, not a service one. Bad flag values (no clients, a beta
+// that is not positive and finite, a negative reader count or churn rate, a
+// non-positive duration) are errors.
 func runStress(w io.Writer, routers int, seed uint64, beta float64, allowDirect bool, readers, churnRate int, d time.Duration) error {
 	timeout, err := proportionalTimeout(beta)
 	if err != nil {
@@ -223,12 +223,13 @@ func maxDepth(t *mtree.Tree) int32 {
 	return m
 }
 
-// proportionalTimeout returns the t0 = beta·rtt policy of -beta. A
-// non-finite beta is an error: a NaN timeout would silently collapse every
-// plan to the source.
+// proportionalTimeout returns the t0 = beta·rtt policy of -beta. A beta
+// that is not positive and finite is an error: a NaN timeout would silently
+// collapse every plan to the source, and a zero or negative beta plans with
+// zero or negative timeouts.
 func proportionalTimeout(beta float64) (core.TimeoutPolicy, error) {
-	if math.IsNaN(beta) || math.IsInf(beta, 0) {
-		return nil, fmt.Errorf("timeout factor -beta %v is not finite", beta)
+	if !(beta > 0) || math.IsInf(beta, 1) {
+		return nil, fmt.Errorf("timeout factor -beta %v is not positive and finite", beta)
 	}
 	return core.ProportionalTimeout(beta), nil
 }

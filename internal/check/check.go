@@ -18,12 +18,12 @@
 // counters partition the observed events; drops never exceed hops) are
 // checked once the run quiesces.
 //
-// Safety violations at event granularity panic in strict mode: they mean
-// the simulator's books are wrong, and continuing would only launder the
-// corruption into results. End-of-run findings (liveness, conservation) are
-// returned as a violation list instead — some callers run sessions that
-// violate liveness on purpose (e.g. a null engine that never repairs) and
-// assert on the classified outcome.
+// Safety violations at event granularity panic: they mean the simulator's
+// books are wrong, and continuing would only launder the corruption into
+// results. End-of-run findings (liveness, conservation) are returned as a
+// violation list instead — some callers run sessions that violate liveness
+// on purpose (e.g. a null engine that never repairs) and assert on the
+// classified outcome.
 // The coded-recovery mode (EnableCoded) extends the shadow machine for
 // engines that repair by erasure coding rather than per-seq retransmission:
 // a detected gap may then be closed by *any* sufficient set of symbols, so
@@ -96,7 +96,6 @@ func newClientRow(packets int) *clientRow {
 // flags per seq, plus counters.
 type Oracle struct {
 	packets int
-	strict  bool
 
 	sent []bool
 	rows []*clientRow // [clientIdx]; nil for a client a shard does not own
@@ -113,10 +112,10 @@ type Oracle struct {
 }
 
 // New returns an oracle for a run of packets sequence numbers over clients
-// group members. strict makes event-level safety violations panic; finish-
-// level findings are always returned, never thrown.
-func New(clients, packets int, strict bool) *Oracle {
-	o := newOracle(clients, packets, strict, make([]bool, packets))
+// group members. Event-level safety violations panic; finish-level findings
+// are returned, never thrown.
+func New(clients, packets int) *Oracle {
+	o := newOracle(clients, packets, make([]bool, packets))
 	for i := range o.rows {
 		o.rows[i] = newClientRow(packets)
 	}
@@ -132,8 +131,8 @@ func New(clients, packets int, strict bool) *Oracle {
 // runner's window barriers order every cross-shard read after the write,
 // because a remote shard can only observe seq at least one lookahead after
 // the multicast.
-func NewShard(clients, packets int, strict bool, sent []bool, owned []int) *Oracle {
-	o := newOracle(clients, packets, strict, sent)
+func NewShard(clients, packets int, sent []bool, owned []int) *Oracle {
+	o := newOracle(clients, packets, sent)
 	for _, ci := range owned {
 		o.rows[ci] = newClientRow(packets)
 	}
@@ -141,10 +140,9 @@ func NewShard(clients, packets int, strict bool, sent []bool, owned []int) *Orac
 }
 
 // newOracle returns an oracle with no shadow rows yet.
-func newOracle(clients, packets int, strict bool, sent []bool) *Oracle {
+func newOracle(clients, packets int, sent []bool) *Oracle {
 	return &Oracle{
 		packets: packets,
-		strict:  strict,
 		sent:    sent,
 		rows:    make([]*clientRow, clients),
 	}
@@ -152,9 +150,10 @@ func newOracle(clients, packets int, strict bool, sent []bool) *Oracle {
 
 // Absorb folds a shard oracle into o: it takes over the shadow rows the
 // shard holds — those of the clients it owns, disjoint across shards; the
-// shard is spent afterwards — adds its event counters, and records any
-// violations it found. After absorbing every shard, o.Finish checks the same
-// global invariants a serial oracle would.
+// shard is spent afterwards — and adds its event counters. A shard records
+// no violations of its own: event-level ones panic, and only the master
+// finishes. After absorbing every shard, o.Finish checks the same global
+// invariants a serial oracle would.
 func (o *Oracle) Absorb(sh *Oracle) {
 	if sh.coded != nil && o.coded == nil {
 		// Shards enable coded mode when their engine clone attaches; the
@@ -176,9 +175,6 @@ func (o *Oracle) Absorb(sh *Oracle) {
 	if sh.coded != nil {
 		o.codedSymbols += sh.codedSymbols
 		o.codedDup += sh.codedDup
-	}
-	for _, v := range sh.violations {
-		o.record(v)
 	}
 }
 
@@ -292,14 +288,9 @@ func (o *Oracle) OnDecode(ci, block int) {
 	row.decoded[block] = true
 }
 
-// violate reports an event-level safety violation: panic in strict mode,
-// recorded otherwise.
+// violate reports an event-level safety violation by panicking.
 func (o *Oracle) violate(format string, args ...interface{}) {
-	msg := fmt.Sprintf(format, args...)
-	if o.strict {
-		panic("check: invariant violated: " + msg)
-	}
-	o.record(msg)
+	panic("check: invariant violated: " + fmt.Sprintf(format, args...))
 }
 
 // record appends a violation to the bounded list.
@@ -449,10 +440,10 @@ func (o *Oracle) CheckBound(name string, length, capacity int) {
 	}
 }
 
-// Finish runs the end-of-run invariants and returns every violation found
-// (event-level ones too, in non-strict mode). down says which clients are
-// crashed at the end instant, index-aligned with the oracle's clients;
-// liveness is only asserted on complete (quiesced) runs.
+// Finish runs the end-of-run invariants and returns every violation found.
+// down says which clients are crashed at the end instant, index-aligned
+// with the oracle's clients; liveness is only asserted on complete
+// (quiesced) runs.
 func (o *Oracle) Finish(complete bool, down []bool, t Totals) []string {
 	// Counter conservation: the session's totals must equal the oracle's
 	// independent event counts.

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -22,42 +23,43 @@ func drive(o *Oracle) Totals {
 }
 
 func TestCleanRunNoViolations(t *testing.T) {
-	o := New(2, 2, true) // strict: any violation would panic
+	o := New(2, 2) // any event-level violation would panic
 	tot := drive(o)
 	if v := o.Finish(true, []bool{false, false}, tot); len(v) != 0 {
 		t.Fatalf("clean run produced violations: %v", v)
 	}
 }
 
-func TestStrictModePanicsOnSafetyViolation(t *testing.T) {
-	o := New(1, 2, true)
+// mustPanic runs f and returns the message it panicked with; it fails the
+// test if f returns normally.
+func mustPanic(t *testing.T, f func()) (msg string) {
+	t.Helper()
 	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("repair for a never-sent seq did not panic in strict mode")
+		r := recover()
+		if r == nil {
+			t.Fatal("no panic")
 		}
+		msg = fmt.Sprint(r)
 	}()
-	o.OnRepair(0, 1, false, false) // nothing was ever sent
+	f()
+	return ""
 }
 
-func TestRecordModeCollectsSafetyViolations(t *testing.T) {
-	o := New(2, 3, false)
-	o.OnSent(0)
-	o.OnSent(0)                    // double multicast
-	o.OnRepair(0, 2, false, false) // never sent
-	o.OnData(0, 0, false, false)
-	o.OnDetect(0, 0) // detect after delivery
-	o.OnDetect(1, 5) // out of range
-	v := o.Finish(false, nil, Totals{})
-	for _, want := range []string{"multicast twice", "never-sent", "after delivery", "out-of-range"} {
-		found := false
-		for _, msg := range v {
-			if strings.Contains(msg, want) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("no violation mentioning %q in %v", want, v)
+// TestStrictModePanicsOnSafetyViolation: every event-level safety violation
+// panics with a message naming it.
+func TestStrictModePanicsOnSafetyViolation(t *testing.T) {
+	for _, tc := range []struct {
+		want string
+		run  func(o *Oracle)
+	}{
+		{"never-sent", func(o *Oracle) { o.OnRepair(0, 1, false, false) }},
+		{"multicast twice", func(o *Oracle) { o.OnSent(0); o.OnSent(0) }},
+		{"after delivery", func(o *Oracle) { o.OnSent(0); o.OnData(0, 0, false, false); o.OnDetect(0, 0) }},
+		{"out-of-range", func(o *Oracle) { o.OnDetect(1, 5) }},
+	} {
+		o := New(2, 3)
+		if msg := mustPanic(t, func() { tc.run(o) }); !strings.Contains(msg, tc.want) {
+			t.Errorf("panic %q does not mention %q", msg, tc.want)
 		}
 	}
 }
@@ -66,7 +68,7 @@ func TestRecordModeCollectsSafetyViolations(t *testing.T) {
 // repair as a duplicate, never a second recovery, and a conservation check
 // that claims otherwise fails.
 func TestDuplicateRepairNeverTransitionsTwice(t *testing.T) {
-	o := New(1, 1, true)
+	o := New(1, 1)
 	o.OnSent(0)
 	o.OnDetect(0, 0)
 	o.OnRepair(0, 0, false, true)
@@ -78,7 +80,7 @@ func TestDuplicateRepairNeverTransitionsTwice(t *testing.T) {
 		t.Fatalf("idempotent duplicate handling flagged: %v", v)
 	}
 	// Same history, but the session books the duplicate as a recovery.
-	o2 := New(1, 1, false)
+	o2 := New(1, 1)
 	o2.OnSent(0)
 	o2.OnDetect(0, 0)
 	o2.OnRepair(0, 0, false, true)
@@ -94,20 +96,16 @@ func TestDuplicateRepairNeverTransitionsTwice(t *testing.T) {
 // TestShadowDivergence: a session whose per-pair view disagrees with the
 // oracle's is a safety violation at the event.
 func TestShadowDivergence(t *testing.T) {
-	o := New(1, 1, false)
+	o := New(1, 1)
 	o.OnSent(0)
-	o.OnData(0, 0, true, false) // session claims it already has seq 0
-	v := o.Finish(false, nil, Totals{})
-	if len(v) == 0 {
-		t.Fatal("shadow divergence not flagged")
-	}
-	if !strings.Contains(v[0], "session has=true") {
-		t.Fatalf("unexpected violation %q", v[0])
+	// The session claims it already has seq 0.
+	if msg := mustPanic(t, func() { o.OnData(0, 0, true, false) }); !strings.Contains(msg, "session has=true") {
+		t.Fatalf("unexpected violation %q", msg)
 	}
 }
 
 func TestLivenessViolationOnOpenGap(t *testing.T) {
-	o := New(1, 2, true) // strict: liveness must still only record, not panic
+	o := New(1, 2) // liveness is recorded, not thrown
 	o.OnSent(0)
 	o.OnSent(1)
 	o.OnData(0, 0, false, false)
@@ -120,7 +118,7 @@ func TestLivenessViolationOnOpenGap(t *testing.T) {
 		t.Fatalf("violations %v, want exactly one liveness finding", v)
 	}
 	// The same open gap on a crashed client is fine: it is classified.
-	o2 := New(1, 2, true)
+	o2 := New(1, 2)
 	o2.OnSent(0)
 	o2.OnSent(1)
 	o2.OnData(0, 0, false, false)
@@ -132,7 +130,7 @@ func TestLivenessViolationOnOpenGap(t *testing.T) {
 		t.Fatalf("crashed client's gap flagged: %v", v2)
 	}
 	// An incomplete (event-capped) run asserts no liveness at all.
-	o3 := New(1, 2, true)
+	o3 := New(1, 2)
 	o3.OnSent(0)
 	o3.OnSent(1)
 	o3.OnData(0, 0, false, false)
@@ -146,24 +144,28 @@ func TestLivenessViolationOnOpenGap(t *testing.T) {
 }
 
 func TestCheckBound(t *testing.T) {
-	o := New(1, 1, false)
+	o := New(1, 1)
 	o.CheckBound("cache", 10, 10)
 	if v := o.Finish(false, nil, Totals{}); len(v) != 0 {
 		t.Fatalf("at-capacity bound flagged: %v", v)
 	}
-	o.CheckBound("cache", 11, 10)
-	if v := o.Finish(false, nil, Totals{}); len(v) != 1 || !strings.Contains(v[0], "exceeds its bound") {
-		t.Fatalf("violations %v, want one bound finding", v)
+	if msg := mustPanic(t, func() { o.CheckBound("cache", 11, 10) }); !strings.Contains(msg, "exceeds its bound") {
+		t.Fatalf("unexpected violation %q", msg)
 	}
 }
 
+// TestViolationListBounded: a run that leaves every gap open finds one
+// liveness violation per gap, and the list keeps at most maxViolations.
 func TestViolationListBounded(t *testing.T) {
-	o := New(1, 1, false)
-	for i := 0; i < 10*maxViolations; i++ {
-		o.OnDetect(0, -1) // out of range, recorded each time
+	n := 10 * maxViolations
+	o := New(1, n)
+	for seq := 0; seq < n; seq++ {
+		o.OnSent(seq)
+		o.OnDetect(0, seq)
 	}
-	if v := o.Finish(false, nil, Totals{}); len(v) > maxViolations {
-		t.Fatalf("violation list unbounded: %d entries", len(v))
+	v := o.Finish(true, []bool{false}, Totals{Losses: int64(n), Unrecovered: int64(n)})
+	if len(v) != maxViolations {
+		t.Fatalf("%d violations recorded, want the bound %d", len(v), maxViolations)
 	}
 }
 
@@ -173,8 +175,8 @@ func TestViolationListBounded(t *testing.T) {
 // serial oracle.
 func TestShardOraclesOwnTheirRows(t *testing.T) {
 	sent := make([]bool, 2)
-	a := NewShard(2, 2, true, sent, []int{0})
-	b := NewShard(2, 2, true, sent, []int{1})
+	a := NewShard(2, 2, sent, []int{0})
+	b := NewShard(2, 2, sent, []int{1})
 	if a.rows[1] != nil || b.rows[0] != nil {
 		t.Fatal("shard oracle allocated rows for a client it does not own")
 	}
@@ -194,7 +196,7 @@ func TestShardOraclesOwnTheirRows(t *testing.T) {
 		a.OnData(1, 1, false, false)
 	}()
 
-	master := NewShard(2, 2, true, sent, nil)
+	master := NewShard(2, 2, sent, nil)
 	master.Absorb(a)
 	master.Absorb(b)
 	tot := Totals{Losses: 1, Recoveries: 1, DataDeliveries: 3, Delivered: 4}

@@ -174,9 +174,8 @@ func (spec RunSpec) validate() error {
 	return nil
 }
 
-// Run executes one simulation run. A zero Packets or Interval means the
-// protocol default; any other value goes to protocol.Config, whose
-// validation rejects it if it is bad.
+// Run executes one simulation run. Packets and Interval go to
+// protocol.Config as they are, whose validation rejects a bad value.
 func Run(spec RunSpec) (*protocol.Result, error) {
 	return runCell(spec, buildNetwork)
 }
@@ -257,13 +256,7 @@ func runCell(spec RunSpec, build func(netKey) (*network, error)) (*protocol.Resu
 	if err != nil {
 		return nil, err
 	}
-	cfg := protocol.DefaultConfig()
-	if spec.Packets != 0 {
-		cfg.Packets = spec.Packets
-	}
-	if spec.Interval != 0 {
-		cfg.Interval = spec.Interval
-	}
+	cfg := protocol.Config{Packets: spec.Packets, Interval: spec.Interval}
 	var sched *fault.Schedule
 	switch {
 	case spec.Chaos != nil:

@@ -311,13 +311,13 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 }
 
 // TestRunRejectsBadFields gives each RunSpec field that a run reads a NaN,
-// infinite or negative value and wants an error back: not a panic, and not
-// a silent run with a default or a vacuous schedule.
+// infinite, zero or negative value and wants an error back: not a panic,
+// and not a silent run with a default or a vacuous schedule.
 func TestRunRejectsBadFields(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	chaos := func(set func(*fault.ChaosParams)) func(*RunSpec) {
 		return func(s *RunSpec) {
-			c := fault.ChaosParams{CrashRate: 0.1, PermanentFrac: 0.3, LinkDownRate: 0.1,
+			c := fault.ChaosParams{CrashRate: 0.1, LinkDownRate: 0.1,
 				BurstSeverity: 0.2, BaseLoss: 0.05, Span: 50}
 			set(&c)
 			s.Chaos = &c
@@ -342,21 +342,20 @@ func TestRunRejectsBadFields(t *testing.T) {
 		set  func(*RunSpec)
 	}{
 		{"Packets=-3", func(s *RunSpec) { s.Packets = -3 }},
+		{"Packets=0", func(s *RunSpec) { s.Packets = 0 }},
 		{"Interval=NaN", func(s *RunSpec) { s.Interval = nan }},
 		{"Interval=-1", func(s *RunSpec) { s.Interval = -1 }},
+		{"Interval=0", func(s *RunSpec) { s.Interval = 0 }},
 		{"RouteNoise=NaN", func(s *RunSpec) { s.LinkState, s.RouteNoise = true, nan }},
 		{"RouteNoise=-1", func(s *RunSpec) { s.LinkState, s.RouteNoise = true, -1 }},
 		{"RouteNoise=+Inf", func(s *RunSpec) { s.LinkState, s.RouteNoise = true, inf }},
 		{"Chaos.CrashRate=NaN", chaos(func(c *fault.ChaosParams) { c.CrashRate = nan })},
-		{"Chaos.PermanentFrac=NaN", chaos(func(c *fault.ChaosParams) { c.PermanentFrac = nan })},
 		{"Chaos.LinkDownRate=NaN", chaos(func(c *fault.ChaosParams) { c.LinkDownRate = nan })},
 		{"Chaos.BurstSeverity=+Inf", chaos(func(c *fault.ChaosParams) { c.BurstSeverity = inf })},
 		{"Chaos.BaseLoss=NaN", chaos(func(c *fault.ChaosParams) { c.BaseLoss = nan })},
+		{"Chaos.BaseLoss=2", chaos(func(c *fault.ChaosParams) { c.BaseLoss = 2 })},
 		{"Chaos.Span=-Inf", chaos(func(c *fault.ChaosParams) { c.Span = -inf })},
 		{"Churn.Rate=NaN", churn(func(c *fault.ChurnParams) { c.Rate = nan })},
-		{"Churn.BackgroundRate=+Inf", churn(func(c *fault.ChurnParams) { c.BackgroundRate = inf })},
-		{"Churn.DowntimeFrac=NaN", churn(func(c *fault.ChurnParams) { c.DowntimeFrac = nan })},
-		{"Churn.PermanentFrac=NaN", churn(func(c *fault.ChurnParams) { c.PermanentFrac = nan })},
 		{"Churn.Span=-Inf", churn(func(c *fault.ChurnParams) { c.Span = -inf })},
 		{"Mutation.Request.DupProb=NaN", mutate(func(m *fault.MutationConfig) { m.Request.DupProb = nan })},
 		{"Mutation.Request.ReorderProb=+Inf", mutate(func(m *fault.MutationConfig) { m.Request.ReorderProb = inf })},

@@ -179,7 +179,6 @@ func DefaultRobustness(axis string) RobustnessSweep {
 func chaosParams(severity, baseLoss float64, packets int, interval float64) fault.ChaosParams {
 	return fault.ChaosParams{
 		CrashRate:     0.3 * severity,
-		PermanentFrac: 0.3,
 		LinkDownRate:  0.2 * severity,
 		BurstSeverity: severity,
 		BaseLoss:      baseLoss,

@@ -26,13 +26,11 @@ import (
 // ROADMAP's "millions of users" direction: planning is the only whole-group
 // computation RP needs, so its scaling is the deployment bottleneck.
 type ScalingSweep struct {
-	// Sizes are the client counts n.
+	// Sizes are the client counts n. Each cell's topology is
+	// topology.DefaultTreeConfig(n); a cell of at most 5000 clients
+	// (scanCutoff) also runs the quadratic scan baseline and compares the
+	// two result sets.
 	Sizes []int
-	// ClientsPerRouter shapes the topology (see topology.TreeConfig).
-	ClientsPerRouter int
-	// ScanCutoff bounds the sizes at which the quadratic scan baseline is
-	// also run (and the two result sets compared); 0 means 5000.
-	ScanCutoff int
 	// BaseSeed derives each cell's topology seed.
 	BaseSeed uint64
 	// SimWorkers, when >= 2, adds a simulation phase to every cell: one
@@ -42,22 +40,26 @@ type ScalingSweep struct {
 	// the determinism gate the CI smoke tier rides). 0 skips the phase; a
 	// negative count is an error.
 	SimWorkers int
-	// SimPackets sizes the simulation phase; 0 means 20.
-	SimPackets int
 	// DomainClients sizes the recovery domains of the sharded half of the
 	// simulation phase (protocol.Config.DomainClients; 0 means 2 to 8
-	// domains). Small domains are the million-client execution mode; the
-	// digest-equality gate applies unchanged.
+	// domains, and a negative size is an error). Small domains are the
+	// million-client execution mode; the digest-equality gate applies
+	// unchanged.
 	DomainClients int
 }
+
+const (
+	// scanCutoff is the largest cell that also runs the O(N²) scan.
+	scanCutoff = 5000
+	// simPackets sizes the simulation phase.
+	simPackets = 20
+)
 
 // DefaultScaling returns the standard tier: n ∈ {1k, 5k, 20k, 50k}.
 func DefaultScaling() ScalingSweep {
 	return ScalingSweep{
-		Sizes:            []int{1000, 5000, 20000, 50000},
-		ClientsPerRouter: 4,
-		ScanCutoff:       5000,
-		BaseSeed:         1,
+		Sizes:    []int{1000, 5000, 20000, 50000},
+		BaseSeed: 1,
 	}
 }
 
@@ -127,16 +129,15 @@ type ScalingReport []ScalingCell
 // Run executes the sweep. Cells run serially on purpose: wall-clock is the
 // measurement, so cells must not contend for cores.
 func (s ScalingSweep) Run() (ScalingReport, error) {
-	if s.SimWorkers < 0 {
+	switch {
+	case s.SimWorkers < 0:
 		return nil, fmt.Errorf("experiment: bad scaling sweep: SimWorkers = %d", s.SimWorkers)
-	}
-	cutoff := s.ScanCutoff
-	if cutoff == 0 {
-		cutoff = 5000
+	case s.DomainClients < 0:
+		return nil, fmt.Errorf("experiment: bad scaling sweep: DomainClients = %d", s.DomainClients)
 	}
 	report := make(ScalingReport, 0, len(s.Sizes))
 	for i, n := range s.Sizes {
-		cell, err := s.runCell(n, s.BaseSeed+uint64(i)*1000, n <= cutoff)
+		cell, err := s.runCell(n, s.BaseSeed+uint64(i)*1000, n <= scanCutoff)
 		if err != nil {
 			return nil, fmt.Errorf("scaling n=%d: %w", n, err)
 		}
@@ -170,13 +171,9 @@ func (h *heapPeak) Sample() {
 func (h *heapPeak) MB() float64 { return float64(h.maxBytes) / (1024 * 1024) }
 
 func (s ScalingSweep) runCell(n int, seed uint64, withScan bool) (ScalingCell, error) {
-	cfg := topology.DefaultTreeConfig(n)
-	if s.ClientsPerRouter > 0 {
-		cfg.ClientsPerRouter = s.ClientsPerRouter
-	}
 	var peak heapPeak
 	buildStart := time.Now()
-	net, err := topology.GenerateTree(cfg, rng.New(seed))
+	net, err := topology.GenerateTree(topology.DefaultTreeConfig(n), rng.New(seed))
 	if err != nil {
 		return ScalingCell{}, err
 	}
@@ -256,10 +253,6 @@ func (s ScalingSweep) runCell(n int, seed uint64, withScan bool) (ScalingCell, e
 // byte-identical to its serial twin is wrong, whatever its speed.
 func (s ScalingSweep) simPhase(cell *ScalingCell, net *topology.Network,
 	tree *mtree.Tree, rt route.Router, seed uint64, peak *heapPeak) error {
-	packets := s.SimPackets
-	if packets == 0 {
-		packets = 20
-	}
 	run := func(workers int) (*protocol.Result, float64, error) {
 		eng, err := NewEngine("RP")
 		if err != nil {
@@ -267,7 +260,7 @@ func (s ScalingSweep) simPhase(cell *ScalingCell, net *topology.Network,
 		}
 		// The package's default event cap was sized for the classic tiers;
 		// a million-client run is past it, and the cap must not depend on n.
-		cfg := protocol.Config{Packets: packets, Interval: 50, SimWorkers: workers,
+		cfg := protocol.Config{Packets: simPackets, Interval: 50, SimWorkers: workers,
 			DomainClients: s.DomainClients, MaxEvents: 1_000_000_000}
 		sess, err := protocol.NewSessionPrebuilt(net, tree, eng, cfg, seed, rt)
 		if err != nil {

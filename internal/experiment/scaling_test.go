@@ -7,7 +7,7 @@ import (
 )
 
 func TestScalingSweepSmall(t *testing.T) {
-	s := ScalingSweep{Sizes: []int{200, 400}, ScanCutoff: 400, BaseSeed: 1}
+	s := ScalingSweep{Sizes: []int{200, 400}, BaseSeed: 1}
 	report, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestScalingSweepSmall(t *testing.T) {
 }
 
 func TestScalingSkipsScanPastCutoff(t *testing.T) {
-	s := ScalingSweep{Sizes: []int{300}, ScanCutoff: 100, BaseSeed: 2}
+	s := ScalingSweep{Sizes: []int{scanCutoff + 1}, BaseSeed: 2}
 	report, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -70,11 +70,19 @@ func TestScalingSkipsScanPastCutoff(t *testing.T) {
 	}
 }
 
-// TestScalingRejectsNegativeSimWorkers: a negative worker count is an
-// error, not a sweep that silently skips its simulation phase.
+// TestScalingRejectsNegativeSimWorkers: a negative worker count or domain
+// size is an error, not a sweep that silently skips its simulation phase or
+// runs without it.
 func TestScalingRejectsNegativeSimWorkers(t *testing.T) {
-	s := ScalingSweep{Sizes: []int{200}, BaseSeed: 1, SimWorkers: -1}
-	if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "SimWorkers = -1") {
-		t.Fatalf("Run returned %v, want a bad SimWorkers error", err)
+	for _, tc := range []struct {
+		s    ScalingSweep
+		want string
+	}{
+		{ScalingSweep{Sizes: []int{200}, BaseSeed: 1, SimWorkers: -1}, "SimWorkers = -1"},
+		{ScalingSweep{Sizes: []int{200}, BaseSeed: 1, DomainClients: -5}, "DomainClients = -5"},
+	} {
+		if _, err := tc.s.Run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Run returned %v, want an error naming %q", err, tc.want)
+		}
 	}
 }

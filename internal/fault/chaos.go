@@ -13,11 +13,10 @@ import (
 type ChaosParams struct {
 	// CrashRate is the probability that a given client crashes during the
 	// run. Crash times fall in [0.1, 0.7]·Span so the protocols both lose
-	// traffic to the crash and get time to recover afterwards.
+	// traffic to the crash and get time to recover afterwards. A crashing
+	// client stays down for good with probability 0.3 (permanentFrac); the
+	// rest come back after a downtime in [0.05, 0.25]·Span.
 	CrashRate float64
-	// PermanentFrac is the fraction of crashing clients that never recover
-	// (the rest come back after a downtime in [0.05, 0.25]·Span).
-	PermanentFrac float64
 	// LinkDownRate is the probability that a given link suffers one outage
 	// window during the run, lasting [0.02, 0.1]·Span.
 	LinkDownRate float64
@@ -39,7 +38,6 @@ type ChaosParams struct {
 func (p ChaosParams) Validate() error {
 	return firstBad("chaos params", []field{
 		{"CrashRate", p.CrashRate, true},
-		{"PermanentFrac", p.PermanentFrac, true},
 		{"LinkDownRate", p.LinkDownRate, true},
 		{"BurstSeverity", p.BurstSeverity, true},
 		{"BaseLoss", p.BaseLoss, true},
@@ -51,7 +49,9 @@ func (p ChaosParams) Validate() error {
 // Gilbert–Elliott parameters: the good state keeps the flat base loss, the
 // bad state loses 30–70% of crossings, and bad states arrive more often and
 // linger longer as severity rises. Severity ≤ 0 returns ok=false (no burst
-// chain at all).
+// chain at all); a severity above 1 counts as 1. For a base loss in
+// [0, 1] every parameter lies in [0, 1]; Schedule.Validate rejects the
+// chain otherwise.
 func BurstFromSeverity(severity, baseLoss float64) (GEParams, bool) {
 	if severity <= 0 {
 		return GEParams{}, false
@@ -64,7 +64,7 @@ func BurstFromSeverity(severity, baseLoss float64) (GEParams, bool) {
 		PBG:      0.4 - 0.25*severity,
 		LossGood: baseLoss,
 		LossBad:  0.3 + 0.4*severity,
-	}.Clamped(), true
+	}, true
 }
 
 // Generate builds a chaos schedule over the given clients and links. Every
@@ -82,7 +82,7 @@ func Generate(p ChaosParams, clients []graph.NodeID, numLinks int, r *rng.Rand) 
 			continue
 		}
 		at := r.Uniform(0.1, 0.7) * span
-		if r.Float64() < p.PermanentFrac {
+		if r.Float64() < permanentFrac {
 			s.CrashWindow(c, at, at) // to ≤ from: down forever
 			continue
 		}

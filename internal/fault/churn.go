@@ -17,59 +17,41 @@ import (
 // failover notion (for them, wave targets are just well-placed clients).
 type ChurnParams struct {
 	// Rate in [0, 1] scales the whole generator: wave count and background
-	// blackout probability both grow linearly with it. Rate 0 generates an
-	// empty schedule.
+	// blackout probability both grow linearly with it. At Rate 1 four waves
+	// hit the line (30% of their targets for good) and every other client
+	// blacks out once with probability 0.15, for [0.05, 0.15]·Span. Rate 0
+	// generates an empty schedule.
 	Rate float64
-	// Waves is the coordinator-kill wave count at Rate 1 (default 4): wave i
-	// crashes ranked[i], i.e. the RP the i-th election is expected to seat.
-	Waves int
-	// BackgroundRate is the per-client probability (at Rate 1) of one
-	// mobility blackout window during the run (default 0.15).
-	BackgroundRate float64
-	// DowntimeFrac scales blackout lengths: each downtime draws from
-	// [0.5, 1.5]·DowntimeFrac·Span (default 0.1).
-	DowntimeFrac float64
-	// PermanentFrac is the fraction of coordinator-kill waves whose target
-	// never recovers (default 0.3; set negative for none) — the rest come
-	// back and must be re-admitted as regular peers.
-	PermanentFrac float64
-	// Span is the data-transmission duration (Packets·Interval), ms.
+	// Span is the data-transmission duration (Packets·Interval), ms; a Span
+	// of at most 0 means 1.
 	Span float64
 }
 
+// The churn generator's shape at Rate 1.
+const (
+	// churnWaves is the coordinator-kill wave count: wave i crashes
+	// ranked[i], i.e. the RP the i-th election is expected to seat.
+	churnWaves = 4
+	// backgroundRate is the per-client probability of one mobility
+	// blackout window during the run.
+	backgroundRate = 0.15
+	// downtimeFrac scales blackout lengths: each downtime draws from
+	// [0.5, 1.5]·downtimeFrac·Span.
+	downtimeFrac = 0.1
+)
+
+// permanentFrac is the fraction of crashes, chaos and churn alike, whose
+// host never recovers; the rest come back (churn's wave targets must then
+// be re-admitted as regular peers).
+const permanentFrac = 0.3
+
 // Validate rejects a NaN or infinite field, naming it. Zero and negative
-// values keep their documented meaning (a default, or none).
+// values keep their documented meaning.
 func (p ChurnParams) Validate() error {
 	return firstBad("churn params", []field{
 		{"Rate", p.Rate, true},
-		{"BackgroundRate", p.BackgroundRate, true},
-		{"DowntimeFrac", p.DowntimeFrac, true},
-		{"PermanentFrac", p.PermanentFrac, true},
 		{"Span", p.Span, true},
 	})
-}
-
-// withDefaults fills the zero-value knobs.
-func (p ChurnParams) withDefaults() ChurnParams {
-	if p.Waves <= 0 {
-		p.Waves = 4
-	}
-	if p.BackgroundRate <= 0 {
-		p.BackgroundRate = 0.15
-	}
-	if p.DowntimeFrac <= 0 {
-		p.DowntimeFrac = 0.1
-	}
-	switch {
-	case p.PermanentFrac == 0:
-		p.PermanentFrac = 0.3
-	case p.PermanentFrac < 0:
-		p.PermanentFrac = 0
-	}
-	if p.Span <= 0 {
-		p.Span = 1
-	}
-	return p
 }
 
 // GenerateChurn builds a mobility-style churn schedule. ranked is the
@@ -81,13 +63,16 @@ func (p ChurnParams) withDefaults() ChurnParams {
 // fixed order (waves first, then the remaining clients in ranked order), so
 // the schedule is deterministic in (params, ranked, seed).
 func GenerateChurn(p ChurnParams, ranked []graph.NodeID, r *rng.Rand) *Schedule {
-	p = p.withDefaults()
 	s := &Schedule{}
 	rate := clamp01(p.Rate)
 	if rate == 0 {
 		return s
 	}
-	waves := int(float64(p.Waves)*rate + 0.5)
+	span := p.Span
+	if span <= 0 {
+		span = 1
+	}
+	waves := int(churnWaves*rate + 0.5)
 	if waves > len(ranked) {
 		waves = len(ranked)
 	}
@@ -96,20 +81,20 @@ func GenerateChurn(p ChurnParams, ranked []graph.NodeID, r *rng.Rand) *Schedule 
 		// sub-interval of [0.15, 0.65]·Span.
 		lo := 0.15 + 0.5*float64(i)/float64(waves)
 		hi := 0.15 + 0.5*float64(i+1)/float64(waves)
-		at := r.Uniform(lo, hi) * p.Span
-		down := r.Uniform(0.5, 1.5) * p.DowntimeFrac * p.Span
-		if r.Float64() < p.PermanentFrac {
+		at := r.Uniform(lo, hi) * span
+		down := r.Uniform(0.5, 1.5) * downtimeFrac * span
+		if r.Float64() < permanentFrac {
 			s.CrashWindow(ranked[i], at, at) // to ≤ from: down forever
 			continue
 		}
 		s.CrashWindow(ranked[i], at, at+down)
 	}
 	for _, c := range ranked[waves:] {
-		if r.Float64() >= p.BackgroundRate*rate {
+		if r.Float64() >= backgroundRate*rate {
 			continue
 		}
-		at := r.Uniform(0.1, 0.7) * p.Span
-		s.CrashWindow(c, at, at+r.Uniform(0.5, 1.5)*p.DowntimeFrac*p.Span)
+		at := r.Uniform(0.1, 0.7) * span
+		s.CrashWindow(c, at, at+r.Uniform(0.5, 1.5)*downtimeFrac*span)
 	}
 	return s.Normalize()
 }

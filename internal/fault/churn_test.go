@@ -61,7 +61,7 @@ func TestGenerateChurnDeterministic(t *testing.T) {
 	}
 }
 
-// TestGenerateChurnTargetsSuccession: at full rate the first Waves entries
+// TestGenerateChurnTargetsSuccession: at full rate the first churnWaves entries
 // of the succession line are each hit by a crash wave, wave times ascend
 // within [0.15, 0.65]·Span, and rate 0 yields an empty schedule.
 func TestGenerateChurnTargetsSuccession(t *testing.T) {
@@ -77,7 +77,7 @@ func TestGenerateChurnTargetsSuccession(t *testing.T) {
 		}
 	}
 	prev := 0.0
-	for i, c := range ranked[:4] { // default Waves = 4
+	for i, c := range ranked[:churnWaves] {
 		at, ok := crashAt[c]
 		if !ok {
 			t.Fatalf("wave %d target %d never crashed", i, c)
@@ -92,25 +92,5 @@ func TestGenerateChurnTargetsSuccession(t *testing.T) {
 	}
 	if !GenerateChurn(ChurnParams{Rate: 0, Span: span}, ranked, rng.New(7)).Empty() {
 		t.Fatal("rate 0 generated faults")
-	}
-}
-
-// TestGenerateChurnPermanentFrac: PermanentFrac < 0 disables permanent
-// waves — every crash in the schedule gets a recovery.
-func TestGenerateChurnPermanentFrac(t *testing.T) {
-	ranked := []graph.NodeID{4, 9, 2, 7, 11, 3, 8, 6, 10, 5}
-	s := GenerateChurn(ChurnParams{Rate: 1, Span: 1000, PermanentFrac: -1},
-		ranked, rng.New(5))
-	crashes, recovers := 0, 0
-	for _, ev := range s.Events {
-		switch ev.Kind {
-		case CrashHost:
-			crashes++
-		case RecoverHost:
-			recovers++
-		}
-	}
-	if crashes == 0 || crashes != recovers {
-		t.Fatalf("PermanentFrac<0: %d crashes, %d recoveries", crashes, recovers)
 	}
 }

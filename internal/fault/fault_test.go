@@ -1,8 +1,10 @@
 package fault
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rmcast/internal/graph"
@@ -138,15 +140,39 @@ func TestGEDeterministic(t *testing.T) {
 	}
 }
 
-func TestClamping(t *testing.T) {
-	g := GEParams{PGB: 2, PBG: -1, LossGood: math.NaN(), LossBad: 0.5}.Clamped()
-	want := GEParams{PGB: 1, PBG: 0, LossGood: 0, LossBad: 0.5}
-	if g != want {
-		t.Fatalf("Clamped() = %+v, want %+v", g, want)
-	}
-	s := (&Schedule{}).SetBurst(0, GEParams{PGB: 99, LossBad: -3})
-	if p := s.Burst[0]; p.PGB != 1 || p.LossBad != 0 {
-		t.Fatalf("SetBurst did not clamp: %+v", p)
+// TestValidateBurst: a burst probability that is NaN or outside [0, 1] is a
+// Validate error naming the link and the field, and SetBurst keeps what it
+// is given.
+func TestValidateBurst(t *testing.T) {
+	ok := GEParams{PGB: 0.1, PBG: 0.3, LossGood: 0.05, LossBad: 0.6}
+	for _, tc := range []struct {
+		field string
+		set   func(*GEParams, float64)
+	}{
+		{"PGB", func(p *GEParams, v float64) { p.PGB = v }},
+		{"PBG", func(p *GEParams, v float64) { p.PBG = v }},
+		{"LossGood", func(p *GEParams, v float64) { p.LossGood = v }},
+		{"LossBad", func(p *GEParams, v float64) { p.LossBad = v }},
+	} {
+		for _, v := range []float64{math.NaN(), -1, 1.5, 99, math.Inf(1)} {
+			p := ok
+			tc.set(&p, v)
+			s := (&Schedule{}).SetBurst(0, ok).SetBurst(2, p)
+			if fmt.Sprint(s.Burst[2]) != fmt.Sprint(p) { // NaN != NaN
+				t.Fatalf("SetBurst stored %+v, want %+v", s.Burst[2], p)
+			}
+			err := s.Validate(4, 3)
+			if err == nil || !strings.Contains(err.Error(), "link 2") || !strings.Contains(err.Error(), tc.field+" = ") {
+				t.Errorf("%s = %v: error %v, want one naming link 2 and %s", tc.field, v, err, tc.field)
+			}
+		}
+		for _, v := range []float64{0, 1} {
+			p := ok
+			tc.set(&p, v)
+			if err := (&Schedule{}).SetBurst(1, p).Validate(4, 3); err != nil {
+				t.Errorf("%s = %v rejected: %v", tc.field, v, err)
+			}
+		}
 	}
 }
 
@@ -173,7 +199,7 @@ func TestValidate(t *testing.T) {
 func TestGenerateDeterministicAndValid(t *testing.T) {
 	clients := []graph.NodeID{2, 3, 5, 8, 13}
 	p := ChaosParams{
-		CrashRate: 0.8, PermanentFrac: 0.3, LinkDownRate: 0.5,
+		CrashRate: 0.8, LinkDownRate: 0.5,
 		BurstSeverity: 0.7, BaseLoss: 0.05, Span: 5000,
 	}
 	a := Generate(p, clients, 10, rng.New(99))

@@ -106,16 +106,6 @@ func firstBad(what string, fields []field) error {
 	return nil
 }
 
-// Clamped returns the parameters with every probability clamped to [0, 1].
-func (g GEParams) Clamped() GEParams {
-	return GEParams{
-		PGB:      clamp01(g.PGB),
-		PBG:      clamp01(g.PBG),
-		LossGood: clamp01(g.LossGood),
-		LossBad:  clamp01(g.LossBad),
-	}
-}
-
 // Schedule is a declarative fault plan for one simulation run. The zero
 // value is the paper's reliable network: no crashes, no outages, no bursts.
 type Schedule struct {
@@ -188,33 +178,30 @@ func (s *Schedule) LinkDownWindow(link graph.EdgeID, from, to float64) *Schedule
 	return s
 }
 
-// SetBurst attaches Gilbert–Elliott burst loss to one link, clamping the
-// probabilities into [0, 1].
+// SetBurst attaches Gilbert–Elliott burst loss to one link. Validate
+// rejects a probability outside [0, 1].
 func (s *Schedule) SetBurst(link graph.EdgeID, p GEParams) *Schedule {
 	if s.Burst == nil {
 		s.Burst = make(map[graph.EdgeID]GEParams)
 	}
-	s.Burst[link] = p.Clamped()
+	s.Burst[link] = p
 	return s
 }
 
 // Normalize sorts the events by time (stable, so same-time events keep
-// insertion order) and clamps all burst probabilities. It returns the
-// schedule for chaining. State construction normalizes automatically;
-// calling it earlier is harmless.
+// insertion order). It returns the schedule for chaining. State
+// construction normalizes automatically; calling it earlier is harmless.
 func (s *Schedule) Normalize() *Schedule {
 	slices.SortStableFunc(s.Events, func(a, b Event) int { return cmp.Compare(a.At, b.At) })
-	for l, p := range s.Burst {
-		s.Burst[l] = p.Clamped()
-	}
 	return s
 }
 
 // Validate checks the schedule against a network of numNodes nodes and
 // numLinks links: event times must be finite and non-negative, every
-// referenced node/link must exist, and the mutation config must be valid
-// (MutationConfig.Validate), empty or not. It returns the first violation
-// found; a nil schedule is valid.
+// referenced node/link must exist, every burst probability must lie in
+// [0, 1], and the mutation config must be valid (MutationConfig.Validate),
+// empty or not. It returns the first violation found; a nil schedule is
+// valid.
 func (s *Schedule) Validate(numNodes, numLinks int) error {
 	if s == nil {
 		return nil
@@ -239,9 +226,24 @@ func (s *Schedule) Validate(numNodes, numLinks int) error {
 			return fmt.Errorf("fault: event %d has unknown kind %d", i, e.Kind)
 		}
 	}
+	// Links in order, so that a schedule always reports the same one.
+	links := make([]graph.EdgeID, 0, len(s.Burst))
 	for l := range s.Burst {
+		links = append(links, l)
+	}
+	slices.Sort(links)
+	for _, l := range links {
 		if l < 0 || int(l) >= numLinks {
 			return fmt.Errorf("fault: burst references link %d of %d", l, numLinks)
+		}
+		p := s.Burst[l]
+		for _, f := range []struct {
+			name string
+			v    float64
+		}{{"PGB", p.PGB}, {"PBG", p.PBG}, {"LossGood", p.LossGood}, {"LossBad", p.LossBad}} {
+			if !(0 <= f.v && f.v <= 1) { // NaN fails too
+				return fmt.Errorf("fault: bad burst on link %d: %s = %v", l, f.name, f.v)
+			}
 		}
 	}
 	return nil

@@ -50,7 +50,7 @@ type State struct {
 }
 
 // NewState compiles a schedule into its runtime form. The schedule is
-// normalized in place (events sorted, probabilities clamped); the rng
+// normalized in place (events sorted); the rng
 // stream is owned by the state afterwards. A nil schedule yields a state
 // that injects nothing.
 func NewState(s *Schedule, r *rng.Rand) *State {

@@ -55,7 +55,7 @@ func TestGapDetectionTailSweep(t *testing.T) {
 		detected = append(detected, s.Eng.Now())
 	}
 	s, err := NewSession(topo, e, Config{
-		Packets: 3, Interval: 10, Detection: DetectGap, GapTailLag: 50,
+		Packets: 3, Interval: 10, Detection: DetectGap,
 	}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -66,9 +66,9 @@ func TestGapDetectionTailSweep(t *testing.T) {
 	if len(detected) != 1 {
 		t.Fatalf("detections %d, want 1", len(detected))
 	}
-	// Sweep at lastSend(20) + wouldArrive(3) + tail lag(50) = 73.
-	if math.Abs(detected[0]-73) > 1e-6 {
-		t.Fatalf("tail detection at %v, want 73", detected[0])
+	// Sweep at lastSend(20) + wouldArrive(3) + tail lag(2·Interval = 20) = 43.
+	if math.Abs(detected[0]-43) > 1e-6 {
+		t.Fatalf("tail detection at %v, want 43", detected[0])
 	}
 	if res.Stats.Losses != 1 {
 		t.Fatalf("losses %d", res.Stats.Losses)
@@ -274,23 +274,22 @@ func TestSessionMessagesExposeTailLossEarly(t *testing.T) {
 		detected = append(detected, s.Eng.Now())
 	}
 	s, err := NewSession(topo, e, Config{
-		Packets: 8, Interval: 10,
-		Detection: DetectSession, HeartbeatInterval: 15, GapTailLag: 500,
+		Packets: 8, Interval: 10, Detection: DetectSession,
 	}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Lose only packet 7 (sent at t=70); heal before the t=75 heartbeat.
+	// Lose only packet 7 (sent at t=70); heal before the t=80 heartbeat.
 	s.Eng.Schedule(69.5, func() { topo.Loss[link] = 1 })
 	s.Eng.Schedule(70.5, func() { topo.Loss[link] = 0 })
 	res := s.Run()
 	if len(detected) != 1 {
 		t.Fatalf("detections %d, want 1", len(detected))
 	}
-	// Heartbeat at t=75 (highest=7) arrives at 78 — far before the tail
-	// sweep at 70+3+500.
-	if math.Abs(detected[0]-78) > 1e-6 {
-		t.Fatalf("session detection at %v, want 78", detected[0])
+	// Heartbeats come every 4·Interval = 40: the one at t=80 (highest=7)
+	// arrives at 83, before the tail sweep at 70+3+2·Interval = 93.
+	if math.Abs(detected[0]-83) > 1e-6 {
+		t.Fatalf("session detection at %v, want 83", detected[0])
 	}
 	if res.Stats.Losses != 1 {
 		t.Fatalf("losses %d", res.Stats.Losses)

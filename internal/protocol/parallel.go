@@ -238,8 +238,7 @@ func (s *Session) layOut() ([]*Session, float64) {
 	var sent []bool
 	if s.cfg.Check != CheckOff {
 		sent = make([]bool, s.cfg.Packets)
-		s.oracle = check.NewShard(len(s.Topo.Clients), s.cfg.Packets,
-			s.cfg.Check == CheckStrict, sent, nil)
+		s.oracle = check.NewShard(len(s.Topo.Clients), s.cfg.Packets, sent, nil)
 	}
 	rands := s.root.SplitN(part.K)
 	shards := make([]*Session, part.K)
@@ -327,8 +326,7 @@ func (s *Session) domain(id int32, shardOf []int32, engine Engine, sent []bool, 
 		}
 	}
 	if sent != nil {
-		sub.oracle = check.NewShard(len(s.Topo.Clients), s.cfg.Packets,
-			s.cfg.Check == CheckStrict, sent, owned)
+		sub.oracle = check.NewShard(len(s.Topo.Clients), s.cfg.Packets, sent, owned)
 	}
 	sub.attach()
 	if f := s.Net.Fault; f != nil {

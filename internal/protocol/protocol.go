@@ -91,10 +91,10 @@ const (
 	DetectSession
 )
 
-// CheckMode selects how the runtime invariant oracle (internal/check)
-// treats what it finds. The zero value is strict, so every session —
-// including every existing test and sweep — runs under the oracle unless a
-// caller opts out.
+// CheckMode says whether a session runs the runtime invariant oracle
+// (internal/check). The zero value is strict, so every session — including
+// every existing test and sweep — runs under the oracle unless a caller
+// opts out.
 type CheckMode uint8
 
 const (
@@ -103,9 +103,6 @@ const (
 	// counted delivery — and records end-of-run findings (liveness,
 	// conservation) in Result.Violations.
 	CheckStrict CheckMode = iota
-	// CheckRecord records every violation in Result.Violations without
-	// panicking (for tests that exercise violations on purpose).
-	CheckRecord
 	// CheckOff disables the oracle entirely.
 	CheckOff
 )
@@ -117,15 +114,11 @@ type Config struct {
 	// Interval is the inter-packet send spacing (ms).
 	Interval float64
 	// Detection selects the loss-detection model (default DetectIdeal).
+	// Under DetectGap and DetectSession, tail losses are declared 2·Interval
+	// after the last packet's loss-free arrival; under DetectSession the
+	// source also multicasts a heartbeat every 4·Interval, on the data
+	// plane and subject to loss like data.
 	Detection DetectionMode
-	// GapTailLag is the extra wait, after the last packet's loss-free
-	// arrival, before tail losses are declared under DetectGap
-	// (default 2·Interval).
-	GapTailLag float64
-	// HeartbeatInterval is the session-message period under DetectSession
-	// (default 4·Interval). Heartbeats are multicast on the data plane and
-	// subject to loss like data.
-	HeartbeatInterval float64
 	// DetectLag is the extra delay between a packet's loss-free arrival
 	// time and the client noticing the gap (ms). Zero is allowed: an
 	// epsilon is applied internally so detection orders after delivery.
@@ -178,10 +171,10 @@ type Config struct {
 	// materialises the full group. A group that fits one domain runs as one
 	// shard with a "domain mode: …" SerialReason.
 	DomainClients int
-	// Check selects the runtime invariant oracle's mode (default: strict —
-	// see CheckMode). The oracle shadows the session's per-(client, seq)
-	// state machine event by event; it draws no randomness and never
-	// perturbs a run's outcome.
+	// Check is CheckStrict (the default) or CheckOff, which disables the
+	// runtime invariant oracle (see CheckMode). The oracle shadows the
+	// session's per-(client, seq) state machine event by event; it draws no
+	// randomness and never perturbs a run's outcome.
 	Check CheckMode
 }
 
@@ -200,8 +193,7 @@ const maxJitter = 1000
 // or Check outside its constants, or a program whose last instant — the
 // last send, plus DetectLag, plus the tail sweep's or one heartbeat's wait
 // — is not finite.
-// Negative GapTailLag, HeartbeatInterval and PacketTime keep meaning
-// "default" or "off".
+// A negative PacketTime keeps meaning "off".
 func (c Config) validate() error {
 	last := float64(c.Packets-1)*c.Interval + c.DetectLag
 	switch c.Detection {
@@ -218,8 +210,6 @@ func (c Config) validate() error {
 		{"Packets", float64(c.Packets), c.Packets > 0},
 		{"Interval", c.Interval, c.Interval > 0},
 		{"DetectLag", c.DetectLag, c.DetectLag >= 0},
-		{"GapTailLag", c.GapTailLag, true},
-		{"HeartbeatInterval", c.HeartbeatInterval, true},
 		{"Jitter", c.Jitter, c.Jitter >= 0 && c.Jitter <= maxJitter},
 		{"PacketTime", c.PacketTime, true},
 		{"SimWorkers", float64(c.SimWorkers), c.SimWorkers >= 0},
@@ -235,21 +225,12 @@ func (c Config) validate() error {
 	return nil
 }
 
-// tailLag is the effective GapTailLag (default 2·Interval).
-func (c Config) tailLag() float64 {
-	if c.GapTailLag <= 0 {
-		return 2 * c.Interval
-	}
-	return c.GapTailLag
-}
+// tailLag is the extra wait, after the last packet's loss-free arrival,
+// before tail losses are declared under DetectGap and DetectSession.
+func (c Config) tailLag() float64 { return 2 * c.Interval }
 
-// heartbeat is the effective HeartbeatInterval (default 4·Interval).
-func (c Config) heartbeat() float64 {
-	if c.HeartbeatInterval <= 0 {
-		return 4 * c.Interval
-	}
-	return c.HeartbeatInterval
-}
+// heartbeat is the session-message period under DetectSession.
+func (c Config) heartbeat() float64 { return 4 * c.Interval }
 
 // detectEps orders loss-detection checks after same-instant deliveries.
 const detectEps = 1e-3
@@ -439,10 +420,10 @@ type Result struct {
 	// outside the result digest: a domain run must hash identically to its
 	// serial twin.
 	Domains int
-	// Violations lists what the invariant oracle found (nil on a clean
-	// run): end-of-run liveness and conservation findings always, plus
-	// event-level safety findings under CheckRecord. The experiment
-	// harness treats a non-empty list as a failed run.
+	// Violations lists the end-of-run liveness and conservation findings of
+	// the invariant oracle (nil on a clean run; an event-level safety
+	// finding panics instead). The experiment harness treats a non-empty
+	// list as a failed run.
 	Violations []string
 }
 
@@ -576,7 +557,7 @@ func NewSessionPrebuilt(topo *topology.Network, tree *mtree.Tree, engine Engine,
 		numNodes:  topo.NumNodes(),
 	}
 	if cfg.Check != CheckOff {
-		s.oracle = check.New(len(topo.Clients), cfg.Packets, cfg.Check == CheckStrict)
+		s.oracle = check.New(len(topo.Clients), cfg.Packets)
 	}
 	for seq := range s.sentAt {
 		s.sentAt[seq] = float64(seq) * cfg.Interval
@@ -901,7 +882,7 @@ func (s *Session) CodedHeld(c graph.NodeID, b int) uint64 {
 // DecodeBlock performs client c's erasure decode of block b, recovering
 // every data sequence of the block it does not hold (the engine must only
 // call it when BlockRank covers the block length — the oracle independently
-// verifies the rank and panics on a false decode in strict mode). Returns
+// verifies the rank and panics on a false decode). Returns
 // the number of sequences recovered.
 func (s *Session) DecodeBlock(c graph.NodeID, b int) int {
 	idx := s.clientIndex(c)

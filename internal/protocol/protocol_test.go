@@ -164,10 +164,6 @@ func TestBadConfigRejected(t *testing.T) {
 		{"NaN detect lag", Config{Packets: 5, Interval: 10, DetectLag: nan}},
 		{"negative detect lag", Config{Packets: 5, Interval: 10, DetectLag: -100}},
 		{"infinite detect lag", Config{Packets: 5, Interval: 10, DetectLag: inf}},
-		{"NaN gap tail lag", Config{Packets: 5, Interval: 10, Detection: DetectGap, GapTailLag: nan}},
-		{"infinite gap tail lag", Config{Packets: 5, Interval: 10, Detection: DetectGap, GapTailLag: inf}},
-		{"NaN heartbeat", Config{Packets: 5, Interval: 10, Detection: DetectSession, HeartbeatInterval: nan}},
-		{"infinite heartbeat", Config{Packets: 5, Interval: 10, Detection: DetectSession, HeartbeatInterval: inf}},
 		{"NaN jitter", Config{Packets: 5, Interval: 10, Jitter: nan}},
 		{"infinite jitter", Config{Packets: 5, Interval: 10, Jitter: inf}},
 		{"negative jitter", Config{Packets: 5, Interval: 10, Jitter: -1}},
@@ -191,11 +187,10 @@ func TestBadConfigRejected(t *testing.T) {
 			t.Errorf("%s: %+v accepted", tc.name, tc.cfg)
 		}
 	}
-	// Negative GapTailLag, HeartbeatInterval and PacketTime mean "default"
-	// or "off", and the largest finite program and the largest jitter are
-	// fine.
+	// A negative PacketTime means "off", and the largest finite program and
+	// the largest jitter are fine.
 	for _, cfg := range []Config{
-		{Packets: 5, Interval: 10, Detection: DetectSession, GapTailLag: -1, HeartbeatInterval: -1, PacketTime: -1},
+		{Packets: 5, Interval: 10, Detection: DetectSession, PacketTime: -1},
 		{Packets: 2, Interval: 1e308},
 		{Packets: 5, Interval: 10, Jitter: maxJitter},
 		{Packets: 5, Interval: 10, Fault: mutation(fault.MutationParams{

@@ -574,10 +574,7 @@ func TestTransitStubConfigMatrix(t *testing.T) {
 			cfg := DefaultConfig(1)
 			cfg.Tree = tree
 			cfg.AttachHosts = hosts
-			net, err := GenerateTransitStub(cfg, TransitStubParams{
-				TransitDomains: 2, TransitSize: 3,
-				StubsPerTransitNode: 1, StubSize: 4,
-			}, rng.New(9))
+			net, err := GenerateTransitStub(cfg, rng.New(9))
 			if err != nil {
 				t.Fatalf("tree=%d hosts=%v: %v", tree, hosts, err)
 			}

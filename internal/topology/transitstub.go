@@ -17,65 +17,32 @@ import (
 // the source, which is exactly the regime where RP's competitive-class
 // pruning matters.
 
-// TransitStubParams shapes the hierarchy. Zero values take defaults.
-type TransitStubParams struct {
-	// TransitDomains is the number of core domains (default 3).
-	TransitDomains int
-	// TransitSize is the router count per transit domain (default 4).
-	TransitSize int
-	// StubsPerTransitNode is the number of stub domains attached to each
-	// transit router (default 2).
-	StubsPerTransitNode int
-	// StubSize is the router count per stub domain (default 5).
-	StubSize int
-	// IntraTransitDelay, InterTransitDelay, TransitStubDelay and
-	// IntraStubDelay are the nominal delay ranges (ms) for each link
-	// class; realised delays still get the §5.1 U[d,2d] draw.
-	IntraTransitDelay [2]float64 // default [4,8]
-	InterTransitDelay [2]float64 // default [10,25]
-	TransitStubDelay  [2]float64 // default [2,5]
-	IntraStubDelay    [2]float64 // default [1,3]
-}
+// The hierarchy's shape: transitDomains core domains of transitSize
+// routers each, stubsPerTransitNode stub domains of stubSize routers hanging
+// off every transit router, transitStubRouters routers in all.
+const (
+	transitDomains      = 3
+	transitSize         = 4
+	stubsPerTransitNode = 2
+	stubSize            = 5
+	transitStubRouters  = transitDomains * transitSize * (1 + stubsPerTransitNode*stubSize)
+)
 
-func (p *TransitStubParams) defaults() {
-	if p.TransitDomains <= 0 {
-		p.TransitDomains = 3
-	}
-	if p.TransitSize <= 0 {
-		p.TransitSize = 4
-	}
-	if p.StubsPerTransitNode <= 0 {
-		p.StubsPerTransitNode = 2
-	}
-	if p.StubSize <= 0 {
-		p.StubSize = 5
-	}
-	def := func(r *[2]float64, lo, hi float64) {
-		if (*r)[0] <= 0 || (*r)[1] < (*r)[0] {
-			*r = [2]float64{lo, hi}
-		}
-	}
-	def(&p.IntraTransitDelay, 4, 8)
-	def(&p.InterTransitDelay, 10, 25)
-	def(&p.TransitStubDelay, 2, 5)
-	def(&p.IntraStubDelay, 1, 3)
-}
-
-// Routers returns the total router count the parameters produce.
-func (p TransitStubParams) Routers() int {
-	q := p
-	q.defaults()
-	perTransit := q.TransitSize * (1 + q.StubsPerTransitNode*q.StubSize)
-	return q.TransitDomains * perTransit
-}
+// Nominal delay ranges (ms) of each link class; realised delays still get
+// the §5.1 U[d,2d] draw.
+var (
+	intraTransitDelay = [2]float64{4, 8}
+	interTransitDelay = [2]float64{10, 25}
+	transitStubDelay  = [2]float64{2, 5}
+	intraStubDelay    = [2]float64{1, 3}
+)
 
 // GenerateTransitStub builds a transit-stub backbone, then applies the
 // standard pipeline: a multicast tree over the whole graph, host
 // attachment, delays, and uniform loss. The cfg's Routers field is ignored
 // (the hierarchy determines the count); its tree/host/loss fields apply.
-func GenerateTransitStub(cfg Config, ts TransitStubParams, r *rng.Rand) (*Network, error) {
-	ts.defaults()
-	cfg.Routers = ts.Routers()
+func GenerateTransitStub(cfg Config, r *rng.Rand) (*Network, error) {
+	cfg.Routers = transitStubRouters
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -103,7 +70,7 @@ func GenerateTransitStub(cfg Config, ts TransitStubParams, r *rng.Rand) (*Networ
 	}
 
 	// Transit domains.
-	transit := make([][]graph.NodeID, ts.TransitDomains)
+	transit := make([][]graph.NodeID, transitDomains)
 	next := 0
 	take := func(n int) []graph.NodeID {
 		out := make([]graph.NodeID, n)
@@ -114,30 +81,30 @@ func GenerateTransitStub(cfg Config, ts TransitStubParams, r *rng.Rand) (*Networ
 		return out
 	}
 	for d := range transit {
-		transit[d] = take(ts.TransitSize)
-		connectDomain(transit[d], ts.IntraTransitDelay)
+		transit[d] = take(transitSize)
+		connectDomain(transit[d], intraTransitDelay)
 	}
 	// Inter-transit: ring of domains plus one random chord pair each.
 	for d := range transit {
-		e := (d + 1) % ts.TransitDomains
+		e := (d + 1) % transitDomains
 		if e == d {
 			break
 		}
 		a := transit[d][r.Intn(len(transit[d]))]
 		b := transit[e][r.Intn(len(transit[e]))]
 		if !net.G.HasEdgeBetween(a, b) {
-			net.addLink(a, b, r.Uniform(ts.InterTransitDelay[0], ts.InterTransitDelay[1]), r)
+			net.addLink(a, b, r.Uniform(interTransitDelay[0], interTransitDelay[1]), r)
 		}
 	}
 
 	// Stub domains per transit router.
 	for d := range transit {
 		for _, tr := range transit[d] {
-			for sdom := 0; sdom < ts.StubsPerTransitNode; sdom++ {
-				stub := take(ts.StubSize)
-				connectDomain(stub, ts.IntraStubDelay)
+			for sdom := 0; sdom < stubsPerTransitNode; sdom++ {
+				stub := take(stubSize)
+				connectDomain(stub, intraStubDelay)
 				gw := stub[r.Intn(len(stub))]
-				net.addLink(tr, gw, r.Uniform(ts.TransitStubDelay[0], ts.TransitStubDelay[1]), r)
+				net.addLink(tr, gw, r.Uniform(transitStubDelay[0], transitStubDelay[1]), r)
 			}
 		}
 	}

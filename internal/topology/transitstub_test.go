@@ -8,13 +8,12 @@ import (
 )
 
 func TestTransitStubShape(t *testing.T) {
-	ts := TransitStubParams{}
-	want := ts.Routers() // defaults: 3 × 4 × (1 + 2·5) = 132
+	want := transitStubRouters // 3 × 4 × (1 + 2·5) = 132
 	if want != 132 {
-		t.Fatalf("default router count %d, want 132", want)
+		t.Fatalf("router count %d, want 132", want)
 	}
 	cfg := DefaultConfig(1) // Routers overridden by the hierarchy
-	net, err := GenerateTransitStub(cfg, ts, rng.New(1))
+	net, err := GenerateTransitStub(cfg, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,31 +37,12 @@ func TestTransitStubShape(t *testing.T) {
 	}
 }
 
-func TestTransitStubCustomParams(t *testing.T) {
-	ts := TransitStubParams{
-		TransitDomains:      2,
-		TransitSize:         3,
-		StubsPerTransitNode: 1,
-		StubSize:            4,
-	}
-	if ts.Routers() != 2*3*(1+4) {
-		t.Fatalf("Routers() = %d", ts.Routers())
-	}
-	net, err := GenerateTransitStub(DefaultConfig(1), ts, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTransitStubDeterministic(t *testing.T) {
-	a, err := GenerateTransitStub(DefaultConfig(1), TransitStubParams{}, rng.New(7))
+	a, err := GenerateTransitStub(DefaultConfig(1), rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GenerateTransitStub(DefaultConfig(1), TransitStubParams{}, rng.New(7))
+	b, err := GenerateTransitStub(DefaultConfig(1), rng.New(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,17 +61,15 @@ func TestTransitStubDelayClasses(t *testing.T) {
 	// class's nominal range: no link may exceed 2× the largest nominal
 	// (inter-transit hi) and none may fall below the smallest nominal
 	// (intra-stub lo).
-	ts := TransitStubParams{}
-	ts.defaults()
-	net, err := GenerateTransitStub(DefaultConfig(1), ts, rng.New(3))
+	net, err := GenerateTransitStub(DefaultConfig(1), rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, d := range net.Delay {
-		if net.Nominal[i] < ts.IntraStubDelay[0] && net.Nominal[i] != DefaultConfig(1).AccessDelay {
+		if net.Nominal[i] < intraStubDelay[0] && net.Nominal[i] != DefaultConfig(1).AccessDelay {
 			t.Fatalf("link %d nominal %v below every class", i, net.Nominal[i])
 		}
-		if d > 2*ts.InterTransitDelay[1] {
+		if d > 2*interTransitDelay[1] {
 			t.Fatalf("link %d delay %v beyond inter-transit bound", i, d)
 		}
 	}
@@ -100,7 +78,7 @@ func TestTransitStubDelayClasses(t *testing.T) {
 func TestTransitStubWithSPTAndProtocols(t *testing.T) {
 	cfg := DefaultConfig(1)
 	cfg.Tree = ShortestPathTree
-	net, err := GenerateTransitStub(cfg, TransitStubParams{}, rng.New(5))
+	net, err := GenerateTransitStub(cfg, rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}

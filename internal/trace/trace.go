@@ -79,8 +79,6 @@ type Tracer interface {
 // Writer streams events as text lines to an io.Writer.
 type Writer struct {
 	W io.Writer
-	// Filter, when non-nil, drops events for which it returns false.
-	Filter func(Event) bool
 
 	mu  sync.Mutex
 	err error
@@ -91,9 +89,6 @@ func NewWriter(w io.Writer) *Writer { return &Writer{W: w} }
 
 // Emit implements Tracer.
 func (t *Writer) Emit(e Event) {
-	if t.Filter != nil && !t.Filter(e) {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.err != nil {
@@ -133,13 +128,3 @@ func (c *Counter) Total() int64 { return c.n }
 
 // Last returns the most recent event.
 func (c *Counter) Last() Event { return c.last }
-
-// Multi fans events out to several tracers.
-type Multi []Tracer
-
-// Emit implements Tracer.
-func (m Multi) Emit(e Event) {
-	for _, t := range m {
-		t.Emit(e)
-	}
-}

@@ -52,17 +52,6 @@ func TestWriterStreamsLines(t *testing.T) {
 	}
 }
 
-func TestWriterFilter(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Filter = func(e Event) bool { return e.Kind == Recover }
-	w.Emit(Event{Kind: Detect})
-	w.Emit(Event{Kind: Recover})
-	if n := strings.Count(buf.String(), "\n"); n != 1 {
-		t.Fatalf("filter passed %d events, want 1", n)
-	}
-}
-
 type failingWriter struct{}
 
 func (failingWriter) Write([]byte) (int, error) { return 0, errWrite }
@@ -95,14 +84,5 @@ func TestCounter(t *testing.T) {
 	}
 	if c.Total() != 3 || c.Last().Seq != 2 {
 		t.Fatal("total/last wrong")
-	}
-}
-
-func TestMulti(t *testing.T) {
-	var a, b Counter
-	m := Multi{&a, &b}
-	m.Emit(Event{Kind: Drop})
-	if a.Count(Drop) != 1 || b.Count(Drop) != 1 {
-		t.Fatal("multi did not fan out")
 	}
 }

@@ -120,14 +120,11 @@ func NewTopology(cfg TopologyConfig, seed uint64) (*Topology, error) {
 	return topology.Generate(cfg, rng.New(seed))
 }
 
-// TransitStubParams shapes the GT-ITM-style hierarchical generator.
-type TransitStubParams = topology.TransitStubParams
-
-// NewTransitStubTopology generates a transit-stub hierarchy (fast transit
-// core, stub domains at the edge); cfg's tree/host/loss settings apply and
-// its Routers field is ignored.
-func NewTransitStubTopology(cfg TopologyConfig, ts TransitStubParams, seed uint64) (*Topology, error) {
-	return topology.GenerateTransitStub(cfg, ts, rng.New(seed))
+// NewTransitStubTopology generates a GT-ITM-style transit-stub hierarchy
+// (fast transit core, stub domains at the edge; 132 routers); cfg's
+// tree/host/loss settings apply and its Routers field is ignored.
+func NewTransitStubTopology(cfg TopologyConfig, seed uint64) (*Topology, error) {
+	return topology.GenerateTransitStub(cfg, rng.New(seed))
 }
 
 // NewBuilder returns a hand-construction builder.

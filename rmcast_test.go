@@ -232,7 +232,7 @@ func TestPublicRosterChurn(t *testing.T) {
 }
 
 func TestPublicTransitStub(t *testing.T) {
-	topo, err := NewTransitStubTopology(DefaultTopologyConfig(1), TransitStubParams{}, 31)
+	topo, err := NewTransitStubTopology(DefaultTopologyConfig(1), 31)
 	if err != nil {
 		t.Fatal(err)
 	}
