@@ -80,16 +80,16 @@ bench-diff:
 # the O(N²) scan baseline and cross-verifies the fast path against it, and
 # -simworkers adds a sharded simulation whose digest must match its serial
 # twin exactly (the sweep exits nonzero on divergence). Each robustness axis
-# (chaos, churn, adversarial) runs once through rmsim.
+# (chaos, churn, adversarial) runs once through figures.
 smoke-bench:
 	$(GO) test -run TestAllocs -count=1 ./internal/sim
 	$(GO) test -run xxx -bench 'BenchmarkFigure5/n=50$$' -benchmem -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkCoopRecovery/n=100/chaos' -benchmem -benchtime 1x .
 	$(GO) run ./cmd/rmsim -scaling -sizes 1000 -simworkers 4
 	$(GO) run ./cmd/rmsim -scaling -sizes 1000 -simworkers 4 -domainsize 64
-	$(GO) run ./cmd/rmsim -chaos -routers 40 -packets 15
-	$(GO) run ./cmd/rmsim -churn -routers 40 -packets 15
-	$(GO) run ./cmd/rmsim -adversarial -routers 40 -packets 15
+	$(GO) run ./cmd/figures -fig chaos -packets 15
+	$(GO) run ./cmd/figures -fig churn -packets 15
+	$(GO) run ./cmd/figures -fig adversarial -packets 15
 	$(GO) test -run xxx -bench 'BenchmarkFailover$$' -benchmem -benchtime 1x .
 	$(GO) test -run xxx -bench 'BenchmarkStrategyService/readers=4/churn=2000$$' -benchmem -benchtime 1x ./internal/strategysvc
 

@@ -1,11 +1,14 @@
-// Command figures regenerates the paper's evaluation figures (Figures 5–8)
-// and the ablation table, printing aligned text tables or CSV.
+// Command figures regenerates the paper's evaluation figures (Figures 5–8),
+// the ablation table and the robustness sweeps (chaos, adversarial, churn),
+// printing aligned text tables, markdown or CSV. Every flag applies to every
+// -fig.
 //
 // Usage:
 //
-//	figures                  # all four figures at paper parameters
+//	figures                  # every table at paper parameters
 //	figures -fig 7           # one figure's sweep
 //	figures -fig ablation    # RP-variant ablation
+//	figures -fig churn       # one robustness sweep
 //	figures -csv -fig 5      # machine-readable output
 //	figures -packets 40      # faster, noisier runs
 //	figures -parallel 1      # force the legacy serial sweep loop
@@ -33,7 +36,7 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "5|6|7|8|56|78|ablation|chaos|adversarial|churn|scaling|all")
+		fig      = flag.String("fig", "all", "5|6|7|8|56|78|ablation|chaos|adversarial|churn|all")
 		packets  = flag.Int("packets", 100, "data packets per run")
 		reps     = flag.Int("reps", 1, "traffic-seed replicates per cell")
 		seed     = flag.Uint64("seed", 2003, "base seed")
@@ -44,10 +47,6 @@ func main() {
 		interval = flag.Float64("interval", 50, "inter-packet interval (ms)")
 		parallel = flag.Int("parallel", experiment.DefaultParallelism(),
 			"sweep worker count (1 = legacy serial loop; results are identical either way)")
-		simWorkers = flag.Int("simworkers", 0,
-			"with -fig scaling: add a serial-vs-sharded simulation phase per cell at this worker count (0 = off)")
-		domainSize = flag.Int("domainsize", 0,
-			"with -fig scaling: clients per recovery domain in the sharded half of the simulation phase (0 = max(8, ⌈clients/8⌉), i.e. 2 to 8 domains)")
 	)
 	flag.Parse()
 	if *reps < 1 {
@@ -99,10 +98,7 @@ func main() {
 	// The robustness sweeps, in the order "all" prints them.
 	robustness := []string{"chaos", "adversarial", "churn"}
 	needRob := *fig == "all" || slices.Contains(robustness, *fig)
-	// The scaling tier is a planning-performance probe, not a paper figure,
-	// so "all" does not imply it; ask for it explicitly.
-	needSc := *fig == "scaling"
-	if !need56 && !need78 && !needAb && !needRob && !needSc {
+	if !need56 && !need78 && !needAb && !needRob {
 		fmt.Fprintf(os.Stderr, "figures: unknown -fig %q\n", *fig)
 		os.Exit(2)
 	}
@@ -167,28 +163,5 @@ func main() {
 		emit(lat)
 		emit(p99)
 		emit(fourth)
-	}
-	if needSc {
-		s := experiment.DefaultScaling()
-		s.BaseSeed = *seed
-		s.SimWorkers = *simWorkers
-		s.DomainClients = *domainSize
-		report, err := s.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
-		switch {
-		case *md:
-			err = report.Markdown(os.Stdout)
-		case *csv:
-			err = report.CSV(os.Stdout)
-		default:
-			err = report.Format(os.Stdout)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
-		}
 	}
 }

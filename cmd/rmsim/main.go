@@ -1,16 +1,22 @@
 // Command rmsim runs one reliable-multicast recovery simulation and prints
 // the per-protocol metrics, exactly as the experiment harness measures them
-// for the paper's figures.
+// for the paper's figures, or, with -scaling, the large-n planning tier.
 //
 // Usage:
 //
 //	rmsim -routers 500 -loss 0.05 -protocol RP
 //	rmsim -routers 200 -loss 0.10 -protocol all -packets 200
+//	rmsim -scaling -sizes 1000,5000 -simworkers 2
 //
 // With -protocol all the per-protocol runs execute on -parallel workers
 // (default: one per CPU); each run is independently seeded so the printed
 // rows are identical at any worker count. -trace forces serial execution so
-// the event trace stays a single ordered stream.
+// the event trace stays a single ordered stream. The figure sweeps (Figures
+// 5–8, the ablation and the chaos, adversarial and churn sweeps) are
+// cmd/figures'.
+//
+// A flag the chosen mode does not read is refused (exit 2): a single-run
+// flag with -scaling, or -sizes without it.
 package main
 
 import (
@@ -20,6 +26,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -46,18 +53,11 @@ func main() {
 		jitter   = flag.Float64("jitter", 0, "per-traversal delay jitter fraction")
 		gapDet   = flag.Bool("gapdetect", false, "use sequence-gap loss detection instead of the idealised model")
 		lossyRec = flag.Bool("lossyrecovery", false, "subject recovery traffic to link loss")
-		asJSON   = flag.Bool("json", false, "emit per-protocol results as JSON")
-		chaos    = flag.Bool("chaos", false,
-			"run the fault-injection (chaos) sweep instead of a single run: crashes, link outages and burst loss rising with severity, RP vs SRM vs RMA vs RP-RESILIENT vs COOP")
-		churn = flag.Bool("churn", false,
-			"run the mobility-style churn sweep instead of a single run: crash waves aimed at the coordinator succession line with rate rising 0→1, SRM vs RP vs RP-RESILIENT vs RP-FAILOVER")
-		adversarial = flag.Bool("adversarial", false,
-			"run the adversarial message-plane sweep instead of a single run: control-packet duplication, reordering, corruption and repair storms rising with intensity, SRM vs RMA vs RP vs SRC vs COOP")
-		scaling = flag.Bool("scaling", false,
+		asJSON   = flag.Bool("json", false, "emit per-protocol results (or, with -scaling, the cells) as JSON")
+		scaling  = flag.Bool("scaling", false,
 			"run the large-n planning scaling tier instead of a simulation: tree-aggregated batch planner vs the O(N²) scan on tree-only topologies")
 		sizes = flag.String("sizes", "",
 			"comma-separated client counts for -scaling (default 1000,5000,20000,50000)")
-		reps     = flag.Int("replicates", 1, "replicate seeds per chaos/adversarial cell")
 		parallel = flag.Int("parallel", experiment.DefaultParallelism(),
 			"worker count for multi-protocol runs (1 = serial; output is identical either way)")
 		simWorkers = flag.Int("simworkers", 0,
@@ -68,10 +68,20 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
 	flag.Parse()
-	if *reps < 1 {
-		fmt.Fprintf(os.Stderr, "rmsim: bad -replicates %d: need at least one replicate\n", *reps)
-		os.Exit(2)
-	}
+	// The flags only a single run reads; -sizes is the one flag only
+	// -scaling reads. Every other flag means the same in both modes.
+	singleRun := []string{"routers", "loss", "protocol", "packets", "interval", "toposeed",
+		"trace", "jitter", "gapdetect", "lossyrecovery", "parallel"}
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case *scaling && slices.Contains(singleRun, f.Name):
+			fmt.Fprintf(os.Stderr, "rmsim: -%s is a single-run flag; -scaling does not read it\n", f.Name)
+			os.Exit(2)
+		case !*scaling && f.Name == "sizes":
+			fmt.Fprintln(os.Stderr, "rmsim: -sizes is read only with -scaling")
+			os.Exit(2)
+		}
+	})
 	if *parallel < 1 {
 		fmt.Fprintf(os.Stderr, "rmsim: bad -parallel %d: need at least one worker\n", *parallel)
 		os.Exit(2)
@@ -110,35 +120,6 @@ func main() {
 		for _, p := range experiment.Engines() {
 			fmt.Println(p)
 		}
-		return
-	}
-
-	// One robustness sweep at most; several sweep flags keep the order
-	// churn, chaos, scaling, adversarial.
-	axis := ""
-	switch {
-	case *churn:
-		axis = "churn"
-	case *chaos:
-		axis = "chaos"
-	case *adversarial && !*scaling:
-		axis = "adversarial"
-	}
-	if axis != "" {
-		sweep := experiment.DefaultRobustness(axis)
-		sweep.Routers = *routers
-		sweep.BaseLoss = *loss
-		sweep.Packets = *packets
-		sweep.Interval = *interval
-		sweep.BaseSeed = *simSeed
-		sweep.Replicates = *reps
-		sweep.Parallel = *parallel
-		delivery, latency, p99, fourth, err := sweep.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rmsim: %v\n", err)
-			os.Exit(1)
-		}
-		emitFigures(delivery, latency, p99, fourth)
 		return
 	}
 
@@ -330,16 +311,5 @@ func main() {
 	if err := tw.Flush(); err != nil {
 		fmt.Fprintf(os.Stderr, "rmsim: %v\n", err)
 		os.Exit(1)
-	}
-}
-
-// emitFigures prints a sweep's four figures as tables.
-func emitFigures(figs ...*experiment.Figure) {
-	for _, f := range figs {
-		if err := f.Format(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "rmsim: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println()
 	}
 }

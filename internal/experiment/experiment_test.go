@@ -357,6 +357,10 @@ func TestRunRejectsBadFields(t *testing.T) {
 		{"Chaos.Span=-Inf", chaos(func(c *fault.ChaosParams) { c.Span = -inf })},
 		{"Churn.Rate=NaN", churn(func(c *fault.ChurnParams) { c.Rate = nan })},
 		{"Churn.Span=-Inf", churn(func(c *fault.ChurnParams) { c.Span = -inf })},
+		{"Chaos.CrashRate=-2", chaos(func(c *fault.ChaosParams) { c.CrashRate = -2 })},
+		{"Chaos.BurstSeverity=7", chaos(func(c *fault.ChaosParams) { c.BurstSeverity = 7 })},
+		{"Churn.Rate=5", churn(func(c *fault.ChurnParams) { c.Rate = 5 })},
+		{"Churn.Span=-3", churn(func(c *fault.ChurnParams) { c.Span = -3 })},
 		{"Mutation.Request.DupProb=NaN", mutate(func(m *fault.MutationConfig) { m.Request.DupProb = nan })},
 		{"Mutation.Request.ReorderProb=+Inf", mutate(func(m *fault.MutationConfig) { m.Request.ReorderProb = inf })},
 		{"Mutation.Request.MaxDelay=NaN", mutate(func(m *fault.MutationConfig) { m.Request.MaxDelay = nan })},

@@ -46,7 +46,7 @@ type RobustnessSweep struct {
 	// Routers is the fixed backbone size.
 	Routers int
 	// Levels are the fault levels in [0, 1], one row each; the axis maps a
-	// level to its fault.
+	// level to its fault. Run rejects a level outside [0, 1].
 	Levels []float64
 	// BaseLoss is the flat per-link loss probability every cell keeps.
 	BaseLoss float64
@@ -201,6 +201,11 @@ func (s RobustnessSweep) Run() (delivery, latency, p99, fourth *Figure, err erro
 	a := findAxis(s.Axis)
 	if a == nil {
 		return nil, nil, nil, nil, fmt.Errorf("experiment: unknown robustness axis %q", s.Axis)
+	}
+	for _, l := range s.Levels {
+		if !(0 <= l && l <= 1) { // NaN fails too
+			return nil, nil, nil, nil, fmt.Errorf("experiment: bad robustness sweep: level %v outside [0, 1]", l)
+		}
 	}
 	g := s.grid()
 	if err := g.run(s.Parallel); err != nil {

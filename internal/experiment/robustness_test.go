@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"testing"
 )
 
@@ -74,5 +75,17 @@ func TestRobustnessDefaults(t *testing.T) {
 	s := DefaultRobustness("bogus")
 	if _, _, _, _, err := s.Run(); err == nil {
 		t.Fatal("unknown axis ran")
+	}
+}
+
+// TestRobustnessRejectsBadLevel: a level outside [0, 1] is an error on every
+// axis, not a fault clamped to level 1 or scaled past the sweep's range.
+func TestRobustnessRejectsBadLevel(t *testing.T) {
+	for _, axis := range []string{"chaos", "churn", "adversarial"} {
+		s := DefaultRobustness(axis)
+		s.Routers, s.Packets, s.Levels = 40, 5, []float64{0, 1.5}
+		if _, _, _, _, err := s.Run(); err == nil || !strings.Contains(err.Error(), "level 1.5") {
+			t.Errorf("%s: Run returned %v, want an error naming level 1.5", axis, err)
+		}
 	}
 }

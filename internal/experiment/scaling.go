@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"reflect"
@@ -123,7 +122,8 @@ type ScalingCell struct {
 	PeakHeapMB float64
 }
 
-// ScalingReport is the sweep result with the harness's usual renderings.
+// ScalingReport is the sweep result: Format renders it as a table, and
+// its fields encode as JSON.
 type ScalingReport []ScalingCell
 
 // Run executes the sweep. Cells run serially on purpose: wall-clock is the
@@ -326,78 +326,4 @@ func (r ScalingReport) Format(w io.Writer) error {
 			simSerial, simParallel, simSpeedup, sharded, domains, c.PeakHeapMB)
 	}
 	return tw.Flush()
-}
-
-// Markdown renders the report as a GitHub table for EXPERIMENTS.md.
-func (r ScalingReport) Markdown(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "| clients | nodes | depth | build (ms) | plan (ms) | replan (ms) | plan workers | scan (ms) | speedup | replan allocs | sim serial (ms) | sim parallel (ms) | sim speedup | domains | peak heap (MB) |"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|"); err != nil {
-		return err
-	}
-	for _, c := range r {
-		scan, speedup := "—", "—"
-		if c.ScanMs > 0 {
-			scan = fmt.Sprintf("%.1f", c.ScanMs)
-			speedup = fmt.Sprintf("%.0f×", c.Speedup)
-		}
-		simSerial, simParallel, simSpeedup, domains := "—", "—", "—", "—"
-		if c.SimSerialMs > 0 {
-			simSerial = fmt.Sprintf("%.1f", c.SimSerialMs)
-			simParallel = fmt.Sprintf("%.1f", c.SimParallelMs)
-			simSpeedup = fmt.Sprintf("%.2f×", c.SimSpeedup)
-			if c.SimDomains > 0 {
-				domains = strconv.Itoa(c.SimDomains)
-			}
-		}
-		if _, err := fmt.Fprintf(w, "| %d | %d | %d | %.1f | %.2f | %.2f | %d | %s | %s | %d | %s | %s | %s | %s | %.0f |\n",
-			c.Clients, c.Nodes, c.TreeDepth, c.BuildMs, c.PlanMs, c.ReplanMs, c.PlanWorkers,
-			scan, speedup, c.ReplanAllocs, simSerial, simParallel, simSpeedup,
-			domains, c.PeakHeapMB); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CSV renders the report for plotting.
-func (r ScalingReport) CSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"clients", "nodes", "depth", "build_ms", "plan_ms",
-		"replan_ms", "plan_workers", "scan_ms", "speedup", "plan_allocs", "replan_allocs",
-		"mean_peers", "fast_path", "verified",
-		"sim_serial_ms", "sim_parallel_ms", "sim_speedup", "sim_sharded", "sim_digest",
-		"sim_domains", "peak_heap_mb"}); err != nil {
-		return err
-	}
-	for _, c := range r {
-		rec := []string{
-			strconv.Itoa(c.Clients), strconv.Itoa(c.Nodes),
-			strconv.Itoa(int(c.TreeDepth)),
-			strconv.FormatFloat(c.BuildMs, 'f', 3, 64),
-			strconv.FormatFloat(c.PlanMs, 'f', 3, 64),
-			strconv.FormatFloat(c.ReplanMs, 'f', 3, 64),
-			strconv.Itoa(c.PlanWorkers),
-			strconv.FormatFloat(c.ScanMs, 'f', 3, 64),
-			strconv.FormatFloat(c.Speedup, 'f', 2, 64),
-			strconv.FormatUint(c.PlanAllocs, 10),
-			strconv.FormatUint(c.ReplanAllocs, 10),
-			strconv.FormatFloat(c.MeanPeers, 'f', 3, 64),
-			strconv.FormatBool(c.FastPath),
-			strconv.FormatBool(c.Verified),
-			strconv.FormatFloat(c.SimSerialMs, 'f', 3, 64),
-			strconv.FormatFloat(c.SimParallelMs, 'f', 3, 64),
-			strconv.FormatFloat(c.SimSpeedup, 'f', 2, 64),
-			strconv.FormatBool(c.SimSharded),
-			c.SimDigest,
-			strconv.Itoa(c.SimDomains),
-			strconv.FormatFloat(c.PeakHeapMB, 'f', 1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -39,23 +39,12 @@ func TestScalingSweepSmall(t *testing.T) {
 		t.Fatal("cells out of order")
 	}
 
-	var tbl, md, csv bytes.Buffer
+	var tbl bytes.Buffer
 	if err := report.Format(&tbl); err != nil {
 		t.Fatal(err)
 	}
-	if err := report.Markdown(&md); err != nil {
-		t.Fatal(err)
-	}
-	if err := report.CSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	for name, out := range map[string]string{"table": tbl.String(), "markdown": md.String(), "csv": csv.String()} {
-		if !strings.Contains(out, "400") {
-			t.Fatalf("%s rendering missing cell: %q", name, out)
-		}
-		if !strings.Contains(strings.ReplaceAll(out, "_", " "), "plan workers") {
-			t.Fatalf("%s rendering missing the plan workers column: %q", name, out)
-		}
+	if out := tbl.String(); !strings.Contains(out, "400") || !strings.Contains(out, "plan workers") {
+		t.Fatalf("table missing a cell or the plan workers column: %q", out)
 	}
 }
 

@@ -32,16 +32,16 @@ type ChaosParams struct {
 	Span float64
 }
 
-// Validate rejects a NaN or infinite field, naming it. Zero and negative
-// values keep their meaning: no crashes, no outages, no bursts, and a Span
-// of at most 0 means 1.
+// Validate rejects, naming the field, a rate, severity or base loss outside
+// [0, 1] and a negative Span (NaN and infinities included). A Span of 0
+// means 1.
 func (p ChaosParams) Validate() error {
 	return firstBad("chaos params", []field{
-		{"CrashRate", p.CrashRate, true},
-		{"LinkDownRate", p.LinkDownRate, true},
-		{"BurstSeverity", p.BurstSeverity, true},
-		{"BaseLoss", p.BaseLoss, true},
-		{"Span", p.Span, true},
+		{"CrashRate", p.CrashRate, 0 <= p.CrashRate && p.CrashRate <= 1},
+		{"LinkDownRate", p.LinkDownRate, 0 <= p.LinkDownRate && p.LinkDownRate <= 1},
+		{"BurstSeverity", p.BurstSeverity, 0 <= p.BurstSeverity && p.BurstSeverity <= 1},
+		{"BaseLoss", p.BaseLoss, 0 <= p.BaseLoss && p.BaseLoss <= 1},
+		{"Span", p.Span, p.Span >= 0},
 	})
 }
 
@@ -49,15 +49,11 @@ func (p ChaosParams) Validate() error {
 // Gilbert–Elliott parameters: the good state keeps the flat base loss, the
 // bad state loses 30–70% of crossings, and bad states arrive more often and
 // linger longer as severity rises. Severity ≤ 0 returns ok=false (no burst
-// chain at all); a severity above 1 counts as 1. For a base loss in
-// [0, 1] every parameter lies in [0, 1]; Schedule.Validate rejects the
-// chain otherwise.
+// chain at all). For a severity and base loss in [0, 1] every parameter
+// lies in [0, 1]; Schedule.Validate rejects the chain otherwise.
 func BurstFromSeverity(severity, baseLoss float64) (GEParams, bool) {
 	if severity <= 0 {
 		return GEParams{}, false
-	}
-	if severity > 1 {
-		severity = 1
 	}
 	return GEParams{
 		PGB:      0.02 * severity,
@@ -67,14 +63,15 @@ func BurstFromSeverity(severity, baseLoss float64) (GEParams, bool) {
 	}, true
 }
 
-// Generate builds a chaos schedule over the given clients and links. Every
-// stochastic choice draws from r in a fixed order (clients, then links), so
-// the result is deterministic in (params, seed). The source is never
-// crashed — the liveness invariant is conditioned on the source staying up.
+// Generate builds a chaos schedule from valid params (Validate) over the
+// given clients and links. Every stochastic choice draws from r in a fixed
+// order (clients, then links), so the result is deterministic in (params,
+// seed). The source is never crashed — the liveness invariant is
+// conditioned on the source staying up.
 func Generate(p ChaosParams, clients []graph.NodeID, numLinks int, r *rng.Rand) *Schedule {
 	s := &Schedule{}
 	span := p.Span
-	if span <= 0 {
+	if span == 0 {
 		span = 1
 	}
 	for _, c := range clients {

@@ -23,7 +23,7 @@ type ChurnParams struct {
 	// generates an empty schedule.
 	Rate float64
 	// Span is the data-transmission duration (Packets·Interval), ms; a Span
-	// of at most 0 means 1.
+	// of 0 means 1.
 	Span float64
 }
 
@@ -45,34 +45,33 @@ const (
 // be re-admitted as regular peers).
 const permanentFrac = 0.3
 
-// Validate rejects a NaN or infinite field, naming it. Zero and negative
-// values keep their documented meaning.
+// Validate rejects, naming the field, a Rate outside [0, 1] and a negative
+// Span (NaN and infinities included).
 func (p ChurnParams) Validate() error {
 	return firstBad("churn params", []field{
-		{"Rate", p.Rate, true},
-		{"Span", p.Span, true},
+		{"Rate", p.Rate, 0 <= p.Rate && p.Rate <= 1},
+		{"Span", p.Span, p.Span >= 0},
 	})
 }
 
-// GenerateChurn builds a mobility-style churn schedule. ranked is the
-// coordinator succession line (core.ElectionOrder): wave i crashes
-// ranked[i], with wave times spread in ascending order across
-// [0.15, 0.65]·Span so each re-election has traffic to recover before the
-// next wave hits its successor. Clients not consumed by a wave may suffer
-// one background blackout each. Every stochastic choice draws from r in a
+// GenerateChurn builds a mobility-style churn schedule from valid params
+// (Validate). ranked is the coordinator succession line
+// (core.ElectionOrder): wave i crashes ranked[i], with wave times spread in
+// ascending order across [0.15, 0.65]·Span so each re-election has traffic
+// to recover before the next wave hits its successor. Clients not consumed
+// by a wave may suffer one background blackout each. Every stochastic choice draws from r in a
 // fixed order (waves first, then the remaining clients in ranked order), so
 // the schedule is deterministic in (params, ranked, seed).
 func GenerateChurn(p ChurnParams, ranked []graph.NodeID, r *rng.Rand) *Schedule {
 	s := &Schedule{}
-	rate := clamp01(p.Rate)
-	if rate == 0 {
+	if p.Rate == 0 {
 		return s
 	}
 	span := p.Span
-	if span <= 0 {
+	if span == 0 {
 		span = 1
 	}
-	waves := int(churnWaves*rate + 0.5)
+	waves := int(churnWaves*p.Rate + 0.5)
 	if waves > len(ranked) {
 		waves = len(ranked)
 	}
@@ -90,7 +89,7 @@ func GenerateChurn(p ChurnParams, ranked []graph.NodeID, r *rng.Rand) *Schedule 
 		s.CrashWindow(ranked[i], at, at+down)
 	}
 	for _, c := range ranked[waves:] {
-		if r.Float64() >= backgroundRate*rate {
+		if r.Float64() >= backgroundRate*p.Rate {
 			continue
 		}
 		at := r.Uniform(0.1, 0.7) * span

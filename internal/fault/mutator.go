@@ -195,13 +195,11 @@ func (c *MutationConfig) Empty() bool {
 // probability 0.3 (up to 3 extra copies), reordered with probability 0.4 by
 // up to 25 ms, corrupted with probability 0.12, and a storm window over the
 // middle tenth of the span triples repairs. Intensity ≤ 0 returns nil — the
-// legacy, mutation-free plane.
+// legacy, mutation-free plane. An intensity above 1 scales every rate past
+// that; MutationConfig.Validate rejects a config it takes out of range.
 func MutationFromIntensity(intensity, span float64) *MutationConfig {
 	if !(intensity > 0) { // ≤ 0 or NaN
 		return nil
-	}
-	if intensity > 1 {
-		intensity = 1
 	}
 	if !(span > 0) {
 		span = 1

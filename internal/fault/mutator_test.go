@@ -107,10 +107,10 @@ func TestMutationFromIntensity(t *testing.T) {
 	if c.Storms[0].Extra != 3 {
 		t.Fatalf("storm extra %d, want 3", c.Storms[0].Extra)
 	}
-	// Intensity above 1 clamps to 1.
-	over := MutationFromIntensity(7, 5000)
-	if over.Storms[0] != c.Storms[0] || over.Request != c.Request {
-		t.Fatalf("intensity 7 did not clamp to 1: %+v vs %+v", over, c)
+	// An intensity above 1 is not reshaped: 7 scales the rates out of
+	// range, and Validate says so.
+	if err := MutationFromIntensity(7, 5000).Validate(); err == nil {
+		t.Fatal("intensity 7 gave a valid config")
 	}
 }
 

@@ -77,17 +77,6 @@ type GEParams struct {
 	LossGood, LossBad float64
 }
 
-// clamp01 clamps a probability into [0, 1]; NaN becomes 0.
-func clamp01(p float64) float64 {
-	if !(p > 0) { // also catches NaN
-		return 0
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
-}
-
 // field is one named parameter and whether it is in its legal range.
 type field struct {
 	name string

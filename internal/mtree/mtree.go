@@ -82,30 +82,10 @@ func Build(net *topology.Network) (*Tree, error) {
 		t.Depth[i] = -1
 	}
 
-	// Adjacency restricted to tree edges, in CSR form: one shared buffer
-	// instead of n slice headers and Θ(n) grow-reallocations. Per-node
-	// half-edge order is the order edges appear in TreeEdges — identical to
-	// the append-based build this replaced, so the DFS (and with it Order,
-	// tin/tout, and every digest downstream) is unchanged.
-	off := make([]int32, n+1)
-	for _, id := range net.TreeEdges {
-		e := net.G.Edge(id)
-		off[e.A+1]++
-		off[e.B+1]++
-	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
-	}
-	adjBuf := make([]graph.Half, 2*len(net.TreeEdges))
-	cur := make([]int32, n)
-	copy(cur, off[:n])
-	for _, id := range net.TreeEdges {
-		e := net.G.Edge(id)
-		adjBuf[cur[e.A]] = graph.Half{Edge: id, Peer: e.B}
-		cur[e.A]++
-		adjBuf[cur[e.B]] = graph.Half{Edge: id, Peer: e.A}
-		cur[e.B]++
-	}
+	// The DFS walks the tree adjacency. The tree does not keep it: its
+	// offsets end as buildChildren's scratch.
+	adj := NewAdjacency(net)
+	off, adjBuf := adj.off, adj.buf
 
 	// Iterative preorder DFS from the root. DFS (not BFS) so tin/tout
 	// stamps give contiguous subtree intervals.
@@ -157,6 +137,50 @@ func Build(net *topology.Network) (*Tree, error) {
 	t.buildChildren(off[:n+1])
 	t.buildLifting()
 	return t, nil
+}
+
+// Adjacency is the tree-link adjacency of a network in CSR form: one shared
+// half-edge buffer plus per-node offsets, instead of n slice headers and
+// Θ(n) grow-reallocations. Per-node half-edge order is the order edges
+// appear in TreeEdges, which fixes Build's DFS (and with it Order, tin/tout
+// and every digest downstream) and the order a tree flood draws its link
+// fates in. Its users only read it, so the domain nets of a partitioned run
+// share one.
+type Adjacency struct {
+	off []int32
+	buf []graph.Half
+}
+
+// NewAdjacency builds the tree adjacency of net.
+func NewAdjacency(net *topology.Network) *Adjacency {
+	n := net.NumNodes()
+	a := &Adjacency{
+		off: make([]int32, n+1),
+		buf: make([]graph.Half, 2*len(net.TreeEdges)),
+	}
+	for _, id := range net.TreeEdges {
+		e := net.G.Edge(id)
+		a.off[e.A+1]++
+		a.off[e.B+1]++
+	}
+	for i := 0; i < n; i++ {
+		a.off[i+1] += a.off[i]
+	}
+	cur := make([]int32, n)
+	copy(cur, a.off[:n])
+	for _, id := range net.TreeEdges {
+		e := net.G.Edge(id)
+		a.buf[cur[e.A]] = graph.Half{Edge: id, Peer: e.B}
+		cur[e.A]++
+		a.buf[cur[e.B]] = graph.Half{Edge: id, Peer: e.A}
+		cur[e.B]++
+	}
+	return a
+}
+
+// Of returns node's tree half-edges.
+func (a *Adjacency) Of(node graph.NodeID) []graph.Half {
+	return a.buf[a.off[node]:a.off[node+1]]
 }
 
 // BuildLite is Build.

@@ -36,6 +36,7 @@ func FuzzCoopDecode(f *testing.F) {
 		c := topo.Clients[0] // the tail client, 4 hops from the source
 		link := tree.ParentLink[c]
 		e := New()
+		intensity = min(intensity, 1) // the adversarial sweep's range
 		cfg := protocol.Config{
 			Packets: packets, Interval: 10,
 			Fault: &fault.Schedule{

@@ -65,17 +65,17 @@ const (
 
 // Engine is the SRM protocol engine.
 //
-// Per-(host,seq) state is dense: the session validates every control
-// packet's host and sequence range before dispatch, so slices indexed by
-// host·packets+seq replace the hash maps the hot path used to thrash.
+// A client's pending NACK for a missing seq is a protocol.Recovery in the
+// session's table, whose Step is the request backoff exponent. Holder state
+// is dense: the session validates every control packet's host and sequence
+// range before dispatch, so slices indexed by host·packets+seq replace the
+// hash maps the hot path used to thrash.
 type Engine struct {
 	opt Options
 	s   *protocol.Session
 
 	// packets sizes the dense (host,seq) index, fixed at Attach.
 	packets int
-	req     []*reqState // per missing (client,seq); nil = none
-	nreq    int         // live req entries, for PendingRequests
 	rep     []sim.Timer // per (holder,seq) armed repair timer; zero = none
 	// lastRepair records when a host last saw (or sent) a repair for a
 	// seq, for the ignore window. NaN = never.
@@ -102,15 +102,6 @@ type Engine struct {
 // dedupCacheSize bounds the NACK dedup cache; eviction only ever lets a
 // duplicate through again (see protocol.DedupCache).
 const dedupCacheSize = 8192
-
-type reqState struct {
-	timer   sim.Timer
-	backoff int
-	// parked marks a request whose owner is crashed: no timer runs until
-	// OnRecover resumes it (a permanently crashed owner would otherwise
-	// re-arm its NACK timer forever and the run could never quiesce).
-	parked bool
-}
 
 // nack is the payload of an SRM request multicast.
 type nack struct {
@@ -145,7 +136,6 @@ func (e *Engine) Attach(s *protocol.Session) {
 	// Size the dense per-(host,seq) state now that both bounds are known.
 	e.packets = s.Config().Packets
 	cells := s.Topo.NumNodes() * e.packets
-	e.req = make([]*reqState, cells)
 	e.rep = make([]sim.Timer, cells)
 	e.reqSeen = make([]int32, cells)
 	e.repSeen = make([]int32, cells)
@@ -162,20 +152,17 @@ func (e *Engine) Attach(s *protocol.Session) {
 // idx maps a validated (host, seq) pair onto the dense state index.
 func (e *Engine) idx(h graph.NodeID, seq int) int { return int(h)*e.packets + seq }
 
-// OnDetect implements protocol.Engine: arm the initial request timer.
-// Monotonic guard: a packet the client already holds never (re-)enters the
-// request machine, whatever duplicated or reordered signal suggested it.
+// OnDetect implements protocol.Engine: open the request and arm its first
+// timer. Monotonic guard: a packet the client already holds never
+// (re-)enters the request machine, whatever duplicated or reordered signal
+// suggested it.
 func (e *Engine) OnDetect(c graph.NodeID, seq int) {
-	if e.req[e.idx(c, seq)] != nil {
-		return
-	}
 	if !e.s.Missing(c, seq) {
 		return
 	}
-	rs := &reqState{}
-	e.req[e.idx(c, seq)] = rs
-	e.nreq++
-	e.armRequest(c, seq, rs)
+	if r := e.s.Open(c, seq); r != nil {
+		e.armRequest(c, r)
+	}
 }
 
 // scaleOf returns a member's adaptive widening factor from the given map.
@@ -204,41 +191,41 @@ func (e *Engine) adapt(m map[graph.NodeID]float64, host graph.NodeID, dups int) 
 	m[host] = min(max(s, 1), maxAdapt)
 }
 
-// armRequest draws the suppression timer U[C1·d, (C1+C2)·d]·2^backoff
-// (widened by the member's adaptive factor) and schedules the NACK.
-func (e *Engine) armRequest(c graph.NodeID, seq int, rs *reqState) {
+// armRequest draws the suppression timer U[C1·d, (C1+C2)·d]·2^Step
+// (widened by the member's adaptive factor) and schedules the NACK. A
+// crashed owner parks the request instead: no timer runs until OnRecover
+// resumes it.
+func (e *Engine) armRequest(c graph.NodeID, r *protocol.Recovery) {
 	if !e.s.Alive(c) {
-		rs.parked = true
+		r.Parked = true
 		return
 	}
 	d := e.s.Routes.OneWayDelay(c, e.s.Topo.Source)
 	if d <= 0 {
 		d = 1
 	}
-	scale := float64(int64(1)<<uint(rs.backoff)) * e.scaleOf(e.reqScale, c)
+	scale := float64(int64(1)<<uint(r.Step)) * e.scaleOf(e.reqScale, c)
 	delay := (c1 + c2*e.s.Rand.Float64()) * d * scale
-	rs.timer = e.s.Eng.NewTimer(delay, func() { e.fireRequest(c, seq, rs) })
+	r.Timer = e.s.Eng.NewTimer(delay, func() { e.fireRequest(c, r) })
 }
 
 // fireRequest multicasts the NACK and re-arms with backoff, so a lost
 // repair (or lost NACK) eventually triggers another round.
-func (e *Engine) fireRequest(c graph.NodeID, seq int, rs *reqState) {
-	i := e.idx(c, seq)
-	if e.req[i] != rs || rs.parked {
+func (e *Engine) fireRequest(c graph.NodeID, r *protocol.Recovery) {
+	if r.Closed() || r.Parked {
 		return
 	}
-	if !e.s.Missing(c, seq) {
-		e.req[i] = nil
-		e.nreq--
+	if !e.s.Missing(c, r.Seq) {
+		e.s.Close(c, r)
 		return
 	}
 	e.s.Net.FloodTree(sim.Packet{
-		Kind: sim.Request, Seq: seq, From: c, Payload: nack{Requester: c},
+		Kind: sim.Request, Seq: r.Seq, From: c, Payload: nack{Requester: c},
 	})
-	if rs.backoff < maxBackoff {
-		rs.backoff++
+	if r.Step < maxBackoff {
+		r.Step++
 	}
-	e.armRequest(c, seq, rs)
+	e.armRequest(c, r)
 }
 
 // OnPacket implements protocol.Engine.
@@ -265,11 +252,9 @@ func (e *Engine) OnPacket(host graph.NodeID, pkt sim.Packet) {
 			e.adapt(e.repScale, host, int(e.repSeen[i])-1)
 		}
 		// If we were a requester, the session has marked us recovered;
-		// drop the request state and adapt on observed NACK duplication.
-		if rs := e.req[i]; rs != nil && !e.s.Missing(host, pkt.Seq) {
-			rs.timer.Stop()
-			e.req[i] = nil
-			e.nreq--
+		// close the request and adapt on observed NACK duplication.
+		if r := e.s.Recovery(host, pkt.Seq); r != nil && !e.s.Missing(host, pkt.Seq) {
+			e.s.Close(host, r)
 			e.adapt(e.reqScale, host, int(e.reqSeen[i])-1)
 		}
 	}
@@ -314,11 +299,11 @@ func (e *Engine) onNACK(host graph.NodeID, seq int, requester graph.NodeID) {
 	}
 	// Request suppression: we miss it too and someone already asked —
 	// back off our own request and wait for the shared repair.
-	if rs := e.req[i]; rs != nil && rs.timer.Stop() {
-		if rs.backoff < maxBackoff {
-			rs.backoff++
+	if r := e.s.Recovery(host, seq); r != nil && r.Timer.Stop() {
+		if r.Step < maxBackoff {
+			r.Step++
 		}
-		e.armRequest(host, seq, rs)
+		e.armRequest(host, r)
 	}
 }
 
@@ -348,18 +333,20 @@ func (e *Engine) fireRepair(host graph.NodeID, seq int) {
 	e.s.Net.FloodTree(sim.Packet{Kind: sim.Repair, Seq: seq, From: host})
 }
 
-// PendingRequests reports in-flight request states (testing).
-func (e *Engine) PendingRequests() int { return e.nreq }
+// PendingRequests reports open requests, parked ones included (testing).
+func (e *Engine) PendingRequests() int { return e.s.OpenRecoveries() }
 
-// OnCrash implements protocol.FaultAware: park the crashed member's request
-// timers and drop its armed repair timers (it can no longer serve anyone).
+// OnCrash implements protocol.FaultAware: park the crashed member's requests
+// and drop its armed repair timers (it can no longer serve anyone). The
+// repair timers are dense, so one walk over the seqs does both, each seq's
+// request first.
 func (e *Engine) OnCrash(h graph.NodeID) {
 	for seq := 0; seq < e.packets; seq++ {
-		i := e.idx(h, seq)
-		if rs := e.req[i]; rs != nil {
-			rs.timer.Stop()
-			rs.parked = true
+		if r := e.s.Recovery(h, seq); r != nil {
+			r.Timer.Stop()
+			r.Timer, r.Parked = sim.Timer{}, true
 		}
+		i := e.idx(h, seq)
 		if t := e.rep[i]; t.Valid() {
 			t.Stop()
 			e.rep[i] = sim.Timer{}
@@ -368,25 +355,17 @@ func (e *Engine) OnCrash(h graph.NodeID) {
 }
 
 // OnRecover implements protocol.FaultAware: resume the member's parked
-// requests from a fresh backoff. The dense scan runs in ascending sequence
-// order — resumption draws suppression timers from the shared rng stream,
-// so the order must be deterministic.
+// requests from a fresh backoff, in ascending seq order (Session.Resume) —
+// resumption draws suppression timers from the shared rng stream.
 func (e *Engine) OnRecover(h graph.NodeID) {
-	for seq := 0; seq < e.packets; seq++ {
-		i := e.idx(h, seq)
-		rs := e.req[i]
-		if rs == nil || !rs.parked {
-			continue
+	e.s.Resume(h, func(r *protocol.Recovery) {
+		if !e.s.Missing(h, r.Seq) {
+			e.s.Close(h, r)
+			return
 		}
-		rs.parked = false
-		if !e.s.Missing(h, seq) {
-			e.req[i] = nil
-			e.nreq--
-			continue
-		}
-		rs.backoff = 0
-		e.armRequest(h, seq, rs)
-	}
+		r.Step = 0
+		e.armRequest(h, r)
+	})
 }
 
 // DedupCaches implements protocol.DedupAudited.

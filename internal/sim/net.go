@@ -134,8 +134,9 @@ type Net struct {
 	mut *fault.Mutator
 	// treeAdj is adjacency restricted to tree links, for flood traversal.
 	// It is immutable after construction and shared across every shard of a
-	// partitioned run (see treeAdjacency).
-	treeAdj *treeAdjacency
+	// partitioned run: at n=1,000,000 that turns K copies of a ~2.5M-entry
+	// adjacency into one.
+	treeAdj *mtree.Adjacency
 
 	// Sharded-mode state (see shard.go; all nil/zero on a session's own net).
 	// shardOf is the shared node→shard map of the partition, shardID this
@@ -185,50 +186,6 @@ type Symbol struct {
 	Index int32
 }
 
-// treeAdjacency is the tree-link adjacency of a topology in CSR form: one
-// shared half-edge buffer plus per-node offsets, instead of a slice header
-// and separate allocation per node. It is immutable once built, so every
-// domain net of a partitioned run shares its session net's instance (see
-// Shard) — at n=1,000,000 that turns K copies of a ~2.5M-entry adjacency
-// into one.
-type treeAdjacency struct {
-	off []int32
-	buf []graph.Half
-}
-
-// newTreeAdjacency builds the tree adjacency of topo. Per-node half-edge
-// order is TreeEdges order, matching the append-based layout it replaced.
-func newTreeAdjacency(topo *topology.Network) *treeAdjacency {
-	n := topo.NumNodes()
-	a := &treeAdjacency{
-		off: make([]int32, n+1),
-		buf: make([]graph.Half, 2*len(topo.TreeEdges)),
-	}
-	for _, id := range topo.TreeEdges {
-		e := topo.G.Edge(id)
-		a.off[e.A+1]++
-		a.off[e.B+1]++
-	}
-	for i := 0; i < n; i++ {
-		a.off[i+1] += a.off[i]
-	}
-	cur := make([]int32, n)
-	copy(cur, a.off[:n])
-	for _, id := range topo.TreeEdges {
-		e := topo.G.Edge(id)
-		a.buf[cur[e.A]] = graph.Half{Edge: id, Peer: e.B}
-		cur[e.A]++
-		a.buf[cur[e.B]] = graph.Half{Edge: id, Peer: e.A}
-		cur[e.B]++
-	}
-	return a
-}
-
-// of returns node's tree half-edges.
-func (a *treeAdjacency) of(node graph.NodeID) []graph.Half {
-	return a.buf[a.off[node]:a.off[node+1]]
-}
-
 // NewNet wires a network simulation over the given substrate. The rng
 // stream is owned by the Net afterwards (loss draws must not interleave
 // with other users).
@@ -245,7 +202,7 @@ func NewNet(eng *Engine, topo *topology.Network, tree *mtree.Tree, routes route.
 		Routes:  routes,
 		r:       r,
 		hosts:   hosts,
-		treeAdj: newTreeAdjacency(topo),
+		treeAdj: mtree.NewAdjacency(topo),
 	}
 }
 
@@ -588,7 +545,7 @@ func (n *Net) floodFrom(b *batch, pk int32) {
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, h := range n.treeAdj.of(f.node) {
+		for _, h := range n.treeAdj.Of(f.node) {
 			if h.Peer == f.prev {
 				continue
 			}

@@ -121,7 +121,7 @@ func (n *Net) pathStep(w *walker) {
 // floodFanOut transmits pkt over every tree link at node except via,
 // scheduling one wFloodVisit walker per surviving transmission.
 func (n *Net) floodFanOut(node graph.NodeID, via graph.EdgeID, pkt Packet) {
-	for _, half := range n.treeAdj.of(node) {
+	for _, half := range n.treeAdj.Of(node) {
 		if half.Edge == via {
 			continue
 		}

@@ -98,18 +98,22 @@ func (s *Snapshot) Strategies() []*core.Strategy { return s.strategies }
 // by (Tree.Clients; shared and frozen).
 func (s *Snapshot) Clients() []graph.NodeID { return s.clients }
 
-// Config tunes a Service. The zero value is ready to use.
-type Config struct {
-	// Members is the initial membership (nil: every tree client).
-	Members []graph.NodeID
-	// MaxBatch caps how many queued churn ops one publish coalesces
-	// (default 4096). Larger batches amortise the O(k) publish copy;
-	// smaller ones bound snapshot staleness.
-	MaxBatch int
-	// QueueLen is the churn queue capacity (default 4096). Join/Leave
-	// block when the queue is full — backpressure, never drops.
-	QueueLen int
-}
+// The applier's shape. A service starts with every tree client a member.
+const (
+	// batchCap caps how many queued churn ops one publish coalesces. Larger
+	// batches amortise the O(k) publish copy; smaller ones bound snapshot
+	// staleness.
+	batchCap = 4096
+	// queueCap is the churn queue capacity. Join/Leave block when the queue
+	// is full — backpressure, never drops.
+	queueCap = 4096
+)
+
+// Config holds no setting: the service's shape is the constants above.
+//
+// Deprecated: New ignores it. It stays while the benchmark harness
+// (bench/svc.go) passes it.
+type Config struct{}
 
 // Stats is a point-in-time counter snapshot of the applier side.
 type Stats struct {
@@ -153,8 +157,6 @@ type op struct {
 
 // Service is the planning server. Create with New, stop with Close.
 type Service struct {
-	cfg Config
-
 	// cur is the only reader-writer rendezvous: the applier stores fresh
 	// snapshots, readers load. Everything reachable from a stored snapshot
 	// is frozen, so a load needs no further synchronisation.
@@ -178,21 +180,10 @@ type Service struct {
 // New builds the initial snapshot synchronously (so Get works immediately)
 // and starts the applier goroutine. The planner must not be used elsewhere
 // while the service is running: the applier owns it.
-func New(p *core.Planner, cfg Config) *Service {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 4096
-	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 4096
-	}
-	members := cfg.Members
-	if members == nil {
-		members = p.Tree.Clients
-	}
+func New(p *core.Planner, _ Config) *Service {
 	s := &Service{
-		cfg:    cfg,
-		roster: core.NewRosterActive(p, members),
-		ops:    make(chan op, cfg.QueueLen),
+		roster: core.NewRosterActive(p, p.Tree.Clients),
+		ops:    make(chan op, queueCap),
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -278,10 +269,10 @@ func (s *Service) enqueue(o op) {
 }
 
 // run is the applier loop: block for one op, drain whatever else is queued
-// up to MaxBatch, apply, publish, signal flushes.
+// up to batchCap, apply, publish, signal flushes.
 func (s *Service) run() {
 	defer close(s.done)
-	batch := make([]op, 0, s.cfg.MaxBatch)
+	batch := make([]op, 0, batchCap)
 	for {
 		var first op
 		select {
@@ -291,7 +282,7 @@ func (s *Service) run() {
 		}
 		batch = append(batch[:0], first)
 	drain:
-		for len(batch) < s.cfg.MaxBatch {
+		for len(batch) < batchCap {
 			select {
 			case o := <-s.ops:
 				batch = append(batch, o)
